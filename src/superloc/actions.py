@@ -156,14 +156,10 @@ def tautological_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
     return SuperVectorField(spec.chart, 1, a, tuple(b))
 
 
-def equivariant_differential_field(spec: ActionSpec, xi=None) -> SuperVectorField:
+def equivariant_differential(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunction:
     """The operator d + contraction with the fundamental field, on the
     tautological chart where theta^i stands for dx^i."""
-    return tautological_Q(spec, xi)
-
-
-def equivariant_differential(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunction:
-    return equivariant_differential_field(spec, xi).apply(alpha)
+    return tautological_Q(spec, xi).apply(alpha)
 
 
 def lie_derivative(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunction:
@@ -279,15 +275,14 @@ def kahler_lift(spec: ActionSpec, xi=None, pairs=None) -> CField:
 # ---------------------------------------------------------------------------
 
 
-def _default_samples(symbols, count=5, seed=802):
+def _default_samples(symbols, count=5, seed=802, num=7, den=3):
+    """Seeded rational bindings: numerators in -num..num, denominators in 1..den."""
     rng = random.Random(seed)
-    out = []
     names = sorted(symbols)
-    for _ in range(count):
-        out.append(
-            {name: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for name in names}
-        )
-    return out
+    return [
+        {name: Fraction(rng.randint(-num, num), rng.randint(1, den)) for name in names}
+        for _ in range(count)
+    ]
 
 
 def _numeric_rank(rows, samples) -> int:
@@ -617,15 +612,6 @@ def _field_residual_text(X) -> list:
         if not comp.is_zero():
             out.append("b[%d] = %s" % (A, to_super_text(comp)))
     return out
-
-
-def _real_to_cfield(X: SuperVectorField) -> CField:
-    return CField(
-        X.chart,
-        X.parity,
-        tuple(CSuper.real(c) for c in X.a),
-        tuple(CSuper.real(c) for c in X.b),
-    )
 
 
 def _expm(A: np.ndarray) -> np.ndarray:

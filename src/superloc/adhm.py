@@ -24,14 +24,13 @@ from math import isqrt
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import scalars as sc
-from .actions import ActionSpec
+from .actions import ActionSpec, _as_expr, _default_samples
 from .cgrass import (
     CSuper,
     cmat_add,
     cmat_commutator,
     cmat_dagger,
     cmat_mul,
-    cmat_neg,
     cmat_scale,
     cmat_sub,
 )
@@ -650,11 +649,7 @@ def fermionic_constraints(chart: SuperChart, V: Sequence) -> list:
         raise DimensionMismatch("need one odd generator per coordinate")
     out = []
     for v in V:
-        if isinstance(v, sc.ScalarExpr):
-            expr = v
-        else:
-            f = Fraction(v)
-            expr = sc.rational(f.numerator, f.denominator)
+        expr = _as_expr(v)
         terms = {}
         for idx, name in enumerate(chart.coords, start=1):
             d = sc.normalize(sc.differentiate(expr, name))
@@ -666,15 +661,6 @@ def fermionic_constraints(chart: SuperChart, V: Sequence) -> list:
 
 # ---------------------------------------------------------------------------
 # multiplier-sector consistency
-
-
-def _mc_samples(symbols, count=3, seed=2203):
-    rng = random.Random(seed)
-    names = sorted(symbols)
-    return [
-        {name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in names}
-        for _ in range(count)
-    ]
 
 
 def multiplier_completion(
@@ -726,7 +712,7 @@ def multiplier_completion(
         for e in row:
             symbols |= sc.free_symbols(e)
     if samples is None:
-        samples = _mc_samples(symbols)
+        samples = _default_samples(symbols, count=3, seed=2203, num=9, den=4)
 
     max_abs = 0.0
     if not symbolic_zero:

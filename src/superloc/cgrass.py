@@ -193,10 +193,6 @@ def cmat_shape(A: CMatrix) -> tuple:
     return (rows, cols)
 
 
-def cmat_zero(chart: SuperChart, rows: int, cols: int) -> list:
-    return [[CSuper.zero(chart) for _ in range(cols)] for _ in range(rows)]
-
-
 def cmat_add(A: CMatrix, B: CMatrix) -> list:
     if cmat_shape(A) != cmat_shape(B):
         raise ShapeMismatch("matrix shapes disagree")

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from . import scalars as sc
 from .actions import ActionSpec
 from .grassmann import SuperChart, SuperFunction
-from .localize import FixedPointData, find_fixed_points
+from .localize import find_fixed_points
 from .oracle import OraclePatch
 from .scalars import ScalarExpr
 

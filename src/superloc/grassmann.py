@@ -403,14 +403,6 @@ class _SuperParser(sc._Parser):
         self.chart = chart
         self.gen_index = {name: k for k, name in enumerate(chart.odd_names, start=1)}
 
-    def expr(self):
-        e = self.term()
-        while self.peek() in "+-":
-            op = self.take()[0]
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
     def term(self):
         e = self.unary()
         while self.peek() in "*/":
@@ -425,15 +417,6 @@ class _SuperParser(sc._Parser):
                     rhs = rhs.body()
                 e = e * normalize(sc.Pow(rhs, -1))
         return e
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
 
     def power(self):
         e = self.atom()

@@ -1,12 +1,22 @@
-"""Scenario loading and the four report-producing runners.
+"""Scenario loading, the check registry, and the executor behind the runners.
 
 A scenario is a JSON object with a `kind` selecting one of the built-in
 setups (sphere, plane rotation, a one-dimensional toy, the complex
-two-torus operator, or the matrix-model suites).  Runners turn a loaded
-scenario into a report: an ordered list of check records plus totals.
-Records carry a wall-clock runtime for console display, but it is
-stripped from the serialized report so that identical scenarios produce
-byte-identical JSON, up to the single timestamp field.
+two-torus operator, or the matrix-model suites).  `_REGISTRY` maps each
+kind and command to ordered stages.  A stage pairs an item source (the
+scenario's `values`, its `stokes` entries, the geometry patches, or one
+single item) with ordered checks; a check gives its base name, the
+function computing its record fields, and the errors that become a
+`skipped(...)` or `fail` status instead of propagating.
+
+`_execute` drops the checks that the scenario's `checks` list leaves out
+before computing anything, then runs every item through the remaining
+checks in order and turns the records into a report: an ordered list plus
+totals.  Checks on one item share a memo, so the three compare checks
+need one localization and one oracle integral per value.  Records carry a
+wall-clock runtime for console display, but it is stripped from the
+serialized report so that identical scenarios produce byte-identical
+JSON, up to the single timestamp field.
 """
 from __future__ import annotations
 
@@ -17,7 +27,8 @@ import random
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import scalars as sc
 from .actions import ActionSpec, check_sigma_parallel, kahler_Q, tautological_Q, verify_brst
@@ -32,12 +43,7 @@ from .adhm import (
     cartan_params,
     multiplier_completion,
 )
-from .errors import (
-    AssumptionViolated,
-    NotQClosed,
-    OddDimension,
-    SchemaError,
-)
+from .errors import AssumptionViolated, NotQClosed, OddDimension, SchemaError
 from .geometry import (
     PLANE_ROTATION,
     annulus_domain,
@@ -66,47 +72,6 @@ from .oracle import OraclePatch, global_berezin, super_stokes_check
 
 
 KINDS = ("sphere", "plane_rotation", "line_dilation", "kahler_torus", "adhm")
-
-_CATALOG = {
-    "sphere": {
-        "localize": ("super_localize", "classical_localize"),
-        "oracle": ("global_berezin",),
-        "compare": ("compare", "super_vs_reference", "oracle_vs_reference"),
-        "brst-check": ("verify_brst", "sigma_parallel"),
-    },
-    "plane_rotation": {
-        "localize": ("super_localize", "classical_localize"),
-        "oracle": ("global_berezin", "super_stokes"),
-        "compare": ("compare", "super_vs_reference", "oracle_vs_reference"),
-        "brst-check": ("verify_brst", "sigma_parallel"),
-    },
-    "line_dilation": {
-        "localize": ("super_localize",),
-        "oracle": (),
-        "compare": (),
-        "brst-check": (),
-    },
-    "kahler_torus": {
-        "localize": (),
-        "oracle": (),
-        "compare": (),
-        "brst-check": ("verify_brst",),
-    },
-    "adhm": {
-        "localize": (),
-        "oracle": (),
-        "compare": (),
-        "brst-check": (
-            "closure_unconstrained",
-            "closure_full",
-            "verify_brst_unconstrained",
-            "sigma_identity",
-            "multiplier_real_sector",
-            "multiplier_complex_sector",
-            "fixed_points",
-        ),
-    },
-}
 
 _REFERENCES: Mapping[str, Callable[[float], float]] = {
     "height_closed_form": lambda t: 2 * math.pi * (math.exp(t) - math.exp(-t)) / t,
@@ -165,9 +130,12 @@ def _validate(scenario: dict) -> None:
     if checks is not None:
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
             raise SchemaError("checks must be a list of names")
-        allowed = set()
-        for names in _CATALOG[kind].values():
-            allowed |= set(names)
+        allowed = {
+            check.base
+            for stages in _REGISTRY[kind].values()
+            for _, checks in stages
+            for check in checks
+        }
         for c in checks:
             if c not in allowed:
                 raise SchemaError("check %r is not available for kind %r" % (c, kind))
@@ -245,20 +213,10 @@ def _record(name, status, lhs=None, rhs=None, abs_error=None, rel_error=None,
     return rec
 
 
-def _wanted(scenario: dict, base: str) -> bool:
-    checks = scenario.get("checks")
-    return checks is None or base in checks
-
-
 def _report(scenario: dict, command: str, tol: float, checks: list) -> dict:
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     for rec in checks:
-        if rec["status"] == "pass":
-            totals["pass"] += 1
-        elif rec["status"] == "fail":
-            totals["fail"] += 1
-        else:
-            totals["skipped"] += 1
+        totals[rec["status"] if rec["status"] in totals else "skipped"] += 1
     return {
         "scenario": scenario["name"],
         "command": command,
@@ -287,16 +245,13 @@ def serialize_report(report: dict, timestamp: Optional[str] = None) -> str:
 # geometry cases
 
 
-class _GeometryCase:
-    """Everything a runner needs: fields, fixed points, oracle patches."""
+class _GeometryCase(NamedTuple):
+    """Everything a geometry check needs: fields, fixed points, oracle patches."""
 
-    def __init__(self, fields, fps, Q, patches, classical, reference):
-        self.fields = fields
-        self.fps = fps
-        self.Q = Q
-        self.patches = patches
-        self.classical = classical
-        self.reference = reference
+    fields: object
+    fps: list
+    Q: object
+    patches: list
 
 
 def _sphere_case(scenario: dict) -> _GeometryCase:
@@ -310,17 +265,14 @@ def _sphere_case(scenario: dict) -> _GeometryCase:
         fields = {p.name: closed_polynomial(p, coeffs) for p in atlas}
         patches = [_sphere_polynomial_patch(coeffs)]
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
-    reference = _REFERENCES.get(scenario.get("reference", ""), None)
-    return _GeometryCase(fields, sphere_fixed_points(), Q, patches, True, reference)
+    return _GeometryCase(fields, sphere_fixed_points(), Q, patches)
 
 
 def _sphere_polynomial_patch(coeffs) -> OraclePatch:
     u, t = sc.sym("u"), sc.sym("t")
     height = sc.ZERO - t * sc.cos(u)
     integrand = sc.ZERO
-    for k, c in enumerate(coeffs):
-        if k == 0:
-            continue
+    for k, c in enumerate(coeffs[1:], start=1):
         e = sc.rational(c.numerator * k, c.denominator)
         integrand = integrand + e * height ** (k - 1) * sc.sin(u)
     return OraclePatch(
@@ -331,14 +283,11 @@ def _sphere_polynomial_patch(coeffs) -> OraclePatch:
 
 
 def _plane_case(scenario: dict) -> _GeometryCase:
-    reference = _REFERENCES.get(scenario.get("reference", ""), None)
     return _GeometryCase(
         gaussian_rotation_form(),
         plane_fixed_point(),
         tautological_Q(PLANE_ROTATION),
         [gaussian_oracle_patch()],
-        True,
-        reference,
     )
 
 
@@ -349,7 +298,7 @@ def _line_case(scenario: dict) -> _GeometryCase:
         spec, declared=[(0,)], h=((sc.ONE,),), chart_id="line"
     )
     field = parse_super(chart, scenario["form"]["text"])
-    return _GeometryCase(field, fps, None, [], False, None)
+    return _GeometryCase(field, fps, None, [])
 
 
 _CASES = {
@@ -359,253 +308,9 @@ _CASES = {
 }
 
 
-def _values(scenario: dict):
-    for text in scenario["values"]:
-        yield str(text), _as_fraction(text)
-
-
-# ---------------------------------------------------------------------------
-# runners
-
-
-def run_localize(scenario: dict, tol: Optional[float] = None) -> dict:
-    tol = float(tol if tol is not None else scenario.get("tol", 1e-6))
-    checks = []
-    if scenario["kind"] in _CASES:
-        case = _CASES[scenario["kind"]](scenario)
-        for label, value in _values(scenario):
-            binding = {"t": value}
-            if _wanted(scenario, "super_localize"):
-                t0 = time.perf_counter()
-                name = "super_localize[t=%s]" % label
-                try:
-                    result = super_localize(
-                        case.fields, case.fps, binding=binding, Q=case.Q
-                    )
-                    checks.append(
-                        _record(
-                            name,
-                            "pass",
-                            lhs=result["value"],
-                            detail={
-                                "coefficient": str(result["coefficient"]),
-                                "pi_power": result["pi_power"],
-                                "points": [
-                                    {"chart": t["chart"], "contribution": t["contribution"]}
-                                    for t in result["terms"]
-                                ],
-                            },
-                            runtime=time.perf_counter() - t0,
-                        )
-                    )
-                except OddDimension as exc:
-                    checks.append(
-                        _record(
-                            name,
-                            "skipped(OddDimension)",
-                            detail={"reason": str(exc)},
-                            runtime=time.perf_counter() - t0,
-                        )
-                    )
-                except NotQClosed as exc:
-                    checks.append(
-                        _record(
-                            name,
-                            "fail",
-                            detail={"reason": str(exc)},
-                            runtime=time.perf_counter() - t0,
-                        )
-                    )
-            if case.classical and _wanted(scenario, "classical_localize"):
-                t0 = time.perf_counter()
-                result = classical_localize(case.fields, case.fps, binding=binding)
-                checks.append(
-                    _record(
-                        "classical_localize[t=%s]" % label,
-                        "pass",
-                        lhs=result["value"],
-                        detail={
-                            "coefficient": str(result["coefficient"]),
-                            "pi_power": result["pi_power"],
-                        },
-                        runtime=time.perf_counter() - t0,
-                    )
-                )
-    return _report(scenario, "localize", tol, checks)
-
-
-def _oracle_values(scenario: dict, case: _GeometryCase, tol: float):
-    out = {}
-    for label, value in _values(scenario):
-        out[label] = global_berezin(
-            case.patches, binding={"t": value}, tol=min(tol * 1e-2, 1e-8)
-        )
-    return out
-
-
-def run_oracle(scenario: dict, tol: Optional[float] = None) -> dict:
-    tol = float(tol if tol is not None else scenario.get("tol", 1e-6))
-    checks = []
-    if scenario["kind"] in _CASES:
-        case = _CASES[scenario["kind"]](scenario)
-        if case.patches and _wanted(scenario, "global_berezin"):
-            for label, value in _values(scenario):
-                t0 = time.perf_counter()
-                val = global_berezin(
-                    case.patches, binding={"t": value}, tol=min(tol * 1e-2, 1e-8)
-                )
-                checks.append(
-                    _record(
-                        "global_berezin[t=%s]" % label,
-                        "pass",
-                        lhs=val,
-                        runtime=time.perf_counter() - t0,
-                    )
-                )
-        for entry in scenario.get("stokes", []):
-            if not _wanted(scenario, "super_stokes"):
-                continue
-            t0 = time.perf_counter()
-            name = "super_stokes[%s]" % entry["domain"]
-            domain = _STOKES_DOMAINS[entry["domain"]]()
-            nu = parse_super(domain.chart, entry["form"])
-            q = tautological_Q(domain.spec)
-            sigma = identity(domain.chart.m)
-            stokes_tol = float(entry.get("tol", 1e-7))
-            try:
-                result = super_stokes_check(
-                    nu,
-                    q,
-                    sigma,
-                    domain.h,
-                    domain.h,
-                    domain.box,
-                    faces=domain.faces,
-                    tol=stokes_tol,
-                )
-                checks.append(
-                    _record(
-                        name,
-                        result["status"],
-                        lhs=result["bulk"],
-                        rhs=result["boundary"],
-                        abs_error=abs(result["difference"]),
-                        runtime=time.perf_counter() - t0,
-                    )
-                )
-            except AssumptionViolated as exc:
-                checks.append(
-                    _record(
-                        name,
-                        "skipped(AssumptionViolated)",
-                        detail={"reason": str(exc)},
-                        runtime=time.perf_counter() - t0,
-                    )
-                )
-    return _report(scenario, "oracle", tol, checks)
-
-
-def run_compare(scenario: dict, tol: Optional[float] = None) -> dict:
-    tol = float(tol if tol is not None else scenario.get("tol", 1e-6))
-    checks = []
-    if scenario["kind"] in _CASES:
-        case = _CASES[scenario["kind"]](scenario)
-        if case.patches:
-            for label, value in _values(scenario):
-                t0 = time.perf_counter()
-                local = super_localize(
-                    case.fields, case.fps, binding={"t": value}, Q=case.Q
-                )["value"]
-                oracle = global_berezin(
-                    case.patches, binding={"t": value}, tol=min(tol * 1e-2, 1e-8)
-                )
-                runtime = time.perf_counter() - t0
-                if _wanted(scenario, "compare"):
-                    rel = abs(local - oracle) / max(1.0, abs(oracle))
-                    checks.append(
-                        _record(
-                            "compare[t=%s]" % label,
-                            "pass" if rel < tol else "fail",
-                            lhs=local,
-                            rhs=oracle,
-                            abs_error=abs(local - oracle),
-                            rel_error=rel,
-                            runtime=runtime,
-                        )
-                    )
-                if case.reference is not None:
-                    ref = case.reference(float(value))
-                    for base, got in (
-                        ("super_vs_reference", local),
-                        ("oracle_vs_reference", oracle),
-                    ):
-                        if not _wanted(scenario, base):
-                            continue
-                        rel = abs(got - ref) / max(1.0, abs(ref))
-                        checks.append(
-                            _record(
-                                "%s[t=%s]" % (base, label),
-                                "pass" if rel < tol else "fail",
-                                lhs=got,
-                                rhs=ref,
-                                abs_error=abs(got - ref),
-                                rel_error=rel,
-                            )
-                        )
-    return _report(scenario, "compare", tol, checks)
-
-
-# ---------------------------------------------------------------------------
-# structure checks
-
-
-def _verify_record(name: str, report: dict, runtime: float) -> dict:
-    return _record(
-        name,
-        "pass" if report["passed"] else "fail",
-        detail={
-            "conditions": [
-                {"name": c["name"], "status": c["status"]} for c in report["conditions"]
-            ]
-        },
-        runtime=runtime,
-    )
-
-
-def _geometry_brst(scenario: dict, checks: list) -> None:
-    if scenario["kind"] == "sphere":
-        patches = [(p.name, p.spec, p.h) for p in sphere_atlas()]
-    else:
-        patches = [("plane", PLANE_ROTATION, identity(2))]
-    for name, spec, h in patches:
-        if _wanted(scenario, "verify_brst"):
-            t0 = time.perf_counter()
-            report = verify_brst(tautological_Q(spec), spec)
-            checks.append(
-                _verify_record(
-                    "verify_brst[%s]" % name, report, time.perf_counter() - t0
-                )
-            )
-        if _wanted(scenario, "sigma_parallel"):
-            t0 = time.perf_counter()
-            result = check_sigma_parallel(
-                identity(spec.chart.m), h, spec.chart, H=h
-            )
-            checks.append(
-                _record(
-                    "sigma_parallel[%s]" % name,
-                    result["status"],
-                    abs_error=result["max_residual"],
-                    detail={"symbolic": result["symbolic"]},
-                    runtime=time.perf_counter() - t0,
-                )
-            )
-
-
-_TORUS_CHART = SuperChart(("x1", "y1", "x2", "y2"), 2)
 _TORUS_SPEC = ActionSpec(
     ("e1", "e2"),
-    _TORUS_CHART,
+    SuperChart(("x1", "y1", "x2", "y2"), 2),
     (
         (sc.ZERO - sc.sym("y1"), sc.sym("x1"), sc.ZERO, sc.ZERO),
         (sc.ZERO, sc.ZERO, sc.ZERO - sc.sym("y2"), sc.sym("x2")),
@@ -613,49 +318,250 @@ _TORUS_SPEC = ActionSpec(
 )
 
 
-def _adhm_closure_records(scenario: dict, tol: float, checks: list) -> None:
-    k, N = scenario["k"], scenario["N"]
-    lay = adhm_super_chart(k, N)
-    lay_full = adhm_super_chart(k, N, full=True)
-    pairs = (
-        ("closure_unconstrained", lay, adhm_Q_unconstrained),
-        ("closure_full", lay_full, adhm_Q_full),
-    )
-    for base, layout, builder in pairs:
-        if not _wanted(scenario, base):
+# ---------------------------------------------------------------------------
+# the executor
+
+
+class _Run:
+    """One runner call: the scenario, its tolerance and the lazily built case."""
+
+    def __init__(self, scenario: dict, tol: float):
+        self.scenario = scenario
+        self.tol = tol
+
+    @cached_property
+    def case(self) -> _GeometryCase:
+        return _CASES[self.scenario["kind"]](self.scenario)
+
+
+class _Check(NamedTuple):
+    """A check's base name, its compute(run, item) -> record fields (None
+    when it does not apply), and (error type, status) pairs for the
+    errors that become a status instead of propagating."""
+
+    base: str
+    compute: Callable
+    errors: tuple = ()
+
+
+def _execute(scenario: dict, command: str, tol: Optional[float]) -> dict:
+    if tol is None:
+        tol = scenario.get("tol", 1e-12 if command == "brst-check" else 1e-6)
+    run = _Run(scenario, float(tol))
+    wanted = scenario.get("checks")
+    records = []
+    for source, checks in _REGISTRY[scenario["kind"]].get(command, ()):
+        checks = [c for c in checks if wanted is None or c.base in wanted]
+        if not checks:
             continue
-        t0 = time.perf_counter()
+        for label, item in source(run):
+            for check in checks:
+                t0 = time.perf_counter()
+                try:
+                    fields = check.compute(run, item)
+                except tuple(error for error, _ in check.errors) as exc:
+                    status = next(s for error, s in check.errors if isinstance(exc, error))
+                    fields = {"status": status, "detail": {"reason": str(exc)}}
+                if fields is not None:
+                    name = check.base if label is None else "%s[%s]" % (check.base, label)
+                    records.append(
+                        _record(name, runtime=time.perf_counter() - t0, **fields)
+                    )
+    return _report(scenario, command, run.tol, records)
+
+
+def _memo(item: dict, key, build: Callable):
+    if key not in item:
+        item[key] = build()
+    return item[key]
+
+
+# item sources: each yields (label, item); the label goes in brackets
+# after the base name, and a None label leaves the base name alone.
+
+
+def _values(run: _Run):
+    for text in run.scenario["values"]:
+        yield "t=%s" % (text,), {"t": _as_fraction(text)}
+
+
+def _stokes(run: _Run):
+    for entry in run.scenario.get("stokes", []):
+        yield entry["domain"], entry
+
+
+def _patches(run: _Run):
+    if run.scenario["kind"] == "sphere":
+        return [(p.name, (p.spec, p.h)) for p in sphere_atlas()]
+    return [("plane", (PLANE_ROTATION, identity(2)))]
+
+
+def _single(run: _Run):
+    return [(None, {})]
+
+
+# ---------------------------------------------------------------------------
+# localization and oracle checks; an item is {"t": value} plus its memo
+
+
+def _local(run: _Run, item: dict) -> dict:
+    case = run.case
+    return _memo(item, "local", lambda: super_localize(
+        case.fields, case.fps, binding={"t": item["t"]}, Q=case.Q
+    ))
+
+
+def _oracle(run: _Run, item: dict) -> float:
+    return _memo(item, "oracle", lambda: global_berezin(
+        run.case.patches, binding={"t": item["t"]}, tol=min(run.tol * 1e-2, 1e-8)
+    ))
+
+
+def _super_localize(run: _Run, item: dict) -> dict:
+    result = _local(run, item)
+    return {
+        "status": "pass",
+        "lhs": result["value"],
+        "detail": {
+            "coefficient": str(result["coefficient"]),
+            "pi_power": result["pi_power"],
+            "points": [
+                {"chart": t["chart"], "contribution": t["contribution"]}
+                for t in result["terms"]
+            ],
+        },
+    }
+
+
+def _classical_localize(run: _Run, item: dict) -> dict:
+    result = classical_localize(run.case.fields, run.case.fps, binding={"t": item["t"]})
+    return {
+        "status": "pass",
+        "lhs": result["value"],
+        "detail": {
+            "coefficient": str(result["coefficient"]),
+            "pi_power": result["pi_power"],
+        },
+    }
+
+
+def _global_berezin(run: _Run, item: dict) -> dict:
+    return {"status": "pass", "lhs": _oracle(run, item)}
+
+
+def _agreement(got: float, want: float, tol: float) -> dict:
+    rel = abs(got - want) / max(1.0, abs(want))
+    return {
+        "status": "pass" if rel < tol else "fail",
+        "lhs": got,
+        "rhs": want,
+        "abs_error": abs(got - want),
+        "rel_error": rel,
+    }
+
+
+def _compare(run: _Run, item: dict) -> dict:
+    return _agreement(_local(run, item)["value"], _oracle(run, item), run.tol)
+
+
+def _versus_reference(value: Callable) -> Callable:
+    def compute(run: _Run, item: dict) -> Optional[dict]:
+        reference = _REFERENCES.get(run.scenario.get("reference"))
+        if reference is None:
+            return None
+        return _agreement(value(run, item), reference(float(item["t"])), run.tol)
+
+    return compute
+
+
+def _super_stokes(run: _Run, entry: dict) -> dict:
+    domain = _STOKES_DOMAINS[entry["domain"]]()
+    result = super_stokes_check(
+        parse_super(domain.chart, entry["form"]),
+        tautological_Q(domain.spec),
+        identity(domain.chart.m),
+        domain.h,
+        domain.h,
+        domain.box,
+        faces=domain.faces,
+        tol=float(entry.get("tol", 1e-7)),
+    )
+    return {
+        "status": result["status"],
+        "lhs": result["bulk"],
+        "rhs": result["boundary"],
+        "abs_error": abs(result["difference"]),
+    }
+
+
+# ---------------------------------------------------------------------------
+# structure checks
+
+
+def _verified(report: dict) -> dict:
+    return {
+        "status": "pass" if report["passed"] else "fail",
+        "detail": {
+            "conditions": [
+                {"name": c["name"], "status": c["status"]} for c in report["conditions"]
+            ]
+        },
+    }
+
+
+def _verify_patch(run: _Run, patch) -> dict:
+    spec, _ = patch
+    return _verified(verify_brst(tautological_Q(spec), spec))
+
+
+def _sigma_parallel(run: _Run, patch) -> dict:
+    spec, h = patch
+    result = check_sigma_parallel(identity(spec.chart.m), h, spec.chart, H=h)
+    return {
+        "status": result["status"],
+        "abs_error": result["max_residual"],
+        "detail": {"symbolic": result["symbolic"]},
+    }
+
+
+def _verify_kahler(run: _Run, item: dict) -> dict:
+    return _verified(verify_brst(kahler_Q(_TORUS_SPEC), _TORUS_SPEC))
+
+
+def _adhm_operator(run: _Run, item: dict, full: bool):
+    """(layout, Cartan params, Q) on the matter or the full chart."""
+
+    def build():
+        layout = adhm_super_chart(run.scenario["k"], run.scenario["N"], full=full)
         params = cartan_params(layout)
-        Q = builder(layout, *params)
+        builder = adhm_Q_full if full else adhm_Q_unconstrained
+        return layout, params, builder(layout, *params)
+
+    return _memo(item, ("Q", full), build)
+
+
+def _closure(full: bool) -> Callable:
+    def compute(run: _Run, item: dict) -> dict:
+        layout, params, Q = _adhm_operator(run, item, full)
         lift = adhm_lifted_field(layout, *params)
-        if scenario["mode"] == "symbolic":
+        if run.scenario["mode"] == "symbolic":
             residual = add_fields(
                 scale_field(graded_commutator(Q, Q), Fraction(1, 2)),
                 scale_field(lift, Fraction(-1)),
             )
             ok = field_is_zero(residual)
-            checks.append(
-                _record(
-                    base,
-                    "pass" if ok else "fail",
-                    lhs="[Q,Q]/2",
-                    rhs="lifted field",
-                    abs_error=0.0 if ok else None,
-                    runtime=time.perf_counter() - t0,
-                )
-            )
+            worst = 0.0 if ok else None
         else:
-            worst = _numeric_closure(layout, Q, lift, scenario.get("seed", 2024))
-            checks.append(
-                _record(
-                    base,
-                    "pass" if worst < tol else "fail",
-                    lhs="[Q,Q]/2",
-                    rhs="lifted field",
-                    abs_error=worst,
-                    runtime=time.perf_counter() - t0,
-                )
-            )
+            worst = _numeric_closure(layout, Q, lift, run.scenario.get("seed", 2024))
+            ok = worst < run.tol
+        return {
+            "status": "pass" if ok else "fail",
+            "lhs": "[Q,Q]/2",
+            "rhs": "lifted field",
+            "abs_error": worst,
+        }
+
+    return compute
 
 
 def _numeric_closure(layout, Q, lift, seed: int) -> float:
@@ -696,109 +602,128 @@ def _numeric_closure(layout, Q, lift, seed: int) -> float:
     return worst
 
 
-def _adhm_multiplier_records(scenario: dict, checks: list) -> None:
-    k, N = scenario["k"], scenario["N"]
-    lay = adhm_super_chart(k, N, full=True)
-    field = adhm_lifted_field(lay, *cartan_params(lay))
-    bodies = [c.terms.get((), sc.ZERO) for c in field.a]
-    coords = lay.chart.coords
-    T = {coords[i]: bodies[i] for i in range(lay.offset("HR"))}
-    V = adhm_constraint_scalars(lay)
-    nreal = 2 * k * k
-    for base, sector, block, need_invertible in (
-        ("multiplier_real_sector", "HR", V[:nreal], False),
-        ("multiplier_complex_sector", "HC", V[nreal:], True),
-    ):
-        if not _wanted(scenario, base):
-            continue
-        t0 = time.perf_counter()
-        H_names = list(lay.sector_coords(sector))
-        Ttilde = [bodies[coords.index(nm)] for nm in H_names]
+def _verify_unconstrained(run: _Run, item: dict) -> dict:
+    layout, _, Q = _adhm_operator(run, item, False)
+    return _verified(verify_brst(Q, adhm_action_spec(layout)))
+
+
+def _sigma_identity(run: _Run, item: dict) -> dict:
+    _, _, Q = _adhm_operator(run, item, False)
+    ok = all(comp.terms == {(idx + 1,): sc.ONE} for idx, comp in enumerate(Q.a))
+    return {"status": "pass" if ok else "fail"}
+
+
+def _multiplier(complex_sector: bool) -> Callable:
+    def compute(run: _Run, item: dict) -> dict:
+        def build():
+            lay = adhm_super_chart(run.scenario["k"], run.scenario["N"], full=True)
+            field = adhm_lifted_field(lay, *cartan_params(lay))
+            bodies = [c.terms.get((), sc.ZERO) for c in field.a]
+            T = {lay.chart.coords[i]: bodies[i] for i in range(lay.offset("HR"))}
+            return lay, bodies, T, adhm_constraint_scalars(lay)
+
+        lay, bodies, T, V = _memo(item, "multiplier", build)
+        nreal = 2 * run.scenario["k"] ** 2
+        H_names = list(lay.sector_coords("HC" if complex_sector else "HR"))
+        Ttilde = [bodies[lay.chart.coords.index(nm)] for nm in H_names]
+        block = V[nreal:] if complex_sector else V[:nreal]
         _, rep = multiplier_completion(block, T, Ttilde, H_names)
-        ok = rep["pairing_residual_zero"] and (
-            rep["invertible"] if need_invertible else True
-        )
-        checks.append(
-            _record(
-                base,
-                "pass" if ok else "fail",
-                abs_error=rep["pairing_residual_max"],
-                detail={"invertible": rep["invertible"], "size": rep["size"]},
-                runtime=time.perf_counter() - t0,
-            )
-        )
+        ok = rep["pairing_residual_zero"] and (rep["invertible"] or not complex_sector)
+        return {
+            "status": "pass" if ok else "fail",
+            "abs_error": rep["pairing_residual_max"],
+            "detail": {"invertible": rep["invertible"], "size": rep["size"]},
+        }
+
+    return compute
+
+
+def _fixed_points(run: _Run, item: dict) -> dict:
+    k, N = run.scenario["k"], run.scenario["N"]
+    if k != 1:
+        return {"status": "skipped(OnlyRankOne)"}
+    points = adhm_fixed_points(k, N)
+    return {
+        "status": "pass" if len(points) == N else "fail",
+        "lhs": len(points),
+        "rhs": N,
+        "detail": {"weights": [[sc.to_text(w) for w in fp.weights] for fp in points]},
+    }
+
+
+# ---------------------------------------------------------------------------
+# the registry: kind -> command -> ordered (item source, checks) stages
+
+
+_SUPER_LOCALIZE = _Check(
+    "super_localize",
+    _super_localize,
+    ((OddDimension, "skipped(OddDimension)"), (NotQClosed, "fail")),
+)
+_SUPER_STOKES = _Check(
+    "super_stokes", _super_stokes, ((AssumptionViolated, "skipped(AssumptionViolated)"),)
+)
+
+_GEOMETRY = {
+    "localize": (
+        (_values, (_SUPER_LOCALIZE, _Check("classical_localize", _classical_localize))),
+    ),
+    "oracle": (
+        (_values, (_Check("global_berezin", _global_berezin),)),
+        (_stokes, (_SUPER_STOKES,)),
+    ),
+    "compare": (
+        (_values, (
+            _Check("compare", _compare),
+            _Check("super_vs_reference", _versus_reference(lambda r, i: _local(r, i)["value"])),
+            _Check("oracle_vs_reference", _versus_reference(_oracle)),
+        )),
+    ),
+    "brst-check": (
+        (_patches, (_Check("verify_brst", _verify_patch), _Check("sigma_parallel", _sigma_parallel))),
+    ),
+}
+
+_REGISTRY = {
+    "sphere": _GEOMETRY,
+    "plane_rotation": _GEOMETRY,
+    "line_dilation": {
+        "localize": ((_values, (_SUPER_LOCALIZE,)),),
+        "oracle": ((_stokes, (_SUPER_STOKES,)),),
+    },
+    "kahler_torus": {
+        "brst-check": ((_single, (_Check("verify_brst", _verify_kahler),)),),
+    },
+    "adhm": {
+        "brst-check": (
+            (_single, (
+                _Check("closure_unconstrained", _closure(False)),
+                _Check("closure_full", _closure(True)),
+                _Check("verify_brst_unconstrained", _verify_unconstrained),
+                _Check("sigma_identity", _sigma_identity),
+                _Check("multiplier_real_sector", _multiplier(False)),
+                _Check("multiplier_complex_sector", _multiplier(True)),
+                _Check("fixed_points", _fixed_points),
+            )),
+        ),
+    },
+}
+
+
+def run_localize(scenario: dict, tol: Optional[float] = None) -> dict:
+    return _execute(scenario, "localize", tol)
+
+
+def run_oracle(scenario: dict, tol: Optional[float] = None) -> dict:
+    return _execute(scenario, "oracle", tol)
+
+
+def run_compare(scenario: dict, tol: Optional[float] = None) -> dict:
+    return _execute(scenario, "compare", tol)
 
 
 def run_brst_check(scenario: dict, tol: Optional[float] = None) -> dict:
-    tol = float(tol if tol is not None else scenario.get("tol", 1e-12))
-    checks = []
-    kind = scenario["kind"]
-    if kind in ("sphere", "plane_rotation"):
-        _geometry_brst(scenario, checks)
-    elif kind == "kahler_torus":
-        if _wanted(scenario, "verify_brst"):
-            t0 = time.perf_counter()
-            report = verify_brst(kahler_Q(_TORUS_SPEC), _TORUS_SPEC)
-            checks.append(
-                _verify_record("verify_brst", report, time.perf_counter() - t0)
-            )
-    elif kind == "adhm":
-        k, N = scenario["k"], scenario["N"]
-        _adhm_closure_records(scenario, tol, checks)
-        if _wanted(scenario, "verify_brst_unconstrained"):
-            t0 = time.perf_counter()
-            lay = adhm_super_chart(k, N)
-            report = verify_brst(
-                adhm_Q_unconstrained(lay, *cartan_params(lay)), adhm_action_spec(lay)
-            )
-            checks.append(
-                _verify_record(
-                    "verify_brst_unconstrained", report, time.perf_counter() - t0
-                )
-            )
-        if _wanted(scenario, "sigma_identity"):
-            t0 = time.perf_counter()
-            lay = adhm_super_chart(k, N)
-            Q = adhm_Q_unconstrained(lay, *cartan_params(lay))
-            ok = all(
-                comp.terms == {(idx + 1,): sc.ONE} for idx, comp in enumerate(Q.a)
-            )
-            checks.append(
-                _record(
-                    "sigma_identity",
-                    "pass" if ok else "fail",
-                    runtime=time.perf_counter() - t0,
-                )
-            )
-        _adhm_multiplier_records(scenario, checks)
-        if _wanted(scenario, "fixed_points"):
-            t0 = time.perf_counter()
-            name = "fixed_points"
-            if k == 1:
-                points = adhm_fixed_points(k, N)
-                checks.append(
-                    _record(
-                        name,
-                        "pass" if len(points) == N else "fail",
-                        lhs=len(points),
-                        rhs=N,
-                        detail={
-                            "weights": [
-                                [sc.to_text(w) for w in fp.weights] for fp in points
-                            ]
-                        },
-                        runtime=time.perf_counter() - t0,
-                    )
-                )
-            else:
-                checks.append(
-                    _record(
-                        name,
-                        "skipped(OnlyRankOne)",
-                        runtime=time.perf_counter() - t0,
-                    )
-                )
-    return _report(scenario, "brst-check", tol, checks)
+    return _execute(scenario, "brst-check", tol)
 
 
 RUNNERS = {

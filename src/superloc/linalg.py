@@ -7,7 +7,7 @@ matrices use subset dynamic programming so no division is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List
 
 from . import scalars as sc
 from .errors import NotSkew, OddSize, ShapeMismatch

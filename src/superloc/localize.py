@@ -130,16 +130,10 @@ def _field_components(spec: ActionSpec, xi) -> list:
     return out
 
 
-def _const_expr(v) -> ScalarExpr:
-    f = Fraction(v) if not isinstance(v, Fraction) else v
-    return sc.rational(f.numerator, f.denominator)
-
-
 def _eval_entry(e, binding):
     """Close over the binding; leftover symbols keep the entry symbolic."""
-    if not isinstance(e, ScalarExpr):
-        e = _as_expr(e)
-    sub = {k: _const_expr(v) for k, v in binding.items() if not isinstance(v, ScalarExpr)}
+    e = _as_expr(e)
+    sub = {k: _as_expr(v) for k, v in binding.items() if not isinstance(v, ScalarExpr)}
     e2 = sc.normalize(sc.substitute(e, sub))
     if sc.free_symbols(e2):
         return e2
@@ -363,9 +357,7 @@ def superdeterminant(even_block, odd_block):
         if den == 0:
             raise SingularFiberBlock("odd block is singular")
         return Fraction(num) / Fraction(den)
-    num_e = num if isinstance(num, ScalarExpr) else _as_expr(num)
-    den_e = den if isinstance(den, ScalarExpr) else _as_expr(den)
-    return sc.normalize(num_e * den_e ** (-1))
+    return sc.normalize(_as_expr(num) * _as_expr(den) ** (-1))
 
 
 def sqrt_sdet_via_pfaffian(fp: FixedPointData, H=None, binding=None):

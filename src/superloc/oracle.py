@@ -7,10 +7,7 @@ are computed from plain densities so the two paths can be compared.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -18,19 +15,12 @@ import numpy as np
 
 from . import linalg
 from . import scalars as sc
-from .actions import check_sigma_parallel
+from .actions import _as_expr, check_sigma_parallel
 from .errors import AssumptionViolated, NoConvergence, WrongGrade
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
 
 _GL_CACHE: dict = {}
-
-
-def _as_expr(value) -> ScalarExpr:
-    if isinstance(value, ScalarExpr):
-        return value
-    f = Fraction(value)
-    return sc.rational(f.numerator, f.denominator)
 
 
 def _compile(value) -> Callable[[Mapping], float]:
@@ -42,15 +32,6 @@ def _gl_nodes(order: int):
         x, w = np.polynomial.legendre.leggauss(order)
         _GL_CACHE[order] = (tuple(float(v) for v in x), tuple(float(v) for v in w))
     return _GL_CACHE[order]
-
-
-def thread_count() -> int:
-    """Worker cap taken from SUPERLOC_THREADS; defaults to serial."""
-    raw = os.environ.get("SUPERLOC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cell_integral(f, lo, hi, order: int) -> float:
@@ -110,24 +91,15 @@ def quadrature(
 
     Cells are refined dyadically with a fixed traversal order and summed in
     that order, so results are bit-for-bit reproducible for a given
-    tolerance no matter how many workers SUPERLOC_THREADS grants.
+    tolerance.
     """
     lo = tuple(float(a) for a, _ in box)
     hi = tuple(float(b) for _, b in box)
     cells = _split(lo, hi)
     child_tol = tol / len(cells)
-
-    def run(cell):
-        clo, chi = cell
-        return _adaptive(f, clo, chi, child_tol, order, 1, max_depth)
-
-    workers = thread_count()
-    if workers <= 1 or len(cells) == 1:
-        parts = [run(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, cells))
-    return math.fsum(parts)
+    return math.fsum(
+        _adaptive(f, clo, chi, child_tol, order, 1, max_depth) for clo, chi in cells
+    )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import UnboundSymbol
 
@@ -781,12 +781,3 @@ class _Parser:
 def parse_scalar(text: str) -> ScalarExpr:
     """Parse the ASCII grammar into a raw expression tree."""
     return _Parser(text).parse()
-
-
-def check_binding(exprs: Iterable[ScalarExpr], binding: Binding) -> None:
-    """Raise UnboundSymbol unless every free symbol is bound."""
-    missing = set()
-    for e in exprs:
-        missing |= free_symbols(e) - set(binding)
-    if missing:
-        raise UnboundSymbol("unbound symbols: %s" % (", ".join(sorted(missing)),))

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from superloc import harness
 from superloc.cli import main
-from superloc.errors import SchemaError
+from superloc.errors import NotQClosed, SchemaError
 from superloc.harness import (
     load_scenario,
     report_exit_code,
@@ -125,6 +126,24 @@ def test_oracle_runs_boundary_checks():
     assert all(s == "pass" for s in _statuses(report))
 
 
+def test_sphere_oracle_accepts_its_boundary_checks(tmp_path):
+    # validation and the runs read one registry, so a check that runs can be named
+    path = _write(
+        tmp_path,
+        {
+            "name": "sphere-stokes",
+            "kind": "sphere",
+            "form": {"type": "height_exponential"},
+            "values": ["1"],
+            "stokes": [{"domain": "flat_box", "form": "x*y*th2"}],
+            "checks": ["super_stokes"],
+        },
+    )
+    report = run_oracle(load_scenario(path))
+    assert [rec["name"] for rec in report["checks"]] == ["super_stokes[flat_box]"]
+    assert _statuses(report) == ["pass"]
+
+
 def test_empty_check_list_yields_zero_records(tmp_path):
     path = _write(
         tmp_path,
@@ -160,6 +179,46 @@ def test_check_filter_selects_base_names(tmp_path):
         "super_localize[t=1]",
         "super_localize[t=2]",
     ]
+
+
+def test_check_filter_applies_before_computing(tmp_path, monkeypatch):
+    path = _write(
+        tmp_path,
+        {
+            "name": "oracle-only",
+            "kind": "plane_rotation",
+            "form": {"type": "gaussian_rotation"},
+            "values": ["1", "2"],
+            "reference": "gaussian_closed_form",
+            "checks": ["oracle_vs_reference"],
+        },
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("super_localize ran although no wanted check needs it")
+
+    monkeypatch.setattr(harness, "super_localize", refuse)
+    report = run_compare(load_scenario(path))
+    assert [rec["name"] for rec in report["checks"]] == [
+        "oracle_vs_reference[t=1]",
+        "oracle_vs_reference[t=2]",
+    ]
+    assert _statuses(report) == ["pass", "pass"]
+
+
+def test_error_mapping_is_per_check(monkeypatch):
+    scenario = load_scenario(BUNDLED % "flat_rotation")
+
+    def not_closed(*args, **kwargs):
+        raise NotQClosed("integrand is not annihilated")
+
+    monkeypatch.setattr(harness, "super_localize", not_closed)
+    report = run_localize(scenario)
+    assert _statuses(report) == ["fail", "pass", "fail", "pass"]
+    assert report["checks"][0]["detail"] == {"reason": "integrand is not annihilated"}
+    # compare maps no errors, so the same failure reaches the caller
+    with pytest.raises(NotQClosed):
+        run_compare(scenario)
 
 
 def test_odd_dimension_is_skipped_not_failed(tmp_path):
