@@ -9,13 +9,12 @@ vector field, which is the whole content of the closure condition.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from superloc import scalars as sc
 from superloc.actions import (
     ActionSpec,
     kahler_Q,
     lifted_field,
+    square_residual,
     tautological_Q,
     tautological_lift,
     verify_brst,
@@ -28,19 +27,11 @@ from superloc.adhm import (
     cartan_params,
 )
 from superloc.geometry import PLANE_ROTATION
-from superloc.grassmann import (
-    SuperChart,
-    add_fields,
-    field_is_zero,
-    graded_commutator,
-    scale_field,
-    to_super_text,
-)
+from superloc.grassmann import SuperChart, field_is_zero, to_super_text
 
 
 def closes(Q, lift) -> bool:
-    half_square = scale_field(graded_commutator(Q, Q), Fraction(1, 2))
-    return field_is_zero(add_fields(half_square, scale_field(lift, Fraction(-1))))
+    return field_is_zero(square_residual(Q, lift))
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import linalg
 from . import scalars as sc
-from .cgrass import CField, CSuper, c_field_scale, c_field_sub, c_graded_commutator
 from .errors import (
     DimensionMismatch,
     NotInjective,
@@ -27,6 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .grassmann import (
+    CSuper,
     SuperChart,
     SuperFunction,
     SuperVectorField,
@@ -189,12 +189,12 @@ def _complex_pairs(chart: SuperChart, pairs=None) -> tuple:
     return tuple(tuple(p) for p in pairs)
 
 
-def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> CField:
+def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
     """Holomorphic-side BRST operator on a complex-paired chart.
 
     Coordinates pair into z_j = x_j + i y_j; the j-th odd generator is the
     partner of dz_j. Components: Q(x_j) = theta^j/2, Q(y_j) = -i theta^j/2,
-    Q(theta^j) = xi*(z_j).
+    Q(theta^j) = xi*(z_j). The components are CSuper.
     """
     pairs = _complex_pairs(spec.chart, pairs)
     coeffs = _xi_coeffs(spec, xi)
@@ -217,10 +217,10 @@ def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> CField:
                 SuperFunction.from_scalar(chart, vy),
             )
         )
-    return CField(chart, 1, tuple(a), tuple(b))
+    return SuperVectorField(chart, 1, tuple(a), tuple(b))
 
 
-def kahler_lift(spec: ActionSpec, xi=None, pairs=None) -> CField:
+def kahler_lift(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
     """Holomorphic part of the lifted action on the complex-paired chart."""
     pairs = _complex_pairs(spec.chart, pairs)
     coeffs = _xi_coeffs(spec, xi)
@@ -267,7 +267,7 @@ def kahler_lift(spec: ActionSpec, xi=None, pairs=None) -> CField:
             if not sc.is_zero(im_part):
                 im_terms[(k + 1,)] = im_part
         b.append(CSuper(SuperFunction(chart, re_terms), SuperFunction(chart, im_terms)))
-    return CField(chart, 0, tuple(a), tuple(b))
+    return SuperVectorField(chart, 0, tuple(a), tuple(b))
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +313,10 @@ def sigma_from_Q(Q, samples=None):
     """
     chart = Q.chart
     rows = []
-    if isinstance(Q, CField):
-        for comp in Q.a:
-            for part in (comp.re, comp.im):
-                if any(len(k) != 1 for k in part.terms):
-                    raise NotLinearInTheta("even component is not linear in theta")
-            rows.append(
-                [
-                    (comp.re.coefficient((A,)), comp.im.coefficient((A,)))
-                    for A in range(1, chart.n + 1)
-                ]
-            )
-    else:
-        for comp in Q.a:
-            if any(len(k) != 1 for k in comp.terms):
-                raise NotLinearInTheta("even component is not linear in theta")
-            rows.append([comp.coefficient((A,)) for A in range(1, chart.n + 1)])
+    for comp in Q.a:
+        if comp.grades() not in ((), (1,)):
+            raise NotLinearInTheta("even component is not linear in theta")
+        rows.append([comp.coefficient((A,)) for A in range(1, chart.n + 1)])
     symbols = set()
     for row in rows:
         for e in row:
@@ -589,22 +577,14 @@ def closure_check(spec: ActionSpec, samples=None, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
+def square_residual(Q: SuperVectorField, lift: SuperVectorField) -> SuperVectorField:
+    """(1/2)[Q, Q] - lift, zero exactly when Q squares to the lifted flow."""
+    half_square = scale_field(graded_commutator(Q, Q), Fraction(1, 2))
+    return add_fields(half_square, scale_field(lift, Fraction(-1)))
+
+
 def _field_residual_text(X) -> list:
     out = []
-    if isinstance(X, CField):
-        for i, comp in enumerate(X.a, start=1):
-            if not comp.is_zero():
-                out.append(
-                    "a[%d] = (%s) + i(%s)"
-                    % (i, to_super_text(comp.re), to_super_text(comp.im))
-                )
-        for A, comp in enumerate(X.b, start=1):
-            if not comp.is_zero():
-                out.append(
-                    "b[%d] = (%s) + i(%s)"
-                    % (A, to_super_text(comp.re), to_super_text(comp.im))
-                )
-        return out
     for i, comp in enumerate(X.a, start=1):
         if not comp.is_zero():
             out.append("a[%d] = %s" % (i, to_super_text(comp)))
@@ -748,28 +728,23 @@ def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8)
 
     Returns a report dict; failures are entries, not exceptions.
     """
-    is_complex = isinstance(Q, CField)
+    holomorphic = any(isinstance(comp, CSuper) for comp in Q.a + Q.b)
     lift_spec = spec
     if spec.U is None and spec.chart.n == spec.chart.m:
         lift_spec = tautological_lift(spec)
+
+    def lift_at(values):
+        if holomorphic:
+            return kahler_lift(spec, values)
+        return lifted_field(lift_spec, values)
+
     if lift is None:
-        if is_complex:
-            lift = kahler_lift(spec, xi)
-        elif lift_spec.U is not None:
-            lift = lifted_field(lift_spec, xi)
-        else:
-            lift = fundamental_field(spec, xi)
+        lift = lift_at(xi)
 
     conditions = []
 
-    if is_complex:
-        half_sq = c_field_scale(c_graded_commutator(Q, Q), Fraction(1, 2))
-        residual = c_field_sub(half_sq, lift)
-        ok = residual.is_zero()
-    else:
-        half_sq = scale_field(graded_commutator(Q, Q), Fraction(1, 2))
-        residual = add_fields(half_sq, scale_field(lift, Fraction(-1)))
-        ok = field_is_zero(residual)
+    residual = square_residual(Q, lift)
+    ok = field_is_zero(residual)
     conditions.append(
         {
             "name": "square_equals_lift",
@@ -781,18 +756,7 @@ def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8)
     inf_fail = []
     for alpha, name in enumerate(spec.params):
         unit = {p: (1 if p == name else 0) for p in spec.params}
-        if is_complex:
-            gen = kahler_lift(spec, unit)
-            comm = c_graded_commutator(gen, Q)
-            good = comm.is_zero()
-        else:
-            if lift_spec.U is not None:
-                gen = lifted_field(lift_spec, unit)
-            else:
-                gen = fundamental_field(spec, unit)
-            comm = graded_commutator(gen, Q)
-            good = field_is_zero(comm)
-        if not good:
+        if not field_is_zero(graded_commutator(lift_at(unit), Q)):
             inf_fail.append(name)
     conditions.append(
         {
@@ -802,16 +766,12 @@ def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8)
         }
     )
 
-    symbols = set()
-    for comp in list(Q.a) + list(Q.b):
-        parts = (comp.re, comp.im) if is_complex else (comp,)
-        for part in parts:
-            for c in part.terms.values():
-                symbols |= sc.free_symbols(c)
-    symbols |= set(spec.chart.coords)
+    symbols = set(spec.chart.coords)
+    for comp in Q.a + Q.b:
+        symbols |= comp.free_symbols()
     if samples is None:
         samples = _default_samples(symbols)
-    if is_complex:
+    if holomorphic:
         conditions.append(
             {
                 "name": "equivariance_finite",

@@ -25,25 +25,26 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from . import scalars as sc
 from .actions import ActionSpec, _as_expr, _default_samples
-from .cgrass import (
-    CSuper,
-    cmat_add,
-    cmat_commutator,
-    cmat_dagger,
-    cmat_mul,
-    cmat_scale,
-    cmat_sub,
-)
 from .errors import (
     BadSusy,
+    ComputationError,
     DimensionMismatch,
     NonlinearTtilde,
     NotUnitary,
     ShapeMismatch,
     StabilizerNotTrivial,
 )
-from .grassmann import SuperChart, SuperFunction, SuperVectorField
-from .linalg import det
+from .grassmann import CSuper, SuperChart, SuperFunction, SuperVectorField
+from .linalg import (
+    det,
+    mat_add,
+    mat_commutator,
+    mat_dagger,
+    mat_equal,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ class CNum:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def conj(self) -> "CNum":
+    def conjugate(self) -> "CNum":
         return CNum(self.re, -self.im)
 
     def abs2(self) -> Fraction:
@@ -124,47 +125,6 @@ def nmat_zero(rows: int, cols: int) -> NMatrix:
 def nmat_eye(n: int) -> NMatrix:
     return tuple(
         tuple(C_ONE if i == j else C_ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def nmat_add(A: NMatrix, B: NMatrix) -> NMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def nmat_sub(A: NMatrix, B: NMatrix) -> NMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def nmat_scale(A: NMatrix, z) -> NMatrix:
-    z = CNum.of(z)
-    return tuple(tuple(z * x for x in row) for row in A)
-
-
-def nmat_mul(A: NMatrix, B: NMatrix) -> NMatrix:
-    if len(A[0]) != len(B):
-        raise ShapeMismatch("inner dimensions differ")
-    return tuple(
-        tuple(
-            sum((A[i][l] * B[l][j] for l in range(len(B))), C_ZERO)
-            for j in range(len(B[0]))
-        )
-        for i in range(len(A))
-    )
-
-
-def nmat_dagger(A: NMatrix) -> NMatrix:
-    return tuple(
-        tuple(A[i][j].conj() for i in range(len(A))) for j in range(len(A[0]))
-    )
-
-
-def nmat_commutator(A: NMatrix, B: NMatrix) -> NMatrix:
-    return nmat_sub(nmat_mul(A, B), nmat_mul(B, A))
-
-
-def nmat_equal(A: NMatrix, B: NMatrix) -> bool:
-    return all(
-        (x - y).is_zero() for ra, rb in zip(A, B) for x, y in zip(ra, rb)
     )
 
 
@@ -234,21 +194,27 @@ def adhm_data(B1, B2, I, J) -> ADHMData:
     return ADHMData(nmat(B1), nmat(B2), nmat(I), nmat(J))
 
 
-def constraint_real(d: ADHMData) -> NMatrix:
-    """[B1,B1+] + [B2,B2+] + I I+ - J+ J, a hermitian k x k matrix."""
-    out = nmat_add(
-        nmat_commutator(d.B1, nmat_dagger(d.B1)),
-        nmat_commutator(d.B2, nmat_dagger(d.B2)),
-    )
-    out = nmat_add(out, nmat_mul(d.I, nmat_dagger(d.I)))
-    out = nmat_sub(out, nmat_mul(nmat_dagger(d.J), d.J))
-    assert nmat_equal(out, nmat_dagger(out))
-    return out
+def _real_moment(B1, B2, I, J) -> list:
+    """[B1,B1+] + [B2,B2+] + I I+ - J+ J, a hermitian k x k matrix.
+
+    Entries may be exact complex numbers or complex superfunctions.
+    """
+    out = mat_add(mat_commutator(B1, mat_dagger(B1)), mat_commutator(B2, mat_dagger(B2)))
+    out = mat_add(out, mat_mul(I, mat_dagger(I)))
+    return mat_sub(out, mat_mul(mat_dagger(J), J))
 
 
-def constraint_complex(d: ADHMData) -> NMatrix:
+def _complex_moment(B1, B2, I, J) -> list:
     """[B1,B2] + I J, a k x k matrix."""
-    return nmat_add(nmat_commutator(d.B1, d.B2), nmat_mul(d.I, d.J))
+    return mat_add(mat_commutator(B1, B2), mat_mul(I, J))
+
+
+def constraint_real(d: ADHMData) -> list:
+    return _real_moment(d.B1, d.B2, d.I, d.J)
+
+
+def constraint_complex(d: ADHMData) -> list:
+    return _complex_moment(d.B1, d.B2, d.I, d.J)
 
 
 @dataclass(frozen=True)
@@ -262,7 +228,7 @@ class GroupElement:
 
 
 def _check_unitary(M: NMatrix, label: str) -> None:
-    if not nmat_equal(nmat_mul(nmat_dagger(M), M), nmat_eye(len(M))):
+    if not mat_equal(mat_mul(mat_dagger(M), M), nmat_eye(len(M))):
         raise NotUnitary("%s block is not exactly unitary" % (label,))
 
 
@@ -277,22 +243,22 @@ def group_act(g: GroupElement, d: ADHMData) -> ADHMData:
     for t, label in ((t1, "first torus"), (t2, "second torus")):
         if t.abs2() != 1:
             raise NotUnitary("%s phase is not on the unit circle" % (label,))
-    Ud = nmat_dagger(U)
-    Vd = nmat_dagger(V)
-    return ADHMData(
-        nmat_scale(nmat_mul(nmat_mul(U, d.B1), Ud), t1),
-        nmat_scale(nmat_mul(nmat_mul(U, d.B2), Ud), t2),
-        nmat_mul(nmat_mul(U, d.I), Vd),
-        nmat_scale(nmat_mul(nmat_mul(V, d.J), Ud), t1 * t2),
+    Ud = mat_dagger(U)
+    Vd = mat_dagger(V)
+    return adhm_data(
+        mat_scale(mat_mul(mat_mul(U, d.B1), Ud), t1),
+        mat_scale(mat_mul(mat_mul(U, d.B2), Ud), t2),
+        mat_mul(mat_mul(U, d.I), Vd),
+        mat_scale(mat_mul(mat_mul(V, d.J), Ud), t1 * t2),
     )
 
 
-def cayley_unitary(A: NMatrix) -> NMatrix:
+def cayley_unitary(A: NMatrix) -> list:
     """(1 - A)(1 + A)^-1 for exact anti-hermitian A, an exact unitary."""
-    if not nmat_equal(nmat_dagger(A), nmat_scale(A, CNum.of(-1))):
+    if not mat_equal(mat_dagger(A), mat_scale(A, -1)):
         raise ShapeMismatch("Cayley input must be anti-hermitian")
     one = nmat_eye(len(A))
-    return nmat_mul(nmat_sub(one, A), nmat_inverse(nmat_add(one, A)))
+    return mat_mul(mat_sub(one, A), nmat_inverse(mat_add(one, A)))
 
 
 def random_antihermitian(n: int, rng: random.Random) -> NMatrix:
@@ -305,11 +271,11 @@ def random_antihermitian(n: int, rng: random.Random) -> NMatrix:
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
             )
             rows[i][j] = z
-            rows[j][i] = -z.conj()
+            rows[j][i] = -z.conjugate()
     return tuple(tuple(r) for r in rows)
 
 
-def random_unitary(n: int, rng: random.Random) -> NMatrix:
+def random_unitary(n: int, rng: random.Random) -> list:
     return cayley_unitary(random_antihermitian(n, rng))
 
 
@@ -320,7 +286,7 @@ def unit_phase(rng: random.Random) -> CNum:
     t = CNum(
         Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
     )
-    return t.conj() if rng.random() < 0.5 else t
+    return t.conjugate() if rng.random() < 0.5 else t
 
 
 def random_adhm_data(k: int, N: int, rng: random.Random) -> ADHMData:
@@ -477,28 +443,22 @@ def _rep_updates(lay: ADHMSuperChart, phi, a, e1, e2, mats) -> dict:
     eps = e1 + e2
     out = {}
     if "B1" in mats:
-        out["B1"] = cmat_add(
-            cmat_commutator(phi, mats["B1"]), cmat_scale(mats["B1"], e1)
-        )
+        out["B1"] = mat_add(mat_commutator(phi, mats["B1"]), mat_scale(mats["B1"], e1))
     if "B2" in mats:
-        out["B2"] = cmat_add(
-            cmat_commutator(phi, mats["B2"]), cmat_scale(mats["B2"], e2)
-        )
+        out["B2"] = mat_add(mat_commutator(phi, mats["B2"]), mat_scale(mats["B2"], e2))
     if "I" in mats:
-        out["I"] = cmat_sub(cmat_mul(phi, mats["I"]), cmat_mul(mats["I"], a))
+        out["I"] = mat_sub(mat_mul(phi, mats["I"]), mat_mul(mats["I"], a))
     if "J" in mats:
-        out["J"] = cmat_add(
-            cmat_sub(cmat_mul(a, mats["J"]), cmat_mul(mats["J"], phi)),
-            cmat_scale(mats["J"], eps),
+        out["J"] = mat_add(
+            mat_sub(mat_mul(a, mats["J"]), mat_mul(mats["J"], phi)),
+            mat_scale(mats["J"], eps),
         )
     if "HR" in mats:
-        out["HR"] = cmat_commutator(phi, mats["HR"])
+        out["HR"] = mat_commutator(phi, mats["HR"])
     if "HC" in mats:
-        out["HC"] = cmat_add(
-            cmat_commutator(phi, mats["HC"]), cmat_scale(mats["HC"], eps)
-        )
+        out["HC"] = mat_add(mat_commutator(phi, mats["HC"]), mat_scale(mats["HC"], eps))
     if "PB" in mats:
-        out["PB"] = cmat_commutator(phi, mats["PB"])
+        out["PB"] = mat_commutator(phi, mats["PB"])
     return out
 
 
@@ -571,10 +531,8 @@ def adhm_Q_full(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     fermions = {name: lay.fermion_matrix(name) for name, _, _ in lay.sectors}
 
     a_upd = {name: fermions[name] for name in MATTER_SECTORS}
-    a_upd["HR"] = cmat_commutator(phi, fermions["HR"])
-    a_upd["HC"] = cmat_add(
-        cmat_commutator(phi, fermions["HC"]), cmat_scale(fermions["HC"], eps)
-    )
+    a_upd["HR"] = mat_commutator(phi, fermions["HR"])
+    a_upd["HC"] = mat_add(mat_commutator(phi, fermions["HC"]), mat_scale(fermions["HC"], eps))
     a_upd["PB"] = fermions["PB"]
 
     b_upd = _rep_updates(
@@ -582,7 +540,7 @@ def adhm_Q_full(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     )
     b_upd["HR"] = bosons["HR"]
     b_upd["HC"] = bosons["HC"]
-    b_upd["PB"] = cmat_commutator(phi, bosons["PB"])
+    b_upd["PB"] = mat_commutator(phi, bosons["PB"])
 
     return SuperVectorField(lay.chart, 1, _flatten(lay, a_upd), _flatten(lay, b_upd))
 
@@ -606,25 +564,13 @@ def adhm_action_spec(lay: ADHMSuperChart) -> ActionSpec:
 # symbolic constraints on the flattened chart
 
 
-def chart_constraint_real(lay: ADHMSuperChart):
+def chart_constraint_real(lay: ADHMSuperChart) -> list:
     """The hermitian constraint as a matrix of complex superfunctions."""
-    B1 = lay.boson_matrix("B1")
-    B2 = lay.boson_matrix("B2")
-    I = lay.boson_matrix("I")
-    J = lay.boson_matrix("J")
-    out = cmat_add(
-        cmat_commutator(B1, cmat_dagger(B1)), cmat_commutator(B2, cmat_dagger(B2))
-    )
-    out = cmat_add(out, cmat_mul(I, cmat_dagger(I)))
-    return cmat_sub(out, cmat_mul(cmat_dagger(J), J))
+    return _real_moment(*(lay.boson_matrix(name) for name in MATTER_SECTORS))
 
 
-def chart_constraint_complex(lay: ADHMSuperChart):
-    B1 = lay.boson_matrix("B1")
-    B2 = lay.boson_matrix("B2")
-    I = lay.boson_matrix("I")
-    J = lay.boson_matrix("J")
-    return cmat_add(cmat_commutator(B1, B2), cmat_mul(I, J))
+def chart_constraint_complex(lay: ADHMSuperChart) -> list:
+    return _complex_moment(*(lay.boson_matrix(name) for name in MATTER_SECTORS))
 
 
 def adhm_constraint_scalars(lay: ADHMSuperChart):
@@ -812,9 +758,11 @@ def adhm_fixed_points(k: int, N: int, zeta: Fraction = Fraction(1)) -> list:
             nmat_zero(1, 1), nmat_zero(1, 1), I, nmat_zero(N, 1)
         )
         check_stabilizer(data)
-        level = nmat((((zeta, 0),),))
-        assert nmat_equal(constraint_real(data), level)
-        assert nmat_equal(constraint_complex(data), nmat_zero(1, 1))
+        if not (
+            mat_equal(constraint_real(data), nmat((((zeta, 0),),)))
+            and mat_equal(constraint_complex(data), nmat_zero(1, 1))
+        ):
+            raise ComputationError("fixed datum r=%d misses the constraint level" % (r,))
         weights = [e1, e2]
         weights += [sc.normalize(a_diag[r] - a_diag[s_]) for s_ in range(N) if s_ != r]
         weights += [

@@ -1,9 +1,10 @@
-"""Sparse Grassmann algebra over the scalar kernel.
+"""Sparse Grassmann algebra over the scalar kernel, real and complex.
 
 A superfunction on an (m, n) chart is a map from strictly increasing odd
 multi-indices to scalar coefficients; missing keys mean zero and the empty
 key is the body. Odd derivatives follow the left-derivative convention, so
-``d/dth2 (th1*th2) = -th1``.
+``d/dth2 (th1*th2) = -th1``. A complex superfunction (`CSuper`) is a pair
+of real ones on the same chart.
 """
 
 from __future__ import annotations
@@ -210,13 +211,119 @@ def _coerce(chart: SuperChart, value):
     return NotImplemented
 
 
+@dataclass(frozen=True)
+class CSuper:
+    """Complex superfunction re + i*im.
+
+    Superfunctions, scalars and numbers combine with it as real values, so
+    a SuperVectorField whose components are CSuper is a complex derivation
+    and goes through the same apply and bracket code as a real one.
+    """
+
+    re: SuperFunction
+    im: SuperFunction
+
+    def __post_init__(self) -> None:
+        if self.re.chart != self.im.chart:
+            raise DimensionMismatch("real and imaginary parts on different charts")
+
+    @property
+    def chart(self) -> SuperChart:
+        return self.re.chart
+
+    @staticmethod
+    def real(f: SuperFunction) -> "CSuper":
+        return CSuper(f, SuperFunction.zero(f.chart))
+
+    @staticmethod
+    def imag(f: SuperFunction) -> "CSuper":
+        return CSuper(SuperFunction.zero(f.chart), f)
+
+    @staticmethod
+    def zero(chart: SuperChart) -> "CSuper":
+        z = SuperFunction.zero(chart)
+        return CSuper(z, z)
+
+    @staticmethod
+    def one(chart: SuperChart) -> "CSuper":
+        return CSuper(SuperFunction.one(chart), SuperFunction.zero(chart))
+
+    def _lift(self, other):
+        if isinstance(other, CSuper):
+            return other
+        other = _coerce(self.chart, other)
+        return other if other is NotImplemented else CSuper.real(other)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CSuper(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CSuper(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return CSuper(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CSuper(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __rmul__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
+
+    def conjugate(self) -> "CSuper":
+        return CSuper(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re.is_zero() and self.im.is_zero()
+
+    def parity(self):
+        ps = {p for p in (self.re.parity(), self.im.parity()) if p is not None}
+        if len(ps) == 1:
+            return ps.pop()
+        return None
+
+    def grades(self) -> Tuple[int, ...]:
+        return tuple(sorted(set(self.re.grades()) | set(self.im.grades())))
+
+    def coefficient(self, idx: Sequence[int]) -> Tuple[ScalarExpr, ScalarExpr]:
+        """The (re, im) pair of coefficients of one odd monomial."""
+        return (self.re.coefficient(idx), self.im.coefficient(idx))
+
+    def free_symbols(self) -> frozenset:
+        return self.re.free_symbols() | self.im.free_symbols()
+
+
 # ---------------------------------------------------------------------------
 # Derivations.
 # ---------------------------------------------------------------------------
 
 
-def odd_partial(f: SuperFunction, index: int) -> SuperFunction:
-    """Left derivative with respect to the odd generator."""
+def odd_partial(f, index: int):
+    """Left derivative with respect to the odd generator; part-wise on a CSuper."""
+    if isinstance(f, CSuper):
+        return CSuper(odd_partial(f.re, index), odd_partial(f.im, index))
     if not (1 <= index <= f.chart.n):
         raise IndexOutOfRange("no odd generator %d on this chart" % (index,))
     out = {}
@@ -230,8 +337,11 @@ def odd_partial(f: SuperFunction, index: int) -> SuperFunction:
     return SuperFunction(f.chart, out)
 
 
-def even_partial(f: SuperFunction, index: int) -> SuperFunction:
-    """Coefficient-wise derivative with respect to coordinate number index (1-based)."""
+def even_partial(f, index: int):
+    """Coefficient-wise derivative with respect to coordinate number index
+    (1-based); part-wise on a CSuper."""
+    if isinstance(f, CSuper):
+        return CSuper(even_partial(f.re, index), even_partial(f.im, index))
     if not (1 <= index <= f.chart.m):
         raise IndexOutOfRange("no coordinate %d on this chart" % (index,))
     name = f.chart.coords[index - 1]
@@ -242,7 +352,12 @@ def even_partial(f: SuperFunction, index: int) -> SuperFunction:
 
 @dataclass(frozen=True)
 class SuperVectorField:
-    """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity."""
+    """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity.
+
+    Components are SuperFunctions, or CSuper for a complex derivation;
+    apply, graded_commutator, add_fields, scale_field and field_is_zero
+    take both.
+    """
 
     chart: SuperChart
     parity: int
@@ -257,7 +372,7 @@ class SuperVectorField:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
 
-    def apply(self, f: SuperFunction) -> SuperFunction:
+    def apply(self, f):
         if f.chart != self.chart:
             raise DimensionMismatch("field and function live on different charts")
         out = SuperFunction.zero(self.chart)
@@ -279,10 +394,10 @@ class SuperVectorField:
         want_a = self.parity % 2
         want_b = (self.parity + 1) % 2
         for i, comp in enumerate(self.a, start=1):
-            if not comp.is_zero() and any(len(k) % 2 != want_a for k in comp.terms):
+            if any(g % 2 != want_a for g in comp.grades()):
                 bad.append("a[%d] has grades %s" % (i, comp.grades()))
         for A, comp in enumerate(self.b, start=1):
-            if not comp.is_zero() and any(len(k) % 2 != want_b for k in comp.terms):
+            if any(g % 2 != want_b for g in comp.grades()):
                 bad.append("b[%d] has grades %s" % (A, comp.grades()))
         return bad
 
@@ -370,7 +485,12 @@ def invert_even(f: SuperFunction, samples: Iterable[Binding] = ()) -> SuperFunct
 
 
 def to_super_text(f: SuperFunction) -> str:
-    """Render like ``(x^2)*th1*th2 + 3*th1``; parse_super round-trips."""
+    """Render like ``(x^2)*th1*th2 + 3*th1``; parse_super round-trips.
+
+    A CSuper renders as ``(re) + i(im)``.
+    """
+    if isinstance(f, CSuper):
+        return "(%s) + i(%s)" % (to_super_text(f.re), to_super_text(f.im))
     if not f.terms:
         return "0"
     names = f.chart.odd_names

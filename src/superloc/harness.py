@@ -31,7 +31,14 @@ from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import scalars as sc
-from .actions import ActionSpec, check_sigma_parallel, kahler_Q, tautological_Q, verify_brst
+from .actions import (
+    ActionSpec,
+    check_sigma_parallel,
+    kahler_Q,
+    square_residual,
+    tautological_Q,
+    verify_brst,
+)
 from .adhm import (
     adhm_Q_full,
     adhm_Q_unconstrained,
@@ -57,15 +64,7 @@ from .geometry import (
     sphere_fixed_points,
     sphere_oracle_patch,
 )
-from .grassmann import (
-    SuperChart,
-    SuperFunction,
-    add_fields,
-    field_is_zero,
-    graded_commutator,
-    parse_super,
-    scale_field,
-)
+from .grassmann import SuperChart, SuperFunction, field_is_zero, parse_super
 from .linalg import identity
 from .localize import classical_localize, find_fixed_points, super_localize
 from .oracle import OraclePatch, global_berezin, super_stokes_check
@@ -499,13 +498,17 @@ def _super_stokes(run: _Run, entry: dict) -> dict:
 
 
 def _verified(report: dict) -> dict:
+    """Condition names and statuses; a failed condition also keeps its
+    residual or max_error, so the record says why."""
+    conditions = []
+    for c in report["conditions"]:
+        entry = {"name": c["name"], "status": c["status"]}
+        if c["status"] == "fail":
+            entry.update((key, c[key]) for key in ("residual", "max_error") if key in c)
+        conditions.append(entry)
     return {
         "status": "pass" if report["passed"] else "fail",
-        "detail": {
-            "conditions": [
-                {"name": c["name"], "status": c["status"]} for c in report["conditions"]
-            ]
-        },
+        "detail": {"conditions": conditions},
     }
 
 
@@ -545,11 +548,7 @@ def _closure(full: bool) -> Callable:
         layout, params, Q = _adhm_operator(run, item, full)
         lift = adhm_lifted_field(layout, *params)
         if run.scenario["mode"] == "symbolic":
-            residual = add_fields(
-                scale_field(graded_commutator(Q, Q), Fraction(1, 2)),
-                scale_field(lift, Fraction(-1)),
-            )
-            ok = field_is_zero(residual)
+            ok = field_is_zero(square_residual(Q, lift))
             worst = 0.0 if ok else None
         else:
             worst = _numeric_closure(layout, Q, lift, run.scenario.get("seed", 2024))

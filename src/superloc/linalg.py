@@ -2,6 +2,9 @@
 
 Rational matrices go through fraction-exact Gaussian elimination; symbolic
 matrices use subset dynamic programming so no division is ever needed.
+The dense helpers (mat_add .. mat_equal, mat_mul) take any entry type with
+``+ - *``, and mat_dagger also needs ``conjugate()``: Fractions, exact
+complex numbers and complex superfunctions all qualify.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ def _is_num(e) -> bool:
 def _entry_zero(e) -> bool:
     if _is_num(e):
         return e == 0
-    return sc.is_zero(e)
+    if isinstance(e, ScalarExpr):
+        return sc.is_zero(e)
+    return e.is_zero()
 
 
 def _square(M) -> tuple:
@@ -54,6 +59,42 @@ def mat_mul(A, B) -> list:
             new.append(acc)
         out.append(new)
     return out
+
+
+def _same_shape(A, B) -> None:
+    if len(A) != len(B) or any(len(ra) != len(rb) for ra, rb in zip(A, B)):
+        raise ShapeMismatch("matrix shapes disagree")
+
+
+def mat_add(A, B) -> list:
+    _same_shape(A, B)
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_sub(A, B) -> list:
+    _same_shape(A, B)
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_scale(A, factor) -> list:
+    """factor * A, with the factor on the left of every entry."""
+    return [[factor * x for x in row] for row in A]
+
+
+def mat_dagger(A) -> list:
+    """Conjugate transpose; correct for matrices of even entries."""
+    if not A:
+        return []
+    return [[row[j].conjugate() for row in A] for j in range(len(A[0]))]
+
+
+def mat_commutator(A, B) -> list:
+    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+
+
+def mat_equal(A, B) -> bool:
+    _same_shape(A, B)
+    return all(_entry_zero(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
 def mat_vec(A, v) -> list:
@@ -200,33 +241,11 @@ def pfaffian(M):
 # ---------------------------------------------------------------------------
 
 
-def solve(A, b) -> list:
-    """Solve A x = b exactly over Fractions; raises on singular systems."""
-    rows = _square(A)
+def _eliminate(rows, right) -> list:
+    """Gauss-Jordan on [rows | right] over Fractions; returns the reduced right block."""
     n = len(rows)
-    if len(b) != n:
-        raise ShapeMismatch("right-hand side length %d, matrix size %d" % (len(b), n))
-    aug = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [e / p for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * aug[col][c] for c, e in enumerate(aug[r])]
-    return [aug[i][n] for i in range(n)]
-
-
-def inverse(A) -> list:
-    """Exact inverse of a Fraction matrix."""
-    rows = _square(A)
-    n = len(rows)
-    aug = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
+    aug = [[Fraction(e) for e in row] + [Fraction(e) for e in extra]
+           for row, extra in zip(rows, right)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -239,6 +258,21 @@ def inverse(A) -> list:
                 f = aug[r][col]
                 aug[r] = [e - f * aug[col][c] for c, e in enumerate(aug[r])]
     return [row[n:] for row in aug]
+
+
+def solve(A, b) -> list:
+    """Solve A x = b exactly over Fractions; raises on singular systems."""
+    rows = _square(A)
+    n = len(rows)
+    if len(b) != n:
+        raise ShapeMismatch("right-hand side length %d, matrix size %d" % (len(b), n))
+    return [x for (x,) in _eliminate(rows, [[e] for e in b])]
+
+
+def inverse(A) -> list:
+    """Exact inverse of a Fraction matrix."""
+    rows = _square(A)
+    return _eliminate(rows, identity(len(rows)))
 
 
 def minor(M, drop_row: int, drop_col: int) -> list:

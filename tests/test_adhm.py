@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from superloc import adhm
 from superloc import scalars as sc
 from superloc.actions import sigma_from_Q, verify_brst
 from superloc.adhm import (
@@ -29,28 +30,25 @@ from superloc.adhm import (
     group_act,
     multiplier_completion,
     nmat,
-    nmat_dagger,
-    nmat_equal,
     nmat_eye,
     nmat_inverse,
-    nmat_mul,
     nmat_norm2,
-    nmat_scale,
     nmat_zero,
     random_adhm_data,
     random_unitary,
     rank_bookkeeping,
     unit_phase,
 )
-from superloc.cgrass import CSuper, cmat_add, cmat_commutator, cmat_mul
 from superloc.errors import (
     BadSusy,
+    ComputationError,
     NonlinearTtilde,
     NotUnitary,
     ShapeMismatch,
     StabilizerNotTrivial,
 )
 from superloc.grassmann import (
+    CSuper,
     SuperChart,
     SuperFunction,
     add_fields,
@@ -58,7 +56,15 @@ from superloc.grassmann import (
     graded_commutator,
     scale_field,
 )
-from superloc.linalg import det
+from superloc.linalg import (
+    det,
+    mat_add,
+    mat_commutator,
+    mat_dagger,
+    mat_equal,
+    mat_mul,
+    mat_scale,
+)
 
 
 def _half_square(Q):
@@ -121,8 +127,8 @@ def test_chart_indexing():
 
 def test_constraints_zero_data():
     d = adhm_data(nmat_zero(2, 2), nmat_zero(2, 2), nmat_zero(2, 2), nmat_zero(2, 2))
-    assert nmat_equal(constraint_real(d), nmat_zero(2, 2))
-    assert nmat_equal(constraint_complex(d), nmat_zero(2, 2))
+    assert mat_equal(constraint_real(d), nmat_zero(2, 2))
+    assert mat_equal(constraint_complex(d), nmat_zero(2, 2))
     assert d.moduli_dimension == 16
 
 
@@ -145,7 +151,7 @@ def test_constraint_hermitian_random():
     for _ in range(5):
         d = random_adhm_data(2, 3, rng)
         c1 = constraint_real(d)
-        assert nmat_equal(c1, nmat_dagger(c1))
+        assert mat_equal(c1, mat_dagger(c1))
 
 
 def test_group_identity():
@@ -153,7 +159,7 @@ def test_group_identity():
     d = random_adhm_data(2, 2, rng)
     d2 = group_act(GroupElement(), d)
     for sec in ("B1", "B2", "I", "J"):
-        assert nmat_equal(getattr(d, sec), getattr(d2, sec))
+        assert mat_equal(getattr(d, sec), getattr(d2, sec))
 
 
 def test_group_torus_phases():
@@ -161,10 +167,10 @@ def test_group_torus_phases():
     d = random_adhm_data(2, 2, rng)
     t1, t2 = unit_phase(rng), unit_phase(rng)
     d2 = group_act(GroupElement(t1=t1, t2=t2), d)
-    assert nmat_equal(d2.B1, nmat_scale(d.B1, t1))
-    assert nmat_equal(d2.B2, nmat_scale(d.B2, t2))
-    assert nmat_equal(d2.I, d.I)
-    assert nmat_equal(d2.J, nmat_scale(d.J, t1 * t2))
+    assert mat_equal(d2.B1, mat_scale(d.B1, t1))
+    assert mat_equal(d2.B2, mat_scale(d.B2, t2))
+    assert mat_equal(d2.I, d.I)
+    assert mat_equal(d2.J, mat_scale(d.J, t1 * t2))
 
 
 def test_group_rejects_nonunitary():
@@ -198,17 +204,17 @@ def test_complex_constraint_equivariance():
     U = random_unitary(2, rng)
     t1, t2 = unit_phase(rng), unit_phase(rng)
     d2 = group_act(GroupElement(U=U, t1=t1, t2=t2), d)
-    want = nmat_scale(
-        nmat_mul(nmat_mul(U, constraint_complex(d)), nmat_dagger(U)), t1 * t2
+    want = mat_scale(
+        mat_mul(mat_mul(U, constraint_complex(d)), mat_dagger(U)), t1 * t2
     )
-    assert nmat_equal(constraint_complex(d2), want)
+    assert mat_equal(constraint_complex(d2), want)
 
 
 def test_cayley_and_inverse_exact():
     rng = random.Random(14)
     U = random_unitary(3, rng)
-    assert nmat_equal(nmat_mul(nmat_dagger(U), U), nmat_eye(3))
-    assert nmat_equal(nmat_mul(U, nmat_inverse(U)), nmat_eye(3))
+    assert mat_equal(mat_mul(mat_dagger(U), U), nmat_eye(3))
+    assert mat_equal(mat_mul(U, nmat_inverse(U)), nmat_eye(3))
     with pytest.raises(ShapeMismatch):
         cayley_unitary(nmat([[(1, 0)]]))
 
@@ -353,7 +359,7 @@ def test_Q_full_displays():
     # the auxiliary pair: Q(phibar) = eta, Q(eta) = [phi, phibar]
     pb = lay.offset("PB")
     assert Q.a[pb].terms == {(pb + 1,): sc.ONE}
-    comm = cmat_commutator(phi, lay.boson_matrix("PB"))[0][0]
+    comm = mat_commutator(phi, lay.boson_matrix("PB"))[0][0]
     assert (Q.b[pb] - comm.re).is_zero()
     assert (Q.b[pb + 1] - comm.im).is_zero()
 
@@ -442,7 +448,7 @@ def test_fermionic_constraints_k1_complex_block():
     muJ = lay.fermion_matrix("J")
     I = lay.boson_matrix("I")
     J = lay.boson_matrix("J")
-    want = cmat_add(cmat_mul(muI, J), cmat_mul(I, muJ))[0][0]
+    want = mat_add(mat_mul(muI, J), mat_mul(I, muJ))[0][0]
     assert (W[-2] - want.re).is_zero()
     assert (W[-1] - want.im).is_zero()
 
@@ -580,7 +586,14 @@ def test_fixed_points_k1():
     assert sc.is_zero(sc.normalize(second.phi + a1))
     for fp in points:
         assert constraint_real(fp.data)[0][0].re == 1
-        assert nmat_equal(constraint_complex(fp.data), nmat_zero(1, 1))
+        assert mat_equal(constraint_complex(fp.data), nmat_zero(1, 1))
+
+
+def test_fixed_points_raise_when_constraint_fails(monkeypatch):
+    # an invariant, so it must hold under python -O as well: an exception
+    monkeypatch.setattr(adhm, "constraint_complex", lambda d: nmat([[(1, 0)]]))
+    with pytest.raises(ComputationError):
+        adhm_fixed_points(1, 2)
 
 
 def test_fixed_points_scale_and_guards():

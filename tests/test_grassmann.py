@@ -15,6 +15,7 @@ import pytest
 from superloc import scalars as sc
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
+    CSuper,
     SuperChart,
     SuperFunction,
     SuperVectorField,
@@ -370,3 +371,73 @@ def test_custom_odd_names():
     assert f.coefficient((1,)) == sc.sym("u")
     assert f.coefficient((1, 2)) == sc.ONE
     assert to_super_text(f) == "u*psi + psi*chi"
+
+
+# ---------------------------------------------------------------------------
+# Complex superfunctions and complex fields.
+
+
+def _rand_csuper(rng) -> CSuper:
+    def part():
+        terms = {}
+        for idx in ((), (1,), (2,), (1, 2)):
+            if rng.random() < 0.6:
+                terms[idx] = sc.rational(rng.randint(-4, 4))
+        return SuperFunction(CHART, terms)
+
+    return CSuper(part(), part())
+
+
+def test_complex_product_components():
+    rng = random.Random(71)
+    for _ in range(30):
+        u, v = _rand_csuper(rng), _rand_csuper(rng)
+        w = u * v
+        assert (w.re - (u.re * v.re - u.im * v.im)).is_zero()
+        assert (w.im - (u.re * v.im + u.im * v.re)).is_zero()
+    # a real factor on the left keeps its place in the product
+    th1 = SuperFunction.generator(CHART, 1)
+    th2 = SuperFunction.generator(CHART, 2)
+    assert (th1 * CSuper.real(th2) - CSuper.real(th1 * th2)).is_zero()
+
+
+def test_complex_i_squared():
+    one = CSuper.one(CHART)
+    i_unit = CSuper.imag(SuperFunction.one(CHART))
+    assert (i_unit * i_unit + one).is_zero()
+
+
+def test_complex_conjugation_is_involutive_and_multiplicative():
+    rng = random.Random(72)
+    for _ in range(20):
+        u, v = _rand_csuper(rng), _rand_csuper(rng)
+        assert (u.conjugate().conjugate() - u).is_zero()
+        # even factors commute, so conjugation distributes without a twist
+        if u.parity() == 0 and v.parity() == 0:
+            assert ((u * v).conjugate() - u.conjugate() * v.conjugate()).is_zero()
+
+
+def test_complex_chart_mismatch_guard():
+    other = SuperChart(("z", "w"), 2)
+    with pytest.raises(DimensionMismatch):
+        CSuper.one(CHART) + CSuper.one(other)
+    with pytest.raises(DimensionMismatch):
+        CSuper(SuperFunction.one(CHART), SuperFunction.one(other))
+
+
+def test_complex_field_commutator_against_composition():
+    th1 = SuperFunction.generator(CHART, 1)
+    # for an odd field, [Q, Q] acts as twice the composition
+    Q = SuperVectorField(
+        CHART,
+        1,
+        (CSuper.real(th1), CSuper.imag(th1)),
+        (CSuper.real(parse_super(CHART, "x")), CSuper.imag(parse_super(CHART, "y"))),
+    )
+    assert Q.parity_violations() == []
+    sq = graded_commutator(Q, Q)
+    f = CSuper(parse_super(CHART, "x*y + x*th1*th2"), parse_super(CHART, "y^2*th1"))
+    direct = Q.apply(Q.apply(f))
+    lhs = sq.apply(f)
+    assert (lhs.re - (direct.re + direct.re)).is_zero()
+    assert (lhs.im - (direct.im + direct.im)).is_zero()

@@ -6,8 +6,11 @@ import math
 import pytest
 
 from superloc import harness
+from superloc.actions import tautological_Q, verify_brst
 from superloc.cli import main
 from superloc.errors import NotQClosed, SchemaError
+from superloc.geometry import PLANE_ROTATION
+from superloc.grassmann import SuperVectorField, parse_super
 from superloc.harness import (
     load_scenario,
     report_exit_code,
@@ -252,6 +255,19 @@ def test_kahler_scenario_verifies_operator():
     assert _statuses(report) == ["pass"]
     conditions = report["checks"][0]["detail"]["conditions"]
     assert {c["name"] for c in conditions} >= {"square_equals_lift"}
+
+
+def test_failed_brst_record_names_the_component():
+    spec = PLANE_ROTATION
+    Q = tautological_Q(spec)
+    b = (Q.b[0] + parse_super(spec.chart, "x"),) + Q.b[1:]
+    record = harness._verified(verify_brst(SuperVectorField(spec.chart, 1, Q.a, b), spec))
+    assert record["status"] == "fail"
+    by_name = {c["name"]: c for c in record["detail"]["conditions"]}
+    assert "b[1] = th1" in by_name["square_equals_lift"]["residual"]
+    assert by_name["equivariance_finite"]["max_error"] > 0
+    # passing conditions stay name and status only, as in every passing report
+    assert by_name["sigma_injective"] == {"name": "sigma_injective", "status": "pass"}
 
 
 def test_adhm_symbolic_scenario_full_suite():

@@ -13,14 +13,21 @@ from fractions import Fraction
 import pytest
 
 from superloc import scalars as sc
+from superloc.adhm import CNum
 from superloc.errors import NotSkew, OddSize, ShapeMismatch
+from superloc.grassmann import CSuper, SuperChart, SuperFunction, parse_super
 from superloc.linalg import (
     check_skew,
     det,
     identity,
     inverse,
     inverse_symbolic,
+    mat_add,
+    mat_commutator,
+    mat_dagger,
+    mat_equal,
     mat_mul,
+    mat_sub,
     mat_vec,
     pfaffian,
     solve,
@@ -171,6 +178,8 @@ def test_solve_and_inverse():
 def test_solve_singular():
     with pytest.raises(ValueError):
         solve([[1, 2], [2, 4]], [1, 1])
+    with pytest.raises(ValueError):
+        inverse([[1, 2], [2, 4]])
     with pytest.raises(ShapeMismatch):
         solve([[1, 0], [0, 1]], [1, 2, 3])
 
@@ -202,3 +211,49 @@ def test_transpose_and_shapes():
     assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
     with pytest.raises(ShapeMismatch):
         mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(ShapeMismatch):
+        mat_add([[1, 2]], [[1], [2]])
+
+
+# ---------------------------------------------------------------------------
+# Dense helpers over any entry type with + - * conjugate().
+
+CCHART = SuperChart(("x", "y"), 2)
+
+
+def test_mat_dagger_reverses_products():
+    rng = random.Random(73)
+
+    def rat():
+        return Fraction(rng.randint(-3, 3))
+
+    def body_mat():
+        return [
+            [
+                CSuper(
+                    SuperFunction.from_scalar(CCHART, sc.rational(rng.randint(-3, 3))),
+                    SuperFunction.from_scalar(CCHART, sc.rational(rng.randint(-3, 3))),
+                )
+                for _ in range(2)
+            ]
+            for _ in range(2)
+        ]
+
+    for make in (body_mat, lambda: [[CNum(rat(), rat()) for _ in range(3)] for _ in range(3)],
+                 lambda: [[rat() for _ in range(3)] for _ in range(3)]):
+        for _ in range(10):
+            A, B = make(), make()
+            lhs = mat_dagger(mat_mul(A, B))
+            rhs = mat_mul(mat_dagger(B), mat_dagger(A))
+            assert mat_equal(lhs, rhs)
+
+
+def test_mat_commutator_is_traceless():
+    x = parse_super(CCHART, "x")
+    y = parse_super(CCHART, "y")
+    one = SuperFunction.one(CCHART)
+    A = [[CSuper(x, one), CSuper.real(y)], [CSuper.imag(one), CSuper.real(x * y)]]
+    B = [[CSuper.real(one), CSuper(y, x)], [CSuper.real(x), CSuper.imag(y)]]
+    C = mat_commutator(A, B)
+    assert (C[0][0] + C[1][1]).is_zero()
+    assert not mat_equal(C, mat_sub(C, C))
