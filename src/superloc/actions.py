@@ -145,15 +145,8 @@ def tautological_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
     """Odd field Q(x^i) = theta^i, Q(theta^A) = xi^alpha T_alpha^A."""
     if spec.chart.n != spec.chart.m:
         raise NotTautological("tautological operator needs n = m")
-    coeffs = _xi_coeffs(spec, xi)
     a = tuple(SuperFunction.generator(spec.chart, i + 1) for i in range(spec.chart.m))
-    b = []
-    for A in range(spec.chart.n):
-        comp = sc.ZERO
-        for alpha in range(spec.dim_g):
-            comp = comp + coeffs[alpha] * spec.T[alpha][A]
-        b.append(SuperFunction.from_scalar(spec.chart, comp))
-    return SuperVectorField(spec.chart, 1, a, tuple(b))
+    return SuperVectorField(spec.chart, 1, a, fundamental_field(spec, xi).a)
 
 
 def equivariant_differential(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunction:
@@ -197,7 +190,7 @@ def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
     Q(theta^j) = xi*(z_j). The components are CSuper.
     """
     pairs = _complex_pairs(spec.chart, pairs)
-    coeffs = _xi_coeffs(spec, xi)
+    flow = fundamental_field(spec, xi).a
     chart = spec.chart
     half = Fraction(1, 2)
     a = [CSuper.zero(chart) for _ in range(chart.m)]
@@ -206,37 +199,19 @@ def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
         th = SuperFunction.generator(chart, j)
         a[ix - 1] = CSuper(half * th, SuperFunction.zero(chart))
         a[iy - 1] = CSuper(SuperFunction.zero(chart), -half * th)
-        vx = sc.ZERO
-        vy = sc.ZERO
-        for alpha in range(spec.dim_g):
-            vx = vx + coeffs[alpha] * spec.T[alpha][ix - 1]
-            vy = vy + coeffs[alpha] * spec.T[alpha][iy - 1]
-        b.append(
-            CSuper(
-                SuperFunction.from_scalar(chart, vx),
-                SuperFunction.from_scalar(chart, vy),
-            )
-        )
+        b.append(CSuper(flow[ix - 1], flow[iy - 1]))
     return SuperVectorField(chart, 1, tuple(a), tuple(b))
 
 
 def kahler_lift(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
     """Holomorphic part of the lifted action on the complex-paired chart."""
     pairs = _complex_pairs(spec.chart, pairs)
-    coeffs = _xi_coeffs(spec, xi)
+    flow = fundamental_field(spec, xi).a
     chart = spec.chart
     coords = chart.coords
     half = Fraction(1, 2)
-    comp_x = []
-    comp_y = []
-    for ix, iy in pairs:
-        vx = sc.ZERO
-        vy = sc.ZERO
-        for alpha in range(spec.dim_g):
-            vx = vx + coeffs[alpha] * spec.T[alpha][ix - 1]
-            vy = vy + coeffs[alpha] * spec.T[alpha][iy - 1]
-        comp_x.append(vx)
-        comp_y.append(vy)
+    comp_x = [flow[ix - 1].body() for ix, _ in pairs]
+    comp_y = [flow[iy - 1].body() for _, iy in pairs]
     a = [CSuper.zero(chart) for _ in range(chart.m)]
     for j, (ix, iy) in enumerate(pairs):
         # (1,0) part: half*Z_j on d/dx, -i*half*Z_j on d/dy with Z_j = vx + i vy
@@ -623,13 +598,16 @@ def _rk4(fun, y0: np.ndarray, s: float, steps: int = 240) -> np.ndarray:
     return y
 
 
+def _coordinate_free(expr: ScalarExpr, coords) -> bool:
+    """True when every partial derivative along coords vanishes; an
+    expression that names no coordinate needs no differentiation."""
+    if sc.free_symbols(expr).isdisjoint(coords):
+        return True
+    return all(sc.is_zero(sc.differentiate(expr, c)) for c in coords)
+
+
 def _is_affine(expr: ScalarExpr, coords) -> bool:
-    for c1 in coords:
-        d = sc.differentiate(expr, c1)
-        for c2 in coords:
-            if not sc.is_zero(sc.differentiate(d, c2)):
-                return False
-    return True
+    return all(_coordinate_free(sc.differentiate(expr, c), coords) for c in coords)
 
 
 def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples, tol):
@@ -650,7 +628,7 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples, tol):
         for block in spec.U:
             for row in block:
                 for e in row:
-                    if any(not sc.is_zero(sc.differentiate(e, c)) for c in coords):
+                    if not _coordinate_free(e, coords):
                         return {
                             "status": "skipped(coordinate-dependent fiber action)",
                             "max_error": None,
@@ -663,28 +641,13 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples, tol):
         return {"status": "skipped(odd components not of grade zero)", "max_error": None}
 
     worst = 0.0
-    directions = [
-        tuple(1 if g == alpha else 0 for g in range(spec.dim_g)) for alpha in range(spec.dim_g)
-    ]
+    directions = [{p: int(p == q) for p in spec.params} for q in spec.params]
     if spec.dim_g > 1:
-        directions.append(tuple(1 for _ in range(spec.dim_g)))
+        directions.append({p: 1 for p in spec.params})
     for direction in directions:
-        comps = []
-        for i in range(m):
-            comp = sc.ZERO
-            for alpha, w in enumerate(direction):
-                if w:
-                    comp = comp + w * spec.T[alpha][i]
-            comps.append(normalize(comp))
-        wexpr = [[sc.ZERO] * n for _ in range(n)]
-        if spec.U is not None:
-            for Arow in range(n):
-                for B in range(n):
-                    vv = sc.ZERO
-                    for alpha, w in enumerate(direction):
-                        if w:
-                            vv = vv + w * spec.U[alpha][B][Arow]
-                    wexpr[Arow][B] = normalize(vv)
+        flow = lifted_field(spec, direction)
+        comps = [comp.body() for comp in flow.a]
+        wexpr = [[flow.b[A].coefficient((B + 1,)) for B in range(n)] for A in range(n)]
         for binding in samples[:3]:
             origin = dict(binding)
             for c in coords:

@@ -37,6 +37,7 @@ from .errors import (
 from .grassmann import CSuper, SuperChart, SuperFunction, SuperVectorField
 from .linalg import (
     det,
+    inverse,
     mat_add,
     mat_commutator,
     mat_dagger,
@@ -86,6 +87,15 @@ class CNum:
             self.re * other.im + self.im * other.re,
         )
 
+    def __truediv__(self, other) -> "CNum":
+        return self * CNum.of(other).inv()
+
+    def __rsub__(self, other) -> "CNum":
+        return CNum.of(other) - self
+
+    def __rtruediv__(self, other) -> "CNum":
+        return CNum.of(other) * self.inv()
+
     __radd__ = __add__
     __rmul__ = __mul__
 
@@ -131,23 +141,6 @@ def nmat_eye(n: int) -> NMatrix:
 def nmat_norm2(A: NMatrix) -> Fraction:
     """Squared Frobenius norm, an exact rational."""
     return sum((x.abs2() for row in A for x in row), Fraction(0))
-
-
-def nmat_inverse(A: NMatrix) -> NMatrix:
-    n = len(A)
-    work = [list(row) + list(e) for row, e in zip(A, nmat_eye(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        scale = work[col][col].inv()
-        work[col] = [scale * x for x in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +251,7 @@ def cayley_unitary(A: NMatrix) -> list:
     if not mat_equal(mat_dagger(A), mat_scale(A, -1)):
         raise ShapeMismatch("Cayley input must be anti-hermitian")
     one = nmat_eye(len(A))
-    return mat_mul(mat_sub(one, A), nmat_inverse(mat_add(one, A)))
+    return mat_mul(mat_sub(one, A), inverse(mat_add(one, A)))
 
 
 def random_antihermitian(n: int, rng: random.Random) -> NMatrix:

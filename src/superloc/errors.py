@@ -63,16 +63,8 @@ class SingularFiberBlock(SuperlocError):
     """Odd block of a superdeterminant pair is singular."""
 
 
-class NotClosed(SuperlocError):
-    """Form fails the equivariant closedness test."""
-
-
 class NotQClosed(SuperlocError):
     """Integrand is not annihilated by the BRST operator."""
-
-
-class BRSTInvalid(SuperlocError):
-    """Supplied odd field fails the BRST operator conditions."""
 
 
 class OddDimension(SuperlocError):

@@ -197,9 +197,6 @@ class SuperFunction:
             out = out | sc.free_symbols(c)
         return out
 
-    def evaluate_terms(self, binding: Binding) -> dict:
-        return {idx: sc.evaluate(c, binding) for idx, c in self.terms.items()}
-
 
 def _coerce(chart: SuperChart, value):
     if isinstance(value, SuperFunction):

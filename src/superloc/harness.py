@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -64,7 +63,7 @@ from .geometry import (
     sphere_fixed_points,
     sphere_oracle_patch,
 )
-from .grassmann import SuperChart, SuperFunction, field_is_zero, parse_super
+from .grassmann import SuperChart, field_is_zero, parse_super
 from .linalg import identity
 from .localize import classical_localize, find_fixed_points, super_localize
 from .oracle import OraclePatch, global_berezin, super_stokes_check
@@ -179,10 +178,6 @@ def _validate(scenario: dict) -> None:
         N = _require(scenario, "N", int)
         if k < 1 or N < 2:
             raise SchemaError("need k >= 1 and N >= 2")
-        mode = scenario.get("mode", "symbolic" if k == 1 else "numeric")
-        if mode not in ("symbolic", "numeric"):
-            raise SchemaError("mode must be symbolic or numeric")
-        scenario["mode"] = mode
 
 
 def _as_fraction(text) -> Fraction:
@@ -546,59 +541,15 @@ def _adhm_operator(run: _Run, item: dict, full: bool):
 def _closure(full: bool) -> Callable:
     def compute(run: _Run, item: dict) -> dict:
         layout, params, Q = _adhm_operator(run, item, full)
-        lift = adhm_lifted_field(layout, *params)
-        if run.scenario["mode"] == "symbolic":
-            ok = field_is_zero(square_residual(Q, lift))
-            worst = 0.0 if ok else None
-        else:
-            worst = _numeric_closure(layout, Q, lift, run.scenario.get("seed", 2024))
-            ok = worst < run.tol
+        ok = field_is_zero(square_residual(Q, adhm_lifted_field(layout, *params)))
         return {
             "status": "pass" if ok else "fail",
             "lhs": "[Q,Q]/2",
             "rhs": "lifted field",
-            "abs_error": worst,
+            "abs_error": 0.0 if ok else None,
         }
 
     return compute
-
-
-def _numeric_closure(layout, Q, lift, seed: int) -> float:
-    rng = random.Random(seed)
-    chart = layout.chart
-    names = list(chart.coords) + list(layout.params)
-    binding = {n: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for n in names}
-
-    def residual(f) -> float:
-        d = Q.apply(Q.apply(f)) - lift.apply(f)
-        worst = 0.0
-        for coeff in d.terms.values():
-            worst = max(worst, abs(float(sc.evaluate(coeff, binding))))
-        return worst
-
-    worst = 0.0
-    for idx in range(chart.m):
-        f = SuperFunction.from_scalar(chart, sc.sym(chart.coords[idx]))
-        worst = max(worst, residual(f))
-    for idx in range(1, chart.n + 1):
-        worst = max(worst, residual(SuperFunction.generator(chart, idx)))
-    for _ in range(20):
-        terms = {}
-        for _ in range(3):
-            roll = rng.random()
-            if roll < 0.4:
-                key = ()
-            elif roll < 0.8:
-                key = (rng.randint(1, chart.n),)
-            else:
-                A = rng.randint(1, chart.n - 1)
-                key = (A, rng.randint(A + 1, chart.n))
-            e = sc.rational(rng.randint(-3, 3)) * sc.sym(
-                chart.coords[rng.randint(0, chart.m - 1)]
-            )
-            terms[key] = terms.get(key, sc.ZERO) + e
-        worst = max(worst, residual(SuperFunction(chart, terms)))
-    return worst
 
 
 def _verify_unconstrained(run: _Run, item: dict) -> dict:

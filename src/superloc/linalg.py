@@ -242,26 +242,27 @@ def pfaffian(M):
 
 
 def _eliminate(rows, right) -> list:
-    """Gauss-Jordan on [rows | right] over Fractions; returns the reduced right block."""
+    """Gauss-Jordan on [rows | right] over a field: Fractions, or exact
+    complex numbers with ``/`` and ``is_zero()``; returns the reduced right block."""
     n = len(rows)
-    aug = [[Fraction(e) for e in row] + [Fraction(e) for e in extra]
+    aug = [[Fraction(e) if isinstance(e, (int, Fraction)) else e for e in list(row) + list(extra)]
            for row, extra in zip(rows, right)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if not _entry_zero(aug[r][col])), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         p = aug[col][col]
         aug[col] = [e / p for e in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col]:
+            if r != col and not _entry_zero(aug[r][col]):
                 f = aug[r][col]
                 aug[r] = [e - f * aug[col][c] for c, e in enumerate(aug[r])]
     return [row[n:] for row in aug]
 
 
 def solve(A, b) -> list:
-    """Solve A x = b exactly over Fractions; raises on singular systems."""
+    """Solve A x = b exactly; raises on singular systems."""
     rows = _square(A)
     n = len(rows)
     if len(b) != n:
@@ -270,7 +271,7 @@ def solve(A, b) -> list:
 
 
 def inverse(A) -> list:
-    """Exact inverse of a Fraction matrix."""
+    """Exact inverse of a Fraction or exact complex matrix."""
     rows = _square(A)
     return _eliminate(rows, identity(len(rows)))
 

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import linalg
 from . import scalars as sc
-from .actions import ActionSpec, _as_expr, _xi_coeffs, tautological_lift
+from .actions import (
+    ActionSpec,
+    _as_expr,
+    _is_affine,
+    fundamental_field,
+    lifted_field,
+    tautological_lift,
+)
 from .errors import (
     ComputationError,
     DegenerateField,
@@ -59,9 +66,6 @@ class PiScaled:
 
     def value(self) -> float:
         return float(self.coeff) * math.pi**self.pi_power
-
-    def is_exact(self) -> bool:
-        return isinstance(self.coeff, Fraction)
 
     def __mul__(self, other):
         if isinstance(other, PiScaled):
@@ -119,17 +123,6 @@ class FixedPointData:
         return dict(zip(self.coords, self.point))
 
 
-def _field_components(spec: ActionSpec, xi) -> list:
-    coeffs = _xi_coeffs(spec, xi)
-    out = []
-    for i in range(spec.chart.m):
-        comp = sc.ZERO
-        for alpha in range(spec.dim_g):
-            comp = comp + coeffs[alpha] * spec.T[alpha][i]
-        out.append(sc.normalize(comp))
-    return out
-
-
 def _eval_entry(e, binding):
     """Close over the binding; leftover symbols keep the entry symbolic."""
     e = _as_expr(e)
@@ -142,7 +135,7 @@ def _eval_entry(e, binding):
 
 def linearize_base(spec: ActionSpec, xi, binding, require_invertible: bool = False):
     """Matrix L = -Jacobian of the fundamental field at the given point."""
-    comps = _field_components(spec, xi)
+    comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     coords = spec.chart.coords
     L = []
     for i in range(len(coords)):
@@ -170,18 +163,12 @@ def linearize_fiber(spec: ActionSpec, xi, binding):
         if spec.chart.n != spec.chart.m:
             return None
         lift_spec = tautological_lift(spec)
-    coeffs = _xi_coeffs(spec, xi)
+    b = lifted_field(lift_spec, xi).b
     n = spec.chart.n
-    out = []
-    for A in range(n):
-        row = []
-        for B in range(n):
-            acc = sc.ZERO
-            for alpha in range(spec.dim_g):
-                acc = acc + coeffs[alpha] * lift_spec.U[alpha][B][A]
-            row.append(_eval_entry(sc.ZERO - acc, binding))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(_eval_entry(sc.ZERO - b[A].coefficient((B + 1,)), binding) for B in range(n))
+        for A in range(n)
+    )
 
 
 def _eval_matrix(mat, binding):
@@ -252,7 +239,7 @@ def find_fixed_points(
     Strategies: "declared" verifies supplied points, "linear" solves an
     affine field exactly, "newton" seeds damped iterations over a box.
     """
-    comps = _field_components(spec, xi)
+    comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     coords = spec.chart.coords
     m = spec.chart.m
     out = []
@@ -269,11 +256,8 @@ def find_fixed_points(
         A = []
         c0 = []
         for i in range(m):
-            for c1 in coords:
-                for c2 in coords:
-                    d2 = sc.differentiate(sc.differentiate(comps[i], c1), c2)
-                    if not sc.is_zero(d2):
-                        raise ValueError("field is not affine; use the newton strategy")
+            if not _is_affine(comps[i], coords):
+                raise ValueError("field is not affine; use the newton strategy")
             A.append(
                 [Fraction(sc.evaluate(sc.differentiate(comps[i], c), origin)) for c in coords]
             )
@@ -321,6 +305,8 @@ def find_fixed_points(
             raise NoConvergence("no zero found in the search box")
         for r in sorted(roots):
             binding = {c: _snap(v) for c, v in zip(coords, r)}
+            if not all(sc.is_zero(_as_expr(_eval_entry(comp, binding))) for comp in comps):
+                binding = {c: Fraction(v) for c, v in zip(coords, r)}
             out.append(_assemble(spec, xi, binding, chart_id, h, sigma, H, orientation))
         return out
     raise ValueError("unknown strategy %r" % (strategy,))
@@ -337,7 +323,8 @@ def _grid_points(region, grid):
 
 
 def _snap(v: float, denom: int = 10**6):
-    """Round near-rational Newton output so exact arithmetic can take over."""
+    """Round near-rational Newton output so exact arithmetic can take over;
+    the caller keeps the rounded point only where the field vanishes exactly."""
     f = Fraction(v).limit_denominator(denom)
     if abs(float(f) - v) < 1e-9:
         return f
@@ -504,7 +491,7 @@ def build_lambda_beta(spec: ActionSpec, xi, center, h=None, sigma=None, dist2=No
     """
     chart = spec.chart
     coords = chart.coords
-    comps = _field_components(spec, xi)
+    comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     if h is None:
         h_mat = [[sc.ONE if i == j else sc.ZERO for j in range(chart.m)] for i in range(chart.m)]
     else:

@@ -37,6 +37,7 @@ from superloc.errors import (
     OddComplexDimension,
     ShapeMismatch,
 )
+from superloc.actions import _coordinate_free, _is_affine
 from superloc.grassmann import (
     SuperChart,
     SuperFunction,
@@ -414,6 +415,56 @@ def test_sigma_parallel_shear_fails():
     report = check_sigma_parallel(sigma, h, CHART)
     assert report["status"] == "fail"
     assert report["max_residual"] > 1e-3
+
+
+def _affine_probe_expr(rng: random.Random, depth: int = 3) -> sc.ScalarExpr:
+    """Random expression in coordinates x, y and a parameter t, with
+    exp/sin/cos atoms, inverse atoms and unsimplified cancellations."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([X, Y, T, sc.rational(rng.randint(-3, 3))])
+    pick = rng.randrange(6)
+    a = _affine_probe_expr(rng, depth - 1)
+    if pick == 0:
+        return a + _affine_probe_expr(rng, depth - 1)
+    if pick == 1:
+        return a * _affine_probe_expr(rng, depth - 1)
+    if pick == 2:
+        return a ** rng.randrange(0, 3)
+    if pick == 3:
+        return sc.Func(rng.choice(["exp", "sin", "cos"]), a)
+    if pick == 4:
+        return (a * a + 1) ** -1
+    # names a coordinate that cancels only once normalized
+    c = rng.choice([X, Y])
+    return sc.Add((a, c * c, sc.Mul((sc.rational(-1), c, c))))
+
+
+def _coordinate_free_by_definition(expr, coords) -> bool:
+    return all(sc.is_zero(sc.differentiate(expr, c)) for c in coords)
+
+
+def _affine_by_definition(expr, coords) -> bool:
+    return all(
+        sc.is_zero(sc.differentiate(sc.differentiate(expr, c1), c2))
+        for c1 in coords
+        for c2 in coords
+    )
+
+
+def test_affine_and_coordinate_free_match_their_definitions():
+    rng = random.Random(907)
+    coords = ("x", "y")
+    seen = {"affine": set(), "free": set()}
+    for _ in range(200):
+        e = _affine_probe_expr(rng)
+        for probe in (e, sc.differentiate(e, "x")):
+            free = _coordinate_free_by_definition(probe, coords)
+            affine = _affine_by_definition(probe, coords)
+            assert _coordinate_free(probe, coords) == free, sc.to_text(probe)
+            assert _is_affine(probe, coords) == affine, sc.to_text(probe)
+            seen["free"].add(free)
+            seen["affine"].add(affine)
+    assert seen == {"affine": {True, False}, "free": {True, False}}
 
 
 def test_closure_check():

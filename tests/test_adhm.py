@@ -31,7 +31,6 @@ from superloc.adhm import (
     multiplier_completion,
     nmat,
     nmat_eye,
-    nmat_inverse,
     nmat_norm2,
     nmat_zero,
     random_adhm_data,
@@ -58,6 +57,7 @@ from superloc.grassmann import (
 )
 from superloc.linalg import (
     det,
+    inverse,
     mat_add,
     mat_commutator,
     mat_dagger,
@@ -214,9 +214,16 @@ def test_cayley_and_inverse_exact():
     rng = random.Random(14)
     U = random_unitary(3, rng)
     assert mat_equal(mat_mul(mat_dagger(U), U), nmat_eye(3))
-    assert mat_equal(mat_mul(U, nmat_inverse(U)), nmat_eye(3))
+    assert mat_equal(mat_mul(U, inverse(U)), nmat_eye(3))
     with pytest.raises(ShapeMismatch):
         cayley_unitary(nmat([[(1, 0)]]))
+
+
+def test_singular_complex_inverse_raises_value_error():
+    # second row is (1 + i) times the first
+    singular = nmat([[(1, 2), (0, 1)], [(-1, 3), (-1, 1)]])
+    with pytest.raises(ValueError, match="singular"):
+        inverse(singular)
 
 
 def test_data_shape_guards():

@@ -81,7 +81,6 @@ def test_schema_rejections(tmp_path):
             "stokes": [{"domain": "flat_box", "form": "x*!"}],
         },
         {"name": "x", "kind": "adhm", "k": 0, "N": 2},
-        {"name": "x", "kind": "adhm", "k": 1, "N": 2, "mode": "guess"},
     ]
     for obj in bad:
         with pytest.raises(SchemaError):

@@ -108,6 +108,10 @@ def test_find_fixed_points_linear():
     cubic = ActionSpec(("t",), CHART, ((X * X * X, Y),))
     with pytest.raises(ValueError):
         find_fixed_points(cubic, {"t": 1}, strategy="linear")
+    # only the mixed second derivative of x*y is nonzero
+    mixed = ActionSpec(("t",), CHART, ((X * Y + 1, sc.sin(sc.rational(1)) * Y),))
+    with pytest.raises(ValueError):
+        find_fixed_points(mixed, {"t": 1}, strategy="linear")
 
 
 def test_find_fixed_points_newton():
@@ -125,6 +129,20 @@ def test_find_fixed_points_newton():
         find_fixed_points(
             no_zero, {"t": 1}, strategy="newton", region=((-2, 2), (-2, 2)), grid=3
         )
+
+
+def test_newton_keeps_a_snapped_point_only_when_it_is_exact():
+    chart = SuperChart(("x",), 1)
+    root = Fraction(10**10 + 1, 10**10)
+    spec = ActionSpec(("t",), chart, ((X - sc.rational(root.numerator, root.denominator),),))
+    (fp,) = find_fixed_points(spec, {"t": 1}, strategy="newton", region=((0, 2),), grid=3)
+    # the rational 1 lies within the snapping distance but is not a zero
+    assert fp.point[0] != 1
+    assert fp.point[0] == Fraction(float(fp.point[0]))
+    assert abs(fp.point[0] - root) < Fraction(1, 10**15)
+    exact = ActionSpec(("t",), chart, ((X - sc.rational(1, 3),),))
+    (fp,) = find_fixed_points(exact, {"t": 1}, strategy="newton", region=((0, 2),), grid=3)
+    assert fp.point == (Fraction(1, 3),)
 
 
 def test_superdeterminant_values():
