@@ -165,7 +165,8 @@ def lie_derivative(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunc
 # ---------------------------------------------------------------------------
 
 
-def _complex_pairs(chart: SuperChart, pairs=None) -> tuple:
+def _complex_pairs(chart: SuperChart) -> tuple:
+    """Index pairs (x_j, y_j) of z_j = x_j + i y_j: consecutive coordinates."""
     if chart.m % 2:
         raise ShapeMismatch("complex pairing needs an even number of coordinates")
     mc = chart.m // 2
@@ -175,21 +176,17 @@ def _complex_pairs(chart: SuperChart, pairs=None) -> tuple:
         )
     if mc % 2:
         raise OddComplexDimension("complex dimension %d is odd" % (mc,))
-    if pairs is None:
-        pairs = tuple((2 * j + 1, 2 * j + 2) for j in range(mc))
-    if len(pairs) != mc or sorted(i for p in pairs for i in p) != list(range(1, chart.m + 1)):
-        raise ShapeMismatch("pairs must partition the coordinate indices")
-    return tuple(tuple(p) for p in pairs)
+    return tuple((2 * j + 1, 2 * j + 2) for j in range(mc))
 
 
-def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
+def kahler_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
     """Holomorphic-side BRST operator on a complex-paired chart.
 
     Coordinates pair into z_j = x_j + i y_j; the j-th odd generator is the
     partner of dz_j. Components: Q(x_j) = theta^j/2, Q(y_j) = -i theta^j/2,
     Q(theta^j) = xi*(z_j). The components are CSuper.
     """
-    pairs = _complex_pairs(spec.chart, pairs)
+    pairs = _complex_pairs(spec.chart)
     flow = fundamental_field(spec, xi).a
     chart = spec.chart
     half = Fraction(1, 2)
@@ -203,9 +200,9 @@ def kahler_Q(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
     return SuperVectorField(chart, 1, tuple(a), tuple(b))
 
 
-def kahler_lift(spec: ActionSpec, xi=None, pairs=None) -> SuperVectorField:
+def kahler_lift(spec: ActionSpec, xi=None) -> SuperVectorField:
     """Holomorphic part of the lifted action on the complex-paired chart."""
-    pairs = _complex_pairs(spec.chart, pairs)
+    pairs = _complex_pairs(spec.chart)
     flow = fundamental_field(spec, xi).a
     chart = spec.chart
     coords = chart.coords
@@ -374,12 +371,12 @@ class MetricData:
         return induced_fiber_metric(self.h, sigma)
 
 
-def metric_invariance_report(h, spec: ActionSpec, xi=None, samples=None, tol=1e-8):
+def metric_invariance_report(h, spec: ActionSpec):
     """Killing-equation residual of h along the fundamental field, sampled."""
     chart = spec.chart
     coords = chart.coords
     m = chart.m
-    field = fundamental_field(spec, xi)
+    field = fundamental_field(spec)
     comp = [field.a[i].body() for i in range(m)]
     residuals = []
     for i in range(m):
@@ -395,27 +392,25 @@ def metric_invariance_report(h, spec: ActionSpec, xi=None, samples=None, tol=1e-
     symbols = set()
     for r in residuals:
         symbols |= sc.free_symbols(r)
-    if samples is None:
-        samples = _default_samples(symbols)
     worst = 0.0
-    for binding in samples:
+    for binding in _default_samples(symbols):
         for r in residuals:
             worst = max(worst, abs(float(sc.evaluate(r, binding))))
     return {
-        "status": "pass" if worst < tol else "fail",
+        "status": "pass" if worst < 1e-8 else "fail",
         "max_residual": worst,
         "symbolic": False,
     }
 
 
-def positive_definite_report(h, samples, tol=1e-12):
+def positive_definite_report(h, samples):
     worst = float("inf")
     for binding in samples:
         mat = np.array(
             [[float(sc.evaluate(_as_expr(e), binding)) for e in row] for row in h]
         )
         worst = min(worst, float(np.linalg.eigvalsh(mat).min()))
-    return {"status": "pass" if worst > tol else "fail", "min_eigenvalue": worst}
+    return {"status": "pass" if worst > 1e-12 else "fail", "min_eigenvalue": worst}
 
 
 def christoffel(h, coords) -> list:
@@ -501,7 +496,7 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, H=None, samples=None, tol=
     }
 
 
-def closure_check(spec: ActionSpec, samples=None, tol=1e-8):
+def closure_check(spec: ActionSpec):
     """Sampled check that brackets of basis generators stay in their span."""
     chart = spec.chart
     coords = chart.coords
@@ -527,8 +522,7 @@ def closure_check(spec: ActionSpec, samples=None, tol=1e-8):
     for row in spec.T:
         for e in row:
             symbols |= sc.free_symbols(e)
-    if samples is None:
-        samples = _default_samples(symbols, count=max(6, 2 * dim_g))
+    samples = _default_samples(symbols, count=max(6, 2 * dim_g))
     worst = 0.0
     for _, comp in brackets:
         rows = []
@@ -541,7 +535,7 @@ def closure_check(spec: ActionSpec, samples=None, tol=1e-8):
         resid = np.array(rows) @ sol - np.array(rhs)
         worst = max(worst, float(np.max(np.abs(resid))) if len(resid) else 0.0)
     return {
-        "status": "pass" if worst < tol else "fail",
+        "status": "pass" if worst < 1e-8 else "fail",
         "max_residual": worst,
         "pairs": len(brackets),
     }
@@ -586,10 +580,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4(fun, y0: np.ndarray, s: float, steps: int = 240) -> np.ndarray:
-    h = s / steps
+def _rk4(fun, y0: np.ndarray, s: float) -> np.ndarray:
+    """Classical Runge-Kutta over [0, s] in 240 equal steps."""
+    h = s / 240
     y = np.array(y0, dtype=float)
-    for _ in range(steps):
+    for _ in range(240):
         k1 = fun(y)
         k2 = fun(y + 0.5 * h * k1)
         k3 = fun(y + 0.5 * h * k2)
@@ -610,7 +605,7 @@ def _is_affine(expr: ScalarExpr, coords) -> bool:
     return all(_coordinate_free(sc.differentiate(expr, c), coords) for c in coords)
 
 
-def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples, tol):
+def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples):
     """Flow-transported comparison of Q along sampled one-parameter subgroups.
 
     Needs an affine base action and coordinate-independent fiber generators;
@@ -683,13 +678,15 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples, tol):
                 b_p = np.array([float(sc.evaluate(comp.body(), binding)) for comp in Q.b])
                 b_gp = np.array([float(sc.evaluate(comp.body(), moved)) for comp in Q.b])
                 worst = max(worst, float(np.max(np.abs(b_gp - R @ b_p))))
-    return {"status": "pass" if worst < tol else "fail", "max_error": worst}
+    return {"status": "pass" if worst < 1e-8 else "fail", "max_error": worst}
 
 
-def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8):
+def verify_brst(Q, spec: ActionSpec):
     """Check the three defining conditions of a BRST operator.
 
-    Returns a report dict; failures are entries, not exceptions.
+    The lift is built with symbolic group parameters, so the square
+    condition holds for every xi at once. Returns a report dict; failures
+    are entries, not exceptions.
     """
     holomorphic = any(isinstance(comp, CSuper) for comp in Q.a + Q.b)
     lift_spec = spec
@@ -701,12 +698,9 @@ def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8)
             return kahler_lift(spec, values)
         return lifted_field(lift_spec, values)
 
-    if lift is None:
-        lift = lift_at(xi)
-
     conditions = []
 
-    residual = square_residual(Q, lift)
+    residual = square_residual(Q, lift_at(None))
     ok = field_is_zero(residual)
     conditions.append(
         {
@@ -732,8 +726,7 @@ def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8)
     symbols = set(spec.chart.coords)
     for comp in Q.a + Q.b:
         symbols |= comp.free_symbols()
-    if samples is None:
-        samples = _default_samples(symbols)
+    samples = _default_samples(symbols)
     if holomorphic:
         conditions.append(
             {
@@ -743,7 +736,7 @@ def verify_brst(Q, spec: ActionSpec, xi=None, samples=None, lift=None, tol=1e-8)
             }
         )
     else:
-        fin = _finite_equivariance(Q, lift_spec, samples, tol)
+        fin = _finite_equivariance(Q, lift_spec, samples)
         fin["name"] = "equivariance_finite"
         conditions.append(fin)
 

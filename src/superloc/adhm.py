@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import scalars as sc
@@ -46,6 +45,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
 )
+from .localize import sqrt_exact
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +607,6 @@ def multiplier_completion(
     T: Mapping[str, sc.ScalarExpr],
     Ttilde: Sequence,
     H_names: Sequence[str],
-    samples=None,
 ):
     """Linearization matrix of the multiplier action and its consistency.
 
@@ -650,8 +649,7 @@ def multiplier_completion(
     for row in N:
         for e in row:
             symbols |= sc.free_symbols(e)
-    if samples is None:
-        samples = _default_samples(symbols, count=3, seed=2203, num=9, den=4)
+    samples = _default_samples(symbols, count=3, seed=2203, num=9, den=4)
 
     max_abs = 0.0
     if not symbolic_zero:
@@ -699,16 +697,6 @@ def check_stabilizer(d: ADHMData) -> None:
         raise StabilizerNotTrivial("data with I = J = 0 sit on a singular stratum")
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction:
-    if q < 0:
-        raise ValueError("negative scale")
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError("scale must be a perfect rational square")
-    return Fraction(rn, rd)
-
-
 @dataclass(frozen=True)
 class ADHMFixedPoint:
     """Torus-fixed datum at instanton number one.
@@ -734,7 +722,9 @@ def adhm_fixed_points(k: int, N: int, zeta: Fraction = Fraction(1)) -> list:
         raise ShapeMismatch("fixed-point enumeration only covers k = 1")
     if N < 2:
         raise ShapeMismatch("need N >= 2 for isolated fixed data")
-    s = _fraction_sqrt(Fraction(zeta))
+    s = sqrt_exact(Fraction(zeta))
+    if not isinstance(s, Fraction):
+        raise ValueError("zeta must be a perfect rational square")
     a_top = [sc.sym("a%d" % (r + 1,)) for r in range(N - 1)]
     a_last = sc.ZERO
     for e in a_top:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -99,11 +100,7 @@ def super_prefactor(m: int, n: int) -> PiScaled:
 
 def _num(value):
     """Exact rational image of a numeric value; ScalarExpr passes through."""
-    if isinstance(value, ScalarExpr):
-        return value
-    if isinstance(value, float):
-        return Fraction(value)
-    return Fraction(value)
+    return value if isinstance(value, ScalarExpr) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,6 @@ class FixedPointData:
     L: tuple
     fiber: Optional[tuple]
     h: tuple
-    H: Optional[tuple]
     orientation: int = 1
 
     def binding(self) -> dict:
@@ -133,24 +129,14 @@ def _eval_entry(e, binding):
     return _num(sc.evaluate(e2, {}))
 
 
-def linearize_base(spec: ActionSpec, xi, binding, require_invertible: bool = False):
+def linearize_base(spec: ActionSpec, xi, binding):
     """Matrix L = -Jacobian of the fundamental field at the given point."""
     comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     coords = spec.chart.coords
-    L = []
-    for i in range(len(coords)):
-        row = []
-        for j in range(len(coords)):
-            row.append(
-                _eval_entry(sc.ZERO - sc.differentiate(comps[i], coords[j]), binding)
-            )
-        L.append(tuple(row))
-    if require_invertible and all(
-        isinstance(e, (int, Fraction)) for row in L for e in row
-    ):
-        if linalg.det([list(row) for row in L]) == 0:
-            raise SingularLinearization("base linearization is singular")
-    return tuple(L)
+    return tuple(
+        tuple(_eval_entry(sc.ZERO - sc.differentiate(comp, c), binding) for c in coords)
+        for comp in comps
+    )
 
 
 def linearize_fiber(spec: ActionSpec, xi, binding):
@@ -175,13 +161,8 @@ def _eval_matrix(mat, binding):
     return tuple(tuple(_eval_entry(e, binding) for e in row) for row in mat)
 
 
-def _identity_metric(m: int):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(m)) for i in range(m)
-    )
-
-
-def _check_declared(comps, binding, tol):
+def _check_declared(comps, binding):
+    """Raise NotAZero unless every component vanishes exactly at the point."""
     for comp in comps:
         res = _eval_entry(comp, binding)
         if isinstance(res, ScalarExpr):
@@ -189,35 +170,23 @@ def _check_declared(comps, binding, tol):
                 raise NotAZero(
                     "field does not vanish at declared point: %s" % (sc.to_text(res),)
                 )
-        elif isinstance(res, Fraction):
-            if res != 0:
-                raise NotAZero("field does not vanish at declared point: %s" % (res,))
-        elif abs(float(res)) > tol:
+        elif res != 0:
             raise NotAZero("field does not vanish at declared point: %s" % (res,))
 
 
-def _assemble(spec, xi, binding, chart_id, h, sigma, H, orientation):
+def _assemble(spec, xi, binding, chart_id, h, orientation):
     coords = spec.chart.coords
     L = linearize_base(spec, xi, binding)
     numeric = all(isinstance(e, (int, Fraction)) for row in L for e in row)
     if numeric and linalg.det([list(row) for row in L]) == 0:
         raise NonIsolatedZero("zero of the field is not isolated at linear order")
     fiber = linearize_fiber(spec, xi, binding)
-    h_p = _eval_matrix(h, binding) if h is not None else _identity_metric(spec.chart.m)
-    if H is not None:
-        H_p = _eval_matrix(H, binding)
-    elif sigma is not None:
-        s_p = [list(row) for row in _eval_matrix(sigma, binding)]
-        hp = [list(row) for row in h_p]
-        H_p = tuple(
-            tuple(r) for r in linalg.mat_mul(linalg.mat_mul(linalg.transpose(s_p), hp), s_p)
-        )
-    elif spec.chart.n == spec.chart.m:
-        H_p = h_p
+    if h is None:
+        h_p = tuple(map(tuple, linalg.identity(spec.chart.m)))
     else:
-        H_p = None
+        h_p = _eval_matrix(h, binding)
     point = tuple(_num(binding[c]) for c in coords)
-    return FixedPointData(chart_id, coords, point, L, fiber, h_p, H_p, orientation)
+    return FixedPointData(chart_id, coords, point, L, fiber, h_p, orientation)
 
 
 def find_fixed_points(
@@ -227,10 +196,7 @@ def find_fixed_points(
     declared=None,
     region=None,
     grid: int = 5,
-    tol: float = 1e-10,
     h=None,
-    sigma=None,
-    H=None,
     chart_id: str = "chart",
     orientation: int = 1,
 ):
@@ -238,6 +204,10 @@ def find_fixed_points(
 
     Strategies: "declared" verifies supplied points, "linear" solves an
     affine field exactly, "newton" seeds damped iterations over a box.
+    A declared point must be an exact zero: the field is evaluated there in
+    exact arithmetic, so (sin x, y) at (math.pi, 0) raises NotAZero.  The
+    metric h defaults to the identity; it is also the fiber metric, which
+    the super formula therefore takes on square charts only.
     """
     comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     coords = spec.chart.coords
@@ -248,8 +218,8 @@ def find_fixed_points(
             raise ValueError("declared strategy needs points")
         for pt in declared:
             binding = {c: _num(v) for c, v in (pt.items() if isinstance(pt, Mapping) else zip(coords, pt))}
-            _check_declared(comps, binding, tol)
-            out.append(_assemble(spec, xi, binding, chart_id, h, sigma, H, orientation))
+            _check_declared(comps, binding)
+            out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
         return out
     if strategy == "linear":
         origin = {c: Fraction(0) for c in coords}
@@ -267,7 +237,7 @@ def find_fixed_points(
         except ValueError:
             raise DegenerateField("affine field has no isolated zero")
         binding = dict(zip(coords, sol))
-        out.append(_assemble(spec, xi, binding, chart_id, h, sigma, H, orientation))
+        out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
         return out
     if strategy == "newton":
         if region is None:
@@ -307,25 +277,21 @@ def find_fixed_points(
             binding = {c: _snap(v) for c, v in zip(coords, r)}
             if not all(sc.is_zero(_as_expr(_eval_entry(comp, binding))) for comp in comps):
                 binding = {c: Fraction(v) for c, v in zip(coords, r)}
-            out.append(_assemble(spec, xi, binding, chart_id, h, sigma, H, orientation))
+            out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
         return out
     raise ValueError("unknown strategy %r" % (strategy,))
 
 
 def _grid_points(region, grid):
-    axes = []
-    for lo, hi in region:
-        axes.append([lo + (hi - lo) * (k + 0.5) / grid for k in range(grid)])
-    pts = [[]]
-    for axis in axes:
-        pts = [p + [v] for p in pts for v in axis]
-    return pts
+    """Cell centres of a grid^d subdivision of the box, last axis fastest."""
+    axes = [[lo + (hi - lo) * (k + 0.5) / grid for k in range(grid)] for lo, hi in region]
+    return list(product(*axes))
 
 
-def _snap(v: float, denom: int = 10**6):
+def _snap(v: float):
     """Round near-rational Newton output so exact arithmetic can take over;
     the caller keeps the rounded point only where the field vanishes exactly."""
-    f = Fraction(v).limit_denominator(denom)
+    f = Fraction(v).limit_denominator(10**6)
     if abs(float(f) - v) < 1e-9:
         return f
     return Fraction(v)
@@ -347,38 +313,38 @@ def superdeterminant(even_block, odd_block):
     return sc.normalize(_as_expr(num) * _as_expr(den) ** (-1))
 
 
-def sqrt_sdet_via_pfaffian(fp: FixedPointData, H=None, binding=None):
-    """orientation * det(H_p)^{1/2} / Pf(H_p . fiber operator)."""
-    H_p = fp.H if H is None else H
-    if H_p is None or fp.fiber is None:
+_SINGULAR = {"base": SingularLinearization, "fiber": SingularFiberBlock}
+
+
+def _pfaffian_pair(fp: FixedPointData, part: str, operator, binding):
+    """(orientation * Pf(h_p . operator), det(h_p)^{1/2}) at the fixed point."""
+    h_p = [list(r) for r in (_eval_matrix(fp.h, binding) if binding else fp.h)]
+    op = [list(r) for r in (_eval_matrix(operator, binding) if binding else operator)]
+    a = linalg.mat_mul(h_p, op)
+    linalg.check_skew(a)
+    pf = linalg.pfaffian(a)
+    if not isinstance(pf, (int, Fraction)):
+        raise ComputationError("bind all parameters before taking square roots")
+    if pf == 0:
+        raise _SINGULAR[part]("%s linearization is singular" % (part,))
+    return fp.orientation * pf, sqrt_exact(linalg.det(h_p))
+
+
+def sqrt_sdet_via_pfaffian(fp: FixedPointData, binding=None):
+    """orientation * det(h_p)^{1/2} / Pf(h_p . fiber operator).
+
+    The fiber metric is h_p, so the chart must be square.
+    """
+    if fp.fiber is None or len(fp.fiber) != len(fp.coords):
         raise DimensionMismatch("fixed point carries no fiber data")
-    if binding:
-        H_p = _eval_matrix(H_p, binding)
-    fiber = _eval_matrix(fp.fiber, binding) if binding else [list(r) for r in fp.fiber]
-    a = linalg.mat_mul([list(r) for r in H_p], fiber)
-    linalg.check_skew(a)
-    pf = linalg.pfaffian(a)
-    if not isinstance(pf, (int, Fraction)):
-        raise ComputationError("bind all parameters before taking square roots")
-    if pf == 0:
-        raise SingularFiberBlock("fiber linearization is singular")
-    return fp.orientation * sqrt_exact(linalg.det([list(r) for r in H_p])) / pf
+    pf, root = _pfaffian_pair(fp, "fiber", fp.fiber, binding)
+    return root / pf
 
 
-def sqrt_det_base(fp: FixedPointData, h=None, binding=None):
+def sqrt_det_base(fp: FixedPointData, binding=None):
     """orientation * Pf(h_p . L) / det(h_p)^{1/2}."""
-    h_p = fp.h if h is None else h
-    if binding:
-        h_p = _eval_matrix(h_p, binding)
-    L = _eval_matrix(fp.L, binding) if binding else [list(r) for r in fp.L]
-    a = linalg.mat_mul([list(r) for r in h_p], L)
-    linalg.check_skew(a)
-    pf = linalg.pfaffian(a)
-    if not isinstance(pf, (int, Fraction)):
-        raise ComputationError("bind all parameters before taking square roots")
-    if pf == 0:
-        raise SingularLinearization("base linearization is singular")
-    return fp.orientation * pf / sqrt_exact(linalg.det([list(r) for r in h_p]))
+    pf, root = _pfaffian_pair(fp, "base", fp.L, binding)
+    return pf / root
 
 
 # ---------------------------------------------------------------------------
@@ -386,89 +352,33 @@ def sqrt_det_base(fp: FixedPointData, h=None, binding=None):
 # ---------------------------------------------------------------------------
 
 
-def _body_value(F: SuperFunction, binding):
-    return sc.evaluate(F.body(), binding)
+def _localize(integrands, fps: Sequence[FixedPointData], binding, root_key, weight):
+    """Sum prefactor * weighted F_0(p) over the fixed points.
 
-
-def classical_localize(forms, fps: Sequence[FixedPointData], binding=None):
-    """Sum of (-2 pi)^{m/2} alpha_0(p) / det^{1/2}(L_p) over fixed points.
-
-    forms maps chart ids to translated equivariant forms; binding supplies
-    symbol values (group parameters).
+    weight(fp, F_0(p), binding) returns (prefactor, root, weighted value).
     """
     binding = dict(binding or {})
     terms = []
     total = None
     for fp in fps:
-        alpha = forms[fp.chart_id] if isinstance(forms, Mapping) else forms
+        F = integrands[fp.chart_id] if isinstance(integrands, Mapping) else integrands
         local = dict(binding)
         local.update(fp.binding())
-        a0 = _body_value(alpha, local)
-        root = sqrt_det_base(fp, binding=binding)
-        pref = classical_prefactor(len(fp.coords))
-        contribution = pref * (a0 / root)
+        value = sc.evaluate(F.body(), local)
+        pref, root, weighted = weight(fp, value, binding)
+        contribution = pref * weighted
         terms.append(
             {
                 "chart": fp.chart_id,
                 "point": [str(v) for v in fp.point],
-                "value_at_point": _to_float(a0),
-                "sqrt_det": _to_float(root),
+                "value_at_point": float(value),
+                root_key: float(root),
                 "contribution": contribution.value(),
             }
         )
         total = contribution if total is None else total + contribution
-    return _sum_report(total, terms)
-
-
-def super_localize(fields, fps: Sequence[FixedPointData], binding=None, Q=None):
-    """Superfunction localization: prefactor * Sdet^{1/2} * F_0(p), summed.
-
-    When Q is supplied (one field, or a mapping by chart id) each
-    integrand is first checked to be annihilated by it, symbolically.
-    """
-    binding = dict(binding or {})
-    if Q is not None:
-        seen = set()
-        for fp in fps:
-            if fp.chart_id in seen:
-                continue
-            seen.add(fp.chart_id)
-            F = fields[fp.chart_id] if isinstance(fields, Mapping) else fields
-            q = Q[fp.chart_id] if isinstance(Q, Mapping) else Q
-            if not q.apply(F).is_zero():
-                raise NotQClosed("integrand on chart %r is not closed" % (fp.chart_id,))
-    terms = []
-    total = None
-    for fp in fps:
-        F = fields[fp.chart_id] if isinstance(fields, Mapping) else fields
-        if fp.fiber is None:
-            raise DimensionMismatch("fixed point carries no fiber data")
-        local = dict(binding)
-        local.update(fp.binding())
-        f0 = _body_value(F, local)
-        pref = super_prefactor(len(fp.coords), len(fp.fiber))
-        half_sdet = sqrt_sdet_via_pfaffian(fp, binding=binding)
-        contribution = pref * (f0 * half_sdet)
-        terms.append(
-            {
-                "chart": fp.chart_id,
-                "point": [str(v) for v in fp.point],
-                "value_at_point": _to_float(f0),
-                "sqrt_sdet": _to_float(half_sdet),
-                "contribution": contribution.value(),
-            }
-        )
-        total = contribution if total is None else total + contribution
-    return _sum_report(total, terms)
-
-
-def _to_float(v) -> float:
-    return float(v)
-
-
-def _sum_report(total: Optional[PiScaled], terms):
     if total is None:
-        return {"value": 0.0, "coefficient": Fraction(0), "pi_power": 0, "terms": []}
+        total = PiScaled(Fraction(0), 0)
     return {
         "value": total.value(),
         "coefficient": total.coeff,
@@ -477,55 +387,73 @@ def _sum_report(total: Optional[PiScaled], terms):
     }
 
 
+def _classical_weight(fp: FixedPointData, a0, binding):
+    root = sqrt_det_base(fp, binding=binding)
+    return classical_prefactor(len(fp.coords)), root, a0 / root
+
+
+def _super_weight(fp: FixedPointData, f0, binding):
+    if fp.fiber is None:
+        raise DimensionMismatch("fixed point carries no fiber data")
+    pref = super_prefactor(len(fp.coords), len(fp.fiber))
+    half_sdet = sqrt_sdet_via_pfaffian(fp, binding=binding)
+    return pref, half_sdet, f0 * half_sdet
+
+
+def classical_localize(forms, fps: Sequence[FixedPointData], binding=None):
+    """Sum of (-2 pi)^{m/2} alpha_0(p) / det^{1/2}(L_p) over fixed points.
+
+    forms maps chart ids to translated equivariant forms; binding supplies
+    symbol values (group parameters).
+    """
+    return _localize(forms, fps, binding, "sqrt_det", _classical_weight)
+
+
+def super_localize(fields, fps: Sequence[FixedPointData], binding=None, Q=None):
+    """Superfunction localization: prefactor * Sdet^{1/2} * F_0(p), summed.
+
+    When Q is supplied (one field, or a mapping by chart id) each
+    integrand is first checked to be annihilated by it, symbolically.
+    """
+    if Q is not None:
+        for chart_id in dict.fromkeys(fp.chart_id for fp in fps):
+            F = fields[chart_id] if isinstance(fields, Mapping) else fields
+            q = Q[chart_id] if isinstance(Q, Mapping) else Q
+            if not q.apply(F).is_zero():
+                raise NotQClosed("integrand on chart %r is not closed" % (chart_id,))
+    return _localize(fields, fps, binding, "sqrt_sdet", _super_weight)
+
+
 # ---------------------------------------------------------------------------
 # The exactness witness used in the proof of the localization formula.
 # ---------------------------------------------------------------------------
 
 
-def build_lambda_beta(spec: ActionSpec, xi, center, h=None, sigma=None, dist2=None):
+def build_lambda_beta(spec: ActionSpec, xi, center):
     """Invariant 1-form lambda with lambda(xi*) = squared distance, and its
     image beta under the symbol map.
 
-    The default squared distance is the flat one; a chart-specific expression
-    can be supplied. Returns (lambda components, beta superfunction).
+    Distance and metric are the flat ones on a square chart, where the
+    symbol map is the identity. Returns (lambda components, beta
+    superfunction).
     """
     chart = spec.chart
-    coords = chart.coords
     comps = [comp.body() for comp in fundamental_field(spec, xi).a]
-    if h is None:
-        h_mat = [[sc.ONE if i == j else sc.ZERO for j in range(chart.m)] for i in range(chart.m)]
-    else:
-        h_mat = [[_as_expr(e) for e in row] for row in h]
-    if dist2 is None:
-        dist2 = sc.ZERO
-        for c, v in zip(coords, center):
-            delta = sc.sym(c) - _as_expr(v)
-            dist2 = dist2 + delta * delta
-    flat = []
-    for i in range(chart.m):
-        acc = sc.ZERO
-        for j in range(chart.m):
-            acc = acc + h_mat[i][j] * comps[j]
-        flat.append(acc)
+    dist2 = sc.ZERO
+    for c, v in zip(chart.coords, center):
+        delta = sc.sym(c) - _as_expr(v)
+        dist2 = dist2 + delta * delta
     norm2 = sc.ZERO
-    for i in range(chart.m):
-        norm2 = norm2 + flat[i] * comps[i]
+    for comp in comps:
+        norm2 = norm2 + comp * comp
     norm2 = sc.normalize(norm2)
     if sc.is_zero(norm2):
         raise DegenerateField("fundamental field vanishes identically")
     scale = sc.normalize(dist2 * norm2 ** (-1))
-    lam = [sc.normalize(flat[i] * scale) for i in range(chart.m)]
-    if sigma is None:
-        if chart.n != chart.m:
-            raise DimensionMismatch("provide sigma when the chart is not square")
-        sigma = [[sc.ONE if i == j else sc.ZERO for j in range(chart.n)] for i in range(chart.m)]
-    terms = {}
-    for A in range(chart.n):
-        acc = sc.ZERO
-        for i in range(chart.m):
-            acc = acc + _as_expr(sigma[i][A]) * lam[i]
-        if not sc.is_zero(acc):
-            terms[(A + 1,)] = acc
+    lam = [sc.normalize(comp * scale) for comp in comps]
+    if chart.n != chart.m:
+        raise DimensionMismatch("lambda maps to beta only on a square chart")
+    terms = {(A + 1,): lam[A] for A in range(chart.n) if not sc.is_zero(lam[A])}
     return lam, SuperFunction(chart, terms)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -20,22 +21,24 @@ from .errors import AssumptionViolated, NoConvergence, WrongGrade
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
 
-_GL_CACHE: dict = {}
-
-
 def _compile(value) -> Callable[[Mapping], float]:
     return sc.compile_numeric(sc.normalize(_as_expr(value)))
 
 
-def _gl_nodes(order: int):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (tuple(float(v) for v in x), tuple(float(v) for v in w))
-    return _GL_CACHE[order]
+# A cell refines at most this many levels deep.
+_MAX_DEPTH = 12
 
 
-def _cell_integral(f, lo, hi, order: int) -> float:
-    nodes, weights = _gl_nodes(order)
+@lru_cache(maxsize=1)
+def _gl_rule():
+    """The 12-point Gauss-Legendre rule, built on first use: importing
+    numpy.polynomial costs start-up time and memory."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    return tuple(float(v) for v in x), tuple(float(v) for v in w)
+
+
+def _cell_integral(f, lo, hi) -> float:
+    nodes, weights = _gl_rule()
     d = len(lo)
     mids = [(lo[k] + hi[k]) / 2.0 for k in range(d)]
     halves = [(hi[k] - lo[k]) / 2.0 for k in range(d)]
@@ -43,7 +46,7 @@ def _cell_integral(f, lo, hi, order: int) -> float:
     for h in halves:
         scale *= h
     total = 0.0
-    for combo in product(range(order), repeat=d):
+    for combo in product(range(len(nodes)), repeat=d):
         w = 1.0
         for k in combo:
             w *= weights[k]
@@ -63,19 +66,19 @@ def _split(lo, hi):
     return cells
 
 
-def _adaptive(f, lo, hi, tol, order, depth, max_depth) -> float:
-    coarse = _cell_integral(f, lo, hi, order)
+def _adaptive(f, lo, hi, tol, depth) -> float:
+    coarse = _cell_integral(f, lo, hi)
     children = _split(lo, hi)
-    fine = sum(_cell_integral(f, clo, chi, order) for clo, chi in children)
+    fine = sum(_cell_integral(f, clo, chi) for clo, chi in children)
     if abs(fine - coarse) <= max(tol, 1e-15 * (1.0 + abs(fine))):
         return fine
-    if depth >= max_depth:
+    if depth >= _MAX_DEPTH:
         raise NoConvergence(
             "quadrature cell at depth %d did not converge" % (depth,)
         )
     child_tol = tol / len(children)
     return sum(
-        _adaptive(f, clo, chi, child_tol, order, depth + 1, max_depth)
+        _adaptive(f, clo, chi, child_tol, depth + 1)
         for clo, chi in children
     )
 
@@ -84,8 +87,6 @@ def quadrature(
     f: Callable[[tuple], float],
     box: Sequence[Tuple[float, float]],
     tol: float = 1e-9,
-    order: int = 12,
-    max_depth: int = 12,
 ) -> float:
     """Adaptive tensor-product Gauss-Legendre integral over a box.
 
@@ -98,7 +99,7 @@ def quadrature(
     cells = _split(lo, hi)
     child_tol = tol / len(cells)
     return math.fsum(
-        _adaptive(f, clo, chi, child_tol, order, 1, max_depth) for clo, chi in cells
+        _adaptive(f, clo, chi, child_tol, 1) for clo, chi in cells
     )
 
 

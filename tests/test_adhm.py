@@ -608,6 +608,8 @@ def test_fixed_points_scale_and_guards():
     assert constraint_real(points[0].data)[0][0].re == Fraction(9, 4)
     with pytest.raises(ValueError):
         adhm_fixed_points(1, 2, zeta=Fraction(2))
+    with pytest.raises(ValueError):
+        adhm_fixed_points(1, 2, zeta=Fraction(-1))
     with pytest.raises(ShapeMismatch):
         adhm_fixed_points(2, 2)
 

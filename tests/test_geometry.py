@@ -90,7 +90,6 @@ def test_sphere_fixed_points_data():
     for fp in fps:
         assert fp.point == (0, 0)
         assert fp.h[0][0] == 4 and fp.h[1][1] == 4 and fp.h[0][1] == 0
-        assert fp.H == fp.h
         assert sc.evaluate(fp.L[0][1], {"t": Fraction(3)}) == 3
         assert sc.evaluate(fp.fiber[1][0], {"t": Fraction(3)}) == -3
 

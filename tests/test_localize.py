@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,12 +13,14 @@ from superloc import scalars as sc
 from superloc.actions import ActionSpec, lifted_field, tautological_Q, tautological_lift
 from superloc.errors import (
     DegenerateField,
+    DimensionMismatch,
     NoConvergence,
     NonInvertibleQBeta,
     NonIsolatedZero,
     NotAZero,
     OddDimension,
     SingularFiberBlock,
+    SingularLinearization,
 )
 from superloc.grassmann import SuperChart, SuperFunction, parse_super
 from superloc.localize import (
@@ -91,11 +94,19 @@ def test_find_fixed_points_declared():
     fp = pts[0]
     assert fp.point == (Fraction(0), Fraction(0))
     assert fp.L == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
-    assert fp.H == fp.h
     with pytest.raises(NotAZero):
         find_fixed_points(ROTATION, {"t": 1}, declared=[(1, 0)])
     with pytest.raises(NonIsolatedZero):
         find_fixed_points(ROTATION, {"t": 0}, declared=[(0, 0)])
+
+
+def test_declared_points_are_checked_exactly():
+    spec = ActionSpec(("t",), CHART, ((sc.sin(X), Y),))
+    (fp,) = find_fixed_points(spec, {"t": 1}, declared=[(0, 0)])
+    assert fp.point == (Fraction(0), Fraction(0))
+    # the float pi is not a zero of sin: the residual 1.2e-16 is not forgiven
+    with pytest.raises(NotAZero):
+        find_fixed_points(spec, {"t": 1}, declared=[(math.pi, 0)])
 
 
 def test_find_fixed_points_linear():
@@ -202,11 +213,33 @@ def test_sqrt_sdet_detects_singular_fiber():
         fp.L,
         ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
         fp.h,
-        fp.H,
         fp.orientation,
     )
     with pytest.raises(SingularFiberBlock):
         sqrt_sdet_via_pfaffian(broken)
+
+
+def test_sqrt_det_detects_singular_linearization():
+    fp = _rotation_fp(Fraction(2))
+    zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    with pytest.raises(SingularLinearization):
+        sqrt_det_base(dataclasses.replace(fp, L=zero))
+
+
+def test_fiber_square_roots_need_a_square_chart():
+    chart = SuperChart(("x1", "y1", "x2", "y2"), 2)
+    x1, y1, x2, y2 = (sc.sym(c) for c in chart.coords)
+    T = ((sc.ZERO - y1, x1, sc.ZERO - y2, x2),)
+    U = (((sc.ZERO, sc.ONE), (sc.ZERO - sc.ONE, sc.ZERO)),)
+    F = SuperFunction.one(chart)
+    # without U there is no fiber operator; with U there is one, but no fiber metric
+    for spec in (ActionSpec(("t",), chart, T), ActionSpec(("t",), chart, T, U)):
+        (fp,) = find_fixed_points(spec, {"t": 1}, declared=[(0, 0, 0, 0)])
+        assert (fp.fiber is None) == (spec.U is None)
+        with pytest.raises(DimensionMismatch):
+            sqrt_sdet_via_pfaffian(fp)
+        with pytest.raises(DimensionMismatch):
+            super_localize(F, [fp])
 
 
 def _gaussian_closed_form(coeffs):
