@@ -119,8 +119,9 @@ def lifted_field(spec: ActionSpec, xi=None) -> SuperVectorField:
         for B in range(spec.chart.n):
             comp = sc.ZERO
             for alpha in range(spec.dim_g):
-                comp = comp + coeffs[alpha] * spec.U[alpha][B][A]
-            if not sc.is_zero(comp):
+                if spec.U[alpha][B][A] != sc.ZERO:
+                    comp = comp + coeffs[alpha] * spec.U[alpha][B][A]
+            if comp is not sc.ZERO and not sc.is_zero(comp):
                 terms[(B + 1,)] = comp
         b.append(SuperFunction(spec.chart, terms))
     return SuperVectorField(spec.chart, 0, base.a, tuple(b))
@@ -642,25 +643,20 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples):
     for direction in directions:
         flow = lifted_field(spec, direction)
         comps = [comp.body() for comp in flow.a]
+        jac = [[sc.differentiate(comps[i], coords[j]) for j in range(m)] for i in range(m)]
         wexpr = [[flow.b[A].coefficient((B + 1,)) for B in range(n)] for A in range(n)]
         for binding in samples[:3]:
             origin = dict(binding)
             for c in coords:
                 origin[c] = 0
-            A = np.array(
-                [
-                    [
-                        float(sc.evaluate(sc.differentiate(comps[i], coords[j]), origin))
-                        for j in range(m)
-                    ]
-                    for i in range(m)
-                ]
-            )
+            A = np.array([[float(sc.evaluate(e, origin)) for e in row] for row in jac])
             cvec = np.array([float(sc.evaluate(comps[i], origin)) for i in range(m)])
             W = np.array(
                 [[float(sc.evaluate(wexpr[i][j], origin)) for j in range(n)] for i in range(n)]
             )
             p = np.array([float(Fraction(binding[c])) for c in coords])
+            sig_p = np.array([[float(sc.evaluate(e, binding)) for e in row] for row in sigma])
+            b_p = np.array([float(sc.evaluate(comp.body(), binding)) for comp in Q.b])
             for s in (0.3, 0.7):
                 M = _expm(s * A)
                 R = _expm(s * W)
@@ -668,14 +664,10 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples):
                 moved = dict(binding)
                 for c, v in zip(coords, flowed):
                     moved[c] = float(v)
-                sig_p = np.array(
-                    [[float(sc.evaluate(e, binding)) for e in row] for row in sigma]
-                )
                 sig_gp = np.array(
                     [[float(sc.evaluate(e, moved)) for e in row] for row in sigma]
                 )
                 worst = max(worst, float(np.max(np.abs(sig_gp @ R - M @ sig_p))))
-                b_p = np.array([float(sc.evaluate(comp.body(), binding)) for comp in Q.b])
                 b_gp = np.array([float(sc.evaluate(comp.body(), moved)) for comp in Q.b])
                 worst = max(worst, float(np.max(np.abs(b_gp - R @ b_p))))
     return {"status": "pass" if worst < 1e-8 else "fail", "max_error": worst}

@@ -370,14 +370,19 @@ class SuperVectorField:
         object.__setattr__(self, "b", tuple(self.b))
 
     def apply(self, f):
+        """Sum of a^i d_i f + b^A d_A f over the coordinates and generators
+        that occur in f; every other partial is zero."""
         if f.chart != self.chart:
             raise DimensionMismatch("field and function live on different charts")
+        names = f.free_symbols()
+        parts = (f.re, f.im) if isinstance(f, CSuper) else (f,)
+        gens = {A for part in parts for idx in part.terms for A in idx}
         out = SuperFunction.zero(self.chart)
         for i, comp in enumerate(self.a, start=1):
-            if not comp.is_zero():
+            if self.chart.coords[i - 1] in names and not comp.is_zero():
                 out = out + comp * even_partial(f, i)
         for A, comp in enumerate(self.b, start=1):
-            if not comp.is_zero():
+            if A in gens and not comp.is_zero():
                 out = out + comp * odd_partial(f, A)
         return out
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .errors import UnboundSymbol
+from .errors import ComputationError, UnboundSymbol
 
 Number = Union[int, Fraction]
 BindingValue = Union[int, float, Fraction]
@@ -185,6 +185,8 @@ def cos(arg: ScalarExpr) -> Func:
 
 Monomial = tuple
 Poly = dict
+_DIVMOD_STEPS = 10000
+_REDUCE_ROUNDS = 100
 
 
 def _atom_rank(atom: ScalarExpr) -> int:
@@ -320,8 +322,8 @@ def _poly_divmod(c: Poly, g: Poly):
     """Multivariate division of c by g with respect to the monomial order.
 
     Returns (q, r) with c = q*g + r and no monomial of r divisible by the
-    leading monomial of g. A step cap keeps pathological Laurent mixtures
-    from looping; on cap the loop stops with the invariant still intact.
+    leading monomial of g. A division that needs more than _DIVMOD_STEPS
+    steps raises ComputationError rather than return a non-canonical r.
     """
     q: Poly = {}
     r: Poly = {}
@@ -330,8 +332,10 @@ def _poly_divmod(c: Poly, g: Poly):
     steps = 0
     while work:
         m, coef = _leading(work)
-        if _mono_divisible(m, lt_m) and steps < 10000:
+        if _mono_divisible(m, lt_m):
             steps += 1
+            if steps > _DIVMOD_STEPS:
+                raise ComputationError("division exceeded %d steps" % (_DIVMOD_STEPS,))
             f_m = _mono_mul(m, _mono_inv(lt_m))
             f_c = coef / lt_c
             q = _poly_add(q, {f_m: f_c})
@@ -343,8 +347,9 @@ def _poly_divmod(c: Poly, g: Poly):
 
 
 def _reduce_poly(p: Poly) -> Poly:
-    """Reduce coefficients of composite inverse atoms by exact division."""
-    for _ in range(100):
+    """Reduce coefficients of composite inverse atoms by exact division;
+    raises ComputationError when _REDUCE_ROUNDS rounds do not settle."""
+    for _ in range(_REDUCE_ROUNDS):
         atoms = sorted(
             {a for m in p for a, e in m if e < 0 and _is_composite_atom(a)},
             key=_atom_key,
@@ -382,8 +387,8 @@ def _reduce_poly(p: Poly) -> Poly:
                         new_p = _poly_add(new_p, {m: c})
             p = new_p
         if not changed:
-            break
-    return p
+            return p
+    raise ComputationError("reduction did not settle in %d rounds" % (_REDUCE_ROUNDS,))
 
 
 def _expr_to_poly(e: ScalarExpr) -> Poly:

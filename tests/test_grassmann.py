@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from superloc import scalars as sc
+from superloc.actions import fundamental_field, lifted_field, tautological_lift
+from superloc.adhm import adhm_action_spec, adhm_super_chart
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
     CSuper,
@@ -441,3 +443,85 @@ def test_complex_field_commutator_against_composition():
     lhs = sq.apply(f)
     assert (lhs.re - (direct.re + direct.re)).is_zero()
     assert (lhs.im - (direct.im + direct.im)).is_zero()
+
+
+CHART3 = SuperChart(coords=("x", "y", "z"), n=3)
+
+
+def _sparse_sf(rng, parity=None):
+    """Random superfunction whose coefficients name a random subset of the
+    coordinates (plus the parameter t) and whose odd monomials use a random
+    subset of the generators."""
+    names = rng.sample(list(CHART3.coords), rng.randint(0, 3))
+    gens = rng.sample([1, 2, 3], rng.randint(0, 3))
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        idx = tuple(sorted(rng.sample(gens, rng.randint(0, len(gens)))))
+        if parity is not None and len(idx) % 2 != parity:
+            continue
+        coeff = sc.rational(rng.randint(-3, 3), rng.randint(1, 2))
+        for name in rng.sample(names + ["t"], rng.randint(0, len(names) + 1)):
+            coeff = coeff * sc.sym(name) ** rng.randint(1, 2)
+        if rng.random() < 0.2 and names:
+            coeff = coeff * sc.exp(sc.sym(rng.choice(names)))
+        terms[idx] = coeff
+    return SuperFunction(CHART3, terms)
+
+
+def _sparse_component(rng, parity, complex_):
+    if complex_:
+        return CSuper(_sparse_sf(rng, parity), _sparse_sf(rng, parity))
+    return _sparse_sf(rng, parity)
+
+
+def _pair(value):
+    if isinstance(value, CSuper):
+        return value.re, value.im
+    return value, SuperFunction.zero(value.chart)
+
+
+def test_sparse_apply_matches_definition():
+    # apply skips the partials along coordinates and generators that do not
+    # occur in f; the dense sum over every component is the definition.
+    rng = random.Random(6101)
+    for _ in range(150):
+        parity = rng.randint(0, 1)
+        cfield, cf = rng.random() < 0.3, rng.random() < 0.3
+        X = SuperVectorField(
+            CHART3,
+            parity,
+            tuple(_sparse_component(rng, parity, cfield) for _ in range(3)),
+            tuple(_sparse_component(rng, 1 - parity, cfield) for _ in range(3)),
+        )
+        f = _sparse_component(rng, None, cf)
+        dense = SuperFunction.zero(CHART3)
+        for i, comp in enumerate(X.a, start=1):
+            dense = dense + comp * even_partial(f, i)
+        for A, comp in enumerate(X.b, start=1):
+            dense = dense + comp * odd_partial(f, A)
+        assert _pair(X.apply(f)) == _pair(dense)
+
+
+def test_lifted_field_matches_dense_sum_on_adhm_k2():
+    # The k=2 ADHM lift skips zero entries of U; the dense sum keeps them.
+    spec = tautological_lift(adhm_action_spec(adhm_super_chart(2, 2)))
+    chart, n = spec.chart, spec.chart.n
+    units = [{p: int(p == q) for p in spec.params} for q in spec.params]
+    for xi in [None] + units:
+        coeffs = [sc.sym(p) if xi is None else sc.rational(xi[p]) for p in spec.params]
+        dense = tuple(
+            SuperFunction(
+                chart,
+                {
+                    (B + 1,): sum(
+                        (c * spec.U[alpha][B][A] for alpha, c in enumerate(coeffs)), sc.ZERO
+                    )
+                    for B in range(n)
+                },
+            )
+            for A in range(n)
+        )
+        lift = lifted_field(spec, xi)
+        assert lift.b == dense
+        assert lift.a == fundamental_field(spec, xi).a
+        assert any(not comp.is_zero() for comp in lift.b)

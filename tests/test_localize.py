@@ -319,16 +319,7 @@ def test_exactness_witness_reproduces_form():
     _, beta = build_lambda_beta(ROTATION, {"t": 1}, (0, 0))
     F = parse_super(CHART, "1 + th1*th2 + (1/2)*(x^2 + y^2)")
     nu = exactness_witness(F, beta, Q, samples=({"x": 1, "y": 0},))
-    recovered = Q.apply(nu)
-    diff = recovered - F
-    rng = random.Random(1108)
-    for coeff in diff.terms.values():
-        for _ in range(4):
-            binding = {
-                "x": Fraction(rng.randint(1, 6)),
-                "y": Fraction(rng.randint(1, 6)),
-            }
-            assert abs(float(sc.evaluate(coeff, binding))) < 1e-10
+    assert (Q.apply(nu) - F).is_zero()
 
 
 def test_exactness_witness_needs_invertible_body():

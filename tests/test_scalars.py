@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from superloc import scalars as sc
-from superloc.errors import UnboundSymbol
+from superloc.cli import main
+from superloc.errors import ComputationError, UnboundSymbol
 from superloc.scalars import (
     Rat,
     compile_numeric,
@@ -263,3 +264,27 @@ def test_float_binding_goes_float():
 def test_exp_atom_forces_float_away_from_zero():
     v = evaluate(parse_scalar("exp(x)"), {"x": Fraction(1)})
     assert isinstance(v, float) and v == pytest.approx(math.e)
+
+
+def test_kernel_caps_raise_instead_of_returning_a_partial_form(monkeypatch):
+    u, v = sym("cap_u"), sym("cap_v")
+    g = u**2 + v**2
+    # (u^2 + v^2)^2 / (u^2 + v^2) takes two division steps
+    monkeypatch.setattr(sc, "_DIVMOD_STEPS", 1)
+    with pytest.raises(ComputationError):
+        normalize((u**4 + 2 * u**2 * v**2 + v**4) * g**-1)
+    monkeypatch.undo()
+    assert normalize((u**4 + 2 * u**2 * v**2 + v**4) * g**-1) == normalize(g)
+    # g * g^-1 + u reduces in one round and settles in the second
+    monkeypatch.setattr(sc, "_REDUCE_ROUNDS", 1)
+    with pytest.raises(ComputationError):
+        normalize(g * g**-1 + u)
+    monkeypatch.undo()
+    assert normalize(g * g**-1 + u) == normalize(u + 1)
+
+
+def test_kernel_cap_exits_3(monkeypatch, capsys):
+    normalize.cache_clear()
+    monkeypatch.setattr(sc, "_DIVMOD_STEPS", 0)
+    assert main(["localize", "--scenario", "sphere_dh", "--quiet"]) == 3
+    assert "division exceeded 0 steps" in capsys.readouterr().err
