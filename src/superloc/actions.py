@@ -581,19 +581,6 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4(fun, y0: np.ndarray, s: float) -> np.ndarray:
-    """Classical Runge-Kutta over [0, s] in 240 equal steps."""
-    h = s / 240
-    y = np.array(y0, dtype=float)
-    for _ in range(240):
-        k1 = fun(y)
-        k2 = fun(y + 0.5 * h * k1)
-        k3 = fun(y + 0.5 * h * k2)
-        k4 = fun(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
 def _coordinate_free(expr: ScalarExpr, coords) -> bool:
     """True when every partial derivative along coords vanishes; an
     expression that names no coordinate needs no differentiation."""
@@ -657,10 +644,14 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples):
             p = np.array([float(Fraction(binding[c])) for c in coords])
             sig_p = np.array([[float(sc.evaluate(e, binding)) for e in row] for row in sigma])
             b_p = np.array([float(sc.evaluate(comp.body(), binding)) for comp in Q.b])
+            # the affine flow y' = Ay + c is the top block row of exp(s [[A, c], [0, 0]])
+            affine = np.zeros((m + 1, m + 1))
+            affine[:m, :m] = A
+            affine[:m, m] = cvec
             for s in (0.3, 0.7):
                 M = _expm(s * A)
                 R = _expm(s * W)
-                flowed = _rk4(lambda y: A @ y + cvec, p, s)
+                flowed = _expm(s * affine)[:m] @ np.append(p, 1.0)
                 moved = dict(binding)
                 for c, v in zip(coords, flowed):
                     moved[c] = float(v)

@@ -638,8 +638,10 @@ def multiplier_completion(
         e = sc.ZERO
         for a in range(r):
             e = e + N[a][b] * V[a]
+        occurs = sc.free_symbols(V[b])
         for coord, comp in T.items():
-            e = e + comp * sc.differentiate(V[b], coord)
+            if coord in occurs:
+                e = e + comp * sc.differentiate(V[b], coord)
         residuals.append(sc.normalize(e))
     symbolic_zero = all(sc.is_zero(e) for e in residuals)
 

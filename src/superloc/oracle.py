@@ -25,8 +25,10 @@ def _compile(value) -> Callable[[Mapping], float]:
     return sc.compile_numeric(sc.normalize(_as_expr(value)))
 
 
-# A cell refines at most this many levels deep.
+# A cell refines at most this many levels deep, and one quadrature call
+# evaluates its integrand at most this many times.
 _MAX_DEPTH = 12
+_MAX_EVALS = 1_000_000
 
 
 @lru_cache(maxsize=1)
@@ -37,20 +39,22 @@ def _gl_rule():
     return tuple(float(v) for v in x), tuple(float(v) for v in w)
 
 
-def _cell_integral(f, lo, hi) -> float:
-    nodes, weights = _gl_rule()
-    d = len(lo)
-    mids = [(lo[k] + hi[k]) / 2.0 for k in range(d)]
-    halves = [(hi[k] - lo[k]) / 2.0 for k in range(d)]
+@lru_cache(maxsize=8)
+def _tensor_weights(d: int) -> tuple:
+    """Weight products of the d-fold tensor rule, in `product` order."""
+    return tuple(math.prod(combo) for combo in product(_gl_rule()[1], repeat=d))
+
+
+def _cell_integral(f, lo, hi, weights) -> float:
+    nodes = _gl_rule()[0]
+    axes = []
     scale = 1.0
-    for h in halves:
-        scale *= h
+    for a, b in zip(lo, hi):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        scale *= half
+        axes.append([mid + half * x for x in nodes])
     total = 0.0
-    for combo in product(range(len(nodes)), repeat=d):
-        w = 1.0
-        for k in combo:
-            w *= weights[k]
-        point = tuple(mids[k] + halves[k] * nodes[combo[k]] for k in range(d))
+    for w, point in zip(weights, product(*axes)):
         total += w * f(point)
     return total * scale
 
@@ -66,10 +70,11 @@ def _split(lo, hi):
     return cells
 
 
-def _adaptive(f, lo, hi, tol, depth) -> float:
-    coarse = _cell_integral(f, lo, hi)
-    children = _split(lo, hi)
-    fine = sum(_cell_integral(f, clo, chi) for clo, chi in children)
+def _adaptive(refine, cell, tol, depth) -> float:
+    """Refine a cell whose own estimate its parent already computed."""
+    lo, hi, coarse = cell
+    children = refine(lo, hi)
+    fine = sum(part for _, _, part in children)
     if abs(fine - coarse) <= max(tol, 1e-15 * (1.0 + abs(fine))):
         return fine
     if depth >= _MAX_DEPTH:
@@ -77,10 +82,7 @@ def _adaptive(f, lo, hi, tol, depth) -> float:
             "quadrature cell at depth %d did not converge" % (depth,)
         )
     child_tol = tol / len(children)
-    return sum(
-        _adaptive(f, clo, chi, child_tol, depth + 1)
-        for clo, chi in children
-    )
+    return sum(_adaptive(refine, child, child_tol, depth + 1) for child in children)
 
 
 def quadrature(
@@ -92,15 +94,39 @@ def quadrature(
 
     Cells are refined dyadically with a fixed traversal order and summed in
     that order, so results are bit-for-bit reproducible for a given
-    tolerance.
+    tolerance. Each visited cell's nodes are evaluated once; more than
+    `_MAX_EVALS` evaluations raise `NoConvergence`.
     """
     lo = tuple(float(a) for a, _ in box)
     hi = tuple(float(b) for _, b in box)
-    cells = _split(lo, hi)
+    weights = _tensor_weights(len(lo))
+    spent = 0
+
+    def refine(lo, hi):
+        nonlocal spent
+        children = _split(lo, hi)
+        spent += len(children) * len(weights)
+        if spent > _MAX_EVALS:
+            raise NoConvergence(
+                "quadrature needs more than %d integrand evaluations" % (_MAX_EVALS,)
+            )
+        return [(clo, chi, _cell_integral(f, clo, chi, weights)) for clo, chi in children]
+
+    cells = refine(lo, hi)
     child_tol = tol / len(cells)
-    return math.fsum(
-        _adaptive(f, clo, chi, child_tol, 1) for clo, chi in cells
-    )
+    return math.fsum(_adaptive(refine, cell, child_tol, 1) for cell in cells)
+
+
+def _on_points(fn, names, binding=None):
+    """`fn` of a name->value mapping as a function of a point whose
+    coordinates are `names`; the rest comes from `binding`, made float once."""
+    local = {k: float(v) for k, v in (binding or {}).items()}
+
+    def f(point):
+        local.update(zip(names, point))
+        return fn(local)
+
+    return f
 
 
 @dataclass(frozen=True)
@@ -115,17 +141,10 @@ class OraclePatch:
 def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e-8):
     """Sum of patch integrals of explicit densities; the oracle side of
     every comparison."""
-    binding = dict(binding or {})
     total = 0.0
     share = tol / max(1, len(patches))
     for patch in patches:
-        fn = sc.compile_numeric(patch.integrand)
-
-        def f(point, fn=fn, names=patch.coords):
-            local = dict(binding)
-            local.update(zip(names, point))
-            return fn(local)
-
+        f = _on_points(sc.compile_numeric(patch.integrand), patch.coords, binding)
         total += quadrature(f, patch.box, tol=share)
     return total
 
@@ -227,7 +246,6 @@ def boundary_flux(
     default to all of them, and are dropped for periodic axes by passing an
     explicit list of (axis, side) pairs with side = +1 or -1.
     """
-    binding = dict(binding or {})
     m = len(coords)
     det_h = _compile(linalg.det([list(r) for r in h]))
     if faces is None:
@@ -239,11 +257,10 @@ def boundary_flux(
         rest = [box[k] for k in range(m) if k != axis]
         names = [coords[k] for k in range(m) if k != axis]
 
-        def f(point, axis=axis, value=value, names=names):
-            local = dict(binding)
-            local[coords[axis]] = value
-            local.update(zip(names, point))
+        def flux(local, axis=axis):
             return math.sqrt(det_h(local)) * w(local)[axis]
+
+        f = _on_points(flux, names, {**(binding or {}), coords[axis]: value})
 
         if rest:
             part = quadrature(f, rest, tol=share)
@@ -287,13 +304,7 @@ def super_stokes_check(
             % (assumption["max_residual"],)
         )
     lhs_density = berezin_density(Q.apply(nu), h, H)
-
-    def lhs_f(point):
-        local = dict(binding)
-        local.update(zip(nu.chart.coords, point))
-        return lhs_density(local)
-
-    lhs = quadrature(lhs_f, box, tol=tol / 4)
+    lhs = quadrature(_on_points(lhs_density, nu.chart.coords, binding), box, tol=tol / 4)
     dual = hodge_dual_H(nu, H)
     sigma_fns = [[_compile(e) for e in row] for row in sigma]
 

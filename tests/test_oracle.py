@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
+from superloc import oracle
 from superloc import scalars as sc
 from superloc.actions import ActionSpec, tautological_Q
+from superloc.cli import main
 from superloc.errors import AssumptionViolated, NoConvergence, WrongGrade
+from superloc.geometry import gaussian_oracle_patch, sphere_oracle_patch
 from superloc.grassmann import SuperChart, SuperFunction, parse_super
 from superloc.oracle import (
     OraclePatch,
@@ -54,12 +60,121 @@ def test_quadrature_rejects_nonintegrable():
         quadrature(lambda p: 1.0 / p[0], ((0, 1),), tol=1e-10)
 
 
-def test_quadrature_threads_do_not_change_bits():
+def test_quadrature_repeats_bit_for_bit():
     # the cells are summed in one fixed order, so repeated calls agree bit for bit
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
     first = quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
     second = quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
     assert first == second
+
+
+def _reference_quadrature(f, box, tol, cells):
+    """Adaptive Gauss-Legendre as first written: every cell computes its
+    own estimate, even when its parent already summed it, and the rule is
+    built node by node.  Each evaluated cell is appended to `cells`."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    nodes, weights = [float(v) for v in x], [float(v) for v in w]
+
+    def cell(lo, hi):
+        cells.append((lo, hi))
+        d = len(lo)
+        mids = [(lo[k] + hi[k]) / 2.0 for k in range(d)]
+        halves = [(hi[k] - lo[k]) / 2.0 for k in range(d)]
+        scale = 1.0
+        for h in halves:
+            scale *= h
+        total = 0.0
+        for combo in product(range(12), repeat=d):
+            wt = 1.0
+            for k in combo:
+                wt *= weights[k]
+            point = tuple(mids[k] + halves[k] * nodes[combo[k]] for k in range(d))
+            total += wt * f(point)
+        return total * scale
+
+    def split(lo, hi):
+        mids = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+        return [
+            (
+                tuple(lo[k] if c[k] == 0 else mids[k] for k in range(len(lo))),
+                tuple(mids[k] if c[k] == 0 else hi[k] for k in range(len(lo))),
+            )
+            for c in product(range(2), repeat=len(lo))
+        ]
+
+    def adaptive(lo, hi, tol, depth):
+        coarse = cell(lo, hi)
+        children = split(lo, hi)
+        fine = sum(cell(clo, chi) for clo, chi in children)
+        if abs(fine - coarse) <= max(tol, 1e-15 * (1.0 + abs(fine))):
+            return fine
+        assert depth < 12
+        return sum(adaptive(clo, chi, tol / len(children), depth + 1) for clo, chi in children)
+
+    lo = tuple(float(a) for a, _ in box)
+    hi = tuple(float(b) for _, b in box)
+    top = split(lo, hi)
+    return math.fsum(adaptive(clo, chi, tol / len(top), 1) for clo, chi in top)
+
+
+def _reference_berezin(patches, binding, tol):
+    """global_berezin as first written: the exact binding is copied and
+    updated at every point."""
+    total = 0.0
+    for patch in patches:
+        fn = sc.compile_numeric(patch.integrand)
+
+        def f(point, fn=fn, names=patch.coords):
+            local = dict(binding)
+            local.update(zip(names, point))
+            return fn(local)
+
+        total += _reference_quadrature(f, patch.box, tol / len(patches), [])
+    return total
+
+
+@pytest.mark.parametrize(
+    "f,box,tol",
+    [
+        (lambda p: math.exp(-40 * (p[0] - 0.3) ** 2) + math.sin(7 * p[0]), ((0, 1),), 1e-12),
+        (lambda p: math.exp(-20 * (p[0] ** 2 + 2 * p[1] ** 2 + 3 * p[2] ** 2)), ((0, 2), (-1, 1), (0, 1)), 1e-9),
+    ],
+    ids=["1d", "3d"],
+)
+def test_quadrature_matches_reference_bit_for_bit(f, box, tol):
+    cells, points = [], []
+
+    def counted(p):
+        points.append(p)
+        return f(p)
+
+    assert quadrature(counted, box, tol) == _reference_quadrature(f, box, tol, cells)
+    # each visited cell's nodes are evaluated once: no node twice, and one
+    # full rule per distinct cell the first algorithm visits
+    distinct = set(cells)
+    assert len(distinct) < len(cells)
+    assert len(set(points)) == len(points) == len(distinct) * 12 ** len(box)
+
+
+@pytest.mark.parametrize("patch", [gaussian_oracle_patch(), sphere_oracle_patch()], ids=["plane", "sphere"])
+def test_global_berezin_matches_reference_bit_for_bit(patch):
+    binding = {"t": Fraction(7, 3)}
+    assert global_berezin((patch,), binding=binding, tol=1e-8) == _reference_berezin((patch,), binding, 1e-8)
+
+
+def test_quadrature_budget_raises(monkeypatch):
+    f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
+    monkeypatch.setattr(oracle, "_MAX_EVALS", 4 * 144)
+    with pytest.raises(NoConvergence):
+        quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
+    monkeypatch.undo()
+    assert quadrature(f, ((0, 1), (0, 1)), tol=1e-11) > 0
+
+
+def test_quadrature_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_MAX_EVALS", 4 * 144)
+    assert main(["oracle", "--scenario", "flat_rotation", "--quiet"]) == 3
+    assert "more than 576 integrand evaluations" in capsys.readouterr().err
 
 
 def test_patch_sum_sphere_area():
