@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -94,6 +94,11 @@ class ScalarExpr:
     def __pos__(self) -> "ScalarExpr":
         return self
 
+    def __reduce__(self):
+        # rebuild through __init__: the cached hash of a Sym depends on the
+        # process's string hash seed, so it must not be pickled
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
 
 def _coerce(value: object):
     if isinstance(value, ScalarExpr):
@@ -103,48 +108,78 @@ def _coerce(value: object):
     return NotImplemented
 
 
-@dataclass(frozen=True)
+def _cached_hash(node: ScalarExpr) -> int:
+    """Every node stores its hash in the slot `_h` at construction, so
+    hashing a tree costs one tuple hash per node, not a walk of the subtree."""
+    return node._h
+
+
+@dataclass(frozen=True, slots=True)
 class Rat(ScalarExpr):
     value: Fraction
+    _h: int = field(init=False, compare=False, repr=False)
+    __hash__ = _cached_hash
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "_h", hash((Rat, self.value)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym(ScalarExpr):
     name: str
+    _h: int = field(init=False, compare=False, repr=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_h", hash((Sym, self.name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(ScalarExpr):
     args: tuple
+    _h: int = field(init=False, compare=False, repr=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_h", hash((Add, self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul(ScalarExpr):
     args: tuple
+    _h: int = field(init=False, compare=False, repr=False)
+    __hash__ = _cached_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_h", hash((Mul, self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow(ScalarExpr):
     base: ScalarExpr
     exponent: int
+    _h: int = field(init=False, compare=False, repr=False)
+    __hash__ = _cached_hash
 
     def __post_init__(self) -> None:
         if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
             raise TypeError("Pow exponent must be an int")
+        object.__setattr__(self, "_h", hash((Pow, self.base, self.exponent)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func(ScalarExpr):
     kind: str
     arg: ScalarExpr
+    _h: int = field(init=False, compare=False, repr=False)
+    __hash__ = _cached_hash
 
     def __post_init__(self) -> None:
         if self.kind not in _FUNCTIONS:
             raise ValueError("unknown function kind %r" % (self.kind,))
+        object.__setattr__(self, "_h", hash((Func, self.kind, self.arg)))
 
 
 ZERO = Rat(Fraction(0))
@@ -188,6 +223,18 @@ Poly = dict
 _DIVMOD_STEPS = 10000
 _REDUCE_ROUNDS = 100
 
+# Kernel cache bounds, in entries. Evicting an entry only costs its
+# recomputation.
+_NORMALIZE_CACHE = 1 << 16
+_ATOM_KEY_CACHE = 1 << 12
+_POLY_CACHE = 1 << 16
+_COMPILED_CACHE = 1 << 10
+
+# Normal form -> its polynomial, filled by normalize. Polys are never
+# mutated once built (_poly_add and _poly_divmod copy their inputs), so
+# _expr_to_poly hands out these entries as they are.
+_POLY: dict = {}
+
 
 def _atom_rank(atom: ScalarExpr) -> int:
     if isinstance(atom, Sym):
@@ -197,7 +244,7 @@ def _atom_rank(atom: ScalarExpr) -> int:
     return 2
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_ATOM_KEY_CACHE)
 def _atom_key(atom: ScalarExpr):
     return (_atom_rank(atom), to_text(atom))
 
@@ -285,14 +332,26 @@ def _is_composite_atom(atom: ScalarExpr) -> bool:
     return not isinstance(atom, (Sym, Func))
 
 
+def _mono_poly(m: Monomial, c: Fraction) -> Poly:
+    """c*m as a polynomial in which composite atoms occur only at negative
+    powers: a composite atom at a positive power is expanded."""
+    out = {tuple(pair for pair in m if pair[1] < 0 or not _is_composite_atom(pair[0])): c}
+    for a, e in m:
+        if e > 0 and _is_composite_atom(a):
+            out = _poly_mul(out, _poly_pow(_expr_to_poly(a), e))
+    return out
+
+
 def _poly_inv(p: Poly) -> Poly:
     """Exact inverse of a polynomial: monomials invert directly, composite
-    polynomials become opaque inverse atoms after content extraction."""
+    polynomials become opaque inverse atoms after content extraction. The
+    inverse of a composite inverse atom g^-k is the expanded g^k, so that
+    normalize stays idempotent."""
     if not p:
         raise ZeroDivisionError("inverse of zero expression")
     if len(p) == 1:
         (m, c), = p.items()
-        return {_mono_inv(m): Fraction(1) / c}
+        return _mono_poly(_mono_inv(m), Fraction(1) / c)
     # extract monomial content: per atom, the minimal exponent over all terms
     exps: dict = {}
     for m in p:
@@ -304,13 +363,14 @@ def _poly_inv(p: Poly) -> Poly:
         lo = min(lst) if len(lst) == nterms else min(min(lst), 0)
         if lo != 0:
             content.append((a, lo))
-    content_m = tuple(sorted(content, key=lambda q: _atom_key(q[0])))
-    stripped = {_mono_mul(m, _mono_inv(content_m)): c for m, c in p.items()}
+    inv_content = _mono_inv(tuple(sorted(content, key=lambda q: _atom_key(q[0]))))
+    stripped: Poly = {}
+    for m, c in p.items():
+        stripped = _poly_add(stripped, _mono_poly(_mono_mul(m, inv_content), c))
     _, lc = _leading(stripped)
     monic = _poly_scale(stripped, Fraction(1) / lc)
     base_expr = _poly_to_expr(monic)
-    inv_mono = _mono_mul(_mono_inv(content_m), ((base_expr, -1),))
-    return {inv_mono: Fraction(1) / lc}
+    return _poly_mul(_mono_poly(inv_content, Fraction(1) / lc), {((base_expr, -1),): Fraction(1)})
 
 
 def _mono_divisible(m: Monomial, by: Monomial) -> bool:
@@ -392,6 +452,9 @@ def _reduce_poly(p: Poly) -> Poly:
 
 
 def _expr_to_poly(e: ScalarExpr) -> Poly:
+    p = _POLY.get(e)
+    if p is not None:
+        return p
     if isinstance(e, Rat):
         return {(): e.value} if e.value else {}
     if isinstance(e, Sym):
@@ -445,7 +508,7 @@ def _poly_to_expr(p: Poly) -> ScalarExpr:
     return Add(tuple(terms))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_NORMALIZE_CACHE)
 def normalize(e: ScalarExpr) -> ScalarExpr:
     """Canonical form: expanded, collected, deterministically ordered.
 
@@ -454,7 +517,14 @@ def normalize(e: ScalarExpr) -> ScalarExpr:
     atoms, but their coefficients are division-reduced so products like
     (x^2+y^2) * (x^2+y^2)^-1 do collapse to 1.
     """
-    return _poly_to_expr(_reduce_poly(_expr_to_poly(e)))
+    p = _reduce_poly(_expr_to_poly(e))
+    out = _poly_to_expr(p)
+    # idempotence makes p the polynomial of out, so _expr_to_poly(out) can
+    # return it without walking the tree
+    if len(_POLY) >= _POLY_CACHE:
+        del _POLY[next(iter(_POLY))]
+    _POLY[out] = p
+    return out
 
 
 def is_zero(e: ScalarExpr) -> bool:
@@ -591,6 +661,8 @@ def compile_numeric(e: ScalarExpr) -> Callable[[Mapping[str, float]], float]:
     if fn is None:
         src = _codegen(key)
         fn = eval("lambda b: " + src, {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos})
+        if len(_COMPILED) >= _COMPILED_CACHE:
+            del _COMPILED[next(iter(_COMPILED))]
         _COMPILED[key] = fn
     return fn
 

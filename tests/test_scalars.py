@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +37,13 @@ def _random_expr(rng: random.Random, depth: int = 3) -> sc.ScalarExpr:
         if choice == 0:
             return Rat(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)))
         return rng.choice([X, Y, T])
-    op = rng.randrange(5)
+    op = rng.randrange(6)
+    if op == 5:
+        # the inverse of a sum reaches the composite inverse atoms
+        base = _random_expr(rng, depth - 1) + _random_expr(rng, depth - 1)
+        if sc.is_zero(base):
+            return base
+        return base ** -rng.randrange(1, 3)
     if op == 0:
         return _random_expr(rng, depth - 1) + _random_expr(rng, depth - 1)
     if op == 1:
@@ -174,6 +185,66 @@ def test_composite_inverse_content_extraction():
     lhs = normalize((s ** 2 * X ** 2 + s ** 2 * Y ** 2) ** -1)
     rhs = normalize(s ** -2 * (X ** 2 + Y ** 2) ** -1)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "text,ring_equal",
+    [
+        ("(16*(x^2+y^2+1)^-4)^-1", "(x^2+y^2+1)^4/16"),
+        ("(x*(y^2+1)^-1 + y*(y^2+1)^-1)^-1", "(y^2+1)*(x+y)^-1"),
+        ("(x + (y^2+1)^-1)^-1", "(y^2+1)*(x*y^2+x+1)^-1"),
+    ],
+)
+def test_inverting_a_composite_inverse_expands_it(text, ring_equal):
+    # 1/g^-k is the polynomial g^k, not the atom g at a positive power
+    n = normalize(parse_scalar(text))
+    assert normalize(n) == n
+    assert n == normalize(parse_scalar(ring_equal))
+
+
+class _NeverStores(dict):
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def test_poly_memo_matches_a_fresh_walk(monkeypatch):
+    normalize.cache_clear()
+    sc._POLY.clear()
+    assert main(["localize", "--scenario", "sphere_dh", "--quiet"]) == 0
+    memo = dict(sc._POLY)
+    assert any(isinstance(node, (sc.Add, sc.Mul)) for node in memo)
+    monkeypatch.setattr(sc, "_POLY", _NeverStores())
+    for node, poly in memo.items():
+        assert sc._expr_to_poly(node) == poly
+
+
+def test_kernel_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(sc, "_POLY_CACHE", 3)
+    monkeypatch.setattr(sc, "_COMPILED_CACHE", 2)
+    sc._POLY.clear()
+    sc._COMPILED.clear()
+    normalize.cache_clear()
+    for k in range(6):
+        compile_numeric(normalize(X**k + Y))
+    assert len(sc._POLY) == 3 and len(sc._COMPILED) == 2
+    assert compile_numeric(X**5 + Y)({"x": 2.0, "y": 1.0}) == 33.0
+    for cached in (normalize, sc._atom_key):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_node_pickled_under_another_hash_seed_finds_its_equal():
+    # a Sym's hash depends on the string hash seed; unpickling must rebuild it
+    text = "x*exp(y)^-2 + 1/3"
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import pickle, sys; from superloc.scalars import parse_scalar; " \
+        "sys.stdout.buffer.write(pickle.dumps(parse_scalar(%r)))" % (text,)
+    blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    assert {parse_scalar(text): 1}.get(pickle.loads(blob)) == 1
 
 
 def test_no_floats_inside_normal_forms():
