@@ -150,17 +150,6 @@ def tautological_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
     return SuperVectorField(spec.chart, 1, a, fundamental_field(spec, xi).a)
 
 
-def equivariant_differential(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunction:
-    """The operator d + contraction with the fundamental field, on the
-    tautological chart where theta^i stands for dx^i."""
-    return tautological_Q(spec, xi).apply(alpha)
-
-
-def lie_derivative(alpha: SuperFunction, spec: ActionSpec, xi=None) -> SuperFunction:
-    """Lie derivative along the fundamental field, acting on translated forms."""
-    return lifted_field(tautological_lift(spec), xi).apply(alpha)
-
-
 # ---------------------------------------------------------------------------
 # Complex-structure operator.
 # ---------------------------------------------------------------------------
@@ -304,72 +293,9 @@ def sigma_from_Q(Q, samples=None):
     return rows
 
 
-def induced_fiber_metric(h, sigma, samples=None):
-    """H = sigma^T h sigma, the fiber metric pulled through the symbol map."""
-    m = len(sigma)
-    if len(h) != m or any(len(row) != m for row in h):
-        raise ShapeMismatch("h must be %d x %d" % (m, m))
-    n = len(sigma[0])
-    symbols = set()
-    for row in sigma:
-        for e in row:
-            symbols |= sc.free_symbols(e)
-    for row in h:
-        for e in row:
-            symbols |= sc.free_symbols(_as_expr(e))
-    if samples is None:
-        samples = _default_samples(symbols)
-    if _numeric_rank(sigma, samples) < n:
-        raise NotInjective("sigma has rank below %d at all sample points" % (n,))
-    H = []
-    for A in range(n):
-        row = []
-        for B in range(n):
-            acc = sc.ZERO
-            for i in range(m):
-                for j in range(m):
-                    acc = acc + sigma[i][A] * _as_expr(h[i][j]) * sigma[j][B]
-            row.append(normalize(acc))
-        H.append(row)
-    return H
-
-
 # ---------------------------------------------------------------------------
-# Metric data and connection checks.
+# Metric and connection checks.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricData:
-    """Invariant base metric, optionally with the symbol map attached."""
-
-    chart: SuperChart
-    h: tuple
-    sigma: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        h = tuple(tuple(_as_expr(e) for e in row) for row in self.h)
-        m = self.chart.m
-        if len(h) != m or any(len(row) != m for row in h):
-            raise ShapeMismatch("h must be %d x %d" % (m, m))
-        for i in range(m):
-            for j in range(m):
-                if not sc.is_zero(h[i][j] - h[j][i]):
-                    raise ShapeMismatch("metric is not symmetric at (%d, %d)" % (i, j))
-        object.__setattr__(self, "h", h)
-        if self.sigma is not None:
-            object.__setattr__(
-                self, "sigma", tuple(tuple(_as_expr(e) for e in row) for row in self.sigma)
-            )
-
-    def fiber_metric(self):
-        sigma = self.sigma
-        if sigma is None:
-            sigma = tuple(
-                tuple(sc.ONE if i == j else sc.ZERO for j in range(self.chart.n))
-                for i in range(self.chart.m)
-            )
-        return induced_fiber_metric(self.h, sigma)
 
 
 def metric_invariance_report(h, spec: ActionSpec):
@@ -438,33 +364,17 @@ def christoffel(h, coords) -> list:
     return out
 
 
-def check_sigma_parallel(sigma, h, chart: SuperChart, H=None, samples=None, tol=1e-8):
-    """Covariant constancy of sigma: coordinate derivative plus base
-    Christoffel action minus the fiber connection action, sampled."""
+def check_sigma_parallel(sigma, h, chart: SuperChart, H, samples=None, tol=1e-8):
+    """Covariant constancy of sigma on a square chart: coordinate derivative
+    plus the Levi-Civita action of the base metric h minus that of the fiber
+    metric H, sampled where the symbolic residual does not vanish."""
     coords = chart.coords
     m, n = chart.m, chart.n
+    if n != m:
+        raise DimensionMismatch("sigma check needs a square chart, got (%d, %d)" % (m, n))
     sigma = [[_as_expr(e) for e in row] for row in sigma]
-    if H is None:
-        H = induced_fiber_metric(h, sigma, samples=samples)
     gamma_h = christoffel(h, coords)
-    if n == m:
-        omega = christoffel(H, coords)
-        connection = "levi-civita"
-    else:
-        Hinv = linalg.inverse_symbolic([[_as_expr(e) for e in row] for row in H])
-        omega = []
-        for B in range(n):
-            plane = []
-            for k in range(m):
-                row = []
-                for A in range(n):
-                    acc = sc.ZERO
-                    for C in range(n):
-                        acc = acc + Hinv[B][C] * sc.differentiate(_as_expr(H[C][A]), coords[k])
-                    row.append(normalize(Fraction(1, 2) * acc))
-                plane.append(row)
-            omega.append(plane)
-        connection = "metric-gauge"
+    omega = christoffel(H, coords)
     residuals = []
     for i in range(m):
         for k in range(m):
@@ -476,7 +386,7 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, H=None, samples=None, tol=
                     r = r - sigma[i][B] * omega[B][k][A]
                 residuals.append(normalize(r))
     if all(sc.is_zero(r) for r in residuals):
-        return {"status": "pass", "max_residual": 0.0, "connection": connection, "symbolic": True}
+        return {"status": "pass", "max_residual": 0.0, "symbolic": True}
     symbols = set()
     for r in residuals:
         symbols |= sc.free_symbols(r)
@@ -492,7 +402,6 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, H=None, samples=None, tol=
     return {
         "status": "pass" if worst < tol else "fail",
         "max_residual": worst,
-        "connection": connection,
         "symbolic": False,
     }
 

@@ -1,7 +1,8 @@
 """Command-line front end for the scenario runners.
 
 Exit codes: 0 when every check passes or is skipped, 1 when a check
-fails, 2 for a malformed scenario, 3 when a computation cannot finish.
+fails, 2 for a malformed scenario or a command its kind has no checks
+for, 3 when a computation cannot finish.
 """
 from __future__ import annotations
 

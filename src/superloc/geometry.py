@@ -103,7 +103,6 @@ def sphere_fixed_points():
         out.extend(
             find_fixed_points(
                 patch.spec,
-                strategy="declared",
                 declared=[(0, 0)],
                 h=patch.h,
                 chart_id=patch.name,
@@ -147,7 +146,6 @@ def gaussian_oracle_patch(half_width: float = 14.0) -> OraclePatch:
 def plane_fixed_point():
     return find_fixed_points(
         PLANE_ROTATION,
-        strategy="declared",
         declared=[(0, 0)],
         chart_id="plane",
     )

@@ -9,7 +9,8 @@ single item) with ordered checks; a check gives its base name, the
 function computing its record fields, and the errors that become a
 `skipped(...)` or `fail` status instead of propagating.
 
-`_execute` drops the checks that the scenario's `checks` list leaves out
+`_execute` refuses a command that the scenario's kind has no stages for
+with `SchemaError`.  It drops the checks that the `checks` list leaves out
 before computing anything, then runs every item through the remaining
 checks in order and turns the records into a report: an ordered list plus
 totals.  Checks on one item share a memo, so the three compare checks
@@ -112,7 +113,8 @@ def _require(scenario: dict, key: str, types) -> object:
     if key not in scenario:
         raise SchemaError("scenario lacks required key %r" % (key,))
     value = scenario[key]
-    if not isinstance(value, types):
+    # bool is an int subclass, but true is no tolerance and no count
+    if isinstance(value, bool) or not isinstance(value, types):
         raise SchemaError("scenario key %r has the wrong type" % (key,))
     return value
 
@@ -122,8 +124,8 @@ def _validate(scenario: dict) -> None:
     kind = _require(scenario, "kind", str)
     if kind not in KINDS:
         raise SchemaError("unknown scenario kind %r" % (kind,))
-    if "tol" in scenario and not isinstance(scenario["tol"], (int, float)):
-        raise SchemaError("tol must be a number")
+    if "tol" in scenario:
+        _require(scenario, "tol", (int, float))
     checks = scenario.get("checks")
     if checks is not None:
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
@@ -173,6 +175,8 @@ def _validate(scenario: dict) -> None:
                 parse_super(_STOKES_DOMAINS[domain]().chart, text)
             except Exception as exc:
                 raise SchemaError("stokes form does not parse: %s" % (exc,))
+            if "tol" in entry:
+                _require(entry, "tol", (int, float))
     if kind == "adhm":
         k = _require(scenario, "k", int)
         N = _require(scenario, "N", int)
@@ -339,12 +343,15 @@ class _Check(NamedTuple):
 
 
 def _execute(scenario: dict, command: str, tol: Optional[float]) -> dict:
+    kind = scenario["kind"]
+    if command not in _REGISTRY[kind]:
+        raise SchemaError("kind %r has no %s checks" % (kind, command))
     if tol is None:
         tol = scenario.get("tol", 1e-12 if command == "brst-check" else 1e-6)
     run = _Run(scenario, float(tol))
     wanted = scenario.get("checks")
     records = []
-    for source, checks in _REGISTRY[scenario["kind"]].get(command, ()):
+    for source, checks in _REGISTRY[kind][command]:
         checks = [c for c in checks if wanted is None or c.base in wanted]
         if not checks:
             continue

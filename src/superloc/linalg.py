@@ -37,13 +37,6 @@ def _square(M) -> tuple:
     return rows
 
 
-def transpose(M) -> list:
-    rows = [tuple(row) for row in M]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ShapeMismatch("ragged matrix")
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
 def mat_mul(A, B) -> list:
     A = [list(r) for r in A]
     B = [list(r) for r in B]
@@ -95,19 +88,6 @@ def mat_commutator(A, B) -> list:
 def mat_equal(A, B) -> bool:
     _same_shape(A, B)
     return all(_entry_zero(x - y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
-
-
-def mat_vec(A, v) -> list:
-    A = [list(r) for r in A]
-    if not A or len(A[0]) != len(v):
-        raise ShapeMismatch("matrix and vector sizes disagree")
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
-    return out
 
 
 def identity(n: int) -> list:
@@ -237,7 +217,7 @@ def pfaffian(M):
 
 
 # ---------------------------------------------------------------------------
-# Linear solves and inverses.
+# Inverses.
 # ---------------------------------------------------------------------------
 
 
@@ -259,15 +239,6 @@ def _eliminate(rows, right) -> list:
                 f = aug[r][col]
                 aug[r] = [e - f * aug[col][c] for c, e in enumerate(aug[r])]
     return [row[n:] for row in aug]
-
-
-def solve(A, b) -> list:
-    """Solve A x = b exactly; raises on singular systems."""
-    rows = _square(A)
-    n = len(rows)
-    if len(b) != n:
-        raise ShapeMismatch("right-hand side length %d, matrix size %d" % (len(b), n))
-    return [x for (x,) in _eliminate(rows, [[e] for e in b])]
 
 
 def inverse(A) -> list:

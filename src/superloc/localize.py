@@ -10,18 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 from typing import Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import linalg
 from . import scalars as sc
 from .actions import (
     ActionSpec,
     _as_expr,
-    _is_affine,
     fundamental_field,
     lifted_field,
     tautological_lift,
@@ -30,7 +26,6 @@ from .errors import (
     ComputationError,
     DegenerateField,
     DimensionMismatch,
-    NoConvergence,
     NonInvertibleQBeta,
     NonIsolatedZero,
     NotAZero,
@@ -192,109 +187,30 @@ def _assemble(spec, xi, binding, chart_id, h, orientation):
 def find_fixed_points(
     spec: ActionSpec,
     xi=None,
-    strategy: str = "declared",
-    declared=None,
-    region=None,
-    grid: int = 5,
+    *,
+    declared,
     h=None,
     chart_id: str = "chart",
     orientation: int = 1,
 ):
-    """Locate isolated zeros of the fundamental field and linearize there.
+    """Check the declared isolated zeros of the fundamental field and
+    linearize there.
 
-    Strategies: "declared" verifies supplied points, "linear" solves an
-    affine field exactly, "newton" seeds damped iterations over a box.
     A declared point must be an exact zero: the field is evaluated there in
     exact arithmetic, so (sin x, y) at (math.pi, 0) raises NotAZero.  The
     metric h defaults to the identity; it is also the fiber metric, which
     the super formula therefore takes on square charts only.
     """
+    if not declared:
+        raise ValueError("no fixed points declared")
     comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     coords = spec.chart.coords
-    m = spec.chart.m
     out = []
-    if strategy == "declared":
-        if not declared:
-            raise ValueError("declared strategy needs points")
-        for pt in declared:
-            binding = {c: _num(v) for c, v in (pt.items() if isinstance(pt, Mapping) else zip(coords, pt))}
-            _check_declared(comps, binding)
-            out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
-        return out
-    if strategy == "linear":
-        origin = {c: Fraction(0) for c in coords}
-        A = []
-        c0 = []
-        for i in range(m):
-            if not _is_affine(comps[i], coords):
-                raise ValueError("field is not affine; use the newton strategy")
-            A.append(
-                [Fraction(sc.evaluate(sc.differentiate(comps[i], c), origin)) for c in coords]
-            )
-            c0.append(Fraction(sc.evaluate(comps[i], origin)))
-        try:
-            sol = linalg.solve(A, [-v for v in c0])
-        except ValueError:
-            raise DegenerateField("affine field has no isolated zero")
-        binding = dict(zip(coords, sol))
+    for pt in declared:
+        binding = {c: _num(v) for c, v in (pt.items() if isinstance(pt, Mapping) else zip(coords, pt))}
+        _check_declared(comps, binding)
         out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
-        return out
-    if strategy == "newton":
-        if region is None:
-            raise ValueError("newton strategy needs a region box")
-        funcs = [sc.compile_numeric(comp) for comp in comps]
-        jac = [
-            [sc.compile_numeric(sc.differentiate(comps[i], coords[j])) for j in range(m)]
-            for i in range(m)
-        ]
-        seeds = _grid_points(region, grid)
-        roots = []
-        for seed in seeds:
-            x = np.array(seed, dtype=float)
-            ok = False
-            for _ in range(60):
-                binding = dict(zip(coords, x))
-                f = np.array([fn(binding) for fn in funcs])
-                if np.max(np.abs(f)) < 1e-13:
-                    ok = True
-                    break
-                J = np.array([[jfn(binding) for jfn in row] for row in jac])
-                try:
-                    step = np.linalg.solve(J, f)
-                except np.linalg.LinAlgError:
-                    break
-                if np.max(np.abs(step)) > 1e6:
-                    break
-                x = x - step
-            if ok and all(
-                region[k][0] - 1e-6 <= x[k] <= region[k][1] + 1e-6 for k in range(m)
-            ):
-                if not any(np.max(np.abs(np.array(r) - x)) < 1e-7 for r in roots):
-                    roots.append([float(v) for v in x])
-        if not roots:
-            raise NoConvergence("no zero found in the search box")
-        for r in sorted(roots):
-            binding = {c: _snap(v) for c, v in zip(coords, r)}
-            if not all(sc.is_zero(_as_expr(_eval_entry(comp, binding))) for comp in comps):
-                binding = {c: Fraction(v) for c, v in zip(coords, r)}
-            out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
-        return out
-    raise ValueError("unknown strategy %r" % (strategy,))
-
-
-def _grid_points(region, grid):
-    """Cell centres of a grid^d subdivision of the box, last axis fastest."""
-    axes = [[lo + (hi - lo) * (k + 0.5) / grid for k in range(grid)] for lo, hi in region]
-    return list(product(*axes))
-
-
-def _snap(v: float):
-    """Round near-rational Newton output so exact arithmetic can take over;
-    the caller keeps the rounded point only where the field vanishes exactly."""
-    f = Fraction(v).limit_denominator(10**6)
-    if abs(float(f) - v) < 1e-9:
-        return f
-    return Fraction(v)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -209,28 +209,6 @@ def _eps_sign(perm: tuple) -> int:
     return sign
 
 
-def hodge_dual_h(alpha, h, coords: Tuple[str, ...]) -> Callable[[Mapping], np.ndarray]:
-    """Metric dual of a base 1-form, as the flux coefficients of the
-    induced top-minus-one form.
-
-    Slot k holds the coefficient of the wedge of all dx except dx^k,
-    already carrying the (-1)^(k-1) reordering sign, so summing slot k
-    over the faces normal to axis k integrates the form over a boundary.
-    """
-    m = len(coords)
-    alpha_fns = [_compile(e) for e in alpha]
-    h_fns = [[_compile(e) for e in row] for row in h]
-
-    def evaluate(binding) -> np.ndarray:
-        hm = np.array([[f(binding) for f in row] for row in h_fns])
-        av = np.array([f(binding) for f in alpha_fns])
-        w = np.linalg.solve(hm, av)
-        root = math.sqrt(np.linalg.det(hm))
-        return np.array([(-1) ** k * root * w[k] for k in range(m)])
-
-    return evaluate
-
-
 def boundary_flux(
     w: Callable[[Mapping], np.ndarray],
     h,

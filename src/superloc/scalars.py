@@ -475,7 +475,8 @@ def _expr_to_poly(e: ScalarExpr) -> Poly:
         base = _expr_to_poly(e.base)
         if e.exponent > 0:
             return _poly_pow(base, e.exponent)
-        return _poly_pow(_poly_inv(base), -e.exponent)
+        # reduce first, so that a g * g^-1 inside the base cancels before inversion
+        return _poly_pow(_poly_inv(_reduce_poly(base)), -e.exponent)
     if isinstance(e, Func):
         arg = normalize(e.arg)
         if arg == ZERO:

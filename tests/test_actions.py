@@ -11,16 +11,12 @@ import pytest
 from superloc import scalars as sc
 from superloc.actions import (
     ActionSpec,
-    MetricData,
     check_sigma_parallel,
     christoffel,
     closure_check,
-    equivariant_differential,
     fundamental_field,
-    induced_fiber_metric,
     kahler_Q,
     kahler_lift,
-    lie_derivative,
     lifted_field,
     metric_invariance_report,
     positive_definite_report,
@@ -166,7 +162,7 @@ def test_tautological_lift_requires_square_chart():
 
 def test_equivariant_differential_on_angular_form():
     alpha = parse_super(CHART, "x*th2 - y*th1")
-    out = equivariant_differential(alpha, ROTATION)
+    out = tautological_Q(ROTATION).apply(alpha)
     expected = parse_super(CHART, "2*th1*th2 + t*(x^2 + y^2)")
     assert (out - expected).is_zero()
 
@@ -174,19 +170,18 @@ def test_equivariant_differential_on_angular_form():
 def test_differential_extends_exterior_plus_contraction():
     # on a translated 1-form the operator is d plus contraction
     for f in _random_forms(CHART, 12, seed=401):
-        lhs = equivariant_differential(f, ROTATION)
+        lhs = tautological_Q(ROTATION).apply(f)
         rhs = _exterior_d(f) + _contract(f, ROTATION)
         assert (lhs - rhs).is_zero()
 
 
 def test_square_is_lie_derivative():
     for spec in (ROTATION, DILATION):
+        Q = tautological_Q(spec)
+        lift = lifted_field(tautological_lift(spec))
         for f in _random_forms(spec.chart, 10, seed=402):
-            twice = equivariant_differential(
-                equivariant_differential(f, spec), spec
-            )
-            assert (twice - _cartan_lie(f, spec)).is_zero()
-            assert (lie_derivative(f, spec) - _cartan_lie(f, spec)).is_zero()
+            assert (Q.apply(Q.apply(f)) - _cartan_lie(f, spec)).is_zero()
+            assert (lift.apply(f) - _cartan_lie(f, spec)).is_zero()
 
 
 def test_square_as_fields():
@@ -348,24 +343,6 @@ def test_positive_definite_report():
     assert positive_definite_report(bad, [{}])["status"] == "fail"
 
 
-def test_induced_fiber_metric_shear():
-    h = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))
-    sigma = ((sc.ONE, X), (sc.ZERO, sc.ONE))
-    H = induced_fiber_metric(h, sigma)
-    assert sc.is_zero(H[0][0] - sc.ONE)
-    assert sc.is_zero(H[0][1] - X)
-    assert sc.is_zero(H[1][0] - X)
-    assert sc.is_zero(H[1][1] - (sc.ONE + X * X))
-
-
-def test_metric_data_checks_symmetry():
-    with pytest.raises(ShapeMismatch):
-        MetricData(CHART, ((sc.ONE, X), (sc.ZERO, sc.ONE)))
-    md = MetricData(CHART, ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE)))
-    H = md.fiber_metric()
-    assert sc.is_zero(H[0][0] - sc.ONE) and sc.is_zero(H[0][1])
-
-
 def test_christoffel_against_finite_differences():
     h = (
         (sc.ONE + X * X, X * Y),
@@ -403,18 +380,26 @@ def test_christoffel_against_finite_differences():
 def test_sigma_parallel_tautological():
     h = ((sc.ONE + X * X, sc.ZERO), (sc.ZERO, sc.ONE))
     sigma = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))
-    report = check_sigma_parallel(sigma, h, CHART)
+    report = check_sigma_parallel(sigma, h, CHART, h)
     assert report["status"] == "pass"
-    assert report["connection"] == "levi-civita"
     assert report["symbolic"]
 
 
 def test_sigma_parallel_shear_fails():
     h = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))
     sigma = ((sc.ONE, X), (sc.ZERO, sc.ONE))
-    report = check_sigma_parallel(sigma, h, CHART)
+    # the fiber metric sigma^T h sigma of the shear
+    H = ((sc.ONE, X), (X, sc.ONE + X * X))
+    report = check_sigma_parallel(sigma, h, CHART, H)
     assert report["status"] == "fail"
     assert report["max_residual"] > 1e-3
+
+
+def test_sigma_parallel_needs_a_square_chart():
+    chart = SuperChart(("x", "y"), 1)
+    h = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))
+    with pytest.raises(DimensionMismatch):
+        check_sigma_parallel(((sc.ONE,), (sc.ZERO,)), h, chart, ((sc.ONE,),))
 
 
 def _affine_probe_expr(rng: random.Random, depth: int = 3) -> sc.ScalarExpr:

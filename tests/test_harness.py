@@ -81,6 +81,30 @@ def test_schema_rejections(tmp_path):
             "stokes": [{"domain": "flat_box", "form": "x*!"}],
         },
         {"name": "x", "kind": "adhm", "k": 0, "N": 2},
+        # bool is an int subclass: true must not load as tol 1.0 or k = 1
+        {
+            "name": "x",
+            "kind": "sphere",
+            "form": {"type": "height_exponential"},
+            "values": ["1"],
+            "tol": True,
+        },
+        {"name": "x", "kind": "adhm", "k": True, "N": 2},
+        {
+            "name": "x",
+            "kind": "plane_rotation",
+            "form": {"type": "gaussian_rotation"},
+            "values": ["1"],
+            "stokes": [{"domain": "flat_box", "form": "x*th1", "tol": True}],
+        },
+        {
+            "name": "x",
+            "kind": "plane_rotation",
+            "form": {"type": "gaussian_rotation"},
+            "values": ["1"],
+            "stokes": [{"domain": "flat_box", "form": "x*th1", "tol": "loose"}],
+        },
+        {"name": "x", "kind": "adhm", "k": 1, "N": True},
     ]
     for obj in bad:
         with pytest.raises(SchemaError):
@@ -163,6 +187,15 @@ def test_empty_check_list_yields_zero_records(tmp_path):
         assert report["checks"] == []
         assert report["totals"] == {"pass": 0, "fail": 0, "skipped": 0}
         assert report_exit_code(report) == 0
+
+
+def test_command_without_checks_for_the_kind_is_refused():
+    scenario = load_scenario(BUNDLED % "adhm_k1_n2")
+    with pytest.raises(SchemaError, match="kind 'adhm' has no localize checks"):
+        run_localize(scenario)
+    # a checks list that the registered command filters down to nothing is not refused
+    scenario["checks"] = []
+    assert run_brst_check(scenario)["checks"] == []
 
 
 def test_check_filter_selects_base_names(tmp_path):

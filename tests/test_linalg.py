@@ -28,10 +28,7 @@ from superloc.linalg import (
     mat_equal,
     mat_mul,
     mat_sub,
-    mat_vec,
     pfaffian,
-    solve,
-    transpose,
 )
 
 
@@ -167,21 +164,17 @@ def test_solve_and_inverse():
         A = _rand_matrix(rng, 4)
         if det(A) == 0:
             continue
-        b = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-        x = solve(A, b)
-        assert mat_vec(A, x) == b
         Ainv = inverse(A)
         assert mat_mul(A, Ainv) == identity(4)
+        assert mat_mul(Ainv, A) == identity(4)
         done += 1
 
 
 def test_solve_singular():
     with pytest.raises(ValueError):
-        solve([[1, 2], [2, 4]], [1, 1])
-    with pytest.raises(ValueError):
         inverse([[1, 2], [2, 4]])
     with pytest.raises(ShapeMismatch):
-        solve([[1, 0], [0, 1]], [1, 2, 3])
+        inverse([[1, 0, 0], [0, 1, 0]])
 
 
 def test_inverse_symbolic_on_rationals():
@@ -208,7 +201,8 @@ def test_inverse_symbolic_cancels():
 
 
 def test_transpose_and_shapes():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+    # on real entries the conjugate transpose is the transpose
+    assert mat_dagger([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
     with pytest.raises(ShapeMismatch):
         mat_mul([[1, 2]], [[1, 2]])
     with pytest.raises(ShapeMismatch):

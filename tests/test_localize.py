@@ -12,9 +12,7 @@ import pytest
 from superloc import scalars as sc
 from superloc.actions import ActionSpec, lifted_field, tautological_Q, tautological_lift
 from superloc.errors import (
-    DegenerateField,
     DimensionMismatch,
-    NoConvergence,
     NonInvertibleQBeta,
     NonIsolatedZero,
     NotAZero,
@@ -107,53 +105,6 @@ def test_declared_points_are_checked_exactly():
     # the float pi is not a zero of sin: the residual 1.2e-16 is not forgiven
     with pytest.raises(NotAZero):
         find_fixed_points(spec, {"t": 1}, declared=[(math.pi, 0)])
-
-
-def test_find_fixed_points_linear():
-    spec = ActionSpec(("t",), CHART, ((X - 1, Y + 2),))
-    pts = find_fixed_points(spec, {"t": 1}, strategy="linear")
-    assert pts[0].point == (Fraction(1), Fraction(-2))
-    bad = ActionSpec(("t",), CHART, ((X - Y, X - Y),))
-    with pytest.raises(DegenerateField):
-        find_fixed_points(bad, {"t": 1}, strategy="linear")
-    cubic = ActionSpec(("t",), CHART, ((X * X * X, Y),))
-    with pytest.raises(ValueError):
-        find_fixed_points(cubic, {"t": 1}, strategy="linear")
-    # only the mixed second derivative of x*y is nonzero
-    mixed = ActionSpec(("t",), CHART, ((X * Y + 1, sc.sin(sc.rational(1)) * Y),))
-    with pytest.raises(ValueError):
-        find_fixed_points(mixed, {"t": 1}, strategy="linear")
-
-
-def test_find_fixed_points_newton():
-    spec = ActionSpec(("t",), CHART, ((X - X**3, Y),))
-    pts = find_fixed_points(
-        spec, {"t": 1}, strategy="newton", region=((-2, 2), (-2, 2)), grid=6
-    )
-    xs = sorted(float(fp.point[0]) for fp in pts)
-    assert len(pts) == 3
-    assert abs(xs[0] + 1) < 1e-9 and abs(xs[1]) < 1e-9 and abs(xs[2] - 1) < 1e-9
-    # snapped points allow exact linearization
-    assert pts[0].point[0] == Fraction(-1)
-    no_zero = ActionSpec(("t",), CHART, ((X * X + 1, Y * Y + 1),))
-    with pytest.raises(NoConvergence):
-        find_fixed_points(
-            no_zero, {"t": 1}, strategy="newton", region=((-2, 2), (-2, 2)), grid=3
-        )
-
-
-def test_newton_keeps_a_snapped_point_only_when_it_is_exact():
-    chart = SuperChart(("x",), 1)
-    root = Fraction(10**10 + 1, 10**10)
-    spec = ActionSpec(("t",), chart, ((X - sc.rational(root.numerator, root.denominator),),))
-    (fp,) = find_fixed_points(spec, {"t": 1}, strategy="newton", region=((0, 2),), grid=3)
-    # the rational 1 lies within the snapping distance but is not a zero
-    assert fp.point[0] != 1
-    assert fp.point[0] == Fraction(float(fp.point[0]))
-    assert abs(fp.point[0] - root) < Fraction(1, 10**15)
-    exact = ActionSpec(("t",), chart, ((X - sc.rational(1, 3),),))
-    (fp,) = find_fixed_points(exact, {"t": 1}, strategy="newton", region=((0, 2),), grid=3)
-    assert fp.point == (Fraction(1, 3),)
 
 
 def test_superdeterminant_values():

@@ -23,7 +23,6 @@ from superloc.oracle import (
     boundary_flux,
     global_berezin,
     hodge_dual_H,
-    hodge_dual_h,
     quadrature,
     super_stokes_check,
 )
@@ -229,16 +228,6 @@ def test_hodge_dual_three_generators():
 def test_hodge_dual_grade_guard():
     with pytest.raises(WrongGrade):
         hodge_dual_H(parse_super(CHART, "x*th1 + th1*th2"), EYE)
-
-
-def test_hodge_dual_base_form():
-    # flat plane: dual of dy is minus dx, dual of dx is dy
-    dual = hodge_dual_h((sc.ZERO, sc.ONE), EYE, ("x", "y"))
-    out = dual({"x": 0.0, "y": 0.0})
-    assert abs(out[0]) < 1e-12 and abs(out[1] + 1.0) < 1e-12
-    stretched = hodge_dual_h((sc.ONE, sc.ZERO), ((4, 0), (0, 1)), ("x", "y"))
-    out = stretched({"x": 0.0, "y": 0.0})
-    assert abs(out[0] - 0.5) < 1e-12 and abs(out[1]) < 1e-12
 
 
 def test_super_stokes_needs_parallel_sigma():

@@ -2,8 +2,10 @@
 
 Each bundled scenario is run in-process under each command and its report,
 serialized with a fixed timestamp, must equal the recorded text byte for
-byte.  All 20 scenario x command pairs are covered, the k=2 closure check
-of ``adhm_k2_n2_brst`` included.
+byte.  Eleven of the 20 scenario x command pairs have a report, the k=2
+closure check of ``adhm_k2_n2_brst`` included.  The other nine name a
+command that their kind has no checks for: they have no golden entry, and
+``superloc`` refuses them with exit code 2.
 
 When a change moves a report on purpose, rewrite the golden file with
 ``PYTHONPATH=src python tests/test_reports_golden.py`` and say which values
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from superloc.cli import main
 from superloc.harness import RUNNERS, load_scenario, serialize_report
 
 GOLDEN = Path(__file__).resolve().parent / "reports_golden.json"
@@ -27,6 +30,11 @@ PAIRS = [
     for name in SCENARIOS
     for command in ("localize", "oracle", "compare", "brst-check")
 ]
+REFUSED = {
+    (name, command)
+    for name in ("adhm_k1_n2", "adhm_k2_n2_brst", "kahler_c2")
+    for command in ("localize", "oracle", "compare")
+}
 
 
 def _report_text(name: str, command: str) -> str:
@@ -35,11 +43,17 @@ def _report_text(name: str, command: str) -> str:
 
 
 @pytest.mark.parametrize("name,command", PAIRS, ids=["%s-%s" % p for p in PAIRS])
-def test_report_matches_golden(name, command):
-    golden = json.loads(GOLDEN.read_text())["%s/%s" % (name, command)]
-    assert _report_text(name, command) == json.dumps(golden, indent=2) + "\n"
+def test_report_matches_golden(name, command, capsys):
+    golden = json.loads(GOLDEN.read_text())
+    key = "%s/%s" % (name, command)
+    if (name, command) in REFUSED:
+        assert key not in golden
+        assert main([command, "--scenario", name, "--quiet"]) == 2
+        assert "has no %s checks" % (command,) in capsys.readouterr().err
+        return
+    assert _report_text(name, command) == json.dumps(golden[key], indent=2) + "\n"
 
 
 if __name__ == "__main__":
-    reports = {"%s/%s" % p: json.loads(_report_text(*p)) for p in PAIRS}
+    reports = {"%s/%s" % p: json.loads(_report_text(*p)) for p in PAIRS if p not in REFUSED}
     GOLDEN.write_text(json.dumps(reports, indent=2) + "\n")

@@ -202,6 +202,14 @@ def test_inverting_a_composite_inverse_expands_it(text, ring_equal):
     assert n == normalize(parse_scalar(ring_equal))
 
 
+def test_inverse_base_is_reduced_before_inversion():
+    # (y^2+1)*(y^2+1)^-1 cancels inside the base, so the inverse is that of 1 + x
+    n = normalize(parse_scalar("((y^2+1)*(y^2+1)^-1 + x)^-1"))
+    assert n == normalize(parse_scalar("(1+x)^-1"))
+    with pytest.raises(ZeroDivisionError):
+        normalize(parse_scalar("((y^2+1)*(y^2+1)^-1 - 1)^-1"))
+
+
 class _NeverStores(dict):
     def __setitem__(self, key, value) -> None:
         pass
