@@ -113,7 +113,7 @@ def _require(scenario: dict, key: str, types) -> object:
     if key not in scenario:
         raise SchemaError("scenario lacks required key %r" % (key,))
     value = scenario[key]
-    # bool is an int subclass, but true is no tolerance and no count
+    # bool is an int subclass, but true is no count
     if isinstance(value, bool) or not isinstance(value, types):
         raise SchemaError("scenario key %r has the wrong type" % (key,))
     return value
@@ -125,7 +125,7 @@ def _validate(scenario: dict) -> None:
     if kind not in KINDS:
         raise SchemaError("unknown scenario kind %r" % (kind,))
     if "tol" in scenario:
-        _require(scenario, "tol", (int, float))
+        _tolerance(scenario["tol"], "scenario tol")
     checks = scenario.get("checks")
     if checks is not None:
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
@@ -176,12 +176,19 @@ def _validate(scenario: dict) -> None:
             except Exception as exc:
                 raise SchemaError("stokes form does not parse: %s" % (exc,))
             if "tol" in entry:
-                _require(entry, "tol", (int, float))
+                _tolerance(entry["tol"], "stokes tol")
     if kind == "adhm":
         k = _require(scenario, "k", int)
         N = _require(scenario, "N", int)
         if k < 1 or N < 2:
             raise SchemaError("need k >= 1 and N >= 2")
+
+
+def _tolerance(value, what: str) -> float:
+    # true is no tolerance, and NaN fails both comparisons
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise SchemaError("%s must be a finite number > 0, got %r" % (what, value))
+    return float(value)
 
 
 def _as_fraction(text) -> Fraction:
@@ -348,7 +355,7 @@ def _execute(scenario: dict, command: str, tol: Optional[float]) -> dict:
         raise SchemaError("kind %r has no %s checks" % (kind, command))
     if tol is None:
         tol = scenario.get("tol", 1e-12 if command == "brst-check" else 1e-6)
-    run = _Run(scenario, float(tol))
+    run = _Run(scenario, _tolerance(tol, "tol"))
     wanted = scenario.get("checks")
     records = []
     for source, checks in _REGISTRY[kind][command]:
@@ -533,22 +540,31 @@ def _verify_kahler(run: _Run, item: dict) -> dict:
     return _verified(verify_brst(kahler_Q(_TORUS_SPEC), _TORUS_SPEC))
 
 
-def _adhm_operator(run: _Run, item: dict, full: bool):
-    """(layout, Cartan params, Q) on the matter or the full chart."""
+def _adhm_chart(run: _Run, item: dict, full: bool):
+    """(layout, Cartan params) on the matter or the full chart."""
 
     def build():
         layout = adhm_super_chart(run.scenario["k"], run.scenario["N"], full=full)
-        params = cartan_params(layout)
-        builder = adhm_Q_full if full else adhm_Q_unconstrained
-        return layout, params, builder(layout, *params)
+        return layout, cartan_params(layout)
 
-    return _memo(item, ("Q", full), build)
+    return _memo(item, ("chart", full), build)
+
+
+def _adhm_operator(run: _Run, item: dict, full: bool):
+    layout, params = _adhm_chart(run, item, full)
+    builder = adhm_Q_full if full else adhm_Q_unconstrained
+    return _memo(item, ("Q", full), lambda: builder(layout, *params))
+
+
+def _adhm_lift(run: _Run, item: dict, full: bool):
+    layout, params = _adhm_chart(run, item, full)
+    return _memo(item, ("lift", full), lambda: adhm_lifted_field(layout, *params))
 
 
 def _closure(full: bool) -> Callable:
     def compute(run: _Run, item: dict) -> dict:
-        layout, params, Q = _adhm_operator(run, item, full)
-        ok = field_is_zero(square_residual(Q, adhm_lifted_field(layout, *params)))
+        Q = _adhm_operator(run, item, full)
+        ok = field_is_zero(square_residual(Q, _adhm_lift(run, item, full)))
         return {
             "status": "pass" if ok else "fail",
             "lhs": "[Q,Q]/2",
@@ -560,12 +576,12 @@ def _closure(full: bool) -> Callable:
 
 
 def _verify_unconstrained(run: _Run, item: dict) -> dict:
-    layout, _, Q = _adhm_operator(run, item, False)
-    return _verified(verify_brst(Q, adhm_action_spec(layout)))
+    layout, _ = _adhm_chart(run, item, False)
+    return _verified(verify_brst(_adhm_operator(run, item, False), adhm_action_spec(layout)))
 
 
 def _sigma_identity(run: _Run, item: dict) -> dict:
-    _, _, Q = _adhm_operator(run, item, False)
+    Q = _adhm_operator(run, item, False)
     ok = all(comp.terms == {(idx + 1,): sc.ONE} for idx, comp in enumerate(Q.a))
     return {"status": "pass" if ok else "fail"}
 
@@ -573,8 +589,8 @@ def _sigma_identity(run: _Run, item: dict) -> dict:
 def _multiplier(complex_sector: bool) -> Callable:
     def compute(run: _Run, item: dict) -> dict:
         def build():
-            lay = adhm_super_chart(run.scenario["k"], run.scenario["N"], full=True)
-            field = adhm_lifted_field(lay, *cartan_params(lay))
+            lay, _ = _adhm_chart(run, item, True)
+            field = _adhm_lift(run, item, True)
             bodies = [c.terms.get((), sc.ZERO) for c in field.a]
             T = {lay.chart.coords[i]: bodies[i] for i in range(lay.offset("HR"))}
             return lay, bodies, T, adhm_constraint_scalars(lay)

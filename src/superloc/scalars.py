@@ -226,14 +226,21 @@ _REDUCE_ROUNDS = 100
 # Kernel cache bounds, in entries. Evicting an entry only costs its
 # recomputation.
 _NORMALIZE_CACHE = 1 << 16
+_DIFFERENTIATE_CACHE = 1 << 16
 _ATOM_KEY_CACHE = 1 << 12
 _POLY_CACHE = 1 << 16
 _COMPILED_CACHE = 1 << 10
 
-# Normal form -> its polynomial, filled by normalize. Polys are never
+# Normal form (or inverse-atom base) -> its polynomial. Polys are never
 # mutated once built (_poly_add and _poly_divmod copy their inputs), so
 # _expr_to_poly hands out these entries as they are.
 _POLY: dict = {}
+
+
+def _remember(e: ScalarExpr, p: Poly) -> None:
+    if len(_POLY) >= _POLY_CACHE:
+        del _POLY[next(iter(_POLY))]
+    _POLY[e] = p
 
 
 def _atom_rank(atom: ScalarExpr) -> int:
@@ -349,27 +356,34 @@ def _poly_inv(p: Poly) -> Poly:
     normalize stays idempotent."""
     if not p:
         raise ZeroDivisionError("inverse of zero expression")
-    if len(p) == 1:
-        (m, c), = p.items()
-        return _mono_poly(_mono_inv(m), Fraction(1) / c)
-    # extract monomial content: per atom, the minimal exponent over all terms
-    exps: dict = {}
-    for m in p:
-        for a, e in m:
-            exps.setdefault(a, []).append(e)
-    nterms = len(p)
-    content = []
-    for a, lst in exps.items():
-        lo = min(lst) if len(lst) == nterms else min(min(lst), 0)
-        if lo != 0:
-            content.append((a, lo))
-    inv_content = _mono_inv(tuple(sorted(content, key=lambda q: _atom_key(q[0]))))
-    stripped: Poly = {}
-    for m, c in p.items():
-        stripped = _poly_add(stripped, _mono_poly(_mono_mul(m, inv_content), c))
-    _, lc = _leading(stripped)
-    monic = _poly_scale(stripped, Fraction(1) / lc)
+    # extract monomial content: per atom, the minimal exponent over all
+    # terms. Expanding the composite atoms of one content can leave another
+    # (y + 1 - (y + 1)*(t + 1)^-1 clears to t*y + t), so repeat.
+    inv_content: Monomial = ()
+    while True:
+        if len(p) == 1:
+            (m, c), = p.items()
+            return _mono_poly(_mono_mul(inv_content, _mono_inv(m)), Fraction(1) / c)
+        exps: dict = {}
+        for m in p:
+            for a, e in m:
+                exps.setdefault(a, []).append(e)
+        content = []
+        for a, lst in exps.items():
+            lo = min(lst) if len(lst) == len(p) else min(min(lst), 0)
+            if lo != 0:
+                content.append((a, lo))
+        if not content:
+            break
+        step = _mono_inv(tuple(sorted(content, key=lambda q: _atom_key(q[0]))))
+        stripped: Poly = {}
+        for m, c in p.items():
+            stripped = _poly_add(stripped, _mono_poly(_mono_mul(m, step), c))
+        p, inv_content = stripped, _mono_mul(inv_content, step)
+    _, lc = _leading(p)
+    monic = _poly_scale(p, Fraction(1) / lc)
     base_expr = _poly_to_expr(monic)
+    _remember(base_expr, monic)
     return _poly_mul(_mono_poly(inv_content, Fraction(1) / lc), {((base_expr, -1),): Fraction(1)})
 
 
@@ -518,13 +532,15 @@ def normalize(e: ScalarExpr) -> ScalarExpr:
     atoms, but their coefficients are division-reduced so products like
     (x^2+y^2) * (x^2+y^2)^-1 do collapse to 1.
     """
-    p = _reduce_poly(_expr_to_poly(e))
+    return _normal_form(_expr_to_poly(e))
+
+
+def _normal_form(p: Poly) -> ScalarExpr:
+    p = _reduce_poly(p)
     out = _poly_to_expr(p)
     # idempotence makes p the polynomial of out, so _expr_to_poly(out) can
     # return it without walking the tree
-    if len(_POLY) >= _POLY_CACHE:
-        del _POLY[next(iter(_POLY))]
-    _POLY[out] = p
+    _remember(out, p)
     return out
 
 
@@ -539,36 +555,43 @@ def is_zero(e: ScalarExpr) -> bool:
 
 def differentiate(e: ScalarExpr, name: str) -> ScalarExpr:
     """Exact partial derivative with respect to the named symbol."""
-    return normalize(_diff(normalize(e), name))
+    return _differentiate(normalize(e), name)
 
 
-def _diff(e: ScalarExpr, name: str) -> ScalarExpr:
-    if isinstance(e, Rat):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Add):
-        return Add(tuple(_diff(a, name) for a in e.args))
-    if isinstance(e, Mul):
-        terms = []
-        for i, a in enumerate(e.args):
-            rest = e.args[:i] + e.args[i + 1:]
-            terms.append(Mul((_diff(a, name),) + rest))
-        return Add(tuple(terms)) if terms else ZERO
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        return Mul((Rat(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), _diff(e.base, name)))
-    if isinstance(e, Func):
-        inner = _diff(e.arg, name)
-        if e.kind == "exp":
-            outer: ScalarExpr = Func("exp", e.arg)
-        elif e.kind == "sin":
-            outer = Func("cos", e.arg)
-        else:
-            outer = Mul((Rat(Fraction(-1)), Func("sin", e.arg)))
-        return Mul((outer, inner))
-    raise TypeError("not a ScalarExpr: %r" % (e,))
+@functools.lru_cache(maxsize=_DIFFERENTIATE_CACHE)
+def _differentiate(n: ScalarExpr, name: str) -> ScalarExpr:
+    return _normal_form(_poly_diff(_expr_to_poly(n), name))
+
+
+def _poly_diff(p: Poly, name: str) -> Poly:
+    """Product rule over the atoms of each monomial, before reduction:
+    d(a^k) = k*a^(k-1)*a' for every atom a, composite inverse atoms too."""
+    out: Poly = {}
+    for m, c in p.items():
+        for atom, k in m:
+            da = _atom_diff(atom, name)
+            if not da:
+                continue
+            rest = _mono_mul(m, ((atom, -1),))
+            for m2, c2 in da.items():
+                key = _mono_mul(rest, m2)
+                nc = out.get(key, Fraction(0)) + c * k * c2
+                if nc:
+                    out[key] = nc
+                else:
+                    out.pop(key, None)
+    return out
+
+
+def _atom_diff(atom: ScalarExpr, name: str) -> Poly:
+    if isinstance(atom, Sym):
+        return {(): Fraction(1)} if atom.name == name else {}
+    if not isinstance(atom, Func):
+        # a composite inverse atom stands for its base g; this is g'
+        return _poly_diff(_expr_to_poly(atom), name)
+    inner = _poly_diff(_expr_to_poly(atom.arg), name)
+    kind, sign = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}[atom.kind]
+    return _poly_mul({((Func(kind, atom.arg), 1),): Fraction(sign)}, inner) if inner else {}
 
 
 def free_symbols(e: ScalarExpr) -> frozenset:

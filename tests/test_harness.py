@@ -106,6 +106,13 @@ def test_schema_rejections(tmp_path):
         },
         {"name": "x", "kind": "adhm", "k": 1, "N": True},
     ]
+    # a tolerance must be finite and > 0; json loads NaN and Infinity
+    sphere = {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1"]}
+    plane = {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+             "values": ["1"]}
+    for tol in (-1, 0, 0.0, -1e-12, math.nan, math.inf):
+        bad.append(dict(sphere, tol=tol))
+        bad.append(dict(plane, stokes=[{"domain": "flat_box", "form": "x*th1", "tol": tol}]))
     for obj in bad:
         with pytest.raises(SchemaError):
             load_scenario(_write(tmp_path, obj))
@@ -366,6 +373,14 @@ def test_cli_reports_check_failures(tmp_path, capsys):
 def test_cli_tol_override(capsys):
     code = main(["compare", "--scenario", "sphere_dh", "--tol", "1e-20", "--quiet"])
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_cli_tol_override_must_be_finite_and_positive(tol, capsys):
+    assert main(["compare", "--scenario", "sphere_dh", "--tol", tol, "--quiet"]) == 2
+    assert "tol must be a finite number > 0" in capsys.readouterr().err
+    with pytest.raises(SchemaError):
+        run_compare(load_scenario(BUNDLED % "sphere_dh"), tol=float(tol))
 
 
 def test_cli_computation_error_exit_code(tmp_path, capsys):

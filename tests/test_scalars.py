@@ -134,6 +134,63 @@ def test_differentiate_inverse_power():
     assert d == expect
 
 
+def _tree_diff(e: sc.ScalarExpr, name: str) -> sc.ScalarExpr:
+    """Reference derivative: the product-rule tree over the expression,
+    which normalize then expands."""
+    if isinstance(e, Rat):
+        return sc.ZERO
+    if isinstance(e, sc.Sym):
+        return sc.ONE if e.name == name else sc.ZERO
+    if isinstance(e, sc.Add):
+        return sc.Add(tuple(_tree_diff(a, name) for a in e.args))
+    if isinstance(e, sc.Mul):
+        return sc.Add(tuple(
+            sc.Mul((_tree_diff(a, name),) + e.args[:i] + e.args[i + 1:])
+            for i, a in enumerate(e.args)
+        ))
+    if isinstance(e, sc.Pow):
+        return Rat(Fraction(e.exponent)) * sc.Pow(e.base, e.exponent - 1) * _tree_diff(e.base, name)
+    outer = {"exp": sc.exp(e.arg), "sin": sc.cos(e.arg), "cos": -sc.sin(e.arg)}[e.kind]
+    return outer * _tree_diff(e.arg, name)
+
+
+def _atoms(n: sc.ScalarExpr) -> set:
+    return {atom for m in sc._expr_to_poly(n) for atom, _ in m}
+
+
+def test_differentiate_matches_the_tree_rule_structurally():
+    # 1,000 seeded expressions, each along x, y and t
+    rng = random.Random(59)
+    pairs = inverses = composite_args = 0
+    for _ in range(1000):
+        e = _random_expr(rng)
+        n = normalize(e)
+        atoms = _atoms(n)
+        for name in ("x", "y", "t"):
+            assert differentiate(e, name) == normalize(_tree_diff(n, name))
+            pairs += 1
+            inverses += any(sc._is_composite_atom(a) for a in atoms)
+            composite_args += any(
+                isinstance(a, sc.Func) and not isinstance(a.arg, sc.Sym) for a in atoms
+            )
+    assert pairs == 3000 and inverses >= 500 and composite_args >= 500
+
+
+def test_mixed_partials_commute_structurally():
+    rng = random.Random(61)
+    for _ in range(200):
+        e = _random_expr(rng)
+        assert differentiate(differentiate(e, "x"), "y") == differentiate(differentiate(e, "y"), "x")
+
+
+def test_differentiate_repeat_is_a_memo_hit():
+    e = parse_scalar("exp(x*y)*(x^2 + y^2 + 7)^-2 + sin(x + t)")
+    first = differentiate(e, "x")
+    hits = sc._differentiate.cache_info().hits
+    assert differentiate(e, "x") is first
+    assert sc._differentiate.cache_info().hits == hits + 1
+
+
 # ---------------------------------------------------------------------------
 # normalize
 
@@ -210,6 +267,15 @@ def test_inverse_base_is_reduced_before_inversion():
         normalize(parse_scalar("((y^2+1)*(y^2+1)^-1 - 1)^-1"))
 
 
+def test_inverse_atom_base_has_no_monomial_content():
+    # clearing (y + 1)*(t + 1)^-1 leaves t*y + t, whose content t is split off
+    n = normalize(parse_scalar("(y + 1 - (y + 1)*(t + 1)^-1)^-1"))
+    assert n == normalize(parse_scalar("(y + 1)^-1 + t^-1*(y + 1)^-1"))
+    normalize.cache_clear()
+    sc._POLY.clear()
+    assert normalize(n) == n
+
+
 class _NeverStores(dict):
     def __setitem__(self, key, value) -> None:
         pass
@@ -217,10 +283,14 @@ class _NeverStores(dict):
 
 def test_poly_memo_matches_a_fresh_walk(monkeypatch):
     normalize.cache_clear()
+    sc._differentiate.cache_clear()
     sc._POLY.clear()
     assert main(["localize", "--scenario", "sphere_dh", "--quiet"]) == 0
     memo = dict(sc._POLY)
     assert any(isinstance(node, (sc.Add, sc.Mul)) for node in memo)
+    # the base of every composite inverse atom is in the memo as well
+    bases = {a for poly in memo.values() for m in poly for a, _ in m if sc._is_composite_atom(a)}
+    assert bases and bases <= set(memo)
     monkeypatch.setattr(sc, "_POLY", _NeverStores())
     for node, poly in memo.items():
         assert sc._expr_to_poly(node) == poly
@@ -236,7 +306,7 @@ def test_kernel_caches_are_bounded(monkeypatch):
         compile_numeric(normalize(X**k + Y))
     assert len(sc._POLY) == 3 and len(sc._COMPILED) == 2
     assert compile_numeric(X**5 + Y)({"x": 2.0, "y": 1.0}) == 33.0
-    for cached in (normalize, sc._atom_key):
+    for cached in (normalize, sc._atom_key, sc._differentiate):
         assert cached.cache_info().maxsize is not None
 
 
