@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import linalg
 from . import scalars as sc
 from .errors import (
@@ -247,31 +245,44 @@ def _default_samples(symbols, count=5, seed=802, num=7, den=3):
     ]
 
 
-def _numeric_rank(rows, samples) -> int:
-    best = 0
+def _rational_values(rows, binding):
+    """Entries of rows at binding as Fractions; None when one divides by
+    zero or leaves the rationals, since such a point certifies nothing."""
+    try:
+        values = [[sc.evaluate(e, binding) for e in row] for row in rows]
+    except ZeroDivisionError:
+        return None
+    if all(isinstance(v, Fraction) for row in values for v in row):
+        return values
+    return None
+
+
+def _certified_rank(rows, n, samples) -> bool:
+    """True at the first sample where rows has exact rank n.
+
+    A complex matrix A + iB, given as (re, im) entries, goes through its
+    real form [[A, -B], [B, A]], whose rank is twice the complex rank.
+    """
+    if any(isinstance(e, tuple) for row in rows for e in row):
+        re = [[e[0] if isinstance(e, tuple) else e for e in row] for row in rows]
+        im = [[e[1] if isinstance(e, tuple) else sc.ZERO for e in row] for row in rows]
+        rows = [a + [-v for v in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
+        n *= 2
     for binding in samples:
-        try:
-            mat = np.array(
-                [[complex(_eval_c(e, binding)) for e in row] for row in rows],
-                dtype=complex,
-            )
-        except ZeroDivisionError:
-            continue
-        best = max(best, int(np.linalg.matrix_rank(mat, tol=1e-9)))
-    return best
-
-
-def _eval_c(entry, binding):
-    if isinstance(entry, tuple):
-        return complex(float(sc.evaluate(entry[0], binding)), float(sc.evaluate(entry[1], binding)))
-    return complex(float(sc.evaluate(entry, binding)))
+        values = _rational_values(rows, binding)
+        if values is not None and linalg.rank(values) == n:
+            return True
+    return False
 
 
 def sigma_from_Q(Q, samples=None):
     """Extract sigma^i_A from a^i = sigma^i_A theta^A.
 
     Real fields give a matrix of scalars; complex fields give (re, im)
-    pairs. Injectivity is certified by numeric rank at sample points.
+    pairs. Injectivity is certified exactly: at some sample point every
+    entry evaluates to a Fraction and the values have rank n over the
+    rationals. A point that divides by zero, or gives a float, certifies
+    nothing; NotInjective means no sample certified full rank.
     """
     chart = Q.chart
     rows = []
@@ -288,7 +299,7 @@ def sigma_from_Q(Q, samples=None):
                 symbols |= sc.free_symbols(e)
     if samples is None:
         samples = _default_samples(symbols)
-    if _numeric_rank(rows, samples) < chart.n:
+    if not _certified_rank(rows, chart.n, samples):
         raise NotInjective("sigma has rank below %d at all sample points" % (chart.n,))
     return rows
 
@@ -331,13 +342,21 @@ def metric_invariance_report(h, spec: ActionSpec):
 
 
 def positive_definite_report(h, samples):
-    worst = float("inf")
+    """Sylvester's criterion at each sample: every leading principal minor
+    of h is positive, computed exactly. A sample that does not evaluate to
+    Fractions cannot be certified and fails the report."""
+    worst = None
     for binding in samples:
-        mat = np.array(
-            [[float(sc.evaluate(_as_expr(e), binding)) for e in row] for row in h]
-        )
-        worst = min(worst, float(np.linalg.eigvalsh(mat).min()))
-    return {"status": "pass" if worst > 1e-12 else "fail", "min_eigenvalue": worst}
+        mat = _rational_values([[_as_expr(e) for e in row] for row in h], binding)
+        if mat is None:
+            return {"status": "fail", "min_leading_minor": None}
+        for k in range(1, len(mat) + 1):
+            lead = linalg.det([row[:k] for row in mat[:k]])
+            worst = lead if worst is None else min(worst, lead)
+    return {
+        "status": "pass" if worst is None or worst > 0 else "fail",
+        "min_leading_minor": worst,
+    }
 
 
 def christoffel(h, coords) -> list:
@@ -407,7 +426,8 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, H, samples=None, tol=1e-8)
 
 
 def closure_check(spec: ActionSpec):
-    """Sampled check that brackets of basis generators stay in their span."""
+    """Exact check, at rational samples, that brackets of basis generators
+    stay in their span with constant coefficients."""
     chart = spec.chart
     coords = chart.coords
     m = chart.m
@@ -424,7 +444,7 @@ def closure_check(spec: ActionSpec):
                 comp.append(normalize(acc))
             brackets.append(((alpha, beta), comp))
     if not brackets:
-        return {"status": "pass", "max_residual": 0.0, "pairs": 0}
+        return {"status": "pass", "residual": None, "pairs": 0}
     symbols = set()
     for _, comp in brackets:
         for e in comp:
@@ -433,20 +453,27 @@ def closure_check(spec: ActionSpec):
         for e in row:
             symbols |= sc.free_symbols(e)
     samples = _default_samples(symbols, count=max(6, 2 * dim_g))
-    worst = 0.0
-    for _, comp in brackets:
-        rows = []
-        rhs = []
+    columns = [[spec.T[g][i] for g in range(dim_g)] for i in range(m)]
+    outside = []
+    for pair, comp in brackets:
+        # stacked over the samples, the bracket lies in the span of the
+        # generators exactly when appending it as a column keeps the rank
+        stacked = []
         for binding in samples:
-            for i in range(m):
-                rows.append([float(sc.evaluate(spec.T[g][i], binding)) for g in range(dim_g)])
-                rhs.append(float(sc.evaluate(comp[i], binding)))
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        resid = np.array(rows) @ sol - np.array(rhs)
-        worst = max(worst, float(np.max(np.abs(resid))) if len(resid) else 0.0)
+            rows = _rational_values([row + [c] for row, c in zip(columns, comp)], binding)
+            if rows is not None:
+                stacked.extend(rows)
+        if not stacked:
+            return {
+                "status": "skipped(no rational sample)",
+                "residual": None,
+                "pairs": len(brackets),
+            }
+        if linalg.rank([row[:-1] for row in stacked]) != linalg.rank(stacked):
+            outside.append(pair)
     return {
-        "status": "pass" if worst < 1e-8 else "fail",
-        "max_residual": worst,
+        "status": "fail" if outside else "pass",
+        "residual": outside or None,
         "pairs": len(brackets),
     }
 
@@ -473,23 +500,6 @@ def _field_residual_text(X) -> list:
     return out
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    norm = float(np.max(np.abs(A))) if A.size else 0.0
-    k = 0
-    while norm > 0.5:
-        norm /= 2.0
-        k += 1
-    B = A / (2**k)
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for j in range(1, 19):
-        term = term @ B / j
-        out = out + term
-    for _ in range(k):
-        out = out @ out
-    return out
-
-
 def _coordinate_free(expr: ScalarExpr, coords) -> bool:
     """True when every partial derivative along coords vanishes; an
     expression that names no coordinate needs no differentiation."""
@@ -502,75 +512,27 @@ def _is_affine(expr: ScalarExpr, coords) -> bool:
     return all(_coordinate_free(sc.differentiate(expr, c), coords) for c in coords)
 
 
-def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, samples):
-    """Flow-transported comparison of Q along sampled one-parameter subgroups.
+def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, linear_symbol, inf_fail):
+    """Equivariance along one-parameter subgroups, where their flows are complete.
 
-    Needs an affine base action and coordinate-independent fiber generators;
-    anything else is reported as skipped. Symbolic weights in the generators
-    are bound from the sample points.
+    With an affine base action, coordinate-free fiber generators, a linear
+    injective symbol and odd components of grade zero, every lifted flow is
+    complete, and the finite identity along it integrates [lift(xi), Q] = 0.
+    The exact commutator that decided `equivariance_infinitesimal` for each
+    unit xi therefore decides this condition too; anything else is skipped.
     """
-    chart = spec.chart
-    coords = chart.coords
-    m, n = chart.m, chart.n
-    for row in spec.T:
-        for e in row:
-            if not _is_affine(e, coords):
-                return {"status": "skipped(nonlinear base action)", "max_error": None}
-    if spec.U is not None:
-        for block in spec.U:
-            for row in block:
-                for e in row:
-                    if not _coordinate_free(e, coords):
-                        return {
-                            "status": "skipped(coordinate-dependent fiber action)",
-                            "max_error": None,
-                        }
-    try:
-        sigma = sigma_from_Q(Q, samples=samples)
-    except (NotLinearInTheta, NotInjective):
-        return {"status": "skipped(no linear symbol available)", "max_error": None}
+    coords = spec.chart.coords
+    if not all(_is_affine(e, coords) for row in spec.T for e in row):
+        return {"status": "skipped(nonlinear base action)", "residual": None}
+    if spec.U is not None and not all(
+        _coordinate_free(e, coords) for block in spec.U for row in block for e in row
+    ):
+        return {"status": "skipped(coordinate-dependent fiber action)", "residual": None}
+    if not linear_symbol:
+        return {"status": "skipped(no linear symbol available)", "residual": None}
     if any(comp.grades() not in ((), (0,)) for comp in Q.b):
-        return {"status": "skipped(odd components not of grade zero)", "max_error": None}
-
-    worst = 0.0
-    directions = [{p: int(p == q) for p in spec.params} for q in spec.params]
-    if spec.dim_g > 1:
-        directions.append({p: 1 for p in spec.params})
-    for direction in directions:
-        flow = lifted_field(spec, direction)
-        comps = [comp.body() for comp in flow.a]
-        jac = [[sc.differentiate(comps[i], coords[j]) for j in range(m)] for i in range(m)]
-        wexpr = [[flow.b[A].coefficient((B + 1,)) for B in range(n)] for A in range(n)]
-        for binding in samples[:3]:
-            origin = dict(binding)
-            for c in coords:
-                origin[c] = 0
-            A = np.array([[float(sc.evaluate(e, origin)) for e in row] for row in jac])
-            cvec = np.array([float(sc.evaluate(comps[i], origin)) for i in range(m)])
-            W = np.array(
-                [[float(sc.evaluate(wexpr[i][j], origin)) for j in range(n)] for i in range(n)]
-            )
-            p = np.array([float(Fraction(binding[c])) for c in coords])
-            sig_p = np.array([[float(sc.evaluate(e, binding)) for e in row] for row in sigma])
-            b_p = np.array([float(sc.evaluate(comp.body(), binding)) for comp in Q.b])
-            # the affine flow y' = Ay + c is the top block row of exp(s [[A, c], [0, 0]])
-            affine = np.zeros((m + 1, m + 1))
-            affine[:m, :m] = A
-            affine[:m, m] = cvec
-            for s in (0.3, 0.7):
-                M = _expm(s * A)
-                R = _expm(s * W)
-                flowed = _expm(s * affine)[:m] @ np.append(p, 1.0)
-                moved = dict(binding)
-                for c, v in zip(coords, flowed):
-                    moved[c] = float(v)
-                sig_gp = np.array(
-                    [[float(sc.evaluate(e, moved)) for e in row] for row in sigma]
-                )
-                worst = max(worst, float(np.max(np.abs(sig_gp @ R - M @ sig_p))))
-                b_gp = np.array([float(sc.evaluate(comp.body(), moved)) for comp in Q.b])
-                worst = max(worst, float(np.max(np.abs(b_gp - R @ b_p))))
-    return {"status": "pass" if worst < 1e-8 else "fail", "max_error": worst}
+        return {"status": "skipped(odd components not of grade zero)", "residual": None}
+    return {"status": "fail" if inf_fail else "pass", "residual": inf_fail or None}
 
 
 def verify_brst(Q, spec: ActionSpec):
@@ -618,27 +580,23 @@ def verify_brst(Q, spec: ActionSpec):
     symbols = set(spec.chart.coords)
     for comp in Q.a + Q.b:
         symbols |= comp.free_symbols()
-    samples = _default_samples(symbols)
-    if holomorphic:
-        conditions.append(
-            {
-                "name": "equivariance_finite",
-                "status": "skipped(complex field: infinitesimal check only)",
-                "max_error": None,
-            }
-        )
-    else:
-        fin = _finite_equivariance(Q, lift_spec, samples)
-        fin["name"] = "equivariance_finite"
-        conditions.append(fin)
-
     try:
-        sigma_from_Q(Q, samples=samples)
-        conditions.append({"name": "sigma_injective", "status": "pass", "residual": None})
+        sigma_from_Q(Q, samples=_default_samples(symbols))
+        sigma_error = None
     except (NotLinearInTheta, NotInjective) as exc:
-        conditions.append(
-            {"name": "sigma_injective", "status": "fail", "residual": str(exc)}
-        )
+        sigma_error = str(exc)
+    if holomorphic:
+        fin = {"status": "skipped(complex field: infinitesimal check only)", "residual": None}
+    else:
+        fin = _finite_equivariance(Q, lift_spec, sigma_error is None, inf_fail)
+    conditions.append({"name": "equivariance_finite", **fin})
+    conditions.append(
+        {
+            "name": "sigma_injective",
+            "status": "fail" if sigma_error else "pass",
+            "residual": sigma_error,
+        }
+    )
 
     passed = all(
         c["status"] == "pass" or c["status"].startswith("skipped") for c in conditions

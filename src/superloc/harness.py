@@ -508,12 +508,12 @@ def _super_stokes(run: _Run, entry: dict) -> dict:
 
 def _verified(report: dict) -> dict:
     """Condition names and statuses; a failed condition also keeps its
-    residual or max_error, so the record says why."""
+    residual, so the record says why."""
     conditions = []
     for c in report["conditions"]:
         entry = {"name": c["name"], "status": c["status"]}
         if c["status"] == "fail":
-            entry.update((key, c[key]) for key in ("residual", "max_error") if key in c)
+            entry["residual"] = c["residual"]
         conditions.append(entry)
     return {
         "status": "pass" if report["passed"] else "fail",

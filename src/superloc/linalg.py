@@ -131,6 +131,26 @@ def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
     return sign * result
 
 
+def rank(M) -> int:
+    """Rank of a rectangular matrix of ints and Fractions, by exact elimination."""
+    rows = [[Fraction(e) for e in row] for row in M]
+    width = len(rows[0]) if rows else 0
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r][col]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col] / p
+            if factor:
+                for c in range(col, width):
+                    rows[i][c] -= factor * rows[r][c]
+        r += 1
+    return r
+
+
 def _det_subset(rows) -> ScalarExpr:
     # dp[mask] sums signed products over column choices for the rows so far.
     n = len(rows)

@@ -12,8 +12,6 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import linalg
 from . import scalars as sc
 from .actions import _as_expr, check_sigma_parallel
@@ -31,28 +29,33 @@ _MAX_DEPTH = 12
 _MAX_EVALS = 1_000_000
 
 
-@lru_cache(maxsize=1)
-def _gl_rule():
-    """The 12-point Gauss-Legendre rule, built on first use: importing
-    numpy.polynomial costs start-up time and memory."""
-    x, w = np.polynomial.legendre.leggauss(12)
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
+# The 12-point Gauss-Legendre rule on [-1, 1]. It is symmetric, so the six
+# positive nodes and their weights, mirrored, give all twelve in ascending order.
+_HALF_NODES = (
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+)
+_HALF_WEIGHTS = (
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+)
+_GL_NODES = tuple(-x for x in reversed(_HALF_NODES)) + _HALF_NODES
+_GL_WEIGHTS = tuple(reversed(_HALF_WEIGHTS)) + _HALF_WEIGHTS
 
 
 @lru_cache(maxsize=8)
 def _tensor_weights(d: int) -> tuple:
     """Weight products of the d-fold tensor rule, in `product` order."""
-    return tuple(math.prod(combo) for combo in product(_gl_rule()[1], repeat=d))
+    return tuple(math.prod(combo) for combo in product(_GL_WEIGHTS, repeat=d))
 
 
 def _cell_integral(f, lo, hi, weights) -> float:
-    nodes = _gl_rule()[0]
     axes = []
     scale = 1.0
     for a, b in zip(lo, hi):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         scale *= half
-        axes.append([mid + half * x for x in nodes])
+        axes.append([mid + half * x for x in _GL_NODES])
     total = 0.0
     for w, point in zip(weights, product(*axes)):
         total += w * f(point)
@@ -166,7 +169,7 @@ def berezin_density(F: SuperFunction, h, H) -> Callable[[Mapping], float]:
 # ---------------------------------------------------------------------------
 
 
-def hodge_dual_H(nu: SuperFunction, H) -> Callable[[Mapping], np.ndarray]:
+def hodge_dual_H(nu: SuperFunction, H) -> Callable[[Mapping], list]:
     """Dual of a grade n-1 superfunction along the odd directions.
 
     Returns an evaluator for the n components indexed by the missing
@@ -187,9 +190,9 @@ def hodge_dual_H(nu: SuperFunction, H) -> Callable[[Mapping], np.ndarray]:
         sign = _eps_sign((A,) + comp)
         comps.append((sign, _compile(coeff)))
 
-    def evaluate(binding) -> np.ndarray:
+    def evaluate(binding) -> list:
         scale = 1.0 / (fact * math.sqrt(det_H(binding)))
-        out = np.zeros(n)
+        out = [0.0] * n
         for k, entry in enumerate(comps):
             if entry is not None:
                 sign, fn = entry
@@ -210,7 +213,7 @@ def _eps_sign(perm: tuple) -> int:
 
 
 def boundary_flux(
-    w: Callable[[Mapping], np.ndarray],
+    w: Callable[[Mapping], Sequence[float]],
     h,
     coords: Tuple[str, ...],
     box,
@@ -286,11 +289,9 @@ def super_stokes_check(
     dual = hodge_dual_H(nu, H)
     sigma_fns = [[_compile(e) for e in row] for row in sigma]
 
-    def w(local) -> np.ndarray:
+    def w(local) -> list:
         d = dual(local)
-        return np.array(
-            [sum(fn(local) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
-        )
+        return [sum(fn(local) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
 
     rhs = boundary_flux(
         w, h, nu.chart.coords, box, faces=faces, tol=tol / 4, binding=binding

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from superloc import scalars as sc
@@ -34,7 +33,9 @@ from superloc.errors import (
     ShapeMismatch,
 )
 from superloc.actions import _coordinate_free, _is_affine
+from superloc.geometry import PLANE_ROTATION
 from superloc.grassmann import (
+    CSuper,
     SuperChart,
     SuperFunction,
     SuperVectorField,
@@ -265,6 +266,75 @@ def test_sigma_from_Q_guards():
         sigma_from_Q(SuperVectorField(CHART, 1, (th1, 2 * th1), (zero, zero)))
 
 
+def _broken_b(Q, spec):
+    b = (Q.b[0] + parse_super(spec.chart, "x"),) + Q.b[1:]
+    return SuperVectorField(spec.chart, 1, Q.a, b), spec
+
+
+def _broken_sigma(Q, spec):
+    return SuperVectorField(spec.chart, 1, (2 * Q.a[0],) + Q.a[1:], Q.b), spec
+
+
+def _broken_fiber_weight(Q, spec):
+    U = [[list(row) for row in block] for block in tautological_lift(spec).U]
+    U[0][0][0] = U[0][0][0] + sc.ONE
+    return Q, ActionSpec(spec.params, spec.chart, spec.T, U)
+
+
+@pytest.mark.parametrize(
+    "breakage", [_broken_b, _broken_sigma, _broken_fiber_weight], ids=["b1", "a1", "U000"]
+)
+def test_broken_Q_fails_equivariance_finite(breakage):
+    # b[1] + x, a[1] doubled and U[0][0][0] + 1 each break the flow identity;
+    # the exact commutator names the generator whose flow breaks it
+    Q, spec = breakage(tautological_Q(PLANE_ROTATION), PLANE_ROTATION)
+    report = verify_brst(Q, spec)
+    by_name = {c["name"]: c for c in report["conditions"]}
+    assert not report["passed"]
+    assert by_name["equivariance_finite"]["status"] == "fail"
+    assert by_name["equivariance_finite"]["residual"] == ["t"]
+
+
+def _kahler_with_scaled_second_direction(factor):
+    Q = kahler_Q(TORUS)
+    return SuperVectorField(CHART4, 1, Q.a[:2] + tuple(factor * c for c in Q.a[2:]), Q.b)
+
+
+def test_sigma_rank_is_exact_not_a_float_tolerance():
+    # rows (1, 0) and (1, 1e-12) are independent over Q; a float rank at
+    # tolerance 1e-9 counts one
+    th1 = SuperFunction.generator(CHART, 1)
+    th2 = SuperFunction.generator(CHART, 2)
+    zero = SuperFunction.zero(CHART)
+    tiny = Fraction(1, 10**12)
+    sigma = sigma_from_Q(SuperVectorField(CHART, 1, (th1, th1 + tiny * th2), (zero, zero)))
+    assert sc.evaluate(sigma[1][1], {}) == tiny
+    # the complex symbol of kahler_Q with its second direction scaled by 1e-12
+    rows = sigma_from_Q(_kahler_with_scaled_second_direction(tiny))
+    assert sc.evaluate(rows[2][1][0], {}) == tiny / 2
+
+
+def test_sigma_of_lower_rank_is_not_injective():
+    th1 = SuperFunction.generator(CHART, 1)
+    th2 = SuperFunction.generator(CHART, 2)
+    zero = SuperFunction.zero(CHART)
+    x = SuperFunction.from_scalar(CHART, X)
+    # row 2 is twice row 1 at every point
+    with pytest.raises(NotInjective):
+        sigma_from_Q(
+            SuperVectorField(CHART, 1, (th1 + x * th2, 2 * th1 + 2 * x * th2), (zero, zero))
+        )
+    # rows (1, i) and (i, -1) = i (1, i): complex rank 1, although the real
+    # and the imaginary parts each have rank 2
+    Q = SuperVectorField(
+        CHART, 1, (CSuper(th1, th2), CSuper(-th2, th1)), (CSuper.zero(CHART), CSuper.zero(CHART))
+    )
+    with pytest.raises(NotInjective):
+        sigma_from_Q(Q)
+    with pytest.raises(NotInjective):
+        sigma_from_Q(_kahler_with_scaled_second_direction(Fraction(0)))
+
+
 def test_kahler_Q_components():
     Q = kahler_Q(TORUS)
     th1 = SuperFunction.generator(CHART4, 1)
@@ -341,9 +411,16 @@ def test_positive_definite_report():
     bad = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.rational(-1)))
     assert positive_definite_report(good, [{}])["status"] == "pass"
     assert positive_definite_report(bad, [{}])["status"] == "fail"
+    # Sylvester's criterion is exact: leading minors 1 and 1e-30
+    tiny = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.rational(1, 10**30)))
+    assert positive_definite_report(tiny, [{}]) == {
+        "status": "pass",
+        "min_leading_minor": Fraction(1, 10**30),
+    }
 
 
 def test_christoffel_against_finite_differences():
+    np = pytest.importorskip("numpy")
     h = (
         (sc.ONE + X * X, X * Y),
         (X * Y, sc.ONE + Y * Y),
@@ -461,4 +538,4 @@ def test_closure_check():
         CHART,
         ((sc.ONE, sc.ZERO), (sc.ZERO, X)),
     )
-    assert closure_check(bad)["status"] == "fail"
+    assert closure_check(bad) == {"status": "fail", "residual": [(0, 1)], "pairs": 1}

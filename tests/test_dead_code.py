@@ -9,6 +9,7 @@ code.  The scan reads the source with ``ast`` and imports nothing.
 from __future__ import annotations
 
 import ast
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,21 +27,16 @@ PENDING = {
 }
 
 
-def _names(tree: ast.AST, skip: ast.AST = None) -> set:
-    """Names, attributes and imported names used in tree, outside skip."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def _names(tree: ast.AST) -> Counter:
+    """Occurrences of names, attributes and imported names in tree."""
+    out = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
-        stack.extend(ast.iter_child_nodes(node))
+            out[node.name.rsplit(".", 1)[-1]] += 1
     return out
 
 
@@ -57,16 +53,30 @@ def _unused() -> list:
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     used = _exported(modules["__init__"])
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        used |= _names(ast.parse(demo.read_text()))
+        used |= set(_names(ast.parse(demo.read_text())))
+    # each module is walked once, one top-level statement at a time; a name
+    # occurs in its module outside a definition when the module's count
+    # exceeds the count inside that definition
+    statements = {
+        stem: [(node, _names(node)) for node in tree.body] for stem, tree in modules.items()
+    }
+    totals = {}
+    homes = defaultdict(set)
+    for stem, parts in statements.items():
+        totals[stem] = Counter()
+        for _, inside in parts:
+            totals[stem].update(inside)
+        for name in totals[stem]:
+            homes[name].add(stem)
     out = []
-    for stem, tree in modules.items():
-        elsewhere = used.union(*(_names(t) for s, t in modules.items() if s != stem))
-        for node in tree.body:
+    for stem, parts in statements.items():
+        for node, inside in parts:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name in elsewhere or node.name in _names(tree, skip=node):
+            name = node.name
+            if name in used or homes[name] - {stem} or totals[stem][name] > inside[name]:
                 continue
-            out.append("%s.%s" % (stem, node.name))
+            out.append("%s.%s" % (stem, name))
     return out
 
 

@@ -7,7 +7,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from superloc import oracle
@@ -67,10 +66,18 @@ def test_quadrature_repeats_bit_for_bit():
     assert first == second
 
 
+def test_gauss_legendre_rule_matches_numpy_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert [v.hex() for v in oracle._GL_NODES] == [float(v).hex() for v in x]
+    assert [v.hex() for v in oracle._GL_WEIGHTS] == [float(v).hex() for v in w]
+
+
 def _reference_quadrature(f, box, tol, cells):
     """Adaptive Gauss-Legendre as first written: every cell computes its
     own estimate, even when its parent already summed it, and the rule is
     built node by node.  Each evaluated cell is appended to `cells`."""
+    np = pytest.importorskip("numpy")
     x, w = np.polynomial.legendre.leggauss(12)
     nodes, weights = [float(v) for v in x], [float(v) for v in w]
 

@@ -2,8 +2,9 @@
 
 Seeded random expressions, composite inverses included, go through
 `normalize`, `differentiate` and `linalg.det`; each result must agree with
-sympy's computation on the same raw tree. sympy is a test-only oracle: the
-module is skipped when it is not installed.
+sympy's computation on the same raw tree. `linalg.rank` must agree with
+sympy's rank on seeded rational matrices, full rank and deficient. sympy is
+a test-only oracle: the module is skipped when it is not installed.
 
 `normalize` and `differentiate` are compared as identities. sympy needs
 seconds to cancel a 4x4 determinant over several composite denominators,
@@ -13,11 +14,12 @@ so `det` is compared exactly at random rational points instead.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from superloc import scalars as sc
-from superloc.linalg import det
+from superloc.linalg import det, rank
 from superloc.scalars import differentiate, normalize
 
 from test_scalars import _random_expr
@@ -100,3 +102,19 @@ def test_det_matches_sympy(n):
         M = [[_nonsingular(rng, 1) for _ in range(n)] for _ in range(n)]
         want = sympy.Matrix([[_to_sympy(e) for e in row] for row in M]).det(method="berkowitz")
         assert _equal_at_points(_to_sympy(det(M)), want, rng)
+
+
+def test_rank_matches_sympy():
+    # products of an r x k and a k x c factor, so low ranks occur
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(40):
+        r, c, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+        entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        left = [[entry() for _ in range(k)] for _ in range(r)]
+        right = [[entry() for _ in range(c)] for _ in range(k)]
+        M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        want = sympy.Matrix(M).rank()
+        assert rank(M) == want
+        seen.add(want < min(r, c))
+    assert seen == {True, False}
