@@ -171,10 +171,14 @@ def _validate(scenario: dict) -> None:
             text = entry.get("form")
             if not isinstance(text, str):
                 raise SchemaError("stokes entry lacks a form text")
+            chart = _STOKES_DOMAINS[domain]().chart
             try:
-                parse_super(_STOKES_DOMAINS[domain]().chart, text)
+                nu = parse_super(chart, text)
             except Exception as exc:
                 raise SchemaError("stokes form does not parse: %s" % (exc,))
+            foreign = sorted(nu.free_symbols() - set(chart.coords))
+            if foreign:
+                raise SchemaError("stokes form names %s, not a coordinate of %s" % (", ".join(foreign), domain))
             if "tol" in entry:
                 _tolerance(entry["tol"], "stokes tol")
     if kind == "adhm":

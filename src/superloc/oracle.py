@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
 from . import scalars as sc
@@ -18,10 +18,6 @@ from .actions import _as_expr, check_sigma_parallel
 from .errors import AssumptionViolated, NoConvergence, WrongGrade
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
-
-def _compile(value) -> Callable[[Mapping], float]:
-    return sc.compile_numeric(sc.normalize(_as_expr(value)))
-
 
 # A cell refines at most this many levels deep, and one quadrature call
 # evaluates its integrand at most this many times.
@@ -120,18 +116,6 @@ def quadrature(
     return math.fsum(_adaptive(refine, cell, child_tol, 1) for cell in cells)
 
 
-def _on_points(fn, names, binding=None):
-    """`fn` of a name->value mapping as a function of a point whose
-    coordinates are `names`; the rest comes from `binding`, made float once."""
-    local = {k: float(v) for k, v in (binding or {}).items()}
-
-    def f(point):
-        local.update(zip(names, point))
-        return fn(local)
-
-    return f
-
-
 @dataclass(frozen=True)
 class OraclePatch:
     """One coordinate box with a fully reduced scalar density to integrate."""
@@ -147,19 +131,22 @@ def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e
     total = 0.0
     share = tol / max(1, len(patches))
     for patch in patches:
-        f = _on_points(sc.compile_numeric(patch.integrand), patch.coords, binding)
+        f = sc.compile_numeric(patch.integrand, patch.coords, binding)
         total += quadrature(f, patch.box, tol=share)
     return total
 
 
-def berezin_density(F: SuperFunction, h, H) -> Callable[[Mapping], float]:
-    """Numeric density: top theta-coefficient times det(h)^1/2 / det(H)^1/2."""
-    top = _compile(F.top_component())
-    det_h = _compile(linalg.det([list(r) for r in h]))
-    det_H = _compile(linalg.det([list(r) for r in H]))
+def berezin_density(F: SuperFunction, h, H, binding=None) -> Callable[[tuple], float]:
+    """Numeric density of a point in chart-coordinate order: top
+    theta-coefficient times det(h)^1/2 / det(H)^1/2."""
+    dets = [linalg.det([list(r) for r in M]) for M in (h, H)]
+    top, det_h, det_H = (
+        sc.compile_numeric(_as_expr(e), F.chart.coords, binding)
+        for e in [F.top_component(), *dets]
+    )
 
-    def density(binding) -> float:
-        return top(binding) * math.sqrt(det_h(binding)) / math.sqrt(det_H(binding))
+    def density(point) -> float:
+        return top(point) * math.sqrt(det_h(point)) / math.sqrt(det_H(point))
 
     return density
 
@@ -169,16 +156,17 @@ def berezin_density(F: SuperFunction, h, H) -> Callable[[Mapping], float]:
 # ---------------------------------------------------------------------------
 
 
-def hodge_dual_H(nu: SuperFunction, H) -> Callable[[Mapping], list]:
+def hodge_dual_H(nu: SuperFunction, H, binding=None) -> Callable[[tuple], list]:
     """Dual of a grade n-1 superfunction along the odd directions.
 
-    Returns an evaluator for the n components indexed by the missing
-    generator, with the 1/det(H)^{1/2} density included.
+    Returns an evaluator, of a point in chart-coordinate order, for the n
+    components indexed by the missing generator, with the 1/det(H)^{1/2}
+    density included.
     """
-    n = nu.chart.n
+    n, coords = nu.chart.n, nu.chart.coords
     if any(len(idx) != n - 1 for idx in nu.terms):
         raise WrongGrade("dual needs a homogeneous superfunction of grade n-1")
-    det_H = _compile(linalg.det([list(r) for r in H]))
+    det_H = sc.compile_numeric(_as_expr(linalg.det([list(r) for r in H])), coords, binding)
     fact = math.factorial(n - 1)
     comps = []
     for A in range(1, n + 1):
@@ -188,15 +176,15 @@ def hodge_dual_H(nu: SuperFunction, H) -> Callable[[Mapping], list]:
             comps.append(None)
             continue
         sign = _eps_sign((A,) + comp)
-        comps.append((sign, _compile(coeff)))
+        comps.append((sign, sc.compile_numeric(coeff, coords, binding)))
 
-    def evaluate(binding) -> list:
-        scale = 1.0 / (fact * math.sqrt(det_H(binding)))
+    def evaluate(point) -> list:
+        scale = 1.0 / (fact * math.sqrt(det_H(point)))
         out = [0.0] * n
         for k, entry in enumerate(comps):
             if entry is not None:
                 sign, fn = entry
-                out[k] = sign * fn(binding) * scale
+                out[k] = sign * fn(point) * scale
         return out
 
     return evaluate
@@ -213,7 +201,7 @@ def _eps_sign(perm: tuple) -> int:
 
 
 def boundary_flux(
-    w: Callable[[Mapping], Sequence[float]],
+    w: Callable[[tuple], Sequence[float]],
     h,
     coords: Tuple[str, ...],
     box,
@@ -223,25 +211,24 @@ def boundary_flux(
 ) -> float:
     """Outward flux of a vector field through selected box faces.
 
-    The integrand on the face normal to axis k is det(h)^{1/2} w^k; faces
-    default to all of them, and are dropped for periodic axes by passing an
-    explicit list of (axis, side) pairs with side = +1 or -1.
+    `w` takes a point in `coords` order. The integrand on the face normal
+    to axis k is det(h)^{1/2} w^k; faces default to all of them, and are
+    dropped for periodic axes by passing an explicit list of (axis, side)
+    pairs with side = +1 or -1.
     """
     m = len(coords)
-    det_h = _compile(linalg.det([list(r) for r in h]))
+    det_h = sc.compile_numeric(_as_expr(linalg.det([list(r) for r in h])), coords, binding)
     if faces is None:
         faces = [(k, s) for k in range(m) for s in (1, -1)]
     total = 0.0
     share = tol / max(1, len(faces))
     for axis, side in faces:
-        value = box[axis][1] if side > 0 else box[axis][0]
+        value = float(box[axis][1] if side > 0 else box[axis][0])
         rest = [box[k] for k in range(m) if k != axis]
-        names = [coords[k] for k in range(m) if k != axis]
 
-        def flux(local, axis=axis):
-            return math.sqrt(det_h(local)) * w(local)[axis]
-
-        f = _on_points(flux, names, {**(binding or {}), coords[axis]: value})
+        def f(face_point, axis=axis, value=value):
+            point = face_point[:axis] + (value,) + face_point[axis:]
+            return math.sqrt(det_h(point)) * w(point)[axis]
 
         if rest:
             part = quadrature(f, rest, tol=share)
@@ -284,14 +271,15 @@ def super_stokes_check(
             "sigma is not parallel on this domain, residual %s"
             % (assumption["max_residual"],)
         )
-    lhs_density = berezin_density(Q.apply(nu), h, H)
-    lhs = quadrature(_on_points(lhs_density, nu.chart.coords, binding), box, tol=tol / 4)
-    dual = hodge_dual_H(nu, H)
-    sigma_fns = [[_compile(e) for e in row] for row in sigma]
+    lhs = quadrature(berezin_density(Q.apply(nu), h, H, binding), box, tol=tol / 4)
+    dual = hodge_dual_H(nu, H, binding)
+    sigma_fns = [
+        [sc.compile_numeric(_as_expr(e), nu.chart.coords, binding) for e in row] for row in sigma
+    ]
 
-    def w(local) -> list:
-        d = dual(local)
-        return [sum(fn(local) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
+    def w(point) -> list:
+        d = dual(point)
+        return [sum(fn(point) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
 
     rhs = boundary_flux(
         w, h, nu.chart.coords, box, faces=faces, tol=tol / 4, binding=binding

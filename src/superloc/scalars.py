@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ComputationError, UnboundSymbol
 
@@ -678,32 +678,48 @@ def _subst(e: ScalarExpr, mapping: Mapping[str, ScalarExpr]) -> ScalarExpr:
 _COMPILED: dict = {}
 
 
-def compile_numeric(e: ScalarExpr) -> Callable[[Mapping[str, float]], float]:
-    """Compile to a float-valued callable of a name->value mapping."""
-    key = normalize(e)
+def compile_numeric(
+    e: ScalarExpr, names: Sequence[str], binding: Optional[Binding] = None
+) -> Callable[[tuple], float]:
+    """Compile to a float-valued function of one point whose coordinates
+    are `names`, in order.  Every other free symbol takes its value from
+    `binding`, made float once and bound now; a symbol in neither raises
+    UnboundSymbol here rather than when the function is called."""
+    nf, names, binding = normalize(e), tuple(names), binding or {}
+    bound = {}
+    for name in sorted(free_symbols(nf) - set(names)):
+        if name not in binding:
+            raise UnboundSymbol("symbol %r has no value in binding" % (name,))
+        bound[name] = float(binding[name])
+    # float.hex tells -0.0 from 0.0, which bind to different results
+    key = (nf, names, tuple((k, v.hex()) for k, v in bound.items()))
     fn = _COMPILED.get(key)
     if fn is None:
-        src = _codegen(key)
-        fn = eval("lambda b: " + src, {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos})
+        refs = {n: "p[%d]" % i for i, n in enumerate(names)}
+        scope = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos}
+        for i, (name, v) in enumerate(bound.items()):
+            refs[name] = "_b%d" % i
+            scope[refs[name]] = v
+        fn = eval("lambda p: " + _codegen(nf, refs), scope)
         if len(_COMPILED) >= _COMPILED_CACHE:
             del _COMPILED[next(iter(_COMPILED))]
         _COMPILED[key] = fn
     return fn
 
 
-def _codegen(e: ScalarExpr) -> str:
+def _codegen(e: ScalarExpr, refs: Mapping[str, str]) -> str:
     if isinstance(e, Rat):
         return "(%r)" % (float(e.value),)
     if isinstance(e, Sym):
-        return "b[%r]" % (e.name,)
+        return refs[e.name]
     if isinstance(e, Add):
-        return "(" + "+".join(_codegen(a) for a in e.args) + ")"
+        return "(" + "+".join(_codegen(a, refs) for a in e.args) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_codegen(a) for a in e.args) + ")"
+        return "(" + "*".join(_codegen(a, refs) for a in e.args) + ")"
     if isinstance(e, Pow):
-        return "(%s**(%d))" % (_codegen(e.base), e.exponent)
+        return "(%s**(%d))" % (_codegen(e.base, refs), e.exponent)
     if isinstance(e, Func):
-        return "_%s(%s)" % (e.kind, _codegen(e.arg))
+        return "_%s(%s)" % (e.kind, _codegen(e.arg, refs))
     raise TypeError("not a ScalarExpr: %r" % (e,))
 
 

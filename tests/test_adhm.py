@@ -278,13 +278,12 @@ def test_flow_matches_torus_phases():
     e1 = CSuper.imag(SuperFunction.from_scalar(chart, sc.rational(7, 10)))
     e2 = CSuper.imag(SuperFunction.from_scalar(chart, sc.rational(2, 5)))
     field = adhm_fundamental_field(lay, zero1, zero2, e1, e2)
-    comps = [sc.compile_numeric(_body(c)) for c in field.a]
+    comps = [sc.compile_numeric(_body(c), chart.coords) for c in field.a]
     rng = random.Random(77)
     start = [rng.uniform(-1, 1) for _ in chart.coords]
 
     def rhs(vec):
-        b = dict(zip(chart.coords, vec))
-        return [f(b) for f in comps]
+        return [f(tuple(vec)) for f in comps]
 
     y = list(start)
     steps = 400
@@ -472,22 +471,22 @@ def test_fermionic_constraints_are_the_linearization():
     lay = adhm_super_chart(2, 2)
     V = adhm_constraint_scalars(lay)
     W = fermionic_constraints(lay.chart, V)
-    fns = [sc.compile_numeric(v) for v in V]
-    coeff_fns = [
-        {idx: sc.compile_numeric(cf) for idx, cf in w.terms.items()} for w in W
-    ]
     coords = lay.chart.coords
+    fns = [sc.compile_numeric(v, coords) for v in V]
+    coeff_fns = [
+        {idx: sc.compile_numeric(cf, coords) for idx, cf in w.terms.items()} for w in W
+    ]
     rng = random.Random(6021)
     step = 1e-6
     for _ in range(30):
-        x0 = {c: rng.uniform(-1, 1) for c in coords}
-        dx = {c: rng.uniform(-1, 1) for c in coords}
-        plus = {c: x0[c] + step * dx[c] for c in coords}
-        minus = {c: x0[c] - step * dx[c] for c in coords}
+        x0 = tuple(rng.uniform(-1, 1) for _ in coords)
+        dx = tuple(rng.uniform(-1, 1) for _ in coords)
+        plus = tuple(a + step * d for a, d in zip(x0, dx))
+        minus = tuple(a - step * d for a, d in zip(x0, dx))
         for f, table in zip(fns, coeff_fns):
             inc = (f(plus) - f(minus)) / 2
             lin = step * sum(
-                fn(x0) * dx[coords[idx[0] - 1]] for idx, fn in table.items()
+                fn(x0) * dx[idx[0] - 1] for idx, fn in table.items()
             )
             if abs(inc) > 1e-10:
                 assert abs(inc - lin) / abs(inc) < 1e-5

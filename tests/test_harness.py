@@ -85,6 +85,21 @@ def test_schema_rejections(tmp_path):
             "values": ["1"],
             "stokes": [{"domain": "flat_box", "form": "x*!"}],
         },
+        # a symbol outside the chart coordinates has no value at any point
+        {
+            "name": "x",
+            "kind": "plane_rotation",
+            "form": {"type": "gaussian_rotation"},
+            "values": ["1"],
+            "stokes": [{"domain": "flat_box", "form": "s*x*y*th2"}],
+        },
+        {
+            "name": "x",
+            "kind": "plane_rotation",
+            "form": {"type": "gaussian_rotation"},
+            "values": ["1"],
+            "stokes": [{"domain": "flat_box", "form": "t*x*y*th2"}],
+        },
         {"name": "x", "kind": "adhm", "k": 0, "N": 2},
         # bool is an int subclass: true must not load as tol 1.0 or k = 1
         {
@@ -121,6 +136,8 @@ def test_schema_rejections(tmp_path):
     for obj in bad:
         with pytest.raises(SchemaError):
             load_scenario(_write(tmp_path, obj))
+    with pytest.raises(SchemaError, match="names s, not a coordinate of flat_box"):
+        load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "s*x*y*th2"}])))
 
 
 def test_sphere_compare_matches_reference():

@@ -13,7 +13,7 @@ from superloc import oracle
 from superloc import scalars as sc
 from superloc.actions import ActionSpec, tautological_Q
 from superloc.cli import main
-from superloc.errors import AssumptionViolated, NoConvergence, WrongGrade
+from superloc.errors import AssumptionViolated, NoConvergence, UnboundSymbol, WrongGrade
 from superloc.geometry import gaussian_oracle_patch, sphere_oracle_patch
 from superloc.grassmann import SuperChart, SuperFunction, parse_super
 from superloc.oracle import (
@@ -125,15 +125,16 @@ def _reference_quadrature(f, box, tol, cells):
 
 def _reference_berezin(patches, binding, tol):
     """global_berezin as first written: the exact binding is copied and
-    updated at every point."""
+    updated at every point, and every symbol is read from it."""
     total = 0.0
     for patch in patches:
-        fn = sc.compile_numeric(patch.integrand)
+        order = tuple(patch.coords) + tuple(sorted(set(binding) - set(patch.coords)))
+        fn = sc.compile_numeric(patch.integrand, order)
 
-        def f(point, fn=fn, names=patch.coords):
+        def f(point, fn=fn, names=patch.coords, order=order):
             local = dict(binding)
             local.update(zip(names, point))
-            return fn(local)
+            return fn(tuple(local[n] for n in order))
 
         total += _reference_quadrature(f, patch.box, tol / len(patches), [])
     return total
@@ -162,10 +163,31 @@ def test_quadrature_matches_reference_bit_for_bit(f, box, tol):
     assert len(set(points)) == len(points) == len(distinct) * 12 ** len(box)
 
 
-@pytest.mark.parametrize("patch", [gaussian_oracle_patch(), sphere_oracle_patch()], ids=["plane", "sphere"])
-def test_global_berezin_matches_reference_bit_for_bit(patch):
-    binding = {"t": Fraction(7, 3)}
+@pytest.mark.parametrize(
+    "patch,t",
+    [
+        (gaussian_oracle_patch(), Fraction(7, 3)),
+        (sphere_oracle_patch(), Fraction(7, 3)),
+        (gaussian_oracle_patch(), Fraction(1, 2)),
+        (sphere_oracle_patch(), Fraction(1, 2)),
+        (gaussian_oracle_patch(), Fraction(3)),
+        (sphere_oracle_patch(), Fraction(3)),
+    ],
+    ids=["plane", "sphere", "plane-t=1/2", "sphere-t=1/2", "plane-t=3", "sphere-t=3"],
+)
+def test_global_berezin_matches_reference_bit_for_bit(patch, t):
+    binding = {"t": t}
     assert global_berezin((patch,), binding=binding, tol=1e-8) == _reference_berezin((patch,), binding, 1e-8)
+
+
+def test_global_berezin_unbound_symbol_raises_before_evaluating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("quadrature ran with an unbound integrand")
+
+    monkeypatch.setattr(oracle, "quadrature", never)
+    patch = OraclePatch(("x", "y"), ((0, 1), (0, 1)), sc.sym("s") * X * Y)
+    with pytest.raises(UnboundSymbol, match="'s'"):
+        global_berezin((patch,), binding={"t": Fraction(1)})
 
 
 def test_quadrature_budget_raises(monkeypatch):
@@ -211,14 +233,14 @@ def test_berezin_density_scales():
     F = parse_super(CHART, "x*y*th1*th2 + x")
     h = ((4, 0), (0, 9))
     density = berezin_density(F, h, EYE)
-    assert abs(density({"x": 1.0, "y": 2.0}) - 12.0) < 1e-12
+    assert abs(density((1.0, 2.0)) - 12.0) < 1e-12
 
 
 def test_hodge_dual_two_generators():
     nu = parse_super(CHART, "x*th1 + y*th2")
     H = ((4, 0), (0, 4))
     dual = hodge_dual_H(nu, H)
-    out = dual({"x": 2.0, "y": 8.0})
+    out = dual((2.0, 8.0))
     assert abs(out[0] - 2.0) < 1e-12
     assert abs(out[1] + 0.5) < 1e-12
 
@@ -227,7 +249,7 @@ def test_hodge_dual_three_generators():
     chart = SuperChart(("x", "y", "z"), 3)
     nu = parse_super(chart, "th1*th2")
     dual = hodge_dual_H(nu, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    out = dual({"x": 0.0, "y": 0.0, "z": 0.0})
+    out = dual((0.0, 0.0, 0.0))
     assert abs(out[0]) < 1e-12 and abs(out[1]) < 1e-12
     assert abs(out[2] - 0.5) < 1e-12
 
@@ -249,7 +271,7 @@ def test_super_stokes_needs_parallel_sigma():
 
 def test_boundary_flux_divergence():
     # flux of (x, y) out of the unit square equals the divergence integral
-    w = lambda b: (b["x"], b["y"])
+    w = lambda p: (p[0], p[1])
     value = boundary_flux(w, EYE, ("x", "y"), ((0, 1), (0, 1)), tol=1e-10)
     assert abs(value - 2.0) < 1e-9
 

@@ -94,6 +94,12 @@ def test_evaluate_against_horner_oracle():
 def test_unbound_symbol_raises():
     with pytest.raises(UnboundSymbol):
         evaluate(parse_scalar("x + y"), {"x": 1})
+    # compile_numeric raises when it compiles, not when the function runs
+    with pytest.raises(UnboundSymbol, match="'t'"):
+        compile_numeric(X * T + Y, ("x", "y"))
+    with pytest.raises(UnboundSymbol, match="'t'"):
+        compile_numeric(X * T, ("x",), {"y": 1})
+    assert compile_numeric(X * T, ("x",), {"t": 2})((3.0,)) == 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +309,9 @@ def test_kernel_caches_are_bounded(monkeypatch):
     sc._COMPILED.clear()
     normalize.cache_clear()
     for k in range(6):
-        compile_numeric(normalize(X**k + Y))
+        compile_numeric(normalize(X**k + Y), ("x", "y"))
     assert len(sc._POLY) == 3 and len(sc._COMPILED) == 2
-    assert compile_numeric(X**5 + Y)({"x": 2.0, "y": 1.0}) == 33.0
+    assert compile_numeric(X**5 + Y, ("x", "y"))((2.0, 1.0)) == 33.0
     for cached in (normalize, sc._atom_key, sc._differentiate):
         assert cached.cache_info().maxsize is not None
 
@@ -396,13 +402,33 @@ def test_compile_numeric_matches_evaluate():
     rng = random.Random(67)
     for _ in range(20):
         e = _random_expr(rng)
-        fn = compile_numeric(e)
+        fn = compile_numeric(e, ("x", "y", "t"))
         b = _random_binding(rng)
         try:
             want = float(evaluate(e, b))
         except (ZeroDivisionError, OverflowError):
             continue
-        assert fn(b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert fn((b["x"], b["y"], b["t"])) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_compile_numeric_binds_parameters_bit_for_bit():
+    # a symbol bound at compile time gives the same float as the same value
+    # passed in the point; a coordinate takes the point's value over the binding
+    rng = random.Random(68)
+    for _ in range(20):
+        e = _random_expr(rng)
+        t = Fraction(rng.randrange(-12, 13), rng.randrange(1, 7))
+        bound = compile_numeric(e, ("x", "y"), {"t": t, "y": 99})
+        free = compile_numeric(e, ("x", "y", "t"))
+        point = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        try:
+            want = free(point + (float(t),))
+        except (ZeroDivisionError, OverflowError):
+            continue
+        assert bound(point) == want or (math.isnan(want) and math.isnan(bound(point)))
+    # -0.0 == 0.0, but the two bind to functions with different results
+    assert math.copysign(1.0, compile_numeric(X * T, ("x",), {"t": -0.0})((1.0,))) == -1.0
+    assert math.copysign(1.0, compile_numeric(X * T, ("x",), {"t": 0.0})((1.0,))) == 1.0
 
 
 def test_float_binding_goes_float():
