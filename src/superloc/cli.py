@@ -16,8 +16,8 @@ from .harness import RUNNERS, load_scenario, report_exit_code, serialize_report
 
 _EPILOG = """\
 The --scenario argument accepts either a path or the name of a bundled
-scenario (sphere_dh, flat_rotation, adhm_k1_n2, adhm_k2_n2_brst,
-kahler_c2).
+scenario (sphere_dh, sphere_poly, flat_rotation, adhm_k1_n2,
+adhm_k2_n2_brst, kahler_c2).
 """
 
 

@@ -27,7 +27,7 @@ from superloc.harness import (
 
 BUNDLED = "src/superloc/scenarios/%s.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
-NAMES = ("sphere_dh", "flat_rotation", "adhm_k1_n2", "adhm_k2_n2_brst", "kahler_c2")
+NAMES = ("sphere_dh", "sphere_poly", "flat_rotation", "adhm_k1_n2", "adhm_k2_n2_brst", "kahler_c2")
 
 
 def _write(tmp_path, obj, name="scenario.json"):

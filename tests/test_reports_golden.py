@@ -2,7 +2,7 @@
 
 Each bundled scenario is run in-process under each command and its report,
 serialized with a fixed timestamp, must equal the recorded text byte for
-byte.  Eleven of the 20 scenario x command pairs have a report, the k=2
+byte.  Fifteen of the 24 scenario x command pairs have a report, the k=2
 closure check of ``adhm_k2_n2_brst`` included.  The other nine name a
 command that their kind has no checks for: they have no golden entry, and
 ``superloc`` refuses them with exit code 2.
@@ -24,7 +24,9 @@ from superloc.cli import main
 from superloc.harness import RUNNERS, load_scenario, serialize_report
 
 GOLDEN = Path(__file__).resolve().parent / "reports_golden.json"
-SCENARIOS = ("sphere_dh", "flat_rotation", "adhm_k1_n2", "adhm_k2_n2_brst", "kahler_c2")
+SCENARIOS = (
+    "sphere_dh", "sphere_poly", "flat_rotation", "adhm_k1_n2", "adhm_k2_n2_brst", "kahler_c2",
+)
 PAIRS = [
     (name, command)
     for name in SCENARIOS
