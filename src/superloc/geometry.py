@@ -75,25 +75,21 @@ def height_exponential(patch: SphereChart) -> SuperFunction:
     )
 
 
-def closed_power(patch: SphereChart, k: int) -> SuperFunction:
-    """k-th power of the closed generator omega - t z."""
-    if k < 0:
-        raise ValueError("power must be non-negative")
-    base = sc.ZERO - T * patch.z
-    terms = {(): sc.normalize(base ** k) if k else sc.ONE}
-    if k >= 1:
-        terms[(1, 2)] = sc.normalize(
-            sc.rational(k) * base ** (k - 1) * patch.omega_coeff
-        )
-    return SuperFunction(patch.chart, terms)
+def horner(base: ScalarExpr, coeffs) -> ScalarExpr:
+    """Normal form of sum_k coeffs[k] base^k (base normalized), one normalize per degree."""
+    out = sc.ZERO
+    for c in reversed(coeffs):
+        out = sc.normalize(out * base + sc.Rat(Fraction(c)))
+    return out
 
 
 def closed_polynomial(patch: SphereChart, coeffs) -> SuperFunction:
-    """Linear combination sum_k coeffs[k] (omega - t z)^k."""
-    total = SuperFunction.zero(patch.chart)
-    for k, c in enumerate(coeffs):
-        total = total + Fraction(c) * closed_power(patch, k)
-    return total
+    """sum_k coeffs[k] (omega - t z)^k by Horner's rule: its body is p(-t z)
+    and its theta^1 theta^2 coefficient p'(-t z) omega, p = sum_k coeffs[k] s^k."""
+    base = sc.normalize(sc.ZERO - T * patch.z)
+    slope = horner(base, [k * Fraction(c) for k, c in enumerate(coeffs)][1:])
+    top = sc.normalize(slope * patch.omega_coeff)
+    return SuperFunction(patch.chart, {(): horner(base, coeffs), (1, 2): top})
 
 
 def sphere_fixed_points():

@@ -59,6 +59,7 @@ from .geometry import (
     gaussian_oracle_patch,
     gaussian_rotation_form,
     height_exponential,
+    horner,
     plane_fixed_point,
     sphere_atlas,
     sphere_fixed_points,
@@ -279,15 +280,12 @@ def _sphere_case(scenario: dict) -> _GeometryCase:
 
 def _sphere_polynomial_patch(coeffs) -> OraclePatch:
     u, t = sc.sym("u"), sc.sym("t")
-    height = sc.ZERO - t * sc.cos(u)
-    integrand = sc.ZERO
-    for k, c in enumerate(coeffs[1:], start=1):
-        e = sc.rational(c.numerator * k, c.denominator)
-        integrand = integrand + e * height ** (k - 1) * sc.sin(u)
+    height = sc.normalize(sc.ZERO - t * sc.cos(u))
+    slope = horner(height, [k * c for k, c in enumerate(coeffs)][1:])
     return OraclePatch(
         ("u", "v"),
         ((0.0, math.pi), (0.0, 2 * math.pi)),
-        sc.normalize(integrand),
+        sc.normalize(slope * sc.sin(u)),
     )
 
 

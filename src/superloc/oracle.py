@@ -7,15 +7,16 @@ are computed from plain densities so the two paths can be compared.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
 from . import scalars as sc
 from .actions import _as_expr, check_sigma_parallel
-from .errors import AssumptionViolated, NoConvergence, WrongGrade
+from .errors import AssumptionViolated, ComputationError, NoConvergence, WrongGrade
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
 
@@ -84,6 +85,14 @@ def _adaptive(refine, cell, tol, depth) -> float:
     return sum(_adaptive(refine, child, child_tol, depth + 1) for child in children)
 
 
+@contextmanager
+def _integrand_errors():
+    try:
+        yield
+    except (ArithmeticError, ValueError) as exc:
+        raise ComputationError("integrand raised %s: %s" % (type(exc).__name__, exc)) from exc
+
+
 def quadrature(
     f: Callable[[tuple], float],
     box: Sequence[Tuple[float, float]],
@@ -94,7 +103,8 @@ def quadrature(
     Cells are refined dyadically with a fixed traversal order and summed in
     that order, so results are bit-for-bit reproducible for a given
     tolerance. Each visited cell's nodes are evaluated once; more than
-    `_MAX_EVALS` evaluations raise `NoConvergence`.
+    `_MAX_EVALS` evaluations raise `NoConvergence`; a float error in f raises
+    `ComputationError`.
     """
     lo = tuple(float(a) for a, _ in box)
     hi = tuple(float(b) for _, b in box)
@@ -111,9 +121,10 @@ def quadrature(
             )
         return [(clo, chi, _cell_integral(f, clo, chi, weights)) for clo, chi in children]
 
-    cells = refine(lo, hi)
-    child_tol = tol / len(cells)
-    return math.fsum(_adaptive(refine, cell, child_tol, 1) for cell in cells)
+    with _integrand_errors():
+        cells = refine(lo, hi)
+        child_tol = tol / len(cells)
+        return math.fsum(_adaptive(refine, cell, child_tol, 1) for cell in cells)
 
 
 @dataclass(frozen=True)
@@ -191,13 +202,7 @@ def hodge_dual_H(nu: SuperFunction, H, binding=None) -> Callable[[tuple], list]:
 
 
 def _eps_sign(perm: tuple) -> int:
-    sign = 1
-    items = list(perm)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 def boundary_flux(
@@ -233,7 +238,8 @@ def boundary_flux(
         if rest:
             part = quadrature(f, rest, tol=share)
         else:
-            part = f(())
+            with _integrand_errors():
+                part = f(())
         total += side * part
     return total
 

@@ -14,7 +14,6 @@ from superloc.geometry import (
     PLANE_ROTATION,
     annulus_domain,
     closed_polynomial,
-    closed_power,
     flat_box_domain,
     gaussian_oracle_patch,
     gaussian_rotation_form,
@@ -32,7 +31,8 @@ from superloc.localize import (
     super_prefactor,
 )
 from superloc.oracle import global_berezin, super_stokes_check
-from superloc.grassmann import parse_super
+from superloc.grassmann import SuperFunction, parse_super
+from superloc.harness import _sphere_polynomial_patch
 
 
 def _dh_value(t: float) -> float:
@@ -79,8 +79,50 @@ def test_closed_powers_are_closed():
     north = sphere_chart("north")
     Q = tautological_Q(north.spec)
     for k in range(5):
-        assert Q.apply(closed_power(north, k)).is_zero()
+        assert Q.apply(closed_polynomial(north, [0] * k + [1])).is_zero()
     assert Q.apply(closed_polynomial(north, [2, 0, -3, 1])).is_zero()
+
+
+def _power_sum(patch, coeffs) -> SuperFunction:
+    """sum_k c_k (omega - t z)^k with each power normalized on its own and
+    the sum taken through SuperFunction, the construction that Horner's
+    rule replaced."""
+    base = sc.ZERO - sc.sym("t") * patch.z
+    total = SuperFunction.zero(patch.chart)
+    for k, c in enumerate(coeffs):
+        terms = {(): sc.normalize(base ** k) if k else sc.ONE}
+        if k:
+            terms[(1, 2)] = sc.normalize(sc.rational(k) * base ** (k - 1) * patch.omega_coeff)
+        total = total + Fraction(c) * SuperFunction(patch.chart, terms)
+    return total
+
+
+def _power_sum_integrand(coeffs) -> sc.ScalarExpr:
+    """sum_k k c_k (-t cos u)^(k-1) sin u, normalized once at the end."""
+    u, t = sc.sym("u"), sc.sym("t")
+    height = sc.ZERO - t * sc.cos(u)
+    integrand = sc.ZERO
+    for k, c in enumerate(coeffs[1:], start=1):
+        integrand = integrand + sc.Rat(k * c) * height ** (k - 1) * sc.sin(u)
+    return sc.normalize(integrand)
+
+
+def _seeded_coefficient_lists(count: int):
+    rng = random.Random(1313)
+    pool = [0, 0, 1, -1, Fraction(3, 2), Fraction(-2, 7), 5]
+    fixed = [[0], [0, 0, 0], [0, 1], [1, 0, -1], [2, 0, -3, 1, 0, 0]]
+    drawn = [[rng.choice(pool) for _ in range(rng.randint(1, 8))] for _ in range(count - len(fixed))]
+    return [[Fraction(c) for c in coeffs] for coeffs in fixed + drawn]
+
+
+def test_horner_matches_the_power_sum():
+    lists = _seeded_coefficient_lists(36)
+    assert len(lists) >= 30 and {len(c) for c in lists} == set(range(1, 9))
+    assert any(0 in c for c in lists) and any(c < 0 for cs in lists for c in cs)
+    for coeffs in lists:
+        for patch in sphere_atlas():
+            assert closed_polynomial(patch, coeffs).terms == _power_sum(patch, coeffs).terms
+        assert _sphere_polynomial_patch(coeffs).integrand == _power_sum_integrand(coeffs)
 
 
 def test_sphere_fixed_points_data():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,13 @@ from superloc import oracle
 from superloc import scalars as sc
 from superloc.actions import ActionSpec, tautological_Q
 from superloc.cli import main
-from superloc.errors import AssumptionViolated, NoConvergence, UnboundSymbol, WrongGrade
+from superloc.errors import (
+    AssumptionViolated,
+    ComputationError,
+    NoConvergence,
+    UnboundSymbol,
+    WrongGrade,
+)
 from superloc.geometry import gaussian_oracle_patch, sphere_oracle_patch
 from superloc.grassmann import SuperChart, SuperFunction, parse_super
 from superloc.oracle import (
@@ -203,6 +210,38 @@ def test_quadrature_budget_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_MAX_EVALS", 4 * 144)
     assert main(["oracle", "--scenario", "flat_rotation", "--quiet"]) == 3
     assert "more than 576 integrand evaluations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "form,message",
+    [
+        ("exp(x^-1)*th1", "computation error: integrand raised ZeroDivisionError"),
+        ("exp(1000*x)*th1", "computation error: integrand raised OverflowError"),
+        ("x^-1*y*th2", "computation error: quadrature cell at depth 12 did not converge"),
+    ],
+    ids=["zero-division", "overflow", "no-convergence"],
+)
+def test_integrand_float_errors_exit_3(tmp_path, capsys, form, message):
+    # a flat_box face integrand meets x = 0.0 or overflows: exit 3, no traceback
+    path = tmp_path / "stokes.json"
+    path.write_text(json.dumps({
+        "name": "stokes", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+        "values": ["1"], "stokes": [{"domain": "flat_box", "form": form}],
+        "checks": ["super_stokes"],
+    }))
+    assert main(["oracle", "--scenario", str(path), "--quiet"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_integrand_float_errors_raise_computation_error():
+    with pytest.raises(ComputationError, match="ValueError: math domain error"):
+        quadrature(lambda p: math.log(p[0] - 0.5), ((0, 1),))
+
+    def w(point):
+        return (1.0 / point[0],)
+
+    with pytest.raises(ComputationError, match="ZeroDivisionError: float division by zero"):
+        boundary_flux(w, ((sc.ONE,),), ("x",), ((0.0, 1.0),))
 
 
 def test_patch_sum_sphere_area():
