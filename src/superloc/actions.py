@@ -37,13 +37,6 @@ from .grassmann import (
 from .scalars import ScalarExpr, normalize
 
 
-def _as_expr(value) -> ScalarExpr:
-    if isinstance(value, ScalarExpr):
-        return value
-    f = Fraction(value)
-    return sc.rational(f.numerator, f.denominator)
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """Infinitesimal generators of a group action on an (m, n) chart."""
@@ -55,7 +48,7 @@ class ActionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
-        T = tuple(tuple(_as_expr(e) for e in row) for row in self.T)
+        T = tuple(tuple(sc.as_expr(e) for e in row) for row in self.T)
         if len(T) != len(self.params) or any(len(row) != self.chart.m for row in T):
             raise ShapeMismatch(
                 "T must be %d x %d" % (len(self.params), self.chart.m)
@@ -63,7 +56,7 @@ class ActionSpec:
         object.__setattr__(self, "T", T)
         if self.U is not None:
             U = tuple(
-                tuple(tuple(_as_expr(e) for e in row) for row in block) for block in self.U
+                tuple(tuple(sc.as_expr(e) for e in row) for row in block) for block in self.U
             )
             n = self.chart.n
             if len(U) != len(self.params) or any(
@@ -86,7 +79,7 @@ def _xi_coeffs(spec: ActionSpec, xi=None) -> tuple:
     out = []
     for name in spec.params:
         if name in xi:
-            out.append(_as_expr(xi[name]))
+            out.append(sc.as_expr(xi[name]))
         else:
             out.append(sc.sym(name))
     return tuple(out)
@@ -235,14 +228,36 @@ def kahler_lift(spec: ActionSpec, xi=None) -> SuperVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _default_samples(symbols, count=5, seed=802, num=7, den=3):
-    """Seeded rational bindings: numerators in -num..num, denominators in 1..den."""
-    rng = random.Random(seed)
-    names = sorted(symbols)
+def sample_bindings(exprs) -> list:
+    """The one sampler: five seeded rational bindings of the free symbols
+    of exprs, numerators in -7..7 and denominators in 1..3."""
+    names = sorted(set().union(*(sc.free_symbols(e) for e in exprs)))
+    rng = random.Random(802)
     return [
-        {name: Fraction(rng.randint(-num, num), rng.randint(1, den)) for name in names}
-        for _ in range(count)
+        {name: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for name in names}
+        for _ in range(5)
     ]
+
+
+def residual_verdict(residuals, samples=None, tol=1e-8) -> dict:
+    """Pass when every normalized residual is zero; otherwise compare the
+    largest |residual| over the samples (drawn from the residuals when
+    None) with tol. A sample where a residual divides by zero certifies
+    nothing, and a verdict that no sample certifies fails."""
+    if all(sc.is_zero(r) for r in residuals):
+        return {"status": "pass", "max_residual": 0.0, "symbolic": True}
+    worst = None
+    for binding in sample_bindings(residuals) if samples is None else samples:
+        try:
+            values = [abs(float(sc.evaluate(r, binding))) for r in residuals]
+        except ZeroDivisionError:
+            continue
+        worst = max(worst or 0.0, *values)
+    return {
+        "status": "pass" if worst is not None and worst < tol else "fail",
+        "max_residual": worst,
+        "symbolic": False,
+    }
 
 
 def _rational_values(rows, binding):
@@ -257,8 +272,8 @@ def _rational_values(rows, binding):
     return None
 
 
-def _certified_rank(rows, n, samples) -> bool:
-    """True at the first sample where rows has exact rank n.
+def _certified_rank(rows, n) -> bool:
+    """True at the first sample of the entries where rows has exact rank n.
 
     A complex matrix A + iB, given as (re, im) entries, goes through its
     real form [[A, -B], [B, A]], whose rank is twice the complex rank.
@@ -268,14 +283,14 @@ def _certified_rank(rows, n, samples) -> bool:
         im = [[e[1] if isinstance(e, tuple) else sc.ZERO for e in row] for row in rows]
         rows = [a + [-v for v in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
         n *= 2
-    for binding in samples:
+    for binding in sample_bindings(e for row in rows for e in row):
         values = _rational_values(rows, binding)
         if values is not None and linalg.rank(values) == n:
             return True
     return False
 
 
-def sigma_from_Q(Q, samples=None):
+def sigma_from_Q(Q):
     """Extract sigma^i_A from a^i = sigma^i_A theta^A.
 
     Real fields give a matrix of scalars; complex fields give (re, im)
@@ -290,16 +305,7 @@ def sigma_from_Q(Q, samples=None):
         if comp.grades() not in ((), (1,)):
             raise NotLinearInTheta("even component is not linear in theta")
         rows.append([comp.coefficient((A,)) for A in range(1, chart.n + 1)])
-    symbols = set()
-    for row in rows:
-        for e in row:
-            if isinstance(e, tuple):
-                symbols |= sc.free_symbols(e[0]) | sc.free_symbols(e[1])
-            else:
-                symbols |= sc.free_symbols(e)
-    if samples is None:
-        samples = _default_samples(symbols)
-    if not _certified_rank(rows, chart.n, samples):
+    if not _certified_rank(rows, chart.n):
         raise NotInjective("sigma has rank below %d at all sample points" % (chart.n,))
     return rows
 
@@ -321,24 +327,11 @@ def metric_invariance_report(h, spec: ActionSpec):
         for j in range(m):
             r = sc.ZERO
             for k in range(m):
-                r = r + comp[k] * sc.differentiate(_as_expr(h[i][j]), coords[k])
-                r = r + _as_expr(h[k][j]) * sc.differentiate(comp[k], coords[i])
-                r = r + _as_expr(h[i][k]) * sc.differentiate(comp[k], coords[j])
+                r = r + comp[k] * sc.differentiate(sc.as_expr(h[i][j]), coords[k])
+                r = r + sc.as_expr(h[k][j]) * sc.differentiate(comp[k], coords[i])
+                r = r + sc.as_expr(h[i][k]) * sc.differentiate(comp[k], coords[j])
             residuals.append(normalize(r))
-    if all(sc.is_zero(r) for r in residuals):
-        return {"status": "pass", "max_residual": 0.0, "symbolic": True}
-    symbols = set()
-    for r in residuals:
-        symbols |= sc.free_symbols(r)
-    worst = 0.0
-    for binding in _default_samples(symbols):
-        for r in residuals:
-            worst = max(worst, abs(float(sc.evaluate(r, binding))))
-    return {
-        "status": "pass" if worst < 1e-8 else "fail",
-        "max_residual": worst,
-        "symbolic": False,
-    }
+    return residual_verdict(residuals)
 
 
 def positive_definite_report(h, samples):
@@ -347,7 +340,7 @@ def positive_definite_report(h, samples):
     Fractions cannot be certified and fails the report."""
     worst = None
     for binding in samples:
-        mat = _rational_values([[_as_expr(e) for e in row] for row in h], binding)
+        mat = _rational_values([[sc.as_expr(e) for e in row] for row in h], binding)
         if mat is None:
             return {"status": "fail", "min_leading_minor": None}
         for k in range(1, len(mat) + 1):
@@ -362,7 +355,7 @@ def positive_definite_report(h, samples):
 def christoffel(h, coords) -> list:
     """Levi-Civita symbols Gamma[i][k][j] for the metric h in these coordinates."""
     m = len(coords)
-    hinv = linalg.inverse_symbolic([[_as_expr(e) for e in row] for row in h])
+    hinv = linalg.inverse_symbolic([[sc.as_expr(e) for e in row] for row in h])
     out = []
     for i in range(m):
         plane = []
@@ -372,9 +365,9 @@ def christoffel(h, coords) -> list:
                 acc = sc.ZERO
                 for l in range(m):
                     term = (
-                        sc.differentiate(_as_expr(h[l][j]), coords[k])
-                        + sc.differentiate(_as_expr(h[l][k]), coords[j])
-                        - sc.differentiate(_as_expr(h[k][j]), coords[l])
+                        sc.differentiate(sc.as_expr(h[l][j]), coords[k])
+                        + sc.differentiate(sc.as_expr(h[l][k]), coords[j])
+                        - sc.differentiate(sc.as_expr(h[k][j]), coords[l])
                     )
                     acc = acc + hinv[i][l] * term
                 row.append(normalize(Fraction(1, 2) * acc))
@@ -391,7 +384,7 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, H, samples=None, tol=1e-8)
     m, n = chart.m, chart.n
     if n != m:
         raise DimensionMismatch("sigma check needs a square chart, got (%d, %d)" % (m, n))
-    sigma = [[_as_expr(e) for e in row] for row in sigma]
+    sigma = [[sc.as_expr(e) for e in row] for row in sigma]
     gamma_h = christoffel(h, coords)
     omega = christoffel(H, coords)
     residuals = []
@@ -404,25 +397,7 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, H, samples=None, tol=1e-8)
                 for B in range(n):
                     r = r - sigma[i][B] * omega[B][k][A]
                 residuals.append(normalize(r))
-    if all(sc.is_zero(r) for r in residuals):
-        return {"status": "pass", "max_residual": 0.0, "symbolic": True}
-    symbols = set()
-    for r in residuals:
-        symbols |= sc.free_symbols(r)
-    if samples is None:
-        samples = _default_samples(symbols)
-    worst = 0.0
-    for binding in samples:
-        for r in residuals:
-            try:
-                worst = max(worst, abs(float(sc.evaluate(r, binding))))
-            except ZeroDivisionError:
-                continue
-    return {
-        "status": "pass" if worst < tol else "fail",
-        "max_residual": worst,
-        "symbolic": False,
-    }
+    return residual_verdict(residuals, samples, tol)
 
 
 def closure_check(spec: ActionSpec):
@@ -445,14 +420,8 @@ def closure_check(spec: ActionSpec):
             brackets.append(((alpha, beta), comp))
     if not brackets:
         return {"status": "pass", "residual": None, "pairs": 0}
-    symbols = set()
-    for _, comp in brackets:
-        for e in comp:
-            symbols |= sc.free_symbols(e)
-    for row in spec.T:
-        for e in row:
-            symbols |= sc.free_symbols(e)
-    samples = _default_samples(symbols, count=max(6, 2 * dim_g))
+    # a bracket names no symbol that the generators do not
+    samples = sample_bindings(e for row in spec.T for e in row)
     columns = [[spec.T[g][i] for g in range(dim_g)] for i in range(m)]
     outside = []
     for pair, comp in brackets:
@@ -577,11 +546,8 @@ def verify_brst(Q, spec: ActionSpec):
         }
     )
 
-    symbols = set(spec.chart.coords)
-    for comp in Q.a + Q.b:
-        symbols |= comp.free_symbols()
     try:
-        sigma_from_Q(Q, samples=_default_samples(symbols))
+        sigma_from_Q(Q)
         sigma_error = None
     except (NotLinearInTheta, NotInjective) as exc:
         sigma_error = str(exc)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import scalars as sc
-from .actions import ActionSpec, _as_expr, _default_samples
+from .actions import ActionSpec, residual_verdict, sample_bindings
 from .errors import (
     BadSusy,
     ComputationError,
@@ -391,6 +391,15 @@ def adhm_super_chart(k: int, N: int, full: bool = False) -> ADHMSuperChart:
     return ADHMSuperChart(k, N, full, chart, tuple(sectors), params)
 
 
+def _traceless_diagonal(N: int) -> list:
+    """The Cartan symbols a1 .. a(N-1) followed by minus their sum."""
+    a_top = [sc.sym("a%d" % (r + 1,)) for r in range(N - 1)]
+    a_last = sc.ZERO
+    for e in a_top:
+        a_last = a_last - e
+    return a_top + [a_last]
+
+
 def cartan_params(lay: ADHMSuperChart):
     """Diagonal (phi, a) and the two rotation symbols, all anti-hermitian.
 
@@ -407,11 +416,7 @@ def cartan_params(lay: ADHMSuperChart):
         [imag_const(sc.sym("phi%d" % (i + 1,))) if i == j else zero for j in range(lay.k)]
         for i in range(lay.k)
     ]
-    a_top = [sc.sym("a%d" % (r + 1,)) for r in range(lay.N - 1)]
-    a_last = sc.ZERO
-    for e in a_top:
-        a_last = a_last - e
-    a_diag = list(a_top) + [a_last]
+    a_diag = _traceless_diagonal(lay.N)
     a = [
         [imag_const(a_diag[i]) if i == j else zero for j in range(lay.N)]
         for i in range(lay.N)
@@ -588,7 +593,7 @@ def fermionic_constraints(chart: SuperChart, V: Sequence) -> list:
         raise DimensionMismatch("need one odd generator per coordinate")
     out = []
     for v in V:
-        expr = _as_expr(v)
+        expr = sc.as_expr(v)
         terms = {}
         for idx, name in enumerate(chart.coords, start=1):
             d = sc.normalize(sc.differentiate(expr, name))
@@ -643,21 +648,8 @@ def multiplier_completion(
             if coord in occurs:
                 e = e + comp * sc.differentiate(V[b], coord)
         residuals.append(sc.normalize(e))
-    symbolic_zero = all(sc.is_zero(e) for e in residuals)
-
-    symbols = set()
-    for e in residuals:
-        symbols |= sc.free_symbols(e)
-    for row in N:
-        for e in row:
-            symbols |= sc.free_symbols(e)
-    samples = _default_samples(symbols, count=3, seed=2203, num=9, den=4)
-
-    max_abs = 0.0
-    if not symbolic_zero:
-        for binding in samples:
-            for e in residuals:
-                max_abs = max(max_abs, abs(float(sc.evaluate(e, binding))))
+    samples = sample_bindings(residuals + [e for row in N for e in row])
+    pairing = residual_verdict(residuals, samples)
 
     invertible = False
     for binding in samples:
@@ -669,8 +661,8 @@ def multiplier_completion(
     report = {
         "size": r,
         "linear_in_H": True,
-        "pairing_residual_zero": symbolic_zero,
-        "pairing_residual_max": max_abs,
+        "pairing_residual_zero": pairing["symbolic"],
+        "pairing_residual_max": pairing["max_residual"],
         "invertible": invertible,
     }
     return N, report
@@ -727,11 +719,7 @@ def adhm_fixed_points(k: int, N: int, zeta: Fraction = Fraction(1)) -> list:
     s = sqrt_exact(Fraction(zeta))
     if not isinstance(s, Fraction):
         raise ValueError("zeta must be a perfect rational square")
-    a_top = [sc.sym("a%d" % (r + 1,)) for r in range(N - 1)]
-    a_last = sc.ZERO
-    for e in a_top:
-        a_last = a_last - e
-    a_diag = list(a_top) + [a_last]
+    a_diag = _traceless_diagonal(N)
     e1, e2 = sc.sym("e1"), sc.sym("e2")
     out = []
     for r in range(N):

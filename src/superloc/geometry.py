@@ -24,6 +24,7 @@ from .scalars import ScalarExpr
 X = sc.sym("x")
 Y = sc.sym("y")
 T = sc.sym("t")
+U = sc.sym("u")
 
 PLANE_CHART = SuperChart(("x", "y"), 2)
 PLANE_ROTATION = ActionSpec(("t",), PLANE_CHART, ((sc.ZERO - Y, X),))
@@ -79,16 +80,20 @@ def horner(base: ScalarExpr, coeffs) -> ScalarExpr:
     """Normal form of sum_k coeffs[k] base^k (base normalized), one normalize per degree."""
     out = sc.ZERO
     for c in reversed(coeffs):
-        out = sc.normalize(out * base + sc.Rat(Fraction(c)))
+        out = sc.normalize(out * base + sc.as_expr(c))
     return out
+
+
+def _slope(base: ScalarExpr, coeffs) -> ScalarExpr:
+    """p'(base) for p = sum_k coeffs[k] s^k, by Horner's rule."""
+    return horner(base, [k * Fraction(c) for k, c in enumerate(coeffs)][1:])
 
 
 def closed_polynomial(patch: SphereChart, coeffs) -> SuperFunction:
     """sum_k coeffs[k] (omega - t z)^k by Horner's rule: its body is p(-t z)
     and its theta^1 theta^2 coefficient p'(-t z) omega, p = sum_k coeffs[k] s^k."""
     base = sc.normalize(sc.ZERO - T * patch.z)
-    slope = horner(base, [k * Fraction(c) for k, c in enumerate(coeffs)][1:])
-    top = sc.normalize(slope * patch.omega_coeff)
+    top = sc.normalize(_slope(base, coeffs) * patch.omega_coeff)
     return SuperFunction(patch.chart, {(): horner(base, coeffs), (1, 2): top})
 
 
@@ -108,15 +113,20 @@ def sphere_fixed_points():
     return out
 
 
+def _angle_patch(integrand: ScalarExpr) -> OraclePatch:
+    """Angle coordinates (colatitude u, azimuth v) cover the sphere up to a
+    measure-zero set; an integrand of the height alone is a 1D profile."""
+    return OraclePatch(("u", "v"), ((0.0, math.pi), (0.0, 2 * math.pi)), integrand)
+
+
 def sphere_oracle_patch() -> OraclePatch:
-    """Angle coordinates (colatitude, azimuth) cover the sphere up to a
-    measure-zero set; the height integrand reduces to a 1D profile."""
-    u = sc.sym("u")
-    return OraclePatch(
-        ("u", "v"),
-        ((0.0, math.pi), (0.0, 2 * math.pi)),
-        sc.exp(sc.ZERO - T * sc.cos(u)) * sc.sin(u),
-    )
+    return _angle_patch(sc.exp(sc.ZERO - T * sc.cos(U)) * sc.sin(U))
+
+
+def sphere_polynomial_patch(coeffs) -> OraclePatch:
+    """closed_polynomial's top component in angle coordinates, p'(-t cos u) sin u."""
+    height = sc.normalize(sc.ZERO - T * sc.cos(U))
+    return _angle_patch(sc.normalize(_slope(height, coeffs) * sc.sin(U)))
 
 
 def gaussian_rotation_form() -> SuperFunction:

@@ -10,7 +10,6 @@ of real ones on the same chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import scalars as sc
@@ -67,7 +66,7 @@ class SuperFunction:
                 raise IndexOutOfRange("odd index out of range in %r" % (idx,))
             if list(idx) != sorted(set(idx)):
                 raise IndexOutOfRange("multi-index must be strictly increasing: %r" % (idx,))
-            c = normalize(coeff if isinstance(coeff, ScalarExpr) else sc.Rat(Fraction(coeff)))
+            c = normalize(coeff if isinstance(coeff, ScalarExpr) else sc.as_expr(coeff))
             if c != sc.ZERO:
                 prev = clean.get(idx)
                 clean[idx] = c if prev is None else normalize(prev + c)
@@ -78,8 +77,6 @@ class SuperFunction:
 
     @staticmethod
     def from_scalar(chart: SuperChart, value) -> "SuperFunction":
-        if not isinstance(value, ScalarExpr):
-            value = sc.Rat(Fraction(value))
         return SuperFunction(chart, {(): value})
 
     @staticmethod
@@ -201,9 +198,7 @@ class SuperFunction:
 def _coerce(chart: SuperChart, value):
     if isinstance(value, SuperFunction):
         return value
-    if isinstance(value, ScalarExpr):
-        return SuperFunction.from_scalar(chart, value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (ScalarExpr, *sc.NUMBERS)):
         return SuperFunction.from_scalar(chart, value)
     return NotImplemented
 

@@ -59,16 +59,16 @@ from .geometry import (
     gaussian_oracle_patch,
     gaussian_rotation_form,
     height_exponential,
-    horner,
     plane_fixed_point,
     sphere_atlas,
     sphere_fixed_points,
     sphere_oracle_patch,
+    sphere_polynomial_patch,
 )
 from .grassmann import SuperChart, field_is_zero, parse_super
 from .linalg import identity
 from .localize import classical_localize, find_fixed_points, super_localize
-from .oracle import OraclePatch, global_berezin, super_stokes_check
+from .oracle import global_berezin, super_stokes_check
 
 
 KINDS = ("sphere", "plane_rotation", "line_dilation", "kahler_torus", "adhm")
@@ -79,6 +79,8 @@ _REFERENCES: Mapping[str, Callable[[float], float]] = {
 }
 
 _STOKES_DOMAINS = {"flat_box": flat_box_domain, "annulus": annulus_domain}
+
+_LINE_CHART = SuperChart(("x",), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,7 @@ def _validate(scenario: dict) -> None:
         if kind == "line_dilation":
             if ftype != "expression" or not isinstance(form.get("text"), str):
                 raise SchemaError("line scenarios need an expression form")
+            _check_form(_LINE_CHART, form["text"], ("x", "t"), "line form", "x or t")
         values = _require(scenario, "values", list)
         if not values:
             raise SchemaError("values must be non-empty")
@@ -173,13 +176,7 @@ def _validate(scenario: dict) -> None:
             if not isinstance(text, str):
                 raise SchemaError("stokes entry lacks a form text")
             chart = _STOKES_DOMAINS[domain]().chart
-            try:
-                nu = parse_super(chart, text)
-            except Exception as exc:
-                raise SchemaError("stokes form does not parse: %s" % (exc,))
-            foreign = sorted(nu.free_symbols() - set(chart.coords))
-            if foreign:
-                raise SchemaError("stokes form names %s, not a coordinate of %s" % (", ".join(foreign), domain))
+            _check_form(chart, text, chart.coords, "stokes form", "a coordinate of " + domain)
             if "tol" in entry:
                 _tolerance(entry["tol"], "stokes tol")
     if kind == "adhm":
@@ -187,6 +184,17 @@ def _validate(scenario: dict) -> None:
         N = _require(scenario, "N", int)
         if k < 1 or N < 2:
             raise SchemaError("need k >= 1 and N >= 2")
+
+
+def _check_form(chart: SuperChart, text: str, allowed, what: str, where: str) -> None:
+    """SchemaError unless text parses on chart and names only allowed symbols."""
+    try:
+        f = parse_super(chart, text)
+    except Exception as exc:
+        raise SchemaError("%s does not parse: %s" % (what, exc))
+    foreign = sorted(f.free_symbols() - set(allowed))
+    if foreign:
+        raise SchemaError("%s names %s, not %s" % (what, ", ".join(foreign), where))
 
 
 def _tolerance(value, what: str) -> float:
@@ -273,20 +281,9 @@ def _sphere_case(scenario: dict) -> _GeometryCase:
     else:
         coeffs = [_as_fraction(c) for c in form["coeffs"]]
         fields = {p.name: closed_polynomial(p, coeffs) for p in atlas}
-        patches = [_sphere_polynomial_patch(coeffs)]
+        patches = [sphere_polynomial_patch(coeffs)]
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
     return _GeometryCase(fields, sphere_fixed_points(), Q, patches)
-
-
-def _sphere_polynomial_patch(coeffs) -> OraclePatch:
-    u, t = sc.sym("u"), sc.sym("t")
-    height = sc.normalize(sc.ZERO - t * sc.cos(u))
-    slope = horner(height, [k * c for k, c in enumerate(coeffs)][1:])
-    return OraclePatch(
-        ("u", "v"),
-        ((0.0, math.pi), (0.0, 2 * math.pi)),
-        sc.normalize(slope * sc.sin(u)),
-    )
 
 
 def _plane_case(scenario: dict) -> _GeometryCase:
@@ -299,12 +296,11 @@ def _plane_case(scenario: dict) -> _GeometryCase:
 
 
 def _line_case(scenario: dict) -> _GeometryCase:
-    chart = SuperChart(("x",), 1)
-    spec = ActionSpec(("t",), chart, ((sc.sym("x"),),))
+    spec = ActionSpec(("t",), _LINE_CHART, ((sc.sym("x"),),))
     fps = find_fixed_points(
         spec, declared=[(0,)], h=((sc.ONE,),), chart_id="line"
     )
-    field = parse_super(chart, scenario["form"]["text"])
+    field = parse_super(_LINE_CHART, scenario["form"]["text"])
     return _GeometryCase(field, fps, None, [])
 
 

@@ -9,8 +9,8 @@ complex numbers and complex superfunctions all qualify.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List
 
 from . import scalars as sc
 from .errors import NotSkew, OddSize, ShapeMismatch
@@ -106,49 +106,39 @@ def det(M):
     if n == 0:
         return Fraction(1)
     if all(_is_num(e) for row in rows for e in row):
-        return _det_fraction([[Fraction(e) for e in row] for row in rows])
+        pivots, sign = _echelon(rows)
+        return sign * math.prod(pivots) if len(pivots) == n else Fraction(0)
     return _det_subset(rows)
-
-
-def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            factor = rows[r][col] / p
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
 
 
 def rank(M) -> int:
     """Rank of a rectangular matrix of ints and Fractions, by exact elimination."""
+    return len(_echelon(M)[0])
+
+
+def _echelon(M) -> tuple:
+    """Fraction-exact forward elimination of a copy of M: the pivots in
+    order, and the sign of the row permutation it made."""
     rows = [[Fraction(e) for e in row] for row in M]
     width = len(rows[0]) if rows else 0
-    r = 0
+    pivots = []
+    sign = 1
     for col in range(width):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
         p = rows[r][col]
         for i in range(r + 1, len(rows)):
             factor = rows[i][col] / p
             if factor:
                 for c in range(col, width):
                     rows[i][c] -= factor * rows[r][c]
-        r += 1
-    return r
+        pivots.append(p)
+    return pivots, sign
 
 
 def _det_subset(rows) -> ScalarExpr:

@@ -17,7 +17,6 @@ from . import linalg
 from . import scalars as sc
 from .actions import (
     ActionSpec,
-    _as_expr,
     fundamental_field,
     lifted_field,
     tautological_lift,
@@ -116,8 +115,8 @@ class FixedPointData:
 
 def _eval_entry(e, binding):
     """Close over the binding; leftover symbols keep the entry symbolic."""
-    e = _as_expr(e)
-    sub = {k: _as_expr(v) for k, v in binding.items() if not isinstance(v, ScalarExpr)}
+    e = sc.as_expr(e)
+    sub = {k: sc.as_expr(v) for k, v in binding.items() if not isinstance(v, ScalarExpr)}
     e2 = sc.normalize(sc.substitute(e, sub))
     if sc.free_symbols(e2):
         return e2
@@ -226,7 +225,7 @@ def superdeterminant(even_block, odd_block):
         if den == 0:
             raise SingularFiberBlock("odd block is singular")
         return Fraction(num) / Fraction(den)
-    return sc.normalize(_as_expr(num) * _as_expr(den) ** (-1))
+    return sc.normalize(sc.as_expr(num) * sc.as_expr(den) ** (-1))
 
 
 _SINGULAR = {"base": SingularLinearization, "fiber": SingularFiberBlock}
@@ -357,7 +356,7 @@ def build_lambda_beta(spec: ActionSpec, xi, center):
     comps = [comp.body() for comp in fundamental_field(spec, xi).a]
     dist2 = sc.ZERO
     for c, v in zip(chart.coords, center):
-        delta = sc.sym(c) - _as_expr(v)
+        delta = sc.sym(c) - sc.as_expr(v)
         dist2 = dist2 + delta * delta
     norm2 = sc.ZERO
     for comp in comps:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import linalg
 from . import scalars as sc
-from .actions import _as_expr, check_sigma_parallel
+from .actions import check_sigma_parallel
 from .errors import AssumptionViolated, ComputationError, NoConvergence, WrongGrade
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
@@ -152,7 +152,7 @@ def berezin_density(F: SuperFunction, h, H, binding=None) -> Callable[[tuple], f
     theta-coefficient times det(h)^1/2 / det(H)^1/2."""
     dets = [linalg.det([list(r) for r in M]) for M in (h, H)]
     top, det_h, det_H = (
-        sc.compile_numeric(_as_expr(e), F.chart.coords, binding)
+        sc.compile_numeric(sc.as_expr(e), F.chart.coords, binding)
         for e in [F.top_component(), *dets]
     )
 
@@ -177,7 +177,7 @@ def hodge_dual_H(nu: SuperFunction, H, binding=None) -> Callable[[tuple], list]:
     n, coords = nu.chart.n, nu.chart.coords
     if any(len(idx) != n - 1 for idx in nu.terms):
         raise WrongGrade("dual needs a homogeneous superfunction of grade n-1")
-    det_H = sc.compile_numeric(_as_expr(linalg.det([list(r) for r in H])), coords, binding)
+    det_H = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in H])), coords, binding)
     fact = math.factorial(n - 1)
     comps = []
     for A in range(1, n + 1):
@@ -222,7 +222,7 @@ def boundary_flux(
     pairs with side = +1 or -1.
     """
     m = len(coords)
-    det_h = sc.compile_numeric(_as_expr(linalg.det([list(r) for r in h])), coords, binding)
+    det_h = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in h])), coords, binding)
     if faces is None:
         faces = [(k, s) for k in range(m) for s in (1, -1)]
     total = 0.0
@@ -280,7 +280,7 @@ def super_stokes_check(
     lhs = quadrature(berezin_density(Q.apply(nu), h, H, binding), box, tol=tol / 4)
     dual = hodge_dual_H(nu, H, binding)
     sigma_fns = [
-        [sc.compile_numeric(_as_expr(e), nu.chart.coords, binding) for e in row] for row in sigma
+        [sc.compile_numeric(sc.as_expr(e), nu.chart.coords, binding) for e in row] for row in sigma
     ]
 
     def w(point) -> list:

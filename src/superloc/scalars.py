@@ -29,7 +29,6 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ComputationError, UnboundSymbol
 
-Number = Union[int, Fraction]
 BindingValue = Union[int, float, Fraction]
 Binding = Mapping[str, BindingValue]
 
@@ -70,7 +69,7 @@ class ScalarExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "ScalarExpr":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, NUMBERS):
             return Mul((self, Rat(Fraction(1, 1) / Fraction(other))))
         other = _coerce(other)
         if other is NotImplemented:
@@ -100,12 +99,31 @@ class ScalarExpr:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+# The numbers an expression absorbs: each becomes the exact rational it
+# holds, a float the binary fraction it stores.
+NUMBERS = (int, Fraction, float)
+
+
 def _coerce(value: object):
+    """as_expr for the operators: NotImplemented where as_expr raises."""
     if isinstance(value, ScalarExpr):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, NUMBERS):
         return Rat(Fraction(value))
     return NotImplemented
+
+
+def as_expr(value: object) -> ScalarExpr:
+    """The one coercion to an expression.
+
+    An expression stays itself and a number in NUMBERS becomes the exact
+    rational it holds; anything else raises TypeError. The arithmetic
+    operators follow the same rule but return NotImplemented instead.
+    """
+    e = _coerce(value)
+    if e is NotImplemented:
+        raise TypeError("not a number or an expression: %r" % (value,))
+    return e
 
 
 def _cached_hash(node: ScalarExpr) -> int:
@@ -195,15 +213,15 @@ def rational(p: int, q: int = 1) -> Rat:
 
 
 def exp(arg: ScalarExpr) -> Func:
-    return Func("exp", _coerce(arg))
+    return Func("exp", as_expr(arg))
 
 
 def sin(arg: ScalarExpr) -> Func:
-    return Func("sin", _coerce(arg))
+    return Func("sin", as_expr(arg))
 
 
 def cos(arg: ScalarExpr) -> Func:
-    return Func("cos", _coerce(arg))
+    return Func("cos", as_expr(arg))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from superloc.actions import (
     lifted_field,
     metric_invariance_report,
     positive_definite_report,
+    residual_verdict,
+    sample_bindings,
     sigma_from_Q,
     tautological_Q,
     tautological_lift,
@@ -470,6 +472,40 @@ def test_sigma_parallel_shear_fails():
     report = check_sigma_parallel(sigma, h, CHART, H)
     assert report["status"] == "fail"
     assert report["max_residual"] > 1e-3
+
+
+def test_sigma_parallel_fails_when_no_sample_evaluates():
+    chart = SuperChart(("x",), 1)
+    one = ((sc.ONE,),)
+    sigma = ((X ** -1,),)
+    # the residual -1/x^2 divides by zero at x = 0, which certifies nothing
+    report = check_sigma_parallel(sigma, one, chart, one, samples=[{"x": 0}])
+    assert report == {"status": "fail", "max_residual": None, "symbolic": False}
+    report = check_sigma_parallel(sigma, one, chart, one, samples=[{"x": 0}, {"x": 2}])
+    assert report == {"status": "fail", "max_residual": 0.25, "symbolic": False}
+
+
+def test_residual_verdict_rule():
+    assert residual_verdict([sc.ZERO, sc.ZERO]) == {
+        "status": "pass", "max_residual": 0.0, "symbolic": True
+    }
+    tiny = sc.rational(1, 10**12) * X
+    assert residual_verdict([tiny], [{"x": 1}, {"x": -3}]) == {
+        "status": "pass", "max_residual": 3e-12, "symbolic": False
+    }
+    assert residual_verdict([tiny], [{"x": 1}], tol=1e-13)["status"] == "fail"
+    # drawn samples bind every free symbol of the residuals
+    assert residual_verdict([X * Y - T])["max_residual"] > 0
+
+
+def test_sample_bindings_bind_the_free_symbols():
+    exprs = [X * Y, sc.exp(T), sc.ONE]
+    samples = sample_bindings(exprs)
+    assert len(samples) == 5
+    assert all(set(b) == {"x", "y", "t"} for b in samples)
+    assert all(isinstance(v, Fraction) for b in samples for v in b.values())
+    assert sample_bindings(iter(exprs)) == samples
+    assert sample_bindings([sc.ONE]) == [{}] * 5
 
 
 def test_sigma_parallel_needs_a_square_chart():

@@ -80,6 +80,23 @@ def _unused() -> list:
     return out
 
 
+def test_no_private_name_imported_across_modules():
+    """A policy that several modules share has a public owner: no module
+    imports another module's underscore name."""
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "superloc"
+            ):
+                imported += [
+                    "%s imports %s.%s" % (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert imported == []
+
+
 def test_every_definition_has_a_caller():
     unused = set(_unused())
     assert unused - set(PENDING) == set()

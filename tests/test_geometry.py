@@ -23,6 +23,7 @@ from superloc.geometry import (
     sphere_chart,
     sphere_fixed_points,
     sphere_oracle_patch,
+    sphere_polynomial_patch,
 )
 from superloc.localize import (
     classical_localize,
@@ -32,7 +33,6 @@ from superloc.localize import (
 )
 from superloc.oracle import global_berezin, super_stokes_check
 from superloc.grassmann import SuperFunction, parse_super
-from superloc.harness import _sphere_polynomial_patch
 
 
 def _dh_value(t: float) -> float:
@@ -122,7 +122,7 @@ def test_horner_matches_the_power_sum():
     for coeffs in lists:
         for patch in sphere_atlas():
             assert closed_polynomial(patch, coeffs).terms == _power_sum(patch, coeffs).terms
-        assert _sphere_polynomial_patch(coeffs).integrand == _power_sum_integrand(coeffs)
+        assert sphere_polynomial_patch(coeffs).integrand == _power_sum_integrand(coeffs)
 
 
 def test_sphere_fixed_points_data():

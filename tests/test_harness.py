@@ -125,6 +125,11 @@ def test_schema_rejections(tmp_path):
             "stokes": [{"domain": "flat_box", "form": "x*th1", "tol": "loose"}],
         },
         {"name": "x", "kind": "adhm", "k": 1, "N": True},
+        # a line form must parse and name no symbol but x and t
+        {"name": "x", "kind": "line_dilation",
+         "form": {"type": "expression", "text": "x*th1 +"}, "values": ["1"]},
+        {"name": "x", "kind": "line_dilation",
+         "form": {"type": "expression", "text": "exp(-s*x^2)"}, "values": ["1"]},
     ]
     # a tolerance must be finite and > 0; json loads NaN and Infinity
     sphere = {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1"]}
@@ -138,6 +143,11 @@ def test_schema_rejections(tmp_path):
             load_scenario(_write(tmp_path, obj))
     with pytest.raises(SchemaError, match="names s, not a coordinate of flat_box"):
         load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "s*x*y*th2"}])))
+    line = {"name": "x", "kind": "line_dilation", "values": ["1"]}
+    with pytest.raises(SchemaError, match="line form names s, not x or t"):
+        load_scenario(_write(tmp_path, dict(line, form={"type": "expression", "text": "exp(-s*x^2)"})))
+    with pytest.raises(SchemaError, match="line form does not parse"):
+        load_scenario(_write(tmp_path, dict(line, form={"type": "expression", "text": "x*th1 +"})))
 
 
 def test_sphere_compare_matches_reference():

@@ -29,6 +29,7 @@ from superloc.linalg import (
     mat_mul,
     mat_sub,
     pfaffian,
+    rank,
 )
 
 
@@ -71,7 +72,15 @@ def test_det_against_permutation_sum():
     for n in (1, 2, 3, 4, 5):
         for _ in range(6):
             M = _rand_matrix(rng, n)
-            assert det(M) == _det_oracle(M)
+            # two singular forms: the last row a copy of the one above it
+            # (n > 1), and the first column zeroed
+            repeated = M[:-1] + M[-2:-1] if n > 1 else [[0]]
+            for A in (M, repeated, [[0] + r[1:] for r in M]):
+                assert det(A) == _det_oracle(A)
+                # det and rank share one elimination
+                assert (rank(A) == n) == (det(A) != 0)
+    # a zero pivot position swaps rows and flips the sign
+    assert det([[0, 1], [1, 0]]) == -1
 
 
 def test_det_multiplicative():

@@ -436,6 +436,27 @@ def test_float_binding_goes_float():
     assert isinstance(v, float) and v == 2.25
 
 
+def test_as_expr_is_the_one_coercion():
+    assert sc.as_expr(X) is X
+    assert sc.as_expr(3) == Rat(Fraction(3))
+    assert sc.as_expr(Fraction(-2, 3)) == Rat(Fraction(-2, 3))
+    assert sc.as_expr(0.75) == Rat(Fraction(3, 4))
+    for bad in ("t", None, 1j, [1]):
+        with pytest.raises(TypeError):
+            sc.as_expr(bad)
+        # the operators apply the same rule and let Python try the other side
+        assert X.__add__(bad) is NotImplemented
+    assert normalize(X + 0.5) == normalize(X + Fraction(1, 2))
+
+
+@pytest.mark.parametrize("func", [sc.exp, sc.sin, sc.cos])
+def test_transcendental_of_a_non_number_raises_at_construction(func):
+    with pytest.raises(TypeError):
+        func("t")
+    assert func(0.5) == func(Fraction(1, 2))
+    assert func(2) == func(Rat(Fraction(2)))
+
+
 def test_exp_atom_forces_float_away_from_zero():
     v = evaluate(parse_scalar("exp(x)"), {"x": Fraction(1)})
     assert isinstance(v, float) and v == pytest.approx(math.e)
