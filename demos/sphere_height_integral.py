@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from superloc.actions import tautological_Q
 from superloc.geometry import (
+    atlas_fixed_points,
     height_exponential,
     sphere_atlas,
-    sphere_fixed_points,
     sphere_oracle_patch,
 )
 from superloc.localize import super_localize
@@ -26,7 +26,7 @@ def main() -> None:
     atlas = sphere_atlas()
     fields = {p.name: height_exponential(p) for p in atlas}
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
-    fps = sphere_fixed_points()
+    fps = atlas_fixed_points(atlas)
     patch = sphere_oracle_patch()
 
     print("fixed points of the rotation:")

@@ -272,8 +272,11 @@ def _rational_values(rows, binding):
     return None
 
 
-def _certified_rank(rows, n) -> bool:
+def certified_rank(rows, n) -> bool:
     """True at the first sample of the entries where rows has exact rank n.
+
+    A sample where an entry divides by zero or gives a float certifies
+    nothing, so False means no sample certified rank n.
 
     A complex matrix A + iB, given as (re, im) entries, goes through its
     real form [[A, -B], [B, A]], whose rank is twice the complex rank.
@@ -305,7 +308,7 @@ def sigma_from_Q(Q):
         if comp.grades() not in ((), (1,)):
             raise NotLinearInTheta("even component is not linear in theta")
         rows.append([comp.coefficient((A,)) for A in range(1, chart.n + 1)])
-    if not _certified_rank(rows, chart.n):
+    if not certified_rank(rows, chart.n):
         raise NotInjective("sigma has rank below %d at all sample points" % (chart.n,))
     return rows
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import scalars as sc
-from .actions import ActionSpec, residual_verdict, sample_bindings
+from .actions import ActionSpec, certified_rank, residual_verdict
 from .errors import (
     BadSusy,
     ComputationError,
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .grassmann import CSuper, SuperChart, SuperFunction, SuperVectorField
 from .linalg import (
-    det,
     inverse,
     mat_add,
     mat_commutator,
@@ -648,22 +647,13 @@ def multiplier_completion(
             if coord in occurs:
                 e = e + comp * sc.differentiate(V[b], coord)
         residuals.append(sc.normalize(e))
-    samples = sample_bindings(residuals + [e for row in N for e in row])
-    pairing = residual_verdict(residuals, samples)
-
-    invertible = False
-    for binding in samples:
-        numeric = [[Fraction(sc.evaluate(e, binding)) for e in row] for row in N]
-        if det(numeric) != 0:
-            invertible = True
-            break
-
+    pairing = residual_verdict(residuals)
     report = {
         "size": r,
         "linear_in_H": True,
         "pairing_residual_zero": pairing["symbolic"],
         "pairing_residual_max": pairing["max_residual"],
-        "invertible": invertible,
+        "invertible": certified_rank(N, r),
     }
     return N, report
 

@@ -1,10 +1,12 @@
 """Worked geometries for the scenario suite.
 
-The round two-sphere with its rotation action is the central example: two
-stereographic charts related by an orientation-reversing inversion, with
-the height function and the area density written per chart. A flat plane
-with the same rotation, and an annulus in polar coordinates, cover the
-boundary-identity scenarios.
+Each geometry is an atlas of charts with one fixed point at each chart's
+origin. The round two-sphere with its rotation action is the central
+example: two stereographic charts related by an orientation-reversing
+inversion, with the height function and the area density written per
+chart. The flat plane with the same rotation is a one-chart atlas. A flat
+box and an annulus in polar coordinates cover the boundary-identity
+scenarios.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import scalars as sc
 from .actions import ActionSpec
 from .grassmann import SuperChart, SuperFunction
+from .linalg import identity
 from .localize import find_fixed_points
 from .oracle import OraclePatch
 from .scalars import ScalarExpr
@@ -31,26 +34,27 @@ PLANE_ROTATION = ActionSpec(("t",), PLANE_CHART, ((sc.ZERO - Y, X),))
 
 
 @dataclass(frozen=True)
-class SphereChart:
-    """One stereographic chart of the unit sphere with its rotation data.
+class AtlasChart:
+    """One chart of an atlas: its action, metric h and orientation, with the
+    fixed point at its origin.
 
-    The chart covers the sphere minus the opposite pole; z is the height
-    function and omega_coeff the theta^1 theta^2 coefficient of the area
-    form, both written in this chart. The southern chart is reached by the
-    inversion (x, y) -> (x, y)/r^2, which reverses orientation, so its
-    orientation flag, z, and area coefficient all flip sign.
+    A sphere chart covers the sphere minus the opposite pole and also
+    carries z, the height function, and omega_coeff, the theta^1 theta^2
+    coefficient of the area form, both written in this chart. The southern
+    chart is reached by the inversion (x, y) -> (x, y)/r^2, which reverses
+    orientation, so its orientation flag, z, and area coefficient all flip
+    sign.
     """
 
     name: str
-    chart: SuperChart
     spec: ActionSpec
     h: tuple
-    z: ScalarExpr
-    omega_coeff: ScalarExpr
-    orientation: int
+    orientation: int = 1
+    z: Optional[ScalarExpr] = None
+    omega_coeff: Optional[ScalarExpr] = None
 
 
-def sphere_chart(name: str) -> SphereChart:
+def sphere_chart(name: str) -> AtlasChart:
     if name not in ("north", "south"):
         raise ValueError("chart name must be north or south")
     sign = 1 if name == "north" else -1
@@ -59,19 +63,37 @@ def sphere_chart(name: str) -> SphereChart:
     h = ((conformal, sc.ZERO), (sc.ZERO, conformal))
     z = sc.rational(sign) * (sc.rational(1) - X * X - Y * Y) * den ** (-1)
     omega = sc.rational(4 * sign) * den ** (-2)
-    return SphereChart(name, PLANE_CHART, PLANE_ROTATION, h, z, omega, sign)
+    return AtlasChart(name, PLANE_ROTATION, h, sign, z, omega)
 
 
-def sphere_atlas() -> Tuple[SphereChart, SphereChart]:
+def sphere_atlas():
     return (sphere_chart("north"), sphere_chart("south"))
 
 
-def height_exponential(patch: SphereChart) -> SuperFunction:
+def plane_atlas():
+    return (AtlasChart("plane", PLANE_ROTATION, tuple(map(tuple, identity(2)))),)
+
+
+def atlas_fixed_points(atlas):
+    """The fixed point at each chart's origin, in atlas order."""
+    return [
+        find_fixed_points(
+            chart.spec,
+            declared=[(0,) * chart.spec.chart.m],
+            h=chart.h,
+            chart_id=chart.name,
+            orientation=chart.orientation,
+        )[0]
+        for chart in atlas
+    ]
+
+
+def height_exponential(patch: AtlasChart) -> SuperFunction:
     """exp(-t z) (1 + omega): the closed integrand whose localized value
     has the closed form 2 pi (e^t - e^{-t}) / t."""
     body = sc.exp(sc.ZERO - T * patch.z)
     return SuperFunction(
-        patch.chart,
+        patch.spec.chart,
         {(): body, (1, 2): sc.normalize(body * patch.omega_coeff)},
     )
 
@@ -89,28 +111,12 @@ def _slope(base: ScalarExpr, coeffs) -> ScalarExpr:
     return horner(base, [k * Fraction(c) for k, c in enumerate(coeffs)][1:])
 
 
-def closed_polynomial(patch: SphereChart, coeffs) -> SuperFunction:
+def closed_polynomial(patch: AtlasChart, coeffs) -> SuperFunction:
     """sum_k coeffs[k] (omega - t z)^k by Horner's rule: its body is p(-t z)
     and its theta^1 theta^2 coefficient p'(-t z) omega, p = sum_k coeffs[k] s^k."""
     base = sc.normalize(sc.ZERO - T * patch.z)
     top = sc.normalize(_slope(base, coeffs) * patch.omega_coeff)
-    return SuperFunction(patch.chart, {(): horner(base, coeffs), (1, 2): top})
-
-
-def sphere_fixed_points():
-    """Both poles, each at the origin of its own chart."""
-    out = []
-    for patch in sphere_atlas():
-        out.extend(
-            find_fixed_points(
-                patch.spec,
-                declared=[(0, 0)],
-                h=patch.h,
-                chart_id=patch.name,
-                orientation=patch.orientation,
-            )
-        )
-    return out
+    return SuperFunction(patch.spec.chart, {(): horner(base, coeffs), (1, 2): top})
 
 
 def _angle_patch(integrand: ScalarExpr) -> OraclePatch:
@@ -146,14 +152,6 @@ def gaussian_oracle_patch(half_width: float = 14.0) -> OraclePatch:
         ("x", "y"),
         ((-half_width, half_width), (-half_width, half_width)),
         sc.normalize(sc.ZERO - body),
-    )
-
-
-def plane_fixed_point():
-    return find_fixed_points(
-        PLANE_ROTATION,
-        declared=[(0, 0)],
-        chart_id="plane",
     )
 
 

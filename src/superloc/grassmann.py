@@ -514,7 +514,7 @@ def to_super_text(f: SuperFunction) -> str:
     return out
 
 
-class _SuperParser(sc._Parser):
+class _SuperParser(sc.Parser):
     def __init__(self, chart: SuperChart, text: str):
         super().__init__(text)
         self.chart = chart

@@ -1,8 +1,10 @@
 """Scenario loading, the check registry, and the executor behind the runners.
 
 A scenario is a JSON object with a `kind` selecting one of the built-in
-setups (sphere, plane rotation, a one-dimensional toy, the complex
-two-torus operator, or the matrix-model suites).  `_REGISTRY` maps each
+setups (the sphere and plane-rotation geometries, the complex two-torus
+operator, or the matrix-model suites).  A geometry kind names an atlas in
+`_ATLASES`, and every geometry check reads its charts, fixed points and
+fields through that one table.  `_REGISTRY` maps each
 kind and command to ordered stages.  A stage pairs an item source (the
 scenario's `values`, its `stokes` entries, the geometry patches, or one
 single item) with ordered checks; a check gives its base name, the
@@ -50,28 +52,30 @@ from .adhm import (
     cartan_params,
     multiplier_completion,
 )
-from .errors import AssumptionViolated, NotQClosed, OddDimension, SchemaError
+from .errors import AssumptionViolated, NotQClosed, SchemaError
 from .geometry import (
-    PLANE_ROTATION,
     annulus_domain,
+    atlas_fixed_points,
     closed_polynomial,
     flat_box_domain,
     gaussian_oracle_patch,
     gaussian_rotation_form,
     height_exponential,
-    plane_fixed_point,
+    plane_atlas,
     sphere_atlas,
-    sphere_fixed_points,
     sphere_oracle_patch,
     sphere_polynomial_patch,
 )
 from .grassmann import SuperChart, field_is_zero, parse_super
 from .linalg import identity
-from .localize import classical_localize, find_fixed_points, super_localize
+from .localize import classical_localize, super_localize
 from .oracle import global_berezin, super_stokes_check
 
 
-KINDS = ("sphere", "plane_rotation", "line_dilation", "kahler_torus", "adhm")
+KINDS = ("sphere", "plane_rotation", "kahler_torus", "adhm")
+
+# geometry kind -> its atlas, one fixed point at each chart's origin
+_ATLASES = {"sphere": sphere_atlas, "plane_rotation": plane_atlas}
 
 _REFERENCES: Mapping[str, Callable[[float], float]] = {
     "height_closed_form": lambda t: 2 * math.pi * (math.exp(t) - math.exp(-t)) / t,
@@ -79,8 +83,6 @@ _REFERENCES: Mapping[str, Callable[[float], float]] = {
 }
 
 _STOKES_DOMAINS = {"flat_box": flat_box_domain, "annulus": annulus_domain}
-
-_LINE_CHART = SuperChart(("x",), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def _validate(scenario: dict) -> None:
         for c in checks:
             if c not in allowed:
                 raise SchemaError("check %r is not available for kind %r" % (c, kind))
-    if kind in ("sphere", "plane_rotation", "line_dilation"):
+    if kind in _ATLASES:
         form = _require(scenario, "form", dict)
         ftype = form.get("type")
         if kind == "sphere" and ftype not in ("height_exponential", "closed_polynomial"):
@@ -155,15 +157,13 @@ def _validate(scenario: dict) -> None:
                 _as_fraction(c)
         if kind == "plane_rotation" and ftype != "gaussian_rotation":
             raise SchemaError("unsupported plane form %r" % (ftype,))
-        if kind == "line_dilation":
-            if ftype != "expression" or not isinstance(form.get("text"), str):
-                raise SchemaError("line scenarios need an expression form")
-            _check_form(_LINE_CHART, form["text"], ("x", "t"), "line form", "x or t")
         values = _require(scenario, "values", list)
         if not values:
             raise SchemaError("values must be non-empty")
         for v in values:
-            _as_fraction(v)
+            # t = 0 switches the action off, so no fixed point is isolated
+            if _as_fraction(v) == 0:
+                raise SchemaError("a value of t must be nonzero, got %r" % (v,))
         if "reference" in scenario and scenario["reference"] not in _REFERENCES:
             raise SchemaError("unknown reference %r" % (scenario["reference"],))
         for entry in scenario.get("stokes", []):
@@ -176,7 +176,14 @@ def _validate(scenario: dict) -> None:
             if not isinstance(text, str):
                 raise SchemaError("stokes entry lacks a form text")
             chart = _STOKES_DOMAINS[domain]().chart
-            _check_form(chart, text, chart.coords, "stokes form", "a coordinate of " + domain)
+            try:
+                foreign = sorted(parse_super(chart, text).free_symbols() - set(chart.coords))
+            except Exception as exc:
+                raise SchemaError("stokes form does not parse: %s" % (exc,))
+            if foreign:
+                raise SchemaError(
+                    "stokes form names %s, not a coordinate of %s" % (", ".join(foreign), domain)
+                )
             if "tol" in entry:
                 _tolerance(entry["tol"], "stokes tol")
     if kind == "adhm":
@@ -184,17 +191,6 @@ def _validate(scenario: dict) -> None:
         N = _require(scenario, "N", int)
         if k < 1 or N < 2:
             raise SchemaError("need k >= 1 and N >= 2")
-
-
-def _check_form(chart: SuperChart, text: str, allowed, what: str, where: str) -> None:
-    """SchemaError unless text parses on chart and names only allowed symbols."""
-    try:
-        f = parse_super(chart, text)
-    except Exception as exc:
-        raise SchemaError("%s does not parse: %s" % (what, exc))
-    foreign = sorted(f.free_symbols() - set(allowed))
-    if foreign:
-        raise SchemaError("%s names %s, not %s" % (what, ", ".join(foreign), where))
 
 
 def _tolerance(value, what: str) -> float:
@@ -264,51 +260,33 @@ def serialize_report(report: dict, timestamp: Optional[str] = None) -> str:
 
 
 class _GeometryCase(NamedTuple):
-    """Everything a geometry check needs: fields, fixed points, oracle patches."""
+    """Everything a geometry check needs: fields and Q by chart id, the
+    fixed points, oracle patches."""
 
-    fields: object
+    fields: dict
     fps: list
-    Q: object
+    Q: dict
     patches: list
 
 
-def _sphere_case(scenario: dict) -> _GeometryCase:
-    atlas = sphere_atlas()
-    form = scenario["form"]
+def _form(form: dict):
+    """(chart -> integrand, oracle patch) of a geometry form."""
     if form["type"] == "height_exponential":
-        fields = {p.name: height_exponential(p) for p in atlas}
-        patches = [sphere_oracle_patch()]
-    else:
+        return height_exponential, sphere_oracle_patch()
+    if form["type"] == "closed_polynomial":
         coeffs = [_as_fraction(c) for c in form["coeffs"]]
-        fields = {p.name: closed_polynomial(p, coeffs) for p in atlas}
-        patches = [sphere_polynomial_patch(coeffs)]
-    Q = {p.name: tautological_Q(p.spec) for p in atlas}
-    return _GeometryCase(fields, sphere_fixed_points(), Q, patches)
+        return (lambda chart: closed_polynomial(chart, coeffs)), sphere_polynomial_patch(coeffs)
+    return (lambda chart: gaussian_rotation_form()), gaussian_oracle_patch()
 
 
-def _plane_case(scenario: dict) -> _GeometryCase:
+def _geometry_case(scenario: dict, atlas) -> _GeometryCase:
+    integrand, patch = _form(scenario["form"])
     return _GeometryCase(
-        gaussian_rotation_form(),
-        plane_fixed_point(),
-        tautological_Q(PLANE_ROTATION),
-        [gaussian_oracle_patch()],
+        {chart.name: integrand(chart) for chart in atlas},
+        atlas_fixed_points(atlas),
+        {chart.name: tautological_Q(chart.spec) for chart in atlas},
+        [patch],
     )
-
-
-def _line_case(scenario: dict) -> _GeometryCase:
-    spec = ActionSpec(("t",), _LINE_CHART, ((sc.sym("x"),),))
-    fps = find_fixed_points(
-        spec, declared=[(0,)], h=((sc.ONE,),), chart_id="line"
-    )
-    field = parse_super(_LINE_CHART, scenario["form"]["text"])
-    return _GeometryCase(field, fps, None, [])
-
-
-_CASES = {
-    "sphere": _sphere_case,
-    "plane_rotation": _plane_case,
-    "line_dilation": _line_case,
-}
 
 
 _TORUS_SPEC = ActionSpec(
@@ -326,15 +304,20 @@ _TORUS_SPEC = ActionSpec(
 
 
 class _Run:
-    """One runner call: the scenario, its tolerance and the lazily built case."""
+    """One runner call: the scenario, its tolerance, and the lazily built
+    atlas and case of a geometry kind."""
 
     def __init__(self, scenario: dict, tol: float):
         self.scenario = scenario
         self.tol = tol
 
     @cached_property
+    def atlas(self) -> tuple:
+        return _ATLASES[self.scenario["kind"]]()
+
+    @cached_property
     def case(self) -> _GeometryCase:
-        return _CASES[self.scenario["kind"]](self.scenario)
+        return _geometry_case(self.scenario, self.atlas)
 
 
 class _Check(NamedTuple):
@@ -397,9 +380,7 @@ def _stokes(run: _Run):
 
 
 def _patches(run: _Run):
-    if run.scenario["kind"] == "sphere":
-        return [(p.name, (p.spec, p.h)) for p in sphere_atlas()]
-    return [("plane", (PLANE_ROTATION, identity(2)))]
+    return [(chart.name, (chart.spec, chart.h)) for chart in run.atlas]
 
 
 def _single(run: _Run):
@@ -626,22 +607,18 @@ def _fixed_points(run: _Run, item: dict) -> dict:
 # the registry: kind -> command -> ordered (item source, checks) stages
 
 
-_SUPER_LOCALIZE = _Check(
-    "super_localize",
-    _super_localize,
-    ((OddDimension, "skipped(OddDimension)"), (NotQClosed, "fail")),
-)
-_SUPER_STOKES = _Check(
-    "super_stokes", _super_stokes, ((AssumptionViolated, "skipped(AssumptionViolated)"),)
-)
-
 _GEOMETRY = {
     "localize": (
-        (_values, (_SUPER_LOCALIZE, _Check("classical_localize", _classical_localize))),
+        (_values, (
+            _Check("super_localize", _super_localize, ((NotQClosed, "fail"),)),
+            _Check("classical_localize", _classical_localize),
+        )),
     ),
     "oracle": (
         (_values, (_Check("global_berezin", _global_berezin),)),
-        (_stokes, (_SUPER_STOKES,)),
+        (_stokes, (_Check(
+            "super_stokes", _super_stokes, ((AssumptionViolated, "skipped(AssumptionViolated)"),)
+        ),)),
     ),
     "compare": (
         (_values, (
@@ -658,10 +635,6 @@ _GEOMETRY = {
 _REGISTRY = {
     "sphere": _GEOMETRY,
     "plane_rotation": _GEOMETRY,
-    "line_dilation": {
-        "localize": ((_values, (_SUPER_LOCALIZE,)),),
-        "oracle": ((_stokes, (_SUPER_STOKES,)),),
-    },
     "kahler_torus": {
         "brst-check": ((_single, (_Check("verify_brst", _verify_kahler),)),),
     },

@@ -276,7 +276,7 @@ def _localize(integrands, fps: Sequence[FixedPointData], binding, root_key, weig
     terms = []
     total = None
     for fp in fps:
-        F = integrands[fp.chart_id] if isinstance(integrands, Mapping) else integrands
+        F = integrands[fp.chart_id]
         local = dict(binding)
         local.update(fp.binding())
         value = sc.evaluate(F.body(), local)
@@ -327,14 +327,13 @@ def classical_localize(forms, fps: Sequence[FixedPointData], binding=None):
 def super_localize(fields, fps: Sequence[FixedPointData], binding=None, Q=None):
     """Superfunction localization: prefactor * Sdet^{1/2} * F_0(p), summed.
 
-    When Q is supplied (one field, or a mapping by chart id) each
-    integrand is first checked to be annihilated by it, symbolically.
+    fields maps chart ids to integrands. When Q, a mapping by chart id, is
+    supplied, each integrand is first checked to be annihilated by it,
+    symbolically.
     """
     if Q is not None:
         for chart_id in dict.fromkeys(fp.chart_id for fp in fps):
-            F = fields[chart_id] if isinstance(fields, Mapping) else fields
-            q = Q[chart_id] if isinstance(Q, Mapping) else Q
-            if not q.apply(F).is_zero():
+            if not Q[chart_id].apply(fields[chart_id]).is_zero():
                 raise NotQClosed("integrand on chart %r is not closed" % (chart_id,))
     return _localize(fields, fps, binding, "sqrt_sdet", _super_weight)
 

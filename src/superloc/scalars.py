@@ -802,7 +802,10 @@ def _term_text(e: ScalarExpr):
     return 1, t
 
 
-class _Parser:
+class Parser:
+    """Recursive-descent parser of the scalar expression syntax; the
+    superfunction parser extends it with odd generators."""
+
     def __init__(self, text: str):
         self.tokens = self._lex(text)
         self.pos = 0
@@ -915,4 +918,4 @@ class _Parser:
 
 def parse_scalar(text: str) -> ScalarExpr:
     """Parse the ASCII grammar into a raw expression tree."""
-    return _Parser(text).parse()
+    return Parser(text).parse()

@@ -35,9 +35,9 @@ from superloc.geometry import (
     annulus_domain,
     closed_polynomial,
     flat_box_domain,
+    atlas_fixed_points,
     height_exponential,
     sphere_atlas,
-    sphere_fixed_points,
     sphere_oracle_patch,
 )
 from superloc.grassmann import (
@@ -68,7 +68,7 @@ def _sphere_setup():
     atlas = sphere_atlas()
     fields = {p.name: height_exponential(p) for p in atlas}
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
-    return fields, sphere_fixed_points(), Q
+    return fields, atlas_fixed_points(atlas), Q
 
 
 def test_01_sphere_height_integral_three_scales():
@@ -88,7 +88,7 @@ def test_01_sphere_height_integral_three_scales():
 def test_02_random_closed_forms_match_classical():
     rng = random.Random(411)
     atlas = sphere_atlas()
-    fps = sphere_fixed_points()
+    fps = atlas_fixed_points(atlas)
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
     for _ in range(20):
         degree = rng.randint(1, 4)
@@ -167,7 +167,7 @@ def test_04_pfaffian_and_superdeterminant_identities():
         lhs = superdeterminant(mat_mul(E1, E2), mat_mul(O1, O2))
         rhs = superdeterminant(E1, O1) * superdeterminant(E2, O2)
         assert lhs == rhs
-    for fp in sphere_fixed_points():
+    for fp in atlas_fixed_points(sphere_atlas()):
         half_sdet = sqrt_sdet_via_pfaffian(fp, binding={"t": Fraction(3)})
         half_det = sqrt_det_base(fp, binding={"t": Fraction(3)})
         assert half_sdet * half_det == 1

@@ -553,6 +553,16 @@ def test_multiplier_real_sector_has_kernel():
     assert not report["invertible"]
 
 
+def test_multiplier_invertibility_is_certified_exactly():
+    # a float or a division by zero at a sample certifies nothing
+    x, h = sc.sym("x"), sc.sym("h")
+    _, report = multiplier_completion([x], {}, [h * sc.exp(x)], ["h"])
+    assert not report["invertible"]
+    # x = 1 is among the samples; the others certify N = (x - 1)^-1
+    _, report = multiplier_completion([x], {}, [h * (x - sc.ONE) ** (-1)], ["h"])
+    assert report["invertible"]
+
+
 def test_multiplier_rejects_nonlinear():
     h = sc.sym("h")
     with pytest.raises(NonlinearTtilde):

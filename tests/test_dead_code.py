@@ -80,20 +80,44 @@ def _unused() -> list:
     return out
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_no_private_name_imported_across_modules():
     """A policy that several modules share has a public owner: no module
-    imports another module's underscore name."""
+    imports another module's underscore name, or reads one as an attribute
+    of an imported superloc module (``sc._name``)."""
     imported = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == "superloc"
             ):
                 imported += [
                     "%s imports %s.%s" % (path.stem, node.module, alias.name)
                     for alias in node.names
-                    if alias.name.startswith("_")
+                    if _private(alias.name)
                 ]
+                # `from . import scalars as sc` binds a module
+                if node.module in (None, "superloc"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                modules |= {
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "superloc"
+                }
+        imported += [
+            "%s reads %s.%s" % (path.stem, node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ]
     assert imported == []
 
 

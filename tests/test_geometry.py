@@ -1,4 +1,4 @@
-"""Sphere atlas, closed integrand families, and their localized values."""
+"""Sphere and plane atlases, closed integrand families, and their localized values."""
 
 from __future__ import annotations
 
@@ -11,17 +11,16 @@ import pytest
 from superloc import scalars as sc
 from superloc.actions import tautological_Q
 from superloc.geometry import (
-    PLANE_ROTATION,
     annulus_domain,
+    atlas_fixed_points,
     closed_polynomial,
     flat_box_domain,
     gaussian_oracle_patch,
     gaussian_rotation_form,
     height_exponential,
-    plane_fixed_point,
+    plane_atlas,
     sphere_atlas,
     sphere_chart,
-    sphere_fixed_points,
     sphere_oracle_patch,
     sphere_polynomial_patch,
 )
@@ -88,12 +87,12 @@ def _power_sum(patch, coeffs) -> SuperFunction:
     the sum taken through SuperFunction, the construction that Horner's
     rule replaced."""
     base = sc.ZERO - sc.sym("t") * patch.z
-    total = SuperFunction.zero(patch.chart)
+    total = SuperFunction.zero(patch.spec.chart)
     for k, c in enumerate(coeffs):
         terms = {(): sc.normalize(base ** k) if k else sc.ONE}
         if k:
             terms[(1, 2)] = sc.normalize(sc.rational(k) * base ** (k - 1) * patch.omega_coeff)
-        total = total + Fraction(c) * SuperFunction(patch.chart, terms)
+        total = total + Fraction(c) * SuperFunction(patch.spec.chart, terms)
     return total
 
 
@@ -125,21 +124,29 @@ def test_horner_matches_the_power_sum():
         assert sphere_polynomial_patch(coeffs).integrand == _power_sum_integrand(coeffs)
 
 
-def test_sphere_fixed_points_data():
-    fps = sphere_fixed_points()
-    assert [fp.chart_id for fp in fps] == ["north", "south"]
-    assert [fp.orientation for fp in fps] == [1, -1]
+@pytest.mark.parametrize(
+    "atlas,charts,orientations,scale",
+    [(sphere_atlas, ["north", "south"], [1, -1], 4), (plane_atlas, ["plane"], [1], 1)],
+    ids=["sphere", "plane"],
+)
+def test_atlas_fixed_points_data(atlas, charts, orientations, scale):
+    # one fixed point at each chart's origin, in atlas order; h is the
+    # conformal sphere metric or the flat one, taken at the origin
+    fps = atlas_fixed_points(atlas())
+    assert [fp.chart_id for fp in fps] == charts
+    assert [fp.orientation for fp in fps] == orientations
     for fp in fps:
-        assert fp.point == (0, 0)
-        assert fp.h[0][0] == 4 and fp.h[1][1] == 4 and fp.h[0][1] == 0
+        assert fp.coords == ("x", "y") and fp.point == (0, 0)
+        assert fp.h == ((scale, 0), (0, scale))
         assert sc.evaluate(fp.L[0][1], {"t": Fraction(3)}) == 3
         assert sc.evaluate(fp.fiber[1][0], {"t": Fraction(3)}) == -3
 
 
 def test_height_localization_all_routes():
-    fps = sphere_fixed_points()
-    fields = {p.name: height_exponential(p) for p in sphere_atlas()}
-    Q = tautological_Q(PLANE_ROTATION)
+    atlas = sphere_atlas()
+    fps = atlas_fixed_points(atlas)
+    fields = {p.name: height_exponential(p) for p in atlas}
+    Q = {p.name: tautological_Q(p.spec) for p in atlas}
     patch = sphere_oracle_patch()
     for tv in (0.5, 1.0, 2.0):
         sup = super_localize(fields, fps, binding={"t": tv}, Q=Q)
@@ -154,8 +161,8 @@ def test_height_localization_all_routes():
 def test_random_closed_family_reduction():
     # super and classical sums agree coefficient-for-coefficient, exactly
     rng = random.Random(527)
-    fps = sphere_fixed_points()
     atlas = sphere_atlas()
+    fps = atlas_fixed_points(atlas)
     assert super_prefactor(2, 2) == classical_prefactor(2)
     for _ in range(6):
         coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
@@ -169,11 +176,12 @@ def test_random_closed_family_reduction():
 
 
 def test_flat_gaussian_localization():
-    Q = tautological_Q(PLANE_ROTATION)
+    (plane,) = plane_atlas()
+    Q = tautological_Q(plane.spec)
     F = gaussian_rotation_form()
     assert Q.apply(F).is_zero()
-    fps = plane_fixed_point()
-    sup = super_localize(F, fps, binding={"t": Fraction(2)}, Q=Q)
+    fps = atlas_fixed_points((plane,))
+    sup = super_localize({"plane": F}, fps, binding={"t": Fraction(2)}, Q={"plane": Q})
     assert sup["coefficient"] == Fraction(-1) and sup["pi_power"] == 1
     oracle = global_berezin((gaussian_oracle_patch(),), binding={"t": 2.0}, tol=1e-8)
     assert abs(oracle - sup["value"]) < 1e-6 * abs(sup["value"])

@@ -53,8 +53,21 @@ def test_schema_rejections(tmp_path):
         "{not json",
         {"kind": "sphere"},
         {"name": "x", "kind": "torus?"},
+        # an odd-dimensional line never reaches a localization verdict
+        {"name": "x", "kind": "line_dilation",
+         "form": {"type": "expression", "text": "exp(-t*x^2)"}, "values": ["1"]},
         {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": []},
         {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1/0"]},
+        # t = 0 switches the action off: no fixed point is isolated, and
+        # both closed forms divide by t
+        {
+            "name": "x",
+            "kind": "sphere",
+            "form": {"type": "height_exponential"},
+            "values": ["0"],
+            "reference": "height_closed_form",
+            "checks": ["oracle_vs_reference"],
+        },
         {"name": "x", "kind": "sphere", "form": {"type": "spline"}, "values": ["1"]},
         {"name": "x", "kind": "sphere", "form": {"type": "closed_polynomial"}, "values": ["1"]},
         {
@@ -125,11 +138,6 @@ def test_schema_rejections(tmp_path):
             "stokes": [{"domain": "flat_box", "form": "x*th1", "tol": "loose"}],
         },
         {"name": "x", "kind": "adhm", "k": 1, "N": True},
-        # a line form must parse and name no symbol but x and t
-        {"name": "x", "kind": "line_dilation",
-         "form": {"type": "expression", "text": "x*th1 +"}, "values": ["1"]},
-        {"name": "x", "kind": "line_dilation",
-         "form": {"type": "expression", "text": "exp(-s*x^2)"}, "values": ["1"]},
     ]
     # a tolerance must be finite and > 0; json loads NaN and Infinity
     sphere = {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1"]}
@@ -143,11 +151,10 @@ def test_schema_rejections(tmp_path):
             load_scenario(_write(tmp_path, obj))
     with pytest.raises(SchemaError, match="names s, not a coordinate of flat_box"):
         load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "s*x*y*th2"}])))
-    line = {"name": "x", "kind": "line_dilation", "values": ["1"]}
-    with pytest.raises(SchemaError, match="line form names s, not x or t"):
-        load_scenario(_write(tmp_path, dict(line, form={"type": "expression", "text": "exp(-s*x^2)"})))
-    with pytest.raises(SchemaError, match="line form does not parse"):
-        load_scenario(_write(tmp_path, dict(line, form={"type": "expression", "text": "x*th1 +"})))
+    with pytest.raises(SchemaError, match="unknown scenario kind 'line_dilation'"):
+        load_scenario(_write(tmp_path, {"name": "x", "kind": "line_dilation", "values": ["1"]}))
+    with pytest.raises(SchemaError, match="value of t must be nonzero"):
+        load_scenario(_write(tmp_path, dict(sphere, values=["1", "0/3"])))
 
 
 def test_sphere_compare_matches_reference():
@@ -295,22 +302,6 @@ def test_error_mapping_is_per_check(monkeypatch):
         run_compare(scenario)
 
 
-def test_odd_dimension_is_skipped_not_failed(tmp_path):
-    path = _write(
-        tmp_path,
-        {
-            "name": "line",
-            "kind": "line_dilation",
-            "form": {"type": "expression", "text": "exp(-t*x^2)"},
-            "values": ["1"],
-        },
-    )
-    report = run_localize(load_scenario(path))
-    assert _statuses(report) == ["skipped(OddDimension)"]
-    assert report["totals"]["skipped"] == 1
-    assert report_exit_code(report) == 0
-
-
 def test_reports_are_deterministic():
     scenario = load_scenario(BUNDLED % "sphere_dh")
     first = serialize_report(run_compare(scenario), timestamp="A")
@@ -434,14 +425,15 @@ def test_cli_tol_override_must_be_finite_and_positive(tol, capsys):
 
 
 def test_cli_computation_error_exit_code(tmp_path, capsys):
+    # exp(-t cos u) overflows a float at t = 1000
     path = _write(
         tmp_path,
         {
-            "name": "degenerate",
+            "name": "overflow",
             "kind": "sphere",
             "form": {"type": "height_exponential"},
-            "values": ["0"],
+            "values": ["1000"],
         },
     )
-    assert main(["localize", "--scenario", str(path), "--quiet"]) == 3
+    assert main(["oracle", "--scenario", str(path), "--quiet"]) == 3
     assert "computation error" in capsys.readouterr().err

@@ -190,7 +190,7 @@ def test_fiber_square_roots_need_a_square_chart():
         with pytest.raises(DimensionMismatch):
             sqrt_sdet_via_pfaffian(fp)
         with pytest.raises(DimensionMismatch):
-            super_localize(F, [fp])
+            super_localize({fp.chart_id: F}, [fp])
 
 
 def _gaussian_closed_form(coeffs):
@@ -207,8 +207,8 @@ def _gaussian_closed_form(coeffs):
 def test_localize_plane_rotation_exact():
     fp = _rotation_fp(Fraction(2))
     F = _gaussian_closed_form([1, 1])
-    classical = classical_localize(F, [fp], binding={"t": Fraction(2)})
-    sup = super_localize(F, [fp], binding={"t": Fraction(2)})
+    classical = classical_localize({fp.chart_id: F}, [fp], binding={"t": Fraction(2)})
+    sup = super_localize({fp.chart_id: F}, [fp], binding={"t": Fraction(2)})
     assert classical["coefficient"] == Fraction(-1)
     assert classical["pi_power"] == 1
     assert sup["coefficient"] == classical["coefficient"]
@@ -222,8 +222,8 @@ def test_localize_random_closed_forms_match():
         t = Fraction(rng.randint(1, 6), rng.randint(1, 3))
         fp = _rotation_fp(t)
         F = _gaussian_closed_form([rng.randint(-5, 5) for _ in range(3)])
-        classical = classical_localize(F, [fp], binding={"t": t})
-        sup = super_localize(F, [fp], binding={"t": t})
+        classical = classical_localize({fp.chart_id: F}, [fp], binding={"t": t})
+        sup = super_localize({fp.chart_id: F}, [fp], binding={"t": t})
         assert sup["coefficient"] == classical["coefficient"]
         assert isinstance(sup["coefficient"], Fraction)
 
