@@ -8,7 +8,6 @@ the invariance of the constraint norms is checked to the last digit.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from superloc import scalars as sc
 from superloc.adhm import (
@@ -45,7 +44,7 @@ def main() -> None:
     print()
 
     print("torus fixed points at k=1, N=2 (resolution parameter 1):")
-    for fp in adhm_fixed_points(1, 2, zeta=Fraction(1)):
+    for fp in adhm_fixed_points(1, 2):
         print("  class r=%d: phi = %s" % (fp.r, sc.to_text(fp.phi)))
         print("    I = %s" % ([[str(c.as_complex()) for c in row] for row in fp.data.I],))
         print("    tangent weights: %s" % ", ".join(sc.to_text(w) for w in fp.weights))

@@ -44,7 +44,6 @@ from .linalg import (
     mat_scale,
     mat_sub,
 )
-from .localize import sqrt_exact
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +208,24 @@ def constraint_complex(d: ADHMData) -> list:
     return _complex_moment(d.B1, d.B2, d.I, d.J)
 
 
+# How each sector transforms under U(k) x U(N) x T^2: (left group, right
+# group, torus character (n1, n2)), with "gauge" the U(k) factor and
+# "frame" the U(N) factor.  The finite action is X -> L X R^+ t1^n1 t2^n2,
+# the infinitesimal one X -> L X - X R + (n1 e1 + n2 e2) X with L, R the
+# Cartan parameters phi or a.  Matter sectors come first, then the
+# multiplier sector, in chart order.
+_CHARGES = {
+    "B1": ("gauge", "gauge", (1, 0)),
+    "B2": ("gauge", "gauge", (0, 1)),
+    "I": ("gauge", "frame", (0, 0)),
+    "J": ("frame", "gauge", (1, 1)),
+    "HR": ("gauge", "gauge", (0, 0)),
+    "HC": ("gauge", "gauge", (1, 1)),
+    "PB": ("gauge", "gauge", (0, 0)),
+}
+MATTER_SECTORS = ("B1", "B2", "I", "J")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Block (U, V, t1, t2); omitted blocks act as the identity."""
@@ -225,7 +242,7 @@ def _check_unitary(M: NMatrix, label: str) -> None:
 
 
 def group_act(g: GroupElement, d: ADHMData) -> ADHMData:
-    """Conjugation on B1, B2; framing rotation on I, J; torus phases."""
+    """The finite action of the charge table on the matter sectors."""
     U = g.U if g.U is not None else nmat_eye(d.k)
     V = g.V if g.V is not None else nmat_eye(d.N)
     t1 = CNum.of(g.t1) if g.t1 is not None else C_ONE
@@ -235,14 +252,18 @@ def group_act(g: GroupElement, d: ADHMData) -> ADHMData:
     for t, label in ((t1, "first torus"), (t2, "second torus")):
         if t.abs2() != 1:
             raise NotUnitary("%s phase is not on the unit circle" % (label,))
-    Ud = mat_dagger(U)
-    Vd = mat_dagger(V)
-    return adhm_data(
-        mat_scale(mat_mul(mat_mul(U, d.B1), Ud), t1),
-        mat_scale(mat_mul(mat_mul(U, d.B2), Ud), t2),
-        mat_mul(mat_mul(U, d.I), Vd),
-        mat_scale(mat_mul(mat_mul(V, d.J), Ud), t1 * t2),
-    )
+    groups = {"gauge": U, "frame": V}
+
+    def move(name: str) -> list:
+        left, right, character = _CHARGES[name]
+        phase = C_ONE
+        for t, n in zip((t1, t2), character):
+            for _ in range(n):
+                phase = phase * t
+        X = mat_mul(mat_mul(groups[left], getattr(d, name)), mat_dagger(groups[right]))
+        return mat_scale(X, phase)
+
+    return adhm_data(*(move(name) for name in MATTER_SECTORS))
 
 
 def cayley_unitary(A: NMatrix) -> list:
@@ -296,10 +317,6 @@ def random_adhm_data(k: int, N: int, rng: random.Random) -> ADHMData:
 
 # ---------------------------------------------------------------------------
 # flattened super chart
-
-
-MATTER_SECTORS = ("B1", "B2", "I", "J")
-MULTIPLIER_SECTORS = ("HR", "HC", "PB")
 
 
 @dataclass(frozen=True)
@@ -365,18 +382,13 @@ class ADHMSuperChart:
             for i in range(rows)
         ]
 
-    def sector_coords(self, sector: str) -> Tuple[str, ...]:
-        rows, cols = self.shape(sector)
-        base = self.offset(sector)
-        return self.chart.coords[base : base + 2 * rows * cols]
-
 
 def adhm_super_chart(k: int, N: int, full: bool = False) -> ADHMSuperChart:
     if k < 1 or N < 1:
         raise ShapeMismatch("need k >= 1 and N >= 1")
-    sectors = [("B1", k, k), ("B2", k, k), ("I", k, N), ("J", N, k)]
-    if full:
-        sectors += [("HR", k, k), ("HC", k, k), ("PB", k, k)]
+    size = {"gauge": k, "frame": N}
+    names = _CHARGES if full else MATTER_SECTORS
+    sectors = [(n, size[_CHARGES[n][0]], size[_CHARGES[n][1]]) for n in names]
     coords = []
     for name, rows, cols in sectors:
         for i in range(rows):
@@ -423,40 +435,27 @@ def cartan_params(lay: ADHMSuperChart):
     return phi, a, imag_const(sc.sym("e1")), imag_const(sc.sym("e2"))
 
 
-def _check_param_shapes(lay: ADHMSuperChart, phi, a) -> None:
-    if len(phi) != lay.k or any(len(row) != lay.k for row in phi):
-        raise ShapeMismatch("phi must be %d x %d" % (lay.k, lay.k))
-    if len(a) != lay.N or any(len(row) != lay.N for row in a):
-        raise ShapeMismatch("a must be %d x %d" % (lay.N, lay.N))
+def _mover(lay: ADHMSuperChart, phi, a, e1, e2):
+    """The infinitesimal action of the charge table, sector by sector.
 
-
-def _rep_updates(lay: ADHMSuperChart, phi, a, e1, e2, mats) -> dict:
-    """Infinitesimal action on a dict of sector matrices.
-
-    B_l rotates by [phi, .] plus its own torus weight; I and J carry the
-    frame action; the multiplier sector is adjoint, with the combined
-    weight on the HC block only.
+    Each torus weight n1 e1 + n2 e2 is built once, here, not per sector.
     """
-    eps = e1 + e2
-    out = {}
-    if "B1" in mats:
-        out["B1"] = mat_add(mat_commutator(phi, mats["B1"]), mat_scale(mats["B1"], e1))
-    if "B2" in mats:
-        out["B2"] = mat_add(mat_commutator(phi, mats["B2"]), mat_scale(mats["B2"], e2))
-    if "I" in mats:
-        out["I"] = mat_sub(mat_mul(phi, mats["I"]), mat_mul(mats["I"], a))
-    if "J" in mats:
-        out["J"] = mat_add(
-            mat_sub(mat_mul(a, mats["J"]), mat_mul(mats["J"], phi)),
-            mat_scale(mats["J"], eps),
-        )
-    if "HR" in mats:
-        out["HR"] = mat_commutator(phi, mats["HR"])
-    if "HC" in mats:
-        out["HC"] = mat_add(mat_commutator(phi, mats["HC"]), mat_scale(mats["HC"], eps))
-    if "PB" in mats:
-        out["PB"] = mat_commutator(phi, mats["PB"])
-    return out
+    groups = {"gauge": phi, "frame": a}
+    for label, M, n in (("phi", phi, lay.k), ("a", a, lay.N)):
+        if len(M) != n or any(len(row) != n for row in M):
+            raise ShapeMismatch("%s must be %d x %d" % (label, n, n))
+    weights = {}
+    for n1, n2 in {character for _, _, character in _CHARGES.values()}:
+        parts = [e1] * n1 + [e2] * n2
+        weights[(n1, n2)] = sum(parts[1:], parts[0]) if parts else None
+
+    def move(name: str, X) -> list:
+        left, right, character = _CHARGES[name]
+        out = mat_sub(mat_mul(groups[left], X), mat_mul(X, groups[right]))
+        w = weights[character]
+        return out if w is None else mat_add(out, mat_scale(X, w))
+
+    return move
 
 
 def _flatten(lay: ADHMSuperChart, updates: Mapping[str, list]) -> tuple:
@@ -474,72 +473,57 @@ def _flatten(lay: ADHMSuperChart, updates: Mapping[str, list]) -> tuple:
     return tuple(comps)
 
 
-def _zeros(lay: ADHMSuperChart) -> tuple:
-    zero = SuperFunction.zero(lay.chart)
-    return tuple(zero for _ in range(lay.chart.m))
+def _flow(lay: ADHMSuperChart, move, entries) -> tuple:
+    """The flattened action on every sector's boson or fermion matrix."""
+    return _flatten(lay, {name: move(name, entries(name)) for name, _, _ in lay.sectors})
 
 
 def adhm_fundamental_field(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     """Even generator of the combined gauge, frame, and torus action."""
-    _check_param_shapes(lay, phi, a)
-    bosons = {name: lay.boson_matrix(name) for name, _, _ in lay.sectors}
-    return SuperVectorField(
-        lay.chart,
-        0,
-        _flatten(lay, _rep_updates(lay, phi, a, e1, e2, bosons)),
-        _zeros(lay),
-    )
+    move = _mover(lay, phi, a, e1, e2)
+    return SuperVectorField(lay.chart, 0, _flow(lay, move, lay.boson_matrix), _flatten(lay, {}))
 
 
 def adhm_lifted_field(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     """Fundamental field plus the matching rotation of the odd partners."""
-    _check_param_shapes(lay, phi, a)
-    bosons = {name: lay.boson_matrix(name) for name, _, _ in lay.sectors}
-    fermions = {name: lay.fermion_matrix(name) for name, _, _ in lay.sectors}
+    move = _mover(lay, phi, a, e1, e2)
     return SuperVectorField(
         lay.chart,
         0,
-        _flatten(lay, _rep_updates(lay, phi, a, e1, e2, bosons)),
-        _flatten(lay, _rep_updates(lay, phi, a, e1, e2, fermions)),
+        _flow(lay, move, lay.boson_matrix),
+        _flow(lay, move, lay.fermion_matrix),
     )
+
+
+# Multiplier sectors whose fermion leads: Q chi = H and Q H = d chi.
+_FERMION_LED = ("HR", "HC")
+
+
+def _odd_operator(lay: ADHMSuperChart, names, phi, a, e1, e2) -> SuperVectorField:
+    """Q on the sectors `names`: Q X = psi and Q psi = d X for a boson-led
+    sector, the reverse for a fermion-led one.  Its square is the lift."""
+    move = _mover(lay, phi, a, e1, e2)
+    even, odd = {}, {}
+    for name in names:
+        X, psi = lay.boson_matrix(name), lay.fermion_matrix(name)
+        if name in _FERMION_LED:
+            even[name], odd[name] = move(name, psi), X
+        else:
+            even[name], odd[name] = psi, move(name, X)
+    return SuperVectorField(lay.chart, 1, _flatten(lay, even), _flatten(lay, odd))
 
 
 def adhm_Q_unconstrained(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     """Odd operator on the matter sector: partner on bosons, action on
     partners.  Its square is the lifted even field."""
-    _check_param_shapes(lay, phi, a)
-    bosons = {name: lay.boson_matrix(name) for name in MATTER_SECTORS}
-    fermions = {name: lay.fermion_matrix(name) for name in MATTER_SECTORS}
-    return SuperVectorField(
-        lay.chart,
-        1,
-        _flatten(lay, fermions),
-        _flatten(lay, _rep_updates(lay, phi, a, e1, e2, bosons)),
-    )
+    return _odd_operator(lay, MATTER_SECTORS, phi, a, e1, e2)
 
 
 def adhm_Q_full(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     """Odd operator including the multiplier and auxiliary sector."""
     if not lay.full:
         raise ShapeMismatch("layout lacks the multiplier sector")
-    _check_param_shapes(lay, phi, a)
-    eps = e1 + e2
-    bosons = {name: lay.boson_matrix(name) for name, _, _ in lay.sectors}
-    fermions = {name: lay.fermion_matrix(name) for name, _, _ in lay.sectors}
-
-    a_upd = {name: fermions[name] for name in MATTER_SECTORS}
-    a_upd["HR"] = mat_commutator(phi, fermions["HR"])
-    a_upd["HC"] = mat_add(mat_commutator(phi, fermions["HC"]), mat_scale(fermions["HC"], eps))
-    a_upd["PB"] = fermions["PB"]
-
-    b_upd = _rep_updates(
-        lay, phi, a, e1, e2, {name: bosons[name] for name in MATTER_SECTORS}
-    )
-    b_upd["HR"] = bosons["HR"]
-    b_upd["HC"] = bosons["HC"]
-    b_upd["PB"] = mat_commutator(phi, bosons["PB"])
-
-    return SuperVectorField(lay.chart, 1, _flatten(lay, a_upd), _flatten(lay, b_upd))
+    return _odd_operator(lay, _CHARGES, phi, a, e1, e2)
 
 
 def adhm_action_spec(lay: ADHMSuperChart) -> ActionSpec:
@@ -561,20 +545,12 @@ def adhm_action_spec(lay: ADHMSuperChart) -> ActionSpec:
 # symbolic constraints on the flattened chart
 
 
-def chart_constraint_real(lay: ADHMSuperChart) -> list:
-    """The hermitian constraint as a matrix of complex superfunctions."""
-    return _real_moment(*(lay.boson_matrix(name) for name in MATTER_SECTORS))
-
-
-def chart_constraint_complex(lay: ADHMSuperChart) -> list:
-    return _complex_moment(*(lay.boson_matrix(name) for name in MATTER_SECTORS))
-
-
 def adhm_constraint_scalars(lay: ADHMSuperChart):
     """All real components of both constraints, ordered like the
     multiplier coordinates (real block first, then complex block)."""
+    matter = [lay.boson_matrix(name) for name in MATTER_SECTORS]
     out = []
-    for block in (chart_constraint_real(lay), chart_constraint_complex(lay)):
+    for block in (_real_moment(*matter), _complex_moment(*matter)):
         for row in block:
             for z in row:
                 out.append(sc.normalize(z.re.terms.get((), sc.ZERO)))
@@ -658,6 +634,23 @@ def multiplier_completion(
     return N, report
 
 
+def sector_completion(lay: ADHMSuperChart, lifted: SuperVectorField, V: Sequence, sector: str):
+    """`multiplier_completion` for the HR (real) or HC (complex) block.
+
+    T is the body of the lifted field on the matter coordinates, Ttilde
+    its body on the sector's multipliers, and the block of the constraints
+    `V` (from `adhm_constraint_scalars`) is the first 2k^2 entries for HR
+    and the rest for HC.
+    """
+    nreal = 2 * lay.k * lay.k
+    block = {"HR": V[:nreal], "HC": V[nreal:]}[sector]
+    bodies = [comp.terms.get((), sc.ZERO) for comp in lifted.a]
+    coords, matter, base = lay.chart.coords, lay.offset("HR"), lay.offset(sector)
+    T = dict(zip(coords[:matter], bodies[:matter]))
+    span = slice(base, base + len(block))
+    return multiplier_completion(block, T, bodies[span], list(coords[span]))
+
+
 # ---------------------------------------------------------------------------
 # bookkeeping and fixed points
 
@@ -695,45 +688,30 @@ class ADHMFixedPoint:
     weights: Tuple[sc.ScalarExpr, ...]
 
 
-def adhm_fixed_points(k: int, N: int, zeta: Fraction = Fraction(1)) -> list:
+def adhm_fixed_points(k: int, N: int) -> list:
     """Enumerate the k = 1 fixed data classes of the torus action.
 
     At instanton number one the fixed classes are labelled by the frame
-    index carrying the single unit of charge; the real constraint level
-    is `zeta` (a perfect rational square, by default 1).
+    index carrying the single unit of charge, at real constraint level 1.
     """
     if k != 1:
         raise ShapeMismatch("fixed-point enumeration only covers k = 1")
     if N < 2:
         raise ShapeMismatch("need N >= 2 for isolated fixed data")
-    s = sqrt_exact(Fraction(zeta))
-    if not isinstance(s, Fraction):
-        raise ValueError("zeta must be a perfect rational square")
     a_diag = _traceless_diagonal(N)
     e1, e2 = sc.sym("e1"), sc.sym("e2")
     out = []
     for r in range(N):
-        I = tuple(
-            tuple(CNum(s, Fraction(0)) if c == r else C_ZERO for c in range(N))
-            for _ in range(1)
-        )
-        data = ADHMData(
-            nmat_zero(1, 1), nmat_zero(1, 1), I, nmat_zero(N, 1)
-        )
+        I = (tuple(C_ONE if c == r else C_ZERO for c in range(N)),)
+        data = ADHMData(nmat_zero(1, 1), nmat_zero(1, 1), I, nmat_zero(N, 1))
         check_stabilizer(data)
         if not (
-            mat_equal(constraint_real(data), nmat((((zeta, 0),),)))
+            mat_equal(constraint_real(data), nmat_eye(1))
             and mat_equal(constraint_complex(data), nmat_zero(1, 1))
         ):
             raise ComputationError("fixed datum r=%d misses the constraint level" % (r,))
         weights = [e1, e2]
-        weights += [sc.normalize(a_diag[r] - a_diag[s_]) for s_ in range(N) if s_ != r]
-        weights += [
-            sc.normalize(a_diag[s_] - a_diag[r] + e1 + e2)
-            for s_ in range(N)
-            if s_ != r
-        ]
-        out.append(
-            ADHMFixedPoint(r, data, sc.normalize(a_diag[r]), tuple(weights))
-        )
+        weights += [sc.normalize(a_diag[r] - a_diag[s]) for s in range(N) if s != r]
+        weights += [sc.normalize(a_diag[s] - a_diag[r] + e1 + e2) for s in range(N) if s != r]
+        out.append(ADHMFixedPoint(r, data, sc.normalize(a_diag[r]), tuple(weights)))
     return out

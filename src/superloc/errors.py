@@ -6,6 +6,8 @@ callers can distinguish our diagnostics from plain Python failures.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class SuperlocError(Exception):
     """Base class for all library errors."""
@@ -121,3 +123,12 @@ class SchemaError(SuperlocError):
 
 class ComputationError(SuperlocError):
     """A runner failed for a numerical or structural reason."""
+
+
+@contextmanager
+def float_errors(what: str):
+    """Raise a float error (an overflow, say) in computing `what` as a ComputationError."""
+    try:
+        yield
+    except (ArithmeticError, ValueError) as exc:
+        raise ComputationError("%s raised %s: %s" % (what, type(exc).__name__, exc)) from exc

@@ -50,7 +50,7 @@ from .adhm import (
     adhm_lifted_field,
     adhm_super_chart,
     cartan_params,
-    multiplier_completion,
+    sector_completion,
 )
 from .errors import AssumptionViolated, NotQClosed, SchemaError
 from .geometry import (
@@ -565,22 +565,12 @@ def _sigma_identity(run: _Run, item: dict) -> dict:
     return {"status": "pass" if ok else "fail"}
 
 
-def _multiplier(complex_sector: bool) -> Callable:
+def _multiplier(sector: str) -> Callable:
     def compute(run: _Run, item: dict) -> dict:
-        def build():
-            lay, _ = _adhm_chart(run, item, True)
-            field = _adhm_lift(run, item, True)
-            bodies = [c.terms.get((), sc.ZERO) for c in field.a]
-            T = {lay.chart.coords[i]: bodies[i] for i in range(lay.offset("HR"))}
-            return lay, bodies, T, adhm_constraint_scalars(lay)
-
-        lay, bodies, T, V = _memo(item, "multiplier", build)
-        nreal = 2 * run.scenario["k"] ** 2
-        H_names = list(lay.sector_coords("HC" if complex_sector else "HR"))
-        Ttilde = [bodies[lay.chart.coords.index(nm)] for nm in H_names]
-        block = V[nreal:] if complex_sector else V[:nreal]
-        _, rep = multiplier_completion(block, T, Ttilde, H_names)
-        ok = rep["pairing_residual_zero"] and (rep["invertible"] or not complex_sector)
+        lay, _ = _adhm_chart(run, item, True)
+        V = _memo(item, "constraints", lambda: adhm_constraint_scalars(lay))
+        _, rep = sector_completion(lay, _adhm_lift(run, item, True), V, sector)
+        ok = rep["pairing_residual_zero"] and (rep["invertible"] or sector == "HR")
         return {
             "status": "pass" if ok else "fail",
             "abs_error": rep["pairing_residual_max"],
@@ -645,8 +635,8 @@ _REGISTRY = {
                 _Check("closure_full", _closure(True)),
                 _Check("verify_brst_unconstrained", _verify_unconstrained),
                 _Check("sigma_identity", _sigma_identity),
-                _Check("multiplier_real_sector", _multiplier(False)),
-                _Check("multiplier_complex_sector", _multiplier(True)),
+                _Check("multiplier_real_sector", _multiplier("HR")),
+                _Check("multiplier_complex_sector", _multiplier("HC")),
                 _Check("fixed_points", _fixed_points),
             )),
         ),

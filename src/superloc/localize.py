@@ -34,6 +34,7 @@ from .errors import (
     SingularLinearization,
     WrongGrade,
     ZeroBody,
+    float_errors,
 )
 from .grassmann import SuperFunction, SuperVectorField, invert_even
 from .scalars import ScalarExpr
@@ -267,10 +268,12 @@ def sqrt_det_base(fp: FixedPointData, binding=None):
 # ---------------------------------------------------------------------------
 
 
+@float_errors("fixed-point sum")
 def _localize(integrands, fps: Sequence[FixedPointData], binding, root_key, weight):
     """Sum prefactor * weighted F_0(p) over the fixed points.
 
     weight(fp, F_0(p), binding) returns (prefactor, root, weighted value).
+    A float error on the way, such as an overflow, raises ComputationError.
     """
     binding = dict(binding or {})
     terms = []

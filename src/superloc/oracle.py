@@ -7,7 +7,6 @@ are computed from plain densities so the two paths can be compared.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -16,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from . import linalg
 from . import scalars as sc
 from .actions import check_sigma_parallel
-from .errors import AssumptionViolated, ComputationError, NoConvergence, WrongGrade
+from .errors import AssumptionViolated, NoConvergence, WrongGrade, float_errors
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
 
@@ -85,14 +84,6 @@ def _adaptive(refine, cell, tol, depth) -> float:
     return sum(_adaptive(refine, child, child_tol, depth + 1) for child in children)
 
 
-@contextmanager
-def _integrand_errors():
-    try:
-        yield
-    except (ArithmeticError, ValueError) as exc:
-        raise ComputationError("integrand raised %s: %s" % (type(exc).__name__, exc)) from exc
-
-
 def quadrature(
     f: Callable[[tuple], float],
     box: Sequence[Tuple[float, float]],
@@ -121,7 +112,7 @@ def quadrature(
             )
         return [(clo, chi, _cell_integral(f, clo, chi, weights)) for clo, chi in children]
 
-    with _integrand_errors():
+    with float_errors("integrand"):
         cells = refine(lo, hi)
         child_tol = tol / len(cells)
         return math.fsum(_adaptive(refine, cell, child_tol, 1) for cell in cells)
@@ -238,7 +229,7 @@ def boundary_flux(
         if rest:
             part = quadrature(f, rest, tol=share)
         else:
-            with _integrand_errors():
+            with float_errors("integrand"):
                 part = f(())
         total += side * part
     return total

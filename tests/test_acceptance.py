@@ -24,11 +24,11 @@ from superloc.adhm import (
     constraint_real,
     fermionic_constraints,
     group_act,
-    multiplier_completion,
     nmat_norm2,
     random_adhm_data,
     random_unitary,
     rank_bookkeeping,
+    sector_completion,
     unit_phase,
 )
 from superloc.geometry import (
@@ -227,29 +227,15 @@ def test_06_adhm_constraints_and_multiplier_structure():
                 assert abs(exact - numeric) / max(abs(exact), abs(numeric)) < 1e-5
 
     for k in (1, 2):
-        full = adhm_super_chart(k, k, full=True) if k == 2 else adhm_super_chart(1, 2, full=True)
-        field = adhm_lifted_field(full, *cartan_params(full))
-        bodies = [c.terms.get((), sc.ZERO) for c in field.a]
-        coords = full.chart.coords
-        T = {coords[i]: bodies[i] for i in range(full.offset("HR"))}
-        scalars = adhm_constraint_scalars(full)
-        nreal = 2 * k * k
-        H_c = list(full.sector_coords("HC"))
-        Ttilde_c = [bodies[coords.index(nm)] for nm in H_c]
-        _, rep_c = multiplier_completion(scalars[nreal:], T, Ttilde_c, H_c)
+        full = adhm_super_chart(k, 2, full=True)
+        lifted = adhm_lifted_field(full, *cartan_params(full))
+        _, rep_c = sector_completion(full, lifted, adhm_constraint_scalars(full), "HC")
         assert rep_c["pairing_residual_zero"]
         if k == 2:
             assert rep_c["invertible"]
     toy = adhm_super_chart(1, 2, full=True)
-    field = adhm_lifted_field(toy, *cartan_params(toy))
-    bodies = [c.terms.get((), sc.ZERO) for c in field.a]
-    coords = toy.chart.coords
-    T = {coords[i]: bodies[i] for i in range(toy.offset("HR"))}
-    H_r = list(toy.sector_coords("HR"))
-    Ttilde_r = [bodies[coords.index(nm)] for nm in H_r]
-    _, rep_r = multiplier_completion(
-        adhm_constraint_scalars(toy)[:2], T, Ttilde_r, H_r
-    )
+    lifted = adhm_lifted_field(toy, *cartan_params(toy))
+    _, rep_r = sector_completion(toy, lifted, adhm_constraint_scalars(toy), "HR")
     assert rep_r["pairing_residual_zero"]
     assert not rep_r["invertible"]
 

@@ -36,6 +36,7 @@ from superloc.adhm import (
     random_adhm_data,
     random_unitary,
     rank_bookkeeping,
+    sector_completion,
     unit_phase,
 )
 from superloc.errors import (
@@ -79,11 +80,6 @@ def _body(comp):
     return comp.terms.get((), sc.ZERO)
 
 
-def _contracted_bodies(lay):
-    field = adhm_lifted_field(lay, *cartan_params(lay))
-    return [_body(c) for c in field.a]
-
-
 # ---------------------------------------------------------------------------
 # chart layout
 
@@ -116,7 +112,7 @@ def test_chart_indexing():
     psi = lay.fermion_entry("B2", 0, 1)
     assert psi.re.terms == {(lay.coord_index("B2", 0, 1) + 1,): sc.ONE}
     assert psi.im.terms == {(lay.coord_index("B2", 0, 1) + 2,): sc.ONE}
-    assert lay.sector_coords("J")[0] == "J_00_re"
+    assert lay.chart.coords[lay.offset("J")] == "J_00_re"
     with pytest.raises(ShapeMismatch):
         lay.coord_index("I", 2, 0)
 
@@ -506,15 +502,8 @@ def test_fermionic_constraints_need_enough_generators():
 
 def _sector_completion(k, sector):
     lay = adhm_super_chart(k, 2, full=True)
-    bodies = _contracted_bodies(lay)
-    coords = lay.chart.coords
-    T = {coords[i]: bodies[i] for i in range(lay.offset("HR"))}
-    V = adhm_constraint_scalars(lay)
-    nreal = 2 * k * k
-    block = V[:nreal] if sector == "HR" else V[nreal:]
-    H_names = list(lay.sector_coords(sector))
-    Ttilde = [bodies[coords.index(name)] for name in H_names]
-    return multiplier_completion(block, T, Ttilde, H_names)
+    lifted = adhm_lifted_field(lay, *cartan_params(lay))
+    return sector_completion(lay, lifted, adhm_constraint_scalars(lay), sector)
 
 
 def test_multiplier_abelian_toy_flagged():
@@ -613,14 +602,33 @@ def test_fixed_points_raise_when_constraint_fails(monkeypatch):
 
 
 def test_fixed_points_scale_and_guards():
-    points = adhm_fixed_points(1, 2, zeta=Fraction(9, 4))
-    assert constraint_real(points[0].data)[0][0].re == Fraction(9, 4)
-    with pytest.raises(ValueError):
-        adhm_fixed_points(1, 2, zeta=Fraction(2))
-    with pytest.raises(ValueError):
-        adhm_fixed_points(1, 2, zeta=Fraction(-1))
+    points = adhm_fixed_points(1, 3)
+    assert all(constraint_real(fp.data)[0][0].re == 1 for fp in points)
     with pytest.raises(ShapeMismatch):
         adhm_fixed_points(2, 2)
+    with pytest.raises(ShapeMismatch):
+        adhm_fixed_points(1, 1)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_charge_table_gives_the_fixed_point_weights(N):
+    # at phi = a_r the matter entry (i, j) of a sector with charges
+    # (L, R, (n1, n2)) has weight L_i - R_j + n1 e1 + n2 e2; leaving out the
+    # I entry (weight 0) and the J entry (weight e1 + e2) of frame r gives
+    # the tangent weights, in order
+    e1, e2 = sc.sym("e1"), sc.sym("e2")
+    for fp in adhm_fixed_points(1, N):
+        diagonal = {"gauge": [fp.phi], "frame": adhm._traceless_diagonal(N)}
+        dropped = {("I", 0, fp.r): [], ("J", fp.r, 0): []}
+        weights = []
+        for name in adhm.MATTER_SECTORS:
+            left, right, (n1, n2) = adhm._CHARGES[name]
+            for i, L in enumerate(diagonal[left]):
+                for j, R in enumerate(diagonal[right]):
+                    w = L - R + sc.rational(n1) * e1 + sc.rational(n2) * e2
+                    dropped.get((name, i, j), weights).append(sc.to_text(sc.normalize(w)))
+        assert weights == [sc.to_text(w) for w in fp.weights]
+        assert list(dropped.values()) == [["0"], [sc.to_text(sc.normalize(e1 + e2))]]
 
 
 def test_stabilizer_guard():

@@ -1,4 +1,5 @@
-"""Every module-level function and class in the package has a caller.
+"""Every module-level function, class and assigned name in the package has a
+caller or a reader.
 
 A definition in ``src/superloc`` counts as used when its name occurs in the
 package outside the definition itself (in its own module or another one),
@@ -49,6 +50,25 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
+def _defined(node: ast.stmt) -> list:
+    """Names a top-level statement defines: a function, a class, or the plain
+    names an assignment binds (dunder names such as ``__all__`` excepted)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        e.id
+        for t in targets
+        for e in (t.elts if isinstance(t, ast.Tuple) else [t])
+        if isinstance(e, ast.Name) and not e.id.startswith("__")
+    ]
+
+
 def _unused() -> list:
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     used = _exported(modules["__init__"])
@@ -71,12 +91,10 @@ def _unused() -> list:
     out = []
     for stem, parts in statements.items():
         for node, inside in parts:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if name in used or homes[name] - {stem} or totals[stem][name] > inside[name]:
-                continue
-            out.append("%s.%s" % (stem, name))
+            for name in _defined(node):
+                if name in used or homes[name] - {stem} or totals[stem][name] > inside[name]:
+                    continue
+                out.append("%s.%s" % (stem, name))
     return out
 
 

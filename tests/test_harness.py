@@ -437,3 +437,25 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     )
     assert main(["oracle", "--scenario", str(path), "--quiet"]) == 3
     assert "computation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "form, value",
+    [
+        ({"type": "height_exponential"}, "1000"),
+        ({"type": "closed_polynomial", "coeffs": ["0", "1", "0", "1"]}, "1e200"),
+    ],
+    ids=["exp_overflow", "coefficient_overflow"],
+)
+def test_cli_float_overflow_in_the_sum_exit_code(tmp_path, capsys, form, value):
+    # exp(-t cos u) at t = 1000, and the exact sum's coefficient at
+    # t = 1e200, are too large for a float
+    path = _write(
+        tmp_path, {"name": "overflow", "kind": "sphere", "form": form, "values": [value]}
+    )
+    for command in ("localize", "compare"):
+        assert main([command, "--scenario", str(path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: fixed-point sum raised OverflowError")
+    assert main(["oracle", "--scenario", str(path), "--quiet"]) == 3
+    assert "computation error: integrand raised OverflowError" in capsys.readouterr().err
