@@ -6,17 +6,21 @@ on the plane rotation, the complex-structure variant on C^2, and the
 matrix-model operator at k=1, N=2 with and without the multiplier
 sector.  In every case (1/2)[Q, Q] equals the lift of the fundamental
 vector field, which is the whole content of the closure condition.
+
+`verify_brst(Q, lift, params)` checks Q against the lifted field it is
+handed, at symbolic group parameters: the same lift that the closure line
+prints, derived once per action.
 """
 from __future__ import annotations
 
 from superloc import scalars as sc
 from superloc.actions import (
     ActionSpec,
+    action_lift,
     kahler_Q,
-    lifted_field,
+    kahler_lift,
     square_residual,
     tautological_Q,
-    tautological_lift,
     verify_brst,
 )
 from superloc.adhm import (
@@ -41,7 +45,7 @@ def main() -> None:
         print("  Q(%s) = %s" % (name, to_super_text(Q.a[idx])))
     for A in range(PLANE_ROTATION.chart.n):
         print("  Q(th%d) = %s" % (A + 1, sc.to_text(Q.b[A].body())))
-    lift = lifted_field(tautological_lift(PLANE_ROTATION))
+    lift = action_lift(PLANE_ROTATION)
     print("  squares to lifted flow:", closes(Q, lift))
     print()
 
@@ -55,7 +59,7 @@ def main() -> None:
         ),
     )
     print("torus action on C^2, complex-structure operator:")
-    report = verify_brst(kahler_Q(torus), torus)
+    report = verify_brst(kahler_Q(torus), kahler_lift(torus), torus.params)
     for cond in report["conditions"]:
         print("  %-28s %s" % (cond["name"], cond["status"]))
     print("  all conditions hold:", report["passed"])
@@ -70,6 +74,9 @@ def main() -> None:
         print("matrix model k=1, N=2 (%s):" % label)
         print("  coordinates: %d even, %d odd" % (lay.chart.m, lay.chart.n))
         print("  squares to lifted flow:", closes(Q, lift))
+        if not full:
+            report = verify_brst(Q, lift, lay.params)
+            print("  all BRST conditions hold:", report["passed"])
         sample = lay.chart.coords[0]
         idx = lay.chart.coords.index(sample)
         print("  Q(%s) = %s" % (sample, to_super_text(Q.a[idx])))

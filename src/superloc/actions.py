@@ -67,51 +67,33 @@ class ActionSpec:
                 )
             object.__setattr__(self, "U", U)
 
-    @property
-    def dim_g(self) -> int:
-        return len(self.params)
 
-
-def _xi_coeffs(spec: ActionSpec, xi=None) -> tuple:
-    """Per-generator coefficients; unbound parameters stay symbolic."""
-    if xi is None:
-        xi = {}
-    out = []
-    for name in spec.params:
-        if name in xi:
-            out.append(sc.as_expr(xi[name]))
-        else:
-            out.append(sc.sym(name))
-    return tuple(out)
-
-
-def fundamental_field(spec: ActionSpec, xi=None) -> SuperVectorField:
-    """Even field xi^alpha T_alpha^i d/dx^i with no odd components."""
-    coeffs = _xi_coeffs(spec, xi)
+def fundamental_field(spec: ActionSpec) -> SuperVectorField:
+    """Even field p^alpha T_alpha^i d/dx^i at the symbolic parameters p,
+    with no odd components."""
     a = []
     for i in range(spec.chart.m):
         comp = sc.ZERO
-        for alpha in range(spec.dim_g):
-            comp = comp + coeffs[alpha] * spec.T[alpha][i]
+        for alpha, name in enumerate(spec.params):
+            comp = comp + sc.sym(name) * spec.T[alpha][i]
         a.append(SuperFunction.from_scalar(spec.chart, comp))
     zero = SuperFunction.zero(spec.chart)
     return SuperVectorField(spec.chart, 0, tuple(a), tuple(zero for _ in range(spec.chart.n)))
 
 
-def lifted_field(spec: ActionSpec, xi=None) -> SuperVectorField:
+def lifted_field(spec: ActionSpec) -> SuperVectorField:
     """Even field with the fiber rotation theta^B U[alpha][B][A] d/dtheta^A added."""
-    base = fundamental_field(spec, xi)
+    base = fundamental_field(spec)
     if spec.U is None:
         return base
-    coeffs = _xi_coeffs(spec, xi)
     b = []
     for A in range(spec.chart.n):
         terms = {}
         for B in range(spec.chart.n):
             comp = sc.ZERO
-            for alpha in range(spec.dim_g):
+            for alpha, name in enumerate(spec.params):
                 if spec.U[alpha][B][A] != sc.ZERO:
-                    comp = comp + coeffs[alpha] * spec.U[alpha][B][A]
+                    comp = comp + sc.sym(name) * spec.U[alpha][B][A]
             if comp is not sc.ZERO and not sc.is_zero(comp):
                 terms[(B + 1,)] = comp
         b.append(SuperFunction(spec.chart, terms))
@@ -128,17 +110,25 @@ def tautological_lift(spec: ActionSpec) -> ActionSpec:
             tuple(sc.differentiate(spec.T[alpha][A], coords[B]) for A in range(spec.chart.n))
             for B in range(spec.chart.n)
         )
-        for alpha in range(spec.dim_g)
+        for alpha in range(len(spec.params))
     )
     return ActionSpec(spec.params, spec.chart, spec.T, U)
 
 
-def tautological_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
-    """Odd field Q(x^i) = theta^i, Q(theta^A) = xi^alpha T_alpha^A."""
+def action_lift(spec: ActionSpec) -> SuperVectorField:
+    """The lifted field of a spec: its own U when it has one, the
+    tautological lift on a square chart, the fundamental field otherwise."""
+    if spec.U is None and spec.chart.n == spec.chart.m:
+        spec = tautological_lift(spec)
+    return lifted_field(spec)
+
+
+def tautological_Q(spec: ActionSpec) -> SuperVectorField:
+    """Odd field Q(x^i) = theta^i, Q(theta^A) = p^alpha T_alpha^A."""
     if spec.chart.n != spec.chart.m:
         raise NotTautological("tautological operator needs n = m")
     a = tuple(SuperFunction.generator(spec.chart, i + 1) for i in range(spec.chart.m))
-    return SuperVectorField(spec.chart, 1, a, fundamental_field(spec, xi).a)
+    return SuperVectorField(spec.chart, 1, a, fundamental_field(spec).a)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +150,15 @@ def _complex_pairs(chart: SuperChart) -> tuple:
     return tuple((2 * j + 1, 2 * j + 2) for j in range(mc))
 
 
-def kahler_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
+def kahler_Q(spec: ActionSpec) -> SuperVectorField:
     """Holomorphic-side BRST operator on a complex-paired chart.
 
     Coordinates pair into z_j = x_j + i y_j; the j-th odd generator is the
     partner of dz_j. Components: Q(x_j) = theta^j/2, Q(y_j) = -i theta^j/2,
-    Q(theta^j) = xi*(z_j). The components are CSuper.
+    Q(theta^j) = p*(z_j). The components are CSuper.
     """
     pairs = _complex_pairs(spec.chart)
-    flow = fundamental_field(spec, xi).a
+    flow = fundamental_field(spec).a
     chart = spec.chart
     half = Fraction(1, 2)
     a = [CSuper.zero(chart) for _ in range(chart.m)]
@@ -181,10 +171,10 @@ def kahler_Q(spec: ActionSpec, xi=None) -> SuperVectorField:
     return SuperVectorField(chart, 1, tuple(a), tuple(b))
 
 
-def kahler_lift(spec: ActionSpec, xi=None) -> SuperVectorField:
+def kahler_lift(spec: ActionSpec) -> SuperVectorField:
     """Holomorphic part of the lifted action on the complex-paired chart."""
     pairs = _complex_pairs(spec.chart)
-    flow = fundamental_field(spec, xi).a
+    flow = fundamental_field(spec).a
     chart = spec.chart
     coords = chart.coords
     half = Fraction(1, 2)
@@ -409,7 +399,7 @@ def closure_check(spec: ActionSpec):
     chart = spec.chart
     coords = chart.coords
     m = chart.m
-    dim_g = spec.dim_g
+    dim_g = len(spec.params)
     brackets = []
     for alpha in range(dim_g):
         for beta in range(alpha + 1, dim_g):
@@ -484,20 +474,33 @@ def _is_affine(expr: ScalarExpr, coords) -> bool:
     return all(_coordinate_free(sc.differentiate(expr, c), coords) for c in coords)
 
 
-def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, linear_symbol, inf_fail):
+def _parameter_partial(X: SuperVectorField, name: str) -> SuperVectorField:
+    """dX/d(name) coefficient by coefficient: for a field linear in its
+    parameters, the field at the unit parameter `name`."""
+
+    def d(f):
+        if isinstance(f, CSuper):
+            return CSuper(d(f.re), d(f.im))
+        return SuperFunction(f.chart, {i: sc.differentiate(c, name) for i, c in f.terms.items()})
+
+    return SuperVectorField(X.chart, X.parity, tuple(map(d, X.a)), tuple(map(d, X.b)))
+
+
+def _finite_equivariance(Q: SuperVectorField, lift: SuperVectorField, linear_symbol, inf_fail):
     """Equivariance along one-parameter subgroups, where their flows are complete.
 
-    With an affine base action, coordinate-free fiber generators, a linear
-    injective symbol and odd components of grade zero, every lifted flow is
-    complete, and the finite identity along it integrates [lift(xi), Q] = 0.
-    The exact commutator that decided `equivariance_infinitesimal` for each
-    unit xi therefore decides this condition too; anything else is skipped.
+    With an affine base action, a fiber action linear in theta with
+    coordinate-free coefficients, a linear injective symbol and odd
+    components of grade zero, every lifted flow is complete, and the finite
+    identity along it integrates [dlift/dp, Q] = 0. The exact commutator
+    that decided `equivariance_infinitesimal` for each parameter p
+    therefore decides this condition too; anything else is skipped.
     """
-    coords = spec.chart.coords
-    if not all(_is_affine(e, coords) for row in spec.T for e in row):
+    coords = lift.chart.coords
+    if not all(_is_affine(comp.body(), coords) for comp in lift.a):
         return {"status": "skipped(nonlinear base action)", "residual": None}
-    if spec.U is not None and not all(
-        _coordinate_free(e, coords) for block in spec.U for row in block for e in row
+    if any(comp.grades() not in ((), (1,)) for comp in lift.b) or not all(
+        _coordinate_free(c, coords) for comp in lift.b for c in comp.terms.values()
     ):
         return {"status": "skipped(coordinate-dependent fiber action)", "residual": None}
     if not linear_symbol:
@@ -507,26 +510,17 @@ def _finite_equivariance(Q: SuperVectorField, spec: ActionSpec, linear_symbol, i
     return {"status": "fail" if inf_fail else "pass", "residual": inf_fail or None}
 
 
-def verify_brst(Q, spec: ActionSpec):
-    """Check the three defining conditions of a BRST operator.
+def verify_brst(Q, lift: SuperVectorField, params):
+    """Check the three defining conditions of a BRST operator against the
+    lifted field `lift`, linear in the symbolic group parameters `params`.
 
-    The lift is built with symbolic group parameters, so the square
-    condition holds for every xi at once. Returns a report dict; failures
-    are entries, not exceptions.
+    The square condition then holds for every parameter value at once.
+    Returns a report dict; failures are entries, not exceptions.
     """
     holomorphic = any(isinstance(comp, CSuper) for comp in Q.a + Q.b)
-    lift_spec = spec
-    if spec.U is None and spec.chart.n == spec.chart.m:
-        lift_spec = tautological_lift(spec)
-
-    def lift_at(values):
-        if holomorphic:
-            return kahler_lift(spec, values)
-        return lifted_field(lift_spec, values)
-
     conditions = []
 
-    residual = square_residual(Q, lift_at(None))
+    residual = square_residual(Q, lift)
     ok = field_is_zero(residual)
     conditions.append(
         {
@@ -536,11 +530,11 @@ def verify_brst(Q, spec: ActionSpec):
         }
     )
 
-    inf_fail = []
-    for alpha, name in enumerate(spec.params):
-        unit = {p: (1 if p == name else 0) for p in spec.params}
-        if not field_is_zero(graded_commutator(lift_at(unit), Q)):
-            inf_fail.append(name)
+    inf_fail = [
+        name
+        for name in params
+        if not field_is_zero(graded_commutator(_parameter_partial(lift, name), Q))
+    ]
     conditions.append(
         {
             "name": "equivariance_infinitesimal",
@@ -557,7 +551,7 @@ def verify_brst(Q, spec: ActionSpec):
     if holomorphic:
         fin = {"status": "skipped(complex field: infinitesimal check only)", "residual": None}
     else:
-        fin = _finite_equivariance(Q, lift_spec, sigma_error is None, inf_fail)
+        fin = _finite_equivariance(Q, lift, sigma_error is None, inf_fail)
     conditions.append({"name": "equivariance_finite", **fin})
     conditions.append(
         {

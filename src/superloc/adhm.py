@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import scalars as sc
-from .actions import ActionSpec, certified_rank, residual_verdict
+from .actions import certified_rank, residual_verdict
 from .errors import (
     BadSusy,
     ComputationError,
@@ -478,12 +478,6 @@ def _flow(lay: ADHMSuperChart, move, entries) -> tuple:
     return _flatten(lay, {name: move(name, entries(name)) for name, _, _ in lay.sectors})
 
 
-def adhm_fundamental_field(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
-    """Even generator of the combined gauge, frame, and torus action."""
-    move = _mover(lay, phi, a, e1, e2)
-    return SuperVectorField(lay.chart, 0, _flow(lay, move, lay.boson_matrix), _flatten(lay, {}))
-
-
 def adhm_lifted_field(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     """Fundamental field plus the matching rotation of the odd partners."""
     move = _mover(lay, phi, a, e1, e2)
@@ -524,21 +518,6 @@ def adhm_Q_full(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
     if not lay.full:
         raise ShapeMismatch("layout lacks the multiplier sector")
     return _odd_operator(lay, _CHARGES, phi, a, e1, e2)
-
-
-def adhm_action_spec(lay: ADHMSuperChart) -> ActionSpec:
-    """Action table with the Cartan symbols as group parameters.
-
-    Components of the fundamental field are linear in the parameters, so
-    stripping one derivative per parameter recovers the generator table.
-    """
-    base = adhm_fundamental_field(lay, *cartan_params(lay))
-    bodies = [comp.terms.get((), sc.ZERO) for comp in base.a]
-    T = tuple(
-        tuple(sc.normalize(sc.differentiate(body, name)) for body in bodies)
-        for name in lay.params
-    )
-    return ActionSpec(lay.params, lay.chart, T)
 
 
 # ---------------------------------------------------------------------------

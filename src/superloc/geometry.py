@@ -144,15 +144,15 @@ def gaussian_rotation_form() -> SuperFunction:
     )
 
 
-def gaussian_oracle_patch(half_width: float = 14.0) -> OraclePatch:
-    """Top component of the flat Gaussian integrand on a truncated box;
-    the tail beyond the default width is far below the tolerances used."""
+GAUSSIAN_HALF_WIDTH = 14.0  # the Gaussian's tail beyond it is far below the tolerances used
+
+
+def gaussian_oracle_patch() -> OraclePatch:
+    """Top component of the flat Gaussian integrand on the box of half width
+    GAUSSIAN_HALF_WIDTH."""
     body = sc.exp(sc.rational(-1, 2) * T * (X * X + Y * Y))
-    return OraclePatch(
-        ("x", "y"),
-        ((-half_width, half_width), (-half_width, half_width)),
-        sc.normalize(sc.ZERO - body),
-    )
+    w = GAUSSIAN_HALF_WIDTH
+    return OraclePatch(("x", "y"), ((-w, w), (-w, w)), sc.normalize(sc.ZERO - body))
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,16 @@ def flat_box_domain() -> DomainData:
     return DomainData(PLANE_CHART, PLANE_ROTATION, eye, ((0.0, 1.0), (0.0, 1.0)), None)
 
 
-def annulus_domain(inner: float = 0.5) -> DomainData:
+ANNULUS_INNER = 0.5  # the inner radius keeps the rotation fixed point outside
+
+
+def annulus_domain() -> DomainData:
     """Polar coordinates on the plane, radial faces only; the angle is
-    periodic and the inner circle keeps the rotation fixed point outside."""
+    periodic."""
     chart = SuperChart(("r", "phi"), 2)
     r = sc.sym("r")
     spec = ActionSpec(("t",), chart, ((sc.ZERO, sc.ONE),))
     h = ((sc.ONE, sc.ZERO), (sc.ZERO, r * r))
     return DomainData(
-        chart, spec, h, ((inner, 1.0), (0.0, 2 * math.pi)), ((0, 1), (0, -1))
+        chart, spec, h, ((ANNULUS_INNER, 1.0), (0.0, 2 * math.pi)), ((0, 1), (0, -1))
     )

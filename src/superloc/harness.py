@@ -35,8 +35,10 @@ from typing import Callable, Mapping, NamedTuple, Optional
 from . import scalars as sc
 from .actions import (
     ActionSpec,
+    action_lift,
     check_sigma_parallel,
     kahler_Q,
+    kahler_lift,
     square_residual,
     tautological_Q,
     verify_brst,
@@ -44,7 +46,6 @@ from .actions import (
 from .adhm import (
     adhm_Q_full,
     adhm_Q_unconstrained,
-    adhm_action_spec,
     adhm_constraint_scalars,
     adhm_fixed_points,
     adhm_lifted_field,
@@ -164,13 +165,18 @@ def _validate(scenario: dict) -> None:
             # t = 0 switches the action off, so no fixed point is isolated
             if _as_fraction(v) == 0:
                 raise SchemaError("a value of t must be nonzero, got %r" % (v,))
-        if "reference" in scenario and scenario["reference"] not in _REFERENCES:
-            raise SchemaError("unknown reference %r" % (scenario["reference"],))
-        for entry in scenario.get("stokes", []):
+        if "reference" in scenario:
+            reference = scenario["reference"]
+            if not isinstance(reference, str) or reference not in _REFERENCES:
+                raise SchemaError("unknown reference %r" % (reference,))
+        stokes = scenario.get("stokes", [])
+        if not isinstance(stokes, list):
+            raise SchemaError("stokes must be a list of entries")
+        for entry in stokes:
             if not isinstance(entry, dict):
                 raise SchemaError("stokes entries must be objects")
             domain = entry.get("domain")
-            if domain not in _STOKES_DOMAINS:
+            if not isinstance(domain, str) or domain not in _STOKES_DOMAINS:
                 raise SchemaError("unknown boundary domain %r" % (domain,))
             text = entry.get("form")
             if not isinstance(text, str):
@@ -502,7 +508,7 @@ def _verified(report: dict) -> dict:
 
 def _verify_patch(run: _Run, patch) -> dict:
     spec, _ = patch
-    return _verified(verify_brst(tautological_Q(spec), spec))
+    return _verified(verify_brst(tautological_Q(spec), action_lift(spec), spec.params))
 
 
 def _sigma_parallel(run: _Run, patch) -> dict:
@@ -516,7 +522,8 @@ def _sigma_parallel(run: _Run, patch) -> dict:
 
 
 def _verify_kahler(run: _Run, item: dict) -> dict:
-    return _verified(verify_brst(kahler_Q(_TORUS_SPEC), _TORUS_SPEC))
+    spec = _TORUS_SPEC
+    return _verified(verify_brst(kahler_Q(spec), kahler_lift(spec), spec.params))
 
 
 def _adhm_chart(run: _Run, item: dict, full: bool):
@@ -556,7 +563,8 @@ def _closure(full: bool) -> Callable:
 
 def _verify_unconstrained(run: _Run, item: dict) -> dict:
     layout, _ = _adhm_chart(run, item, False)
-    return _verified(verify_brst(_adhm_operator(run, item, False), adhm_action_spec(layout)))
+    Q, lift = _adhm_operator(run, item, False), _adhm_lift(run, item, False)
+    return _verified(verify_brst(Q, lift, layout.params))
 
 
 def _sigma_identity(run: _Run, item: dict) -> dict:

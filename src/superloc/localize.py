@@ -15,12 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from . import scalars as sc
-from .actions import (
-    ActionSpec,
-    fundamental_field,
-    lifted_field,
-    tautological_lift,
-)
+from .actions import ActionSpec, action_lift, fundamental_field
 from .errors import (
     ComputationError,
     DegenerateField,
@@ -124,9 +119,9 @@ def _eval_entry(e, binding):
     return _num(sc.evaluate(e2, {}))
 
 
-def linearize_base(spec: ActionSpec, xi, binding):
+def linearize_base(spec: ActionSpec, binding):
     """Matrix L = -Jacobian of the fundamental field at the given point."""
-    comps = [comp.body() for comp in fundamental_field(spec, xi).a]
+    comps = [comp.body() for comp in fundamental_field(spec).a]
     coords = spec.chart.coords
     return tuple(
         tuple(_eval_entry(sc.ZERO - sc.differentiate(comp, c), binding) for c in coords)
@@ -134,17 +129,14 @@ def linearize_base(spec: ActionSpec, xi, binding):
     )
 
 
-def linearize_fiber(spec: ActionSpec, xi, binding):
+def linearize_fiber(spec: ActionSpec, binding):
     """Negated theta-flow generator of the lifted field at the point.
 
     Returns None when no fiber action is available.
     """
-    lift_spec = spec
-    if spec.U is None:
-        if spec.chart.n != spec.chart.m:
-            return None
-        lift_spec = tautological_lift(spec)
-    b = lifted_field(lift_spec, xi).b
+    if spec.U is None and spec.chart.n != spec.chart.m:
+        return None
+    b = action_lift(spec).b
     n = spec.chart.n
     return tuple(
         tuple(_eval_entry(sc.ZERO - b[A].coefficient((B + 1,)), binding) for B in range(n))
@@ -169,13 +161,13 @@ def _check_declared(comps, binding):
             raise NotAZero("field does not vanish at declared point: %s" % (res,))
 
 
-def _assemble(spec, xi, binding, chart_id, h, orientation):
+def _assemble(spec, binding, chart_id, h, orientation):
     coords = spec.chart.coords
-    L = linearize_base(spec, xi, binding)
+    L = linearize_base(spec, binding)
     numeric = all(isinstance(e, (int, Fraction)) for row in L for e in row)
     if numeric and linalg.det([list(row) for row in L]) == 0:
         raise NonIsolatedZero("zero of the field is not isolated at linear order")
-    fiber = linearize_fiber(spec, xi, binding)
+    fiber = linearize_fiber(spec, binding)
     if h is None:
         h_p = tuple(map(tuple, linalg.identity(spec.chart.m)))
     else:
@@ -186,7 +178,6 @@ def _assemble(spec, xi, binding, chart_id, h, orientation):
 
 def find_fixed_points(
     spec: ActionSpec,
-    xi=None,
     *,
     declared,
     h=None,
@@ -203,13 +194,13 @@ def find_fixed_points(
     """
     if not declared:
         raise ValueError("no fixed points declared")
-    comps = [comp.body() for comp in fundamental_field(spec, xi).a]
+    comps = [comp.body() for comp in fundamental_field(spec).a]
     coords = spec.chart.coords
     out = []
     for pt in declared:
         binding = {c: _num(v) for c, v in (pt.items() if isinstance(pt, Mapping) else zip(coords, pt))}
         _check_declared(comps, binding)
-        out.append(_assemble(spec, xi, binding, chart_id, h, orientation))
+        out.append(_assemble(spec, binding, chart_id, h, orientation))
     return out
 
 
@@ -346,7 +337,7 @@ def super_localize(fields, fps: Sequence[FixedPointData], binding=None, Q=None):
 # ---------------------------------------------------------------------------
 
 
-def build_lambda_beta(spec: ActionSpec, xi, center):
+def build_lambda_beta(spec: ActionSpec, center):
     """Invariant 1-form lambda with lambda(xi*) = squared distance, and its
     image beta under the symbol map.
 
@@ -355,7 +346,7 @@ def build_lambda_beta(spec: ActionSpec, xi, center):
     superfunction).
     """
     chart = spec.chart
-    comps = [comp.body() for comp in fundamental_field(spec, xi).a]
+    comps = [comp.body() for comp in fundamental_field(spec).a]
     dist2 = sc.ZERO
     for c, v in zip(chart.coords, center):
         delta = sc.sym(c) - sc.as_expr(v)

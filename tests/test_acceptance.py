@@ -11,7 +11,14 @@ import time
 from fractions import Fraction
 
 from superloc import scalars as sc
-from superloc.actions import ActionSpec, kahler_Q, tautological_Q, verify_brst
+from superloc.actions import (
+    ActionSpec,
+    action_lift,
+    kahler_Q,
+    kahler_lift,
+    tautological_Q,
+    verify_brst,
+)
 from superloc.adhm import (
     GroupElement,
     adhm_Q_full,
@@ -111,7 +118,8 @@ def test_02_random_closed_forms_match_classical():
 def test_03_operator_squares_to_flow_all_families():
     start = time.perf_counter()
     for patch in sphere_atlas():
-        assert verify_brst(tautological_Q(patch.spec), patch.spec)["passed"]
+        spec = patch.spec
+        assert verify_brst(tautological_Q(spec), action_lift(spec), spec.params)["passed"]
     chart4 = SuperChart(("x1", "y1", "x2", "y2"), 2)
     torus = ActionSpec(
         ("e1", "e2"),
@@ -121,7 +129,7 @@ def test_03_operator_squares_to_flow_all_families():
             (sc.ZERO, sc.ZERO, sc.ZERO - sc.sym("y2"), sc.sym("x2")),
         ),
     )
-    assert verify_brst(kahler_Q(torus), torus)["passed"]
+    assert verify_brst(kahler_Q(torus), kahler_lift(torus), torus.params)["passed"]
     for full in (False, True):
         lay = adhm_super_chart(1, 2, full=full)
         params = cartan_params(lay)

@@ -10,6 +10,7 @@ import pytest
 from superloc import scalars as sc
 from superloc.actions import (
     ActionSpec,
+    action_lift,
     check_sigma_parallel,
     christoffel,
     closure_check,
@@ -156,6 +157,14 @@ def test_lifted_field_annihilates_invariants():
         assert field.apply(inv).is_zero()
 
 
+def test_action_lift_picks_the_spec_lift():
+    # its own U, else the tautological lift on a square chart, else no fiber part
+    assert action_lift(ROTATION) == lifted_field(tautological_lift(ROTATION))
+    weighted = ActionSpec(TORUS.params, CHART4, TORUS.T, (((0, 1), (-1, 0)), ((0, 0), (0, 0))))
+    assert action_lift(weighted) == lifted_field(weighted)
+    assert action_lift(TORUS) == fundamental_field(TORUS)
+
+
 def test_tautological_lift_requires_square_chart():
     with pytest.raises(NotTautological):
         tautological_lift(TORUS)
@@ -196,7 +205,7 @@ def test_square_as_fields():
 
 def test_verify_brst_rotation_passes():
     Q = tautological_Q(ROTATION)
-    report = verify_brst(Q, ROTATION)
+    report = verify_brst(Q, action_lift(ROTATION), ROTATION.params)
     assert report["passed"]
     by_name = {c["name"]: c["status"] for c in report["conditions"]}
     assert by_name["square_equals_lift"] == "pass"
@@ -207,11 +216,22 @@ def test_verify_brst_rotation_passes():
 
 def test_verify_brst_torus_tautological_passes():
     Q = tautological_Q(TORUS_TAUT)
-    report = verify_brst(Q, TORUS_TAUT)
+    report = verify_brst(Q, action_lift(TORUS_TAUT), TORUS_TAUT.params)
     assert report["passed"]
     assert all(
         c["status"] == "pass" for c in report["conditions"]
     ), report["conditions"]
+
+
+def test_verify_brst_names_only_the_failing_parameter():
+    # doubling Q(theta^3) breaks [dlift/de2, Q] = 0 but leaves [dlift/de1, Q] = 0
+    Q = tautological_Q(TORUS_TAUT)
+    b = Q.b[:2] + (2 * Q.b[2],) + Q.b[3:]
+    broken = SuperVectorField(TAUT4, 1, Q.a, b)
+    report = verify_brst(broken, action_lift(TORUS_TAUT), TORUS_TAUT.params)
+    by_name = {c["name"]: c for c in report["conditions"]}
+    assert by_name["equivariance_infinitesimal"]["status"] == "fail"
+    assert by_name["equivariance_infinitesimal"]["residual"] == ["e2"]
 
 
 def test_verify_brst_flags_wrong_sign():
@@ -219,7 +239,7 @@ def test_verify_brst_flags_wrong_sign():
     flipped = SuperVectorField(
         CHART, 1, good.a, tuple(-comp for comp in good.b)
     )
-    report = verify_brst(flipped, ROTATION)
+    report = verify_brst(flipped, action_lift(ROTATION), ROTATION.params)
     assert not report["passed"]
     assert report["conditions"][0]["status"] == "fail"
     assert report["conditions"][0]["residual"]
@@ -229,7 +249,7 @@ def test_verify_brst_flags_broken_symbol():
     good = tautological_Q(ROTATION)
     th1 = SuperFunction.generator(CHART, 1)
     degenerate = SuperVectorField(CHART, 1, (th1, 2 * th1), good.b)
-    report = verify_brst(degenerate, ROTATION)
+    report = verify_brst(degenerate, action_lift(ROTATION), ROTATION.params)
     by_name = {c["name"]: c["status"] for c in report["conditions"]}
     assert by_name["sigma_injective"] == "fail"
     assert not report["passed"]
@@ -290,7 +310,7 @@ def test_broken_Q_fails_equivariance_finite(breakage):
     # b[1] + x, a[1] doubled and U[0][0][0] + 1 each break the flow identity;
     # the exact commutator names the generator whose flow breaks it
     Q, spec = breakage(tautological_Q(PLANE_ROTATION), PLANE_ROTATION)
-    report = verify_brst(Q, spec)
+    report = verify_brst(Q, action_lift(spec), spec.params)
     by_name = {c["name"]: c for c in report["conditions"]}
     assert not report["passed"]
     assert by_name["equivariance_finite"]["status"] == "fail"
@@ -377,7 +397,7 @@ def test_kahler_square_closes():
 
 
 def test_verify_brst_kahler():
-    report = verify_brst(kahler_Q(TORUS), TORUS)
+    report = verify_brst(kahler_Q(TORUS), kahler_lift(TORUS), TORUS.params)
     assert report["passed"]
     by_name = {c["name"]: c["status"] for c in report["conditions"]}
     assert by_name["square_equals_lift"] == "pass"

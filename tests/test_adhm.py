@@ -14,11 +14,9 @@ from superloc.adhm import (
     GroupElement,
     adhm_Q_full,
     adhm_Q_unconstrained,
-    adhm_action_spec,
     adhm_constraint_scalars,
     adhm_data,
     adhm_fixed_points,
-    adhm_fundamental_field,
     adhm_lifted_field,
     adhm_super_chart,
     cartan_params,
@@ -238,13 +236,13 @@ def test_fundamental_zero_params_is_zero():
     zero1 = [[CSuper.zero(lay.chart)]]
     zero2 = [[CSuper.zero(lay.chart) for _ in range(2)] for _ in range(2)]
     z = CSuper.zero(lay.chart)
-    field = adhm_fundamental_field(lay, zero1, zero2, z, z)
+    field = adhm_lifted_field(lay, zero1, zero2, z, z)
     assert field_is_zero(field)
 
 
 def test_fundamental_cartan_weights_on_I():
     lay = adhm_super_chart(1, 2)
-    field = adhm_fundamental_field(lay, *cartan_params(lay))
+    field = adhm_lifted_field(lay, *cartan_params(lay))
     binding = {
         "phi1": Fraction(2),
         "a1": Fraction(5),
@@ -273,7 +271,7 @@ def test_flow_matches_torus_phases():
     zero2 = [[CSuper.zero(chart) for _ in range(2)] for _ in range(2)]
     e1 = CSuper.imag(SuperFunction.from_scalar(chart, sc.rational(7, 10)))
     e2 = CSuper.imag(SuperFunction.from_scalar(chart, sc.rational(2, 5)))
-    field = adhm_fundamental_field(lay, zero1, zero2, e1, e2)
+    field = adhm_lifted_field(lay, zero1, zero2, e1, e2)
     comps = [sc.compile_numeric(_body(c), chart.coords) for c in field.a]
     rng = random.Random(77)
     start = [rng.uniform(-1, 1) for _ in chart.coords]
@@ -315,8 +313,8 @@ def test_Q_displays_on_matter():
     for idx in range(lay.chart.m):
         assert Q.a[idx].terms == {(idx + 1,): sc.ONE}
     # partners map to the even action components
-    fund = adhm_fundamental_field(lay, *p)
-    assert all((x - y).is_zero() for x, y in zip(Q.b, fund.a))
+    lift = adhm_lifted_field(lay, *p)
+    assert all((x - y).is_zero() for x, y in zip(Q.b, lift.a))
 
 
 def test_Q_unconstrained_squares_to_lift():
@@ -338,9 +336,8 @@ def test_sigma_is_identity_on_matter():
 
 def test_verify_brst_unconstrained():
     lay = adhm_super_chart(1, 2)
-    report = verify_brst(
-        adhm_Q_unconstrained(lay, *cartan_params(lay)), adhm_action_spec(lay)
-    )
+    p = cartan_params(lay)
+    report = verify_brst(adhm_Q_unconstrained(lay, *p), adhm_lifted_field(lay, *p), lay.params)
     assert report["passed"]
     names = [c["name"] for c in report["conditions"]]
     assert "square_equals_lift" in names and "sigma_injective" in names
@@ -418,17 +415,6 @@ def test_Q_full_squares_numerically_k2():
         assert residual(SuperFunction.generator(lay.chart, idx)) < 1e-12
     for _ in range(20):
         assert residual(_random_superfunction(lay.chart, rng)) < 1e-12
-
-
-def test_action_spec_reconstruction():
-    lay = adhm_super_chart(2, 2)
-    spec = adhm_action_spec(lay)
-    fund = adhm_fundamental_field(lay, *cartan_params(lay))
-    for i in range(lay.chart.m):
-        recon = sc.ZERO
-        for alpha, name in enumerate(spec.params):
-            recon = recon + sc.sym(name) * spec.T[alpha][i]
-        assert sc.is_zero(sc.normalize(recon - _body(fund.a[i])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Every module-level function, class and assigned name in the package has a
-caller or a reader.
+caller or a reader, and every module-level import is read by its module.
 
 A definition in ``src/superloc`` counts as used when its name occurs in the
 package outside the definition itself (in its own module or another one),
@@ -144,3 +144,22 @@ def test_every_definition_has_a_caller():
     assert unused - set(PENDING) == set()
     # a pending function leaves the list once it backs a record
     assert set(PENDING) - unused == set()
+
+
+def test_every_module_level_import_is_read():
+    """A name that a module imports at top level occurs in that module
+    outside its import statements, or in the module's ``__all__``."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = Counter(_exported(tree))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+            else:
+                read.update(_names(node))
+        unread += ["%s imports %s" % (path.stem, name) for name in bound if not read[name]]
+    assert unread == []

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from superloc import scalars as sc
-from superloc.actions import fundamental_field, lifted_field, tautological_lift
-from superloc.adhm import adhm_action_spec, adhm_super_chart
+from superloc.actions import ActionSpec, fundamental_field, lifted_field, tautological_lift
+from superloc.adhm import adhm_lifted_field, adhm_super_chart, cartan_params
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
     CSuper,
@@ -504,24 +504,29 @@ def test_sparse_apply_matches_definition():
 
 def test_lifted_field_matches_dense_sum_on_adhm_k2():
     # The k=2 ADHM lift skips zero entries of U; the dense sum keeps them.
-    spec = tautological_lift(adhm_action_spec(adhm_super_chart(2, 2)))
+    # T is the derivative of the ADHM flow along each Cartan symbol.
+    lay = adhm_super_chart(2, 2)
+    adhm_lift = adhm_lifted_field(lay, *cartan_params(lay))
+    bodies = [comp.body() for comp in adhm_lift.a]
+    T = [[sc.normalize(sc.differentiate(body, p)) for body in bodies] for p in lay.params]
+    spec = tautological_lift(ActionSpec(lay.params, lay.chart, T))
     chart, n = spec.chart, spec.chart.n
-    units = [{p: int(p == q) for p in spec.params} for q in spec.params]
-    for xi in [None] + units:
-        coeffs = [sc.sym(p) if xi is None else sc.rational(xi[p]) for p in spec.params]
-        dense = tuple(
-            SuperFunction(
-                chart,
-                {
-                    (B + 1,): sum(
-                        (c * spec.U[alpha][B][A] for alpha, c in enumerate(coeffs)), sc.ZERO
-                    )
-                    for B in range(n)
-                },
-            )
-            for A in range(n)
+    coeffs = [sc.sym(p) for p in spec.params]
+    dense = tuple(
+        SuperFunction(
+            chart,
+            {
+                (B + 1,): sum(
+                    (c * spec.U[alpha][B][A] for alpha, c in enumerate(coeffs)), sc.ZERO
+                )
+                for B in range(n)
+            },
         )
-        lift = lifted_field(spec, xi)
-        assert lift.b == dense
-        assert lift.a == fundamental_field(spec, xi).a
-        assert any(not comp.is_zero() for comp in lift.b)
+        for A in range(n)
+    )
+    lift = lifted_field(spec)
+    assert lift.b == dense
+    assert lift.a == fundamental_field(spec).a
+    assert any(not comp.is_zero() for comp in lift.b)
+    # the partners' rotation in the ADHM lift is the tautological lift of its flow
+    assert lift == adhm_lift

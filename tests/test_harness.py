@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from superloc import harness
-from superloc.actions import tautological_Q, verify_brst
+from superloc.actions import action_lift, tautological_Q, verify_brst
 from superloc.cli import main
 from superloc.errors import NotQClosed, SchemaError
 from superloc.geometry import PLANE_ROTATION
@@ -138,6 +138,17 @@ def test_schema_rejections(tmp_path):
             "stokes": [{"domain": "flat_box", "form": "x*th1", "tol": "loose"}],
         },
         {"name": "x", "kind": "adhm", "k": 1, "N": True},
+        # a stokes list, a reference name and a domain name of the wrong type
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": 5},
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": None},
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": True},
+        {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"},
+         "values": ["1"], "reference": ["x"]},
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": [{"domain": ["a"], "form": "x*th1"}]},
     ]
     # a tolerance must be finite and > 0; json loads NaN and Infinity
     sphere = {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1"]}
@@ -323,7 +334,8 @@ def test_failed_brst_record_names_the_component():
     spec = PLANE_ROTATION
     Q = tautological_Q(spec)
     b = (Q.b[0] + parse_super(spec.chart, "x"),) + Q.b[1:]
-    record = harness._verified(verify_brst(SuperVectorField(spec.chart, 1, Q.a, b), spec))
+    broken = SuperVectorField(spec.chart, 1, Q.a, b)
+    record = harness._verified(verify_brst(broken, action_lift(spec), spec.params))
     assert record["status"] == "fail"
     by_name = {c["name"]: c for c in record["detail"]["conditions"]}
     assert "b[1] = th1" in by_name["square_equals_lift"]["residual"]

@@ -80,31 +80,36 @@ def test_prefactors():
 
 
 def test_linearize_rotation():
-    L = linearize_base(ROTATION, {"t": 2}, {"x": 0, "y": 0})
+    L = linearize_base(ROTATION, {"x": 0, "y": 0, "t": 2})
     assert L == ((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)))
-    fiber = linearize_fiber(ROTATION, {"t": 2}, {"x": 0, "y": 0})
+    fiber = linearize_fiber(ROTATION, {"x": 0, "y": 0, "t": 2})
     assert fiber == L
 
 
 def test_find_fixed_points_declared():
-    pts = find_fixed_points(ROTATION, {"t": 1}, declared=[(0, 0)])
+    pts = find_fixed_points(ROTATION, declared=[{"x": 0, "y": 0, "t": 1}])
     assert len(pts) == 1
     fp = pts[0]
     assert fp.point == (Fraction(0), Fraction(0))
     assert fp.L == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
+    # at symbolic t the linearization stays symbolic
+    (fp,) = find_fixed_points(ROTATION, declared=[(0, 0)])
+    assert sc.is_zero(fp.L[0][1] - sc.sym("t"))
     with pytest.raises(NotAZero):
-        find_fixed_points(ROTATION, {"t": 1}, declared=[(1, 0)])
+        find_fixed_points(ROTATION, declared=[(1, 0)])
+    # the zero action fixes every point, so none is isolated
+    flat = ActionSpec(("t",), CHART, ((sc.ZERO, sc.ZERO),))
     with pytest.raises(NonIsolatedZero):
-        find_fixed_points(ROTATION, {"t": 0}, declared=[(0, 0)])
+        find_fixed_points(flat, declared=[(0, 0)])
 
 
 def test_declared_points_are_checked_exactly():
     spec = ActionSpec(("t",), CHART, ((sc.sin(X), Y),))
-    (fp,) = find_fixed_points(spec, {"t": 1}, declared=[(0, 0)])
+    (fp,) = find_fixed_points(spec, declared=[(0, 0)])
     assert fp.point == (Fraction(0), Fraction(0))
     # the float pi is not a zero of sin: the residual 1.2e-16 is not forgiven
     with pytest.raises(NotAZero):
-        find_fixed_points(spec, {"t": 1}, declared=[(math.pi, 0)])
+        find_fixed_points(spec, declared=[(math.pi, 0)])
 
 
 def test_superdeterminant_values():
@@ -139,7 +144,7 @@ def test_superdeterminant_multiplicative():
 def _rotation_fp(t, orientation=1, scale=1):
     h = ((sc.rational(scale), sc.ZERO), (sc.ZERO, sc.rational(scale)))
     return find_fixed_points(
-        ROTATION, {"t": t}, declared=[(0, 0)], h=h, orientation=orientation
+        ROTATION, declared=[{"x": 0, "y": 0, "t": t}], h=h, orientation=orientation
     )[0]
 
 
@@ -185,7 +190,7 @@ def test_fiber_square_roots_need_a_square_chart():
     F = SuperFunction.one(chart)
     # without U there is no fiber operator; with U there is one, but no fiber metric
     for spec in (ActionSpec(("t",), chart, T), ActionSpec(("t",), chart, T, U)):
-        (fp,) = find_fixed_points(spec, {"t": 1}, declared=[(0, 0, 0, 0)])
+        (fp,) = find_fixed_points(spec, declared=[(0, 0, 0, 0)])
         assert (fp.fiber is None) == (spec.U is None)
         with pytest.raises(DimensionMismatch):
             sqrt_sdet_via_pfaffian(fp)
@@ -237,7 +242,7 @@ def test_closed_forms_are_closed():
 
 
 def test_build_lambda_beta_flat_rotation():
-    lam, beta = build_lambda_beta(ROTATION, None, (0, 0))
+    lam, beta = build_lambda_beta(ROTATION, (0, 0))
     rng = random.Random(1107)
     comps = (sc.ZERO - sc.sym("t") * Y, sc.sym("t") * X)
     for _ in range(5):
@@ -266,16 +271,16 @@ def test_build_lambda_beta_flat_rotation():
 
 
 def test_exactness_witness_reproduces_form():
-    Q = tautological_Q(ROTATION, {"t": 1})
-    _, beta = build_lambda_beta(ROTATION, {"t": 1}, (0, 0))
-    F = parse_super(CHART, "1 + th1*th2 + (1/2)*(x^2 + y^2)")
+    Q = tautological_Q(ROTATION)
+    _, beta = build_lambda_beta(ROTATION, (0, 0))
+    F = parse_super(CHART, "1 + th1*th2 + (1/2)*t*(x^2 + y^2)")
     nu = exactness_witness(F, beta, Q, samples=({"x": 1, "y": 0},))
     assert (Q.apply(nu) - F).is_zero()
 
 
 def test_exactness_witness_needs_invertible_body():
     flat = ActionSpec(("t",), CHART, ((sc.ZERO, sc.ZERO),))
-    Q = tautological_Q(flat, {"t": 1})
+    Q = tautological_Q(flat)
     beta = parse_super(CHART, "x*th2 - y*th1")
     F = SuperFunction.one(CHART)
     with pytest.raises(NonInvertibleQBeta):
