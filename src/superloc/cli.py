@@ -1,8 +1,8 @@
 """Command-line front end for the scenario runners.
 
 Exit codes: 0 when every check passes or is skipped, 1 when a check
-fails, 2 for a malformed scenario or a command its kind has no checks
-for, 3 when a computation cannot finish.
+fails, 2 for a malformed scenario, a command its kind has no checks for,
+or a report that cannot be written, 3 when a computation cannot finish.
 """
 from __future__ import annotations
 
@@ -86,8 +86,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("computation error: %s" % (exc,), file=sys.stderr)
         return 3
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(serialize_report(report))
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(serialize_report(report))
+        except OSError as exc:
+            print("cannot write report: %s" % (exc,), file=sys.stderr)
+            return 2
     if not args.quiet:
         _print_report(report)
     return report_exit_code(report)

@@ -157,9 +157,9 @@ def gaussian_oracle_patch() -> OraclePatch:
 
 @dataclass(frozen=True)
 class DomainData:
-    """A coordinate box with metric and action data for boundary checks."""
+    """A coordinate box with metric and action data for boundary checks;
+    the chart is the action's."""
 
-    chart: SuperChart
     spec: ActionSpec
     h: tuple
     box: tuple
@@ -168,7 +168,7 @@ class DomainData:
 
 def flat_box_domain() -> DomainData:
     eye = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))
-    return DomainData(PLANE_CHART, PLANE_ROTATION, eye, ((0.0, 1.0), (0.0, 1.0)), None)
+    return DomainData(PLANE_ROTATION, eye, ((0.0, 1.0), (0.0, 1.0)), None)
 
 
 ANNULUS_INNER = 0.5  # the inner radius keeps the rotation fixed point outside
@@ -177,10 +177,7 @@ ANNULUS_INNER = 0.5  # the inner radius keeps the rotation fixed point outside
 def annulus_domain() -> DomainData:
     """Polar coordinates on the plane, radial faces only; the angle is
     periodic."""
-    chart = SuperChart(("r", "phi"), 2)
     r = sc.sym("r")
-    spec = ActionSpec(("t",), chart, ((sc.ZERO, sc.ONE),))
+    spec = ActionSpec(("t",), SuperChart(("r", "phi"), 2), ((sc.ZERO, sc.ONE),))
     h = ((sc.ONE, sc.ZERO), (sc.ZERO, r * r))
-    return DomainData(
-        chart, spec, h, ((ANNULUS_INNER, 1.0), (0.0, 2 * math.pi)), ((0, 1), (0, -1))
-    )
+    return DomainData(spec, h, ((ANNULUS_INNER, 1.0), (0.0, 2 * math.pi)), ((0, 1), (0, -1)))

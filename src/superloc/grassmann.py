@@ -21,24 +21,22 @@ Index = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class SuperChart:
-    """Even coordinate names plus the number of odd generators."""
+    """Even coordinate names plus the number of odd generators, which are
+    named th1..thn."""
 
     coords: Tuple[str, ...]
     n: int
-    odd_names: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(self.coords))
-        if not self.odd_names:
-            object.__setattr__(
-                self, "odd_names", tuple("th%d" % (k,) for k in range(1, self.n + 1))
-            )
-        if len(self.odd_names) != self.n:
-            raise DimensionMismatch("need %d odd names, got %d" % (self.n, len(self.odd_names)))
 
     @property
     def m(self) -> int:
         return len(self.coords)
+
+    @property
+    def odd_names(self) -> Tuple[str, ...]:
+        return tuple("th%d" % (k,) for k in range(1, self.n + 1))
 
 
 def _merge_sign(left: Index, right: Index):

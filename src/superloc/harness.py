@@ -181,15 +181,19 @@ def _validate(scenario: dict) -> None:
             text = entry.get("form")
             if not isinstance(text, str):
                 raise SchemaError("stokes entry lacks a form text")
-            chart = _STOKES_DOMAINS[domain]().chart
+            chart = _STOKES_DOMAINS[domain]().spec.chart
             try:
-                foreign = sorted(parse_super(chart, text).free_symbols() - set(chart.coords))
+                nu = parse_super(chart, text)
             except Exception as exc:
                 raise SchemaError("stokes form does not parse: %s" % (exc,))
+            foreign = sorted(nu.free_symbols() - set(chart.coords))
             if foreign:
                 raise SchemaError(
                     "stokes form names %s, not a coordinate of %s" % (", ".join(foreign), domain)
                 )
+            if any(len(idx) != chart.n - 1 for idx in nu.terms):
+                raise SchemaError("stokes form %r has a term not of degree %d in the odd "
+                                  "generators" % (text, chart.n - 1))
             if "tol" in entry:
                 _tolerance(entry["tol"], "stokes tol")
     if kind == "adhm":
@@ -266,12 +270,11 @@ def serialize_report(report: dict, timestamp: Optional[str] = None) -> str:
 
 
 class _GeometryCase(NamedTuple):
-    """Everything a geometry check needs: fields and Q by chart id, the
-    fixed points, oracle patches."""
+    """Everything a geometry check needs: fields by chart id, the fixed
+    points, oracle patches."""
 
     fields: dict
     fps: list
-    Q: dict
     patches: list
 
 
@@ -290,7 +293,6 @@ def _geometry_case(scenario: dict, atlas) -> _GeometryCase:
     return _GeometryCase(
         {chart.name: integrand(chart) for chart in atlas},
         atlas_fixed_points(atlas),
-        {chart.name: tautological_Q(chart.spec) for chart in atlas},
         [patch],
     )
 
@@ -311,7 +313,7 @@ _TORUS_SPEC = ActionSpec(
 
 class _Run:
     """One runner call: the scenario, its tolerance, and the lazily built
-    atlas and case of a geometry kind."""
+    atlas and case of a geometry kind, and whether the case is closed."""
 
     def __init__(self, scenario: dict, tol: float):
         self.scenario = scenario
@@ -324,6 +326,15 @@ class _Run:
     @cached_property
     def case(self) -> _GeometryCase:
         return _geometry_case(self.scenario, self.atlas)
+
+    @cached_property
+    def unclosed(self) -> Optional[str]:
+        """The first chart whose integrand its Q does not annihilate, or None."""
+        fields = self.case.fields
+        return next(
+            (c.name for c in self.atlas if not tautological_Q(c.spec).apply(fields[c.name]).is_zero()),
+            None,
+        )
 
 
 class _Check(NamedTuple):
@@ -398,10 +409,12 @@ def _single(run: _Run):
 
 
 def _local(run: _Run, item: dict) -> dict:
-    case = run.case
-    return _memo(item, "local", lambda: super_localize(
-        case.fields, case.fps, binding={"t": item["t"]}, Q=case.Q
-    ))
+    def build():
+        if run.unclosed is not None:
+            raise NotQClosed("integrand on chart %r is not closed" % (run.unclosed,))
+        return super_localize(run.case.fields, run.case.fps, binding={"t": item["t"]})
+
+    return _memo(item, "local", build)
 
 
 def _oracle(run: _Run, item: dict) -> float:
@@ -470,9 +483,9 @@ def _versus_reference(value: Callable) -> Callable:
 def _super_stokes(run: _Run, entry: dict) -> dict:
     domain = _STOKES_DOMAINS[entry["domain"]]()
     result = super_stokes_check(
-        parse_super(domain.chart, entry["form"]),
+        parse_super(domain.spec.chart, entry["form"]),
         tautological_Q(domain.spec),
-        identity(domain.chart.m),
+        identity(domain.spec.chart.m),
         domain.h,
         domain.h,
         domain.box,

@@ -23,7 +23,6 @@ from .errors import (
     NonInvertibleQBeta,
     NonIsolatedZero,
     NotAZero,
-    NotQClosed,
     OddDimension,
     SingularFiberBlock,
     SingularLinearization,
@@ -164,8 +163,7 @@ def _check_declared(comps, binding):
 def _assemble(spec, binding, chart_id, h, orientation):
     coords = spec.chart.coords
     L = linearize_base(spec, binding)
-    numeric = all(isinstance(e, (int, Fraction)) for row in L for e in row)
-    if numeric and linalg.det([list(row) for row in L]) == 0:
+    if sc.is_zero(sc.as_expr(linalg.det(L))):
         raise NonIsolatedZero("zero of the field is not isolated at linear order")
     fiber = linearize_fiber(spec, binding)
     if h is None:
@@ -188,8 +186,9 @@ def find_fixed_points(
     linearize there.
 
     A declared point must be an exact zero: the field is evaluated there in
-    exact arithmetic, so (sin x, y) at (math.pi, 0) raises NotAZero.  The
-    metric h defaults to the identity; it is also the fiber metric, which
+    exact arithmetic, so (sin x, y) at (math.pi, 0) raises NotAZero; det(L)
+    that normalizes to zero, at bound or symbolic t, raises NonIsolatedZero.
+    The metric h defaults to the identity; it is also the fiber metric, which
     the super formula therefore takes on square charts only.
     """
     if not declared:
@@ -224,17 +223,14 @@ _SINGULAR = {"base": SingularLinearization, "fiber": SingularFiberBlock}
 
 
 def _pfaffian_pair(fp: FixedPointData, part: str, operator, binding):
-    """(orientation * Pf(h_p . operator), det(h_p)^{1/2}) at the fixed point."""
-    h_p = [list(r) for r in (_eval_matrix(fp.h, binding) if binding else fp.h)]
-    op = [list(r) for r in (_eval_matrix(operator, binding) if binding else operator)]
-    a = linalg.mat_mul(h_p, op)
-    linalg.check_skew(a)
-    pf = linalg.pfaffian(a)
+    """(orientation * Pf(h_p . operator), det(h_p)^{1/2}) at the fixed point;
+    h_p is fp.h, evaluated there already, and binding closes the operator."""
+    pf = linalg.pfaffian(linalg.mat_mul(fp.h, _eval_matrix(operator, binding or {})))
     if not isinstance(pf, (int, Fraction)):
         raise ComputationError("bind all parameters before taking square roots")
     if pf == 0:
         raise _SINGULAR[part]("%s linearization is singular" % (part,))
-    return fp.orientation * pf, sqrt_exact(linalg.det(h_p))
+    return fp.orientation * pf, sqrt_exact(linalg.det(fp.h))
 
 
 def sqrt_sdet_via_pfaffian(fp: FixedPointData, binding=None):
@@ -302,11 +298,8 @@ def _classical_weight(fp: FixedPointData, a0, binding):
 
 
 def _super_weight(fp: FixedPointData, f0, binding):
-    if fp.fiber is None:
-        raise DimensionMismatch("fixed point carries no fiber data")
-    pref = super_prefactor(len(fp.coords), len(fp.fiber))
     half_sdet = sqrt_sdet_via_pfaffian(fp, binding=binding)
-    return pref, half_sdet, f0 * half_sdet
+    return super_prefactor(len(fp.coords), len(fp.fiber)), half_sdet, f0 * half_sdet
 
 
 def classical_localize(forms, fps: Sequence[FixedPointData], binding=None):
@@ -318,17 +311,13 @@ def classical_localize(forms, fps: Sequence[FixedPointData], binding=None):
     return _localize(forms, fps, binding, "sqrt_det", _classical_weight)
 
 
-def super_localize(fields, fps: Sequence[FixedPointData], binding=None, Q=None):
+def super_localize(fields, fps: Sequence[FixedPointData], binding=None):
     """Superfunction localization: prefactor * Sdet^{1/2} * F_0(p), summed.
 
-    fields maps chart ids to integrands. When Q, a mapping by chart id, is
-    supplied, each integrand is first checked to be annihilated by it,
-    symbolically.
+    fields maps chart ids to integrands.  The formula assumes each is
+    Q-closed; that is a fact about the integrand, not about the binding, so
+    the caller checks it once rather than at every value.
     """
-    if Q is not None:
-        for chart_id in dict.fromkeys(fp.chart_id for fp in fps):
-            if not Q[chart_id].apply(fields[chart_id]).is_zero():
-                raise NotQClosed("integrand on chart %r is not closed" % (chart_id,))
     return _localize(fields, fps, binding, "sqrt_sdet", _super_weight)
 
 

@@ -138,12 +138,12 @@ def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e
     return total
 
 
-def berezin_density(F: SuperFunction, h, H, binding=None) -> Callable[[tuple], float]:
+def berezin_density(F: SuperFunction, h, H) -> Callable[[tuple], float]:
     """Numeric density of a point in chart-coordinate order: top
     theta-coefficient times det(h)^1/2 / det(H)^1/2."""
     dets = [linalg.det([list(r) for r in M]) for M in (h, H)]
     top, det_h, det_H = (
-        sc.compile_numeric(sc.as_expr(e), F.chart.coords, binding)
+        sc.compile_numeric(sc.as_expr(e), F.chart.coords)
         for e in [F.top_component(), *dets]
     )
 
@@ -158,7 +158,7 @@ def berezin_density(F: SuperFunction, h, H, binding=None) -> Callable[[tuple], f
 # ---------------------------------------------------------------------------
 
 
-def hodge_dual_H(nu: SuperFunction, H, binding=None) -> Callable[[tuple], list]:
+def hodge_dual_H(nu: SuperFunction, H) -> Callable[[tuple], list]:
     """Dual of a grade n-1 superfunction along the odd directions.
 
     Returns an evaluator, of a point in chart-coordinate order, for the n
@@ -168,7 +168,7 @@ def hodge_dual_H(nu: SuperFunction, H, binding=None) -> Callable[[tuple], list]:
     n, coords = nu.chart.n, nu.chart.coords
     if any(len(idx) != n - 1 for idx in nu.terms):
         raise WrongGrade("dual needs a homogeneous superfunction of grade n-1")
-    det_H = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in H])), coords, binding)
+    det_H = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in H])), coords)
     fact = math.factorial(n - 1)
     comps = []
     for A in range(1, n + 1):
@@ -178,7 +178,7 @@ def hodge_dual_H(nu: SuperFunction, H, binding=None) -> Callable[[tuple], list]:
             comps.append(None)
             continue
         sign = _eps_sign((A,) + comp)
-        comps.append((sign, sc.compile_numeric(coeff, coords, binding)))
+        comps.append((sign, sc.compile_numeric(coeff, coords)))
 
     def evaluate(point) -> list:
         scale = 1.0 / (fact * math.sqrt(det_H(point)))
@@ -203,7 +203,6 @@ def boundary_flux(
     box,
     faces: Optional[Sequence[Tuple[int, int]]] = None,
     tol: float = 1e-8,
-    binding=None,
 ) -> float:
     """Outward flux of a vector field through selected box faces.
 
@@ -213,7 +212,7 @@ def boundary_flux(
     pairs with side = +1 or -1.
     """
     m = len(coords)
-    det_h = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in h])), coords, binding)
+    det_h = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in h])), coords)
     if faces is None:
         faces = [(k, s) for k in range(m) for s in (1, -1)]
     total = 0.0
@@ -244,7 +243,6 @@ def super_stokes_check(
     box,
     faces=None,
     tol: float = 1e-7,
-    binding=None,
 ) -> dict:
     """Bulk integral of Q(nu) against the Berezinian versus the boundary
     flux of the doubly dualized section; reports both values.
@@ -252,10 +250,9 @@ def super_stokes_check(
     The identity needs sigma covariantly constant, so that is checked
     first on points inside the box.
     """
-    binding = dict(binding or {})
     samples = []
     for k, frac in enumerate((0.5, 0.375, 0.6875)):
-        point = dict(binding)
+        point = {}
         for axis, (lo, hi) in enumerate(box):
             mix = frac if axis % 2 == k % 2 else 1 - frac
             point[nu.chart.coords[axis]] = lo + mix * (hi - lo)
@@ -268,19 +265,17 @@ def super_stokes_check(
             "sigma is not parallel on this domain, residual %s"
             % (assumption["max_residual"],)
         )
-    lhs = quadrature(berezin_density(Q.apply(nu), h, H, binding), box, tol=tol / 4)
-    dual = hodge_dual_H(nu, H, binding)
+    lhs = quadrature(berezin_density(Q.apply(nu), h, H), box, tol=tol / 4)
+    dual = hodge_dual_H(nu, H)
     sigma_fns = [
-        [sc.compile_numeric(sc.as_expr(e), nu.chart.coords, binding) for e in row] for row in sigma
+        [sc.compile_numeric(sc.as_expr(e), nu.chart.coords) for e in row] for row in sigma
     ]
 
     def w(point) -> list:
         d = dual(point)
         return [sum(fn(point) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
 
-    rhs = boundary_flux(
-        w, h, nu.chart.coords, box, faces=faces, tol=tol / 4, binding=binding
-    )
+    rhs = boundary_flux(w, h, nu.chart.coords, box, faces=faces, tol=tol / 4)
     return {
         "bulk": lhs,
         "boundary": rhs,

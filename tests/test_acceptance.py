@@ -81,9 +81,10 @@ def _sphere_setup():
 def test_01_sphere_height_integral_three_scales():
     fields, fps, Q = _sphere_setup()
     patch = sphere_oracle_patch()
+    assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
     for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
         start = time.perf_counter()
-        localized = super_localize(fields, fps, binding={"t": t}, Q=Q)["value"]
+        localized = super_localize(fields, fps, binding={"t": t})["value"]
         oracle = global_berezin([patch], binding={"t": t}, tol=1e-9)
         closed = 2 * math.pi * (math.exp(t) - math.exp(-t)) / float(t)
         assert abs(localized - oracle) / abs(oracle) < 1e-6
@@ -103,8 +104,9 @@ def test_02_random_closed_forms_match_classical():
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree + 1)
         ]
         fields = {p.name: closed_polynomial(p, coeffs) for p in atlas}
+        assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
         t = Fraction(rng.randint(1, 7), rng.randint(1, 3))
-        sup = super_localize(fields, fps, binding={"t": t}, Q=Q)
+        sup = super_localize(fields, fps, binding={"t": t})
         cla = classical_localize(fields, fps, binding={"t": t})
         assert sup["coefficient"] == cla["coefficient"]
         assert sup["pi_power"] == cla["pi_power"]
@@ -187,11 +189,11 @@ def test_05_super_stokes_on_box_and_annulus():
         (annulus_domain(), "r^3*cos(phi)*th1 + (r^2 - 3*r)*th2"),
     )
     for domain, text in cases:
-        nu = parse_super(domain.chart, text)
+        nu = parse_super(domain.spec.chart, text)
         result = super_stokes_check(
             nu,
             tautological_Q(domain.spec),
-            identity(domain.chart.m),
+            identity(domain.spec.chart.m),
             domain.h,
             domain.h,
             domain.box,

@@ -148,8 +148,9 @@ def test_height_localization_all_routes():
     fields = {p.name: height_exponential(p) for p in atlas}
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
     patch = sphere_oracle_patch()
+    assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
     for tv in (0.5, 1.0, 2.0):
-        sup = super_localize(fields, fps, binding={"t": tv}, Q=Q)
+        sup = super_localize(fields, fps, binding={"t": tv})
         cla = classical_localize(fields, fps, binding={"t": tv})
         oracle = global_berezin((patch,), binding={"t": tv}, tol=1e-9)
         exact = _dh_value(tv)
@@ -181,7 +182,7 @@ def test_flat_gaussian_localization():
     F = gaussian_rotation_form()
     assert Q.apply(F).is_zero()
     fps = atlas_fixed_points((plane,))
-    sup = super_localize({"plane": F}, fps, binding={"t": Fraction(2)}, Q={"plane": Q})
+    sup = super_localize({"plane": F}, fps, binding={"t": Fraction(2)})
     assert sup["coefficient"] == Fraction(-1) and sup["pi_power"] == 1
     oracle = global_berezin((gaussian_oracle_patch(),), binding={"t": 2.0}, tol=1e-8)
     assert abs(oracle - sup["value"]) < 1e-6 * abs(sup["value"])
@@ -190,10 +191,10 @@ def test_flat_gaussian_localization():
 def test_flat_box_domain_stokes():
     domain = flat_box_domain()
     Q = tautological_Q(domain.spec)
-    nu = parse_super(domain.chart, "x*th1")
+    nu = parse_super(domain.spec.chart, "x*th1")
     report = super_stokes_check(
         nu, Q, ((1, 0), (0, 1)), domain.h, domain.h, domain.box,
-        faces=domain.faces, tol=1e-8, binding={"t": 1.0},
+        faces=domain.faces, tol=1e-8,
     )
     assert report["status"] == "pass"
     assert abs(report["bulk"]) < 1e-8 and abs(report["boundary"]) < 1e-8
@@ -202,10 +203,10 @@ def test_flat_box_domain_stokes():
 def test_annulus_domain_stokes():
     domain = annulus_domain()
     Q = tautological_Q(domain.spec)
-    nu = parse_super(domain.chart, "r^3*th1 + (r^2 - 3*r)*th2")
+    nu = parse_super(domain.spec.chart, "r^3*th1 + (r^2 - 3*r)*th2")
     report = super_stokes_check(
         nu, Q, ((1, 0), (0, 1)), domain.h, domain.h, domain.box,
-        faces=domain.faces, tol=1e-7, binding={"t": 1.0},
+        faces=domain.faces, tol=1e-7,
     )
     assert report["status"] == "pass"
     assert abs(report["bulk"] + 1.5 * math.pi) < 1e-7

@@ -367,14 +367,6 @@ def test_parse_super_rejects():
         parse_super(CHART, "th1 ^ -1")
 
 
-def test_custom_odd_names():
-    chart = SuperChart(coords=("u",), n=2, odd_names=("psi", "chi"))
-    f = parse_super(chart, "u*psi + psi*chi")
-    assert f.coefficient((1,)) == sc.sym("u")
-    assert f.coefficient((1, 2)) == sc.ONE
-    assert to_super_text(f) == "u*psi + psi*chi"
-
-
 # ---------------------------------------------------------------------------
 # Complex superfunctions and complex fields.
 

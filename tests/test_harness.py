@@ -149,6 +149,11 @@ def test_schema_rejections(tmp_path):
          "values": ["1"], "reference": ["x"]},
         {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
          "values": ["1"], "stokes": [{"domain": ["a"], "form": "x*th1"}]},
+        # the boundary identity dualizes a form of degree n - 1 = 1 in the odd generators
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": [{"domain": "flat_box", "form": "th1*th2"}]},
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": [{"domain": "annulus", "form": "r*th1 + 1"}]},
     ]
     # a tolerance must be finite and > 0; json loads NaN and Infinity
     sphere = {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1"]}
@@ -166,6 +171,8 @@ def test_schema_rejections(tmp_path):
         load_scenario(_write(tmp_path, {"name": "x", "kind": "line_dilation", "values": ["1"]}))
     with pytest.raises(SchemaError, match="value of t must be nonzero"):
         load_scenario(_write(tmp_path, dict(sphere, values=["1", "0/3"])))
+    with pytest.raises(SchemaError, match="not of degree 1 in the odd generators"):
+        load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "th1*th2"}])))
 
 
 def test_sphere_compare_matches_reference():
@@ -313,6 +320,35 @@ def test_error_mapping_is_per_check(monkeypatch):
         run_compare(scenario)
 
 
+def test_closedness_is_checked_once_per_run(monkeypatch):
+    # Q-closedness does not depend on t: three values on two charts apply Q twice
+    applied = []
+    apply = SuperVectorField.apply
+
+    def counting(self, f):
+        applied.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(SuperVectorField, "apply", counting)
+    report = run_localize(load_scenario(BUNDLED % "sphere_dh"))
+    assert len(applied) == 2
+    assert _statuses(report) == ["pass"] * 6
+
+
+def test_unclosed_integrand_fails_every_value(monkeypatch):
+    # the body alone, without its area term, is not annihilated by Q
+    monkeypatch.setattr(
+        harness, "height_exponential", lambda chart: parse_super(chart.spec.chart, "exp(-t*x)")
+    )
+    scenario = load_scenario(BUNDLED % "sphere_dh")
+    report = run_localize(scenario)
+    assert _statuses(report) == ["fail", "pass"] * 3
+    reasons = [rec["detail"] for rec in report["checks"][::2]]
+    assert reasons == [{"reason": "integrand on chart 'north' is not closed"}] * 3
+    with pytest.raises(NotQClosed):
+        run_compare(scenario)
+
+
 def test_reports_are_deterministic():
     scenario = load_scenario(BUNDLED % "sphere_dh")
     first = serialize_report(run_compare(scenario), timestamp="A")
@@ -401,6 +437,15 @@ def test_cli_console_output(capsys):
     text = capsys.readouterr().out
     assert "verify_brst" in text
     assert "1 passed, 0 failed, 0 skipped" in text
+
+
+def test_cli_report_write_error_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["localize", "--scenario", "flat_rotation", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report: ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_schema_error_exit_code(tmp_path, capsys):

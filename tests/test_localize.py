@@ -103,6 +103,16 @@ def test_find_fixed_points_declared():
         find_fixed_points(flat, declared=[(0, 0)])
 
 
+def test_non_isolated_zero_is_caught_at_symbolic_t():
+    # the shear t*y d/dx vanishes on the whole line y = 0: L = ((0, -t), (0, 0))
+    # has det 0 as a polynomial in t, so no value of t needs to be bound
+    shear = ActionSpec(("t",), CHART, ((Y, sc.ZERO),))
+    with pytest.raises(NonIsolatedZero):
+        find_fixed_points(shear, declared=[(0, 0)])
+    with pytest.raises(NonIsolatedZero):
+        find_fixed_points(shear, declared=[{"x": 0, "y": 0, "t": 1}])
+
+
 def test_declared_points_are_checked_exactly():
     spec = ActionSpec(("t",), CHART, ((sc.sin(X), Y),))
     (fp,) = find_fixed_points(spec, declared=[(0, 0)])

@@ -304,7 +304,7 @@ def test_super_stokes_needs_parallel_sigma():
     shear = ((sc.ONE, X), (sc.ZERO, sc.ONE))
     with pytest.raises(AssumptionViolated):
         super_stokes_check(
-            nu, Q, shear, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7, binding={"t": 1.0}
+            nu, Q, shear, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7
         )
 
 
@@ -319,7 +319,7 @@ def test_super_stokes_unit_box():
     Q = tautological_Q(ROTATION)
     nu = parse_super(CHART, "x*y*th2")
     report = super_stokes_check(
-        nu, Q, EYE, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7, binding={"t": 1.0}
+        nu, Q, EYE, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7
     )
     assert report["status"] == "pass"
     assert abs(report["bulk"] - 0.5) < 1e-7
@@ -339,7 +339,7 @@ def test_super_stokes_random_coefficients():
             comps.append(e)
         nu = SuperFunction(CHART, {(1,): comps[0], (2,): comps[1]})
         report = super_stokes_check(
-            nu, Q, EYE, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7, binding={"t": 2.0}
+            nu, Q, EYE, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7
         )
         assert report["status"] == "pass", report
 
@@ -364,7 +364,6 @@ def test_super_stokes_annulus():
         ((0.5, 1), (0, 2 * math.pi)),
         faces=((0, 1), (0, -1)),
         tol=1e-7,
-        binding={"t": 1.0},
     )
     assert report["status"] == "pass"
     # g(1) - g(1/2) = -2 + 5/4 times the full angle
