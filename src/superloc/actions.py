@@ -369,26 +369,26 @@ def christoffel(h, coords) -> list:
     return out
 
 
-def check_sigma_parallel(sigma, h, chart: SuperChart, H, samples=None, tol=1e-8):
+def check_sigma_parallel(sigma, h, chart: SuperChart, samples=None, tol=1e-8):
     """Covariant constancy of sigma on a square chart: coordinate derivative
-    plus the Levi-Civita action of the base metric h minus that of the fiber
-    metric H, sampled where the symbolic residual does not vanish."""
+    plus the Levi-Civita action of h on the base index minus its action on
+    the fiber index, since the fiber metric is the base metric. Sampled
+    where the symbolic residual does not vanish."""
     coords = chart.coords
     m, n = chart.m, chart.n
     if n != m:
         raise DimensionMismatch("sigma check needs a square chart, got (%d, %d)" % (m, n))
     sigma = [[sc.as_expr(e) for e in row] for row in sigma]
-    gamma_h = christoffel(h, coords)
-    omega = christoffel(H, coords)
+    gamma = christoffel(h, coords)
     residuals = []
     for i in range(m):
         for k in range(m):
             for A in range(n):
                 r = sc.differentiate(sigma[i][A], coords[k])
                 for j in range(m):
-                    r = r + gamma_h[i][k][j] * sigma[j][A]
+                    r = r + gamma[i][k][j] * sigma[j][A]
                 for B in range(n):
-                    r = r - sigma[i][B] * omega[B][k][A]
+                    r = r - sigma[i][B] * gamma[B][k][A]
                 residuals.append(normalize(r))
     return residual_verdict(residuals, samples, tol)
 

@@ -39,6 +39,7 @@ from .actions import (
     check_sigma_parallel,
     kahler_Q,
     kahler_lift,
+    sigma_from_Q,
     square_residual,
     tautological_Q,
     verify_brst,
@@ -53,7 +54,7 @@ from .adhm import (
     cartan_params,
     sector_completion,
 )
-from .errors import AssumptionViolated, NotQClosed, SchemaError
+from .errors import AssumptionViolated, NotQClosed, SchemaError, float_errors
 from .geometry import (
     annulus_domain,
     atlas_fixed_points,
@@ -68,7 +69,6 @@ from .geometry import (
     sphere_polynomial_patch,
 )
 from .grassmann import SuperChart, field_is_zero, parse_super
-from .linalg import identity
 from .localize import classical_localize, super_localize
 from .oracle import global_berezin, super_stokes_check
 
@@ -475,7 +475,10 @@ def _versus_reference(value: Callable) -> Callable:
         reference = _REFERENCES.get(run.scenario.get("reference"))
         if reference is None:
             return None
-        return _agreement(value(run, item), reference(float(item["t"])), run.tol)
+        got = value(run, item)
+        with float_errors("reference"):
+            want = reference(float(item["t"]))
+        return _agreement(got, want, run.tol)
 
     return compute
 
@@ -485,8 +488,6 @@ def _super_stokes(run: _Run, entry: dict) -> dict:
     result = super_stokes_check(
         parse_super(domain.spec.chart, entry["form"]),
         tautological_Q(domain.spec),
-        identity(domain.spec.chart.m),
-        domain.h,
         domain.h,
         domain.box,
         faces=domain.faces,
@@ -526,7 +527,7 @@ def _verify_patch(run: _Run, patch) -> dict:
 
 def _sigma_parallel(run: _Run, patch) -> dict:
     spec, h = patch
-    result = check_sigma_parallel(identity(spec.chart.m), h, spec.chart, H=h)
+    result = check_sigma_parallel(sigma_from_Q(tautological_Q(spec)), h, spec.chart)
     return {
         "status": result["status"],
         "abs_error": result["max_residual"],

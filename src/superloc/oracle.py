@@ -12,9 +12,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Tuple
 
-from . import linalg
 from . import scalars as sc
-from .actions import check_sigma_parallel
+from .actions import check_sigma_parallel, sigma_from_Q
 from .errors import AssumptionViolated, NoConvergence, WrongGrade, float_errors
 from .grassmann import SuperFunction, SuperVectorField
 from .scalars import ScalarExpr
@@ -133,24 +132,10 @@ def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e
     total = 0.0
     share = tol / max(1, len(patches))
     for patch in patches:
-        f = sc.compile_numeric(patch.integrand, patch.coords, binding)
+        with float_errors("integrand"):
+            f = sc.compile_numeric(patch.integrand, patch.coords, binding)
         total += quadrature(f, patch.box, tol=share)
     return total
-
-
-def berezin_density(F: SuperFunction, h, H) -> Callable[[tuple], float]:
-    """Numeric density of a point in chart-coordinate order: top
-    theta-coefficient times det(h)^1/2 / det(H)^1/2."""
-    dets = [linalg.det([list(r) for r in M]) for M in (h, H)]
-    top, det_h, det_H = (
-        sc.compile_numeric(sc.as_expr(e), F.chart.coords)
-        for e in [F.top_component(), *dets]
-    )
-
-    def density(point) -> float:
-        return top(point) * math.sqrt(det_h(point)) / math.sqrt(det_H(point))
-
-    return density
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +143,15 @@ def berezin_density(F: SuperFunction, h, H) -> Callable[[tuple], float]:
 # ---------------------------------------------------------------------------
 
 
-def hodge_dual_H(nu: SuperFunction, H) -> Callable[[tuple], list]:
+def hodge_dual(nu: SuperFunction) -> Callable[[tuple], list]:
     """Dual of a grade n-1 superfunction along the odd directions.
 
     Returns an evaluator, of a point in chart-coordinate order, for the n
-    components indexed by the missing generator, with the 1/det(H)^{1/2}
-    density included.
+    components indexed by the missing generator.
     """
     n, coords = nu.chart.n, nu.chart.coords
     if any(len(idx) != n - 1 for idx in nu.terms):
         raise WrongGrade("dual needs a homogeneous superfunction of grade n-1")
-    det_H = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in H])), coords)
     fact = math.factorial(n - 1)
     comps = []
     for A in range(1, n + 1):
@@ -181,12 +164,11 @@ def hodge_dual_H(nu: SuperFunction, H) -> Callable[[tuple], list]:
         comps.append((sign, sc.compile_numeric(coeff, coords)))
 
     def evaluate(point) -> list:
-        scale = 1.0 / (fact * math.sqrt(det_H(point)))
         out = [0.0] * n
         for k, entry in enumerate(comps):
             if entry is not None:
                 sign, fn = entry
-                out[k] = sign * fn(point) * scale
+                out[k] = sign * fn(point) / fact
         return out
 
     return evaluate
@@ -198,21 +180,18 @@ def _eps_sign(perm: tuple) -> int:
 
 def boundary_flux(
     w: Callable[[tuple], Sequence[float]],
-    h,
-    coords: Tuple[str, ...],
     box,
     faces: Optional[Sequence[Tuple[int, int]]] = None,
     tol: float = 1e-8,
 ) -> float:
     """Outward flux of a vector field through selected box faces.
 
-    `w` takes a point in `coords` order. The integrand on the face normal
-    to axis k is det(h)^{1/2} w^k; faces default to all of them, and are
-    dropped for periodic axes by passing an explicit list of (axis, side)
-    pairs with side = +1 or -1.
+    `w` takes a point of the box. The integrand on the face normal to axis
+    k is w^k; faces default to all of them, and are dropped for periodic
+    axes by passing an explicit list of (axis, side) pairs with side = +1
+    or -1.
     """
-    m = len(coords)
-    det_h = sc.compile_numeric(sc.as_expr(linalg.det([list(r) for r in h])), coords)
+    m = len(box)
     if faces is None:
         faces = [(k, s) for k in range(m) for s in (1, -1)]
     total = 0.0
@@ -223,7 +202,7 @@ def boundary_flux(
 
         def f(face_point, axis=axis, value=value):
             point = face_point[:axis] + (value,) + face_point[axis:]
-            return math.sqrt(det_h(point)) * w(point)[axis]
+            return w(point)[axis]
 
         if rest:
             part = quadrature(f, rest, tol=share)
@@ -237,45 +216,44 @@ def boundary_flux(
 def super_stokes_check(
     nu: SuperFunction,
     Q: SuperVectorField,
-    sigma,
     h,
-    H,
     box,
     faces=None,
     tol: float = 1e-7,
 ) -> dict:
-    """Bulk integral of Q(nu) against the Berezinian versus the boundary
-    flux of the doubly dualized section; reports both values.
+    """Bulk integral of the top component of Q(nu) versus the boundary flux
+    of sigma applied to the dual of nu; reports both values.
 
-    The identity needs sigma covariantly constant, so that is checked
-    first on points inside the box.
+    The symbol sigma is read off Q, and the fiber metric is the base metric
+    h, so the Berezinian density det(h)^1/2 / det(h)^1/2 is 1. The identity
+    needs sigma covariantly constant for h, so that is checked first on
+    points inside the box.
     """
+    coords = nu.chart.coords
+    sigma = sigma_from_Q(Q)
     samples = []
     for k, frac in enumerate((0.5, 0.375, 0.6875)):
         point = {}
         for axis, (lo, hi) in enumerate(box):
             mix = frac if axis % 2 == k % 2 else 1 - frac
-            point[nu.chart.coords[axis]] = lo + mix * (hi - lo)
+            point[coords[axis]] = lo + mix * (hi - lo)
         samples.append(point)
-    assumption = check_sigma_parallel(
-        sigma, h, nu.chart, H=H, samples=samples, tol=max(tol, 1e-8)
-    )
+    assumption = check_sigma_parallel(sigma, h, nu.chart, samples=samples, tol=max(tol, 1e-8))
     if assumption["status"] != "pass":
         raise AssumptionViolated(
             "sigma is not parallel on this domain, residual %s"
             % (assumption["max_residual"],)
         )
-    lhs = quadrature(berezin_density(Q.apply(nu), h, H), box, tol=tol / 4)
-    dual = hodge_dual_H(nu, H)
-    sigma_fns = [
-        [sc.compile_numeric(sc.as_expr(e), nu.chart.coords) for e in row] for row in sigma
-    ]
+    top = sc.compile_numeric(sc.as_expr(Q.apply(nu).top_component()), coords)
+    lhs = quadrature(top, box, tol=tol / 4)
+    dual = hodge_dual(nu)
+    sigma_fns = [[sc.compile_numeric(sc.as_expr(e), coords) for e in row] for row in sigma]
 
     def w(point) -> list:
         d = dual(point)
         return [sum(fn(point) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
 
-    rhs = boundary_flux(w, h, nu.chart.coords, box, faces=faces, tol=tol / 4)
+    rhs = boundary_flux(w, box, faces=faces, tol=tol / 4)
     return {
         "bulk": lhs,
         "boundary": rhs,

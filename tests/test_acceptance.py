@@ -56,7 +56,7 @@ from superloc.grassmann import (
     scale_field,
 )
 from superloc.harness import load_scenario, run_brst_check, run_compare, serialize_report
-from superloc.linalg import det, identity, mat_mul, pfaffian
+from superloc.linalg import det, mat_mul, pfaffian
 from superloc.localize import (
     classical_localize,
     classical_prefactor,
@@ -193,8 +193,6 @@ def test_05_super_stokes_on_box_and_annulus():
         result = super_stokes_check(
             nu,
             tautological_Q(domain.spec),
-            identity(domain.spec.chart.m),
-            domain.h,
             domain.h,
             domain.box,
             faces=domain.faces,

@@ -193,7 +193,7 @@ def test_flat_box_domain_stokes():
     Q = tautological_Q(domain.spec)
     nu = parse_super(domain.spec.chart, "x*th1")
     report = super_stokes_check(
-        nu, Q, ((1, 0), (0, 1)), domain.h, domain.h, domain.box,
+        nu, Q, domain.h, domain.box,
         faces=domain.faces, tol=1e-8,
     )
     assert report["status"] == "pass"
@@ -205,7 +205,7 @@ def test_annulus_domain_stokes():
     Q = tautological_Q(domain.spec)
     nu = parse_super(domain.spec.chart, "r^3*th1 + (r^2 - 3*r)*th2")
     report = super_stokes_check(
-        nu, Q, ((1, 0), (0, 1)), domain.h, domain.h, domain.box,
+        nu, Q, domain.h, domain.box,
         faces=domain.faces, tol=1e-7,
     )
     assert report["status"] == "pass"

@@ -516,3 +516,28 @@ def test_cli_float_overflow_in_the_sum_exit_code(tmp_path, capsys, form, value):
         assert err.startswith("computation error: fixed-point sum raised OverflowError")
     assert main(["oracle", "--scenario", str(path), "--quiet"]) == 3
     assert "computation error: integrand raised OverflowError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, form, command, checks, message",
+    [
+        ("plane_rotation", "gaussian_rotation", "oracle", None, "integrand"),
+        ("sphere", "height_exponential", "oracle", None, "integrand"),
+        ("plane_rotation", "gaussian_rotation", "compare", None, "integrand"),
+        ("plane_rotation", "gaussian_rotation", "compare", ["super_vs_reference"], "reference"),
+    ],
+    ids=["plane-oracle", "sphere-oracle", "plane-compare", "plane-super-vs-reference"],
+)
+def test_cli_t_outside_float_range_exit_code(tmp_path, capsys, kind, form, command, checks, message):
+    # t = 1e400 is a finite rational that no float holds
+    scenario = {
+        "name": "huge_t", "kind": kind, "form": {"type": form}, "values": ["1e400"],
+        "reference": "gaussian_closed_form" if kind == "plane_rotation" else "height_closed_form",
+    }
+    if checks is not None:
+        scenario["checks"] = checks
+    path = _write(tmp_path, scenario)
+    assert main([command, "--scenario", str(path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: %s raised OverflowError" % (message,))
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Adaptive quadrature, Berezinian densities, and the boundary identity."""
+"""Adaptive quadrature, patch integrals, and the boundary identity."""
 
 from __future__ import annotations
 
@@ -18,17 +18,17 @@ from superloc.errors import (
     AssumptionViolated,
     ComputationError,
     NoConvergence,
+    NotInjective,
     UnboundSymbol,
     WrongGrade,
 )
 from superloc.geometry import gaussian_oracle_patch, sphere_oracle_patch
-from superloc.grassmann import SuperChart, SuperFunction, parse_super
+from superloc.grassmann import SuperChart, SuperFunction, SuperVectorField, parse_super
 from superloc.oracle import (
     OraclePatch,
-    berezin_density,
     boundary_flux,
     global_berezin,
-    hodge_dual_H,
+    hodge_dual,
     quadrature,
     super_stokes_check,
 )
@@ -241,7 +241,7 @@ def test_integrand_float_errors_raise_computation_error():
         return (1.0 / point[0],)
 
     with pytest.raises(ComputationError, match="ZeroDivisionError: float division by zero"):
-        boundary_flux(w, ((sc.ONE,),), ("x",), ((0.0, 1.0),))
+        boundary_flux(w, ((0.0, 1.0),))
 
 
 def test_patch_sum_sphere_area():
@@ -268,26 +268,18 @@ def test_height_exponential_patch():
         assert abs(value - exact) < 1e-8 * abs(exact)
 
 
-def test_berezin_density_scales():
-    F = parse_super(CHART, "x*y*th1*th2 + x")
-    h = ((4, 0), (0, 9))
-    density = berezin_density(F, h, EYE)
-    assert abs(density((1.0, 2.0)) - 12.0) < 1e-12
-
-
 def test_hodge_dual_two_generators():
     nu = parse_super(CHART, "x*th1 + y*th2")
-    H = ((4, 0), (0, 4))
-    dual = hodge_dual_H(nu, H)
+    dual = hodge_dual(nu)
     out = dual((2.0, 8.0))
-    assert abs(out[0] - 2.0) < 1e-12
-    assert abs(out[1] + 0.5) < 1e-12
+    assert abs(out[0] - 8.0) < 1e-12
+    assert abs(out[1] + 2.0) < 1e-12
 
 
 def test_hodge_dual_three_generators():
     chart = SuperChart(("x", "y", "z"), 3)
     nu = parse_super(chart, "th1*th2")
-    dual = hodge_dual_H(nu, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    dual = hodge_dual(nu)
     out = dual((0.0, 0.0, 0.0))
     assert abs(out[0]) < 1e-12 and abs(out[1]) < 1e-12
     assert abs(out[2] - 0.5) < 1e-12
@@ -295,32 +287,44 @@ def test_hodge_dual_three_generators():
 
 def test_hodge_dual_grade_guard():
     with pytest.raises(WrongGrade):
-        hodge_dual_H(parse_super(CHART, "x*th1 + th1*th2"), EYE)
+        hodge_dual(parse_super(CHART, "x*th1 + th1*th2"))
 
 
-def test_super_stokes_needs_parallel_sigma():
-    Q = tautological_Q(ROTATION)
+def _odd_field(*a) -> SuperVectorField:
+    zero = SuperFunction.zero(CHART)
+    return SuperVectorField(CHART, 1, a, (zero, zero))
+
+
+def test_super_stokes_reads_a_shear_off_Q():
+    # a = (th1 + x th2, th2): sigma is a shear, not parallel for flat h
+    th1, th2 = SuperFunction.generator(CHART, 1), SuperFunction.generator(CHART, 2)
     nu = parse_super(CHART, "x*y*th2")
-    shear = ((sc.ONE, X), (sc.ZERO, sc.ONE))
     with pytest.raises(AssumptionViolated):
-        super_stokes_check(
-            nu, Q, shear, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7
-        )
+        super_stokes_check(nu, _odd_field(th1 + X * th2, th2), EYE, ((0, 1), (0, 1)), tol=1e-7)
+
+
+def test_super_stokes_rejects_a_non_injective_sigma_before_quadrature(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("quadrature ran with a non-injective sigma")
+
+    monkeypatch.setattr(oracle, "quadrature", never)
+    th1 = SuperFunction.generator(CHART, 1)
+    nu = parse_super(CHART, "x*y*th2")
+    with pytest.raises(NotInjective):
+        super_stokes_check(nu, _odd_field(th1, 2 * th1), EYE, ((0, 1), (0, 1)), tol=1e-7)
 
 
 def test_boundary_flux_divergence():
     # flux of (x, y) out of the unit square equals the divergence integral
     w = lambda p: (p[0], p[1])
-    value = boundary_flux(w, EYE, ("x", "y"), ((0, 1), (0, 1)), tol=1e-10)
+    value = boundary_flux(w, ((0, 1), (0, 1)), tol=1e-10)
     assert abs(value - 2.0) < 1e-9
 
 
 def test_super_stokes_unit_box():
     Q = tautological_Q(ROTATION)
     nu = parse_super(CHART, "x*y*th2")
-    report = super_stokes_check(
-        nu, Q, EYE, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7
-    )
+    report = super_stokes_check(nu, Q, EYE, ((0, 1), (0, 1)), tol=1e-7)
     assert report["status"] == "pass"
     assert abs(report["bulk"] - 0.5) < 1e-7
     assert abs(report["boundary"] - 0.5) < 1e-7
@@ -338,9 +342,7 @@ def test_super_stokes_random_coefficients():
                     e = e + sc.rational(rng.randint(-4, 4)) * X ** a * Y ** b
             comps.append(e)
         nu = SuperFunction(CHART, {(1,): comps[0], (2,): comps[1]})
-        report = super_stokes_check(
-            nu, Q, EYE, EYE, EYE, ((0, 1), (0, 1)), tol=1e-7
-        )
+        report = super_stokes_check(nu, Q, EYE, ((0, 1), (0, 1)), tol=1e-7)
         assert report["status"] == "pass", report
 
 
@@ -358,8 +360,6 @@ def test_super_stokes_annulus():
     report = super_stokes_check(
         nu,
         Q,
-        EYE,
-        h,
         h,
         ((0.5, 1), (0, 2 * math.pi)),
         faces=((0, 1), (0, -1)),
