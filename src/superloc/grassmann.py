@@ -71,6 +71,15 @@ class SuperFunction:
         self.chart = chart
         self.terms = {k: v for k, v in clean.items() if v != sc.ZERO}
 
+    @classmethod
+    def _result(cls, chart: SuperChart, terms: dict) -> "SuperFunction":
+        """An arithmetic result, whose keys are valid by construction: only
+        the coefficients are normalized and the zero ones dropped."""
+        self = object.__new__(cls)
+        self.chart = chart
+        self.terms = {k: c for k, v in terms.items() if (c := normalize(v)) != sc.ZERO}
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -105,7 +114,7 @@ class SuperFunction:
         merged = dict(self.terms)
         for idx, c in other.terms.items():
             merged[idx] = merged[idx] + c if idx in merged else c
-        return SuperFunction(self.chart, merged)
+        return SuperFunction._result(self.chart, merged)
 
     __radd__ = __add__
 
@@ -122,7 +131,7 @@ class SuperFunction:
         return other + (-self)
 
     def __neg__(self):
-        return SuperFunction(self.chart, {k: -v for k, v in self.terms.items()})
+        return SuperFunction._result(self.chart, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(self.chart, other)
@@ -137,7 +146,7 @@ class SuperFunction:
                     continue
                 term = cl * cr if sign > 0 else -(cl * cr)
                 out[merged] = out[merged] + term if merged in out else term
-        return SuperFunction(self.chart, out)
+        return SuperFunction._result(self.chart, out)
 
     def __rmul__(self, other):
         other = _coerce(self.chart, other)
@@ -324,7 +333,7 @@ def odd_partial(f, index: int):
         rest = idx[:pos] + idx[pos + 1:]
         term = c if pos % 2 == 0 else -c
         out[rest] = out[rest] + term if rest in out else term
-    return SuperFunction(f.chart, out)
+    return SuperFunction._result(f.chart, out)
 
 
 def even_partial(f, index: int):
@@ -335,7 +344,7 @@ def even_partial(f, index: int):
     if not (1 <= index <= f.chart.m):
         raise IndexOutOfRange("no coordinate %d on this chart" % (index,))
     name = f.chart.coords[index - 1]
-    return SuperFunction(
+    return SuperFunction._result(
         f.chart, {idx: sc.differentiate(c, name) for idx, c in f.terms.items()}
     )
 

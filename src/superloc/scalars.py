@@ -227,7 +227,8 @@ def cos(arg: ScalarExpr) -> Func:
 # ---------------------------------------------------------------------------
 # Normal form.
 #
-# A polynomial is a dict mapping a monomial to a Fraction coefficient.
+# A polynomial is a dict mapping a monomial to a nonzero coefficient: an
+# int when integral, else a Fraction, never a float.
 # A monomial is a sorted tuple of (atom, integer exponent) pairs with
 # nonzero exponents; atoms are canonical Sym, Func or composite-base
 # expression nodes (the latter only with negative exponents, standing for
@@ -261,37 +262,32 @@ def _remember(e: ScalarExpr, p: Poly) -> None:
     _POLY[e] = p
 
 
-def _atom_rank(atom: ScalarExpr) -> int:
-    if isinstance(atom, Sym):
-        return 0
-    if isinstance(atom, Func):
-        return 1
-    return 2
+@functools.lru_cache(maxsize=_ATOM_KEY_CACHE)
+def _atom_key(atom: ScalarExpr):
+    """Symbols, then calls, then composite atoms; each kind by its text."""
+    return (0 if isinstance(atom, Sym) else 1 if isinstance(atom, Func) else 2, to_text(atom))
 
 
 @functools.lru_cache(maxsize=_ATOM_KEY_CACHE)
-def _atom_key(atom: ScalarExpr):
-    return (_atom_rank(atom), to_text(atom))
+def _atom_key_desc(atom: ScalarExpr):
+    """_atom_key in reverse: code points negated, then 0, so a text sorts after
+    its extensions."""
+    rank, text = _atom_key(atom)
+    return (-rank, tuple(-ord(ch) for ch in text) + (0,))
 
 
-def _mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded-lex order on monomials; atoms compared by _atom_key."""
-    d1 = sum(e for _, e in m1)
-    d2 = sum(e for _, e in m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1 = {a: e for a, e in m1}
-    e2 = {a: e for a, e in m2}
-    atoms = sorted(set(e1) | set(e2), key=_atom_key)
-    for atom in atoms:
-        x1 = e1.get(atom, 0)
-        x2 = e2.get(atom, 0)
-        if x1 != x2:
-            return 1 if x1 > x2 else -1
-    return 0
+def _mono_key(m: Monomial):
+    """Graded-lex order: total degree, then the exponents atom by atom in
+    _atom_key order, 0 for an absent atom. Relies on m being stored sorted
+    by _atom_key: an atom's entry sorts above the entries of later atoms
+    and the end marker when its exponent is positive, below them if not."""
+    body = [(1, _atom_key_desc(a), e) if e > 0 else (-1, _atom_key(a), e) for a, e in m]
+    return (sum(e for _, e in m), *body, (0,))
 
 
-_mono_key = functools.cmp_to_key(_mono_cmp)
+def _coef(c):
+    """A coefficient as stored: an int when integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -308,18 +304,19 @@ def _mono_inv(m: Monomial) -> Monomial:
 def _poly_add(p1: Poly, p2: Poly) -> Poly:
     out = dict(p1)
     for m, c in p2.items():
-        nc = out.get(m, Fraction(0)) + c
+        prev = out.get(m)
+        nc = c if prev is None else _coef(prev + c)
         if nc:
             out[m] = nc
         else:
-            out.pop(m, None)
+            del out[m]
     return out
 
 
-def _poly_scale(p: Poly, c: Fraction) -> Poly:
+def _poly_scale(p: Poly, c) -> Poly:
     if not c:
         return {}
-    return {m: c * v for m, v in p.items()}
+    return {m: _coef(c * v) for m, v in p.items()}
 
 
 def _poly_mul(p1: Poly, p2: Poly) -> Poly:
@@ -327,16 +324,17 @@ def _poly_mul(p1: Poly, p2: Poly) -> Poly:
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             m = _mono_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2
+            prev = out.get(m)
+            nc = _coef(c1 * c2 if prev is None else prev + c1 * c2)
             if nc:
                 out[m] = nc
             else:
-                out.pop(m, None)
+                del out[m]
     return out
 
 
 def _poly_pow(p: Poly, k: int) -> Poly:
-    out: Poly = {(): Fraction(1)}
+    out: Poly = {(): 1}
     base = p
     n = k
     while n > 0:
@@ -357,7 +355,7 @@ def _is_composite_atom(atom: ScalarExpr) -> bool:
     return not isinstance(atom, (Sym, Func))
 
 
-def _mono_poly(m: Monomial, c: Fraction) -> Poly:
+def _mono_poly(m: Monomial, c) -> Poly:
     """c*m as a polynomial in which composite atoms occur only at negative
     powers: a composite atom at a positive power is expanded."""
     out = {tuple(pair for pair in m if pair[1] < 0 or not _is_composite_atom(pair[0])): c}
@@ -381,7 +379,7 @@ def _poly_inv(p: Poly) -> Poly:
     while True:
         if len(p) == 1:
             (m, c), = p.items()
-            return _mono_poly(_mono_mul(inv_content, _mono_inv(m)), Fraction(1) / c)
+            return _mono_poly(_mono_mul(inv_content, _mono_inv(m)), _coef(Fraction(1) / c))
         exps: dict = {}
         for m in p:
             for a, e in m:
@@ -399,10 +397,11 @@ def _poly_inv(p: Poly) -> Poly:
             stripped = _poly_add(stripped, _mono_poly(_mono_mul(m, step), c))
         p, inv_content = stripped, _mono_mul(inv_content, step)
     _, lc = _leading(p)
-    monic = _poly_scale(p, Fraction(1) / lc)
+    inv_lc = _coef(Fraction(1) / lc)
+    monic = _poly_scale(p, inv_lc)
     base_expr = _poly_to_expr(monic)
     _remember(base_expr, monic)
-    return _poly_mul(_mono_poly(inv_content, Fraction(1) / lc), {((base_expr, -1),): Fraction(1)})
+    return _poly_mul(_mono_poly(inv_content, inv_lc), {((base_expr, -1),): 1})
 
 
 def _mono_divisible(m: Monomial, by: Monomial) -> bool:
@@ -429,9 +428,10 @@ def _poly_divmod(c: Poly, g: Poly):
             if steps > _DIVMOD_STEPS:
                 raise ComputationError("division exceeded %d steps" % (_DIVMOD_STEPS,))
             f_m = _mono_mul(m, _mono_inv(lt_m))
-            f_c = coef / lt_c
+            # Fraction first: coef / lt_c on two ints would be a float
+            f_c = _coef(Fraction(coef) / lt_c)
             q = _poly_add(q, {f_m: f_c})
-            work = _poly_add(work, _poly_scale(_poly_mul({f_m: f_c}, g), Fraction(-1)))
+            work = _poly_add(work, _poly_scale(_poly_mul({f_m: f_c}, g), -1))
         else:
             r = _poly_add(r, {m: coef})
             del work[m]
@@ -468,13 +468,13 @@ def _reduce_poly(p: Poly) -> Poly:
                 if q:
                     changed = True
                 inv_j = ((g_expr, -j),)
-                for m, c in _poly_mul(r, {inv_j: Fraction(1)}).items():
+                for m, c in _poly_mul(r, {inv_j: 1}).items():
                     new_p = _poly_add(new_p, {m: c})
                 if q:
                     if j == 1:
                         add = q
                     else:
-                        add = _poly_mul(q, {((g_expr, -(j - 1)),): Fraction(1)})
+                        add = _poly_mul(q, {((g_expr, -(j - 1)),): 1})
                     for m, c in add.items():
                         new_p = _poly_add(new_p, {m: c})
             p = new_p
@@ -488,22 +488,22 @@ def _expr_to_poly(e: ScalarExpr) -> Poly:
     if p is not None:
         return p
     if isinstance(e, Rat):
-        return {(): e.value} if e.value else {}
+        return {(): _coef(e.value)} if e.value else {}
     if isinstance(e, Sym):
-        return {((e, 1),): Fraction(1)}
+        return {((e, 1),): 1}
     if isinstance(e, Add):
         out: Poly = {}
         for a in e.args:
             out = _poly_add(out, _expr_to_poly(a))
         return out
     if isinstance(e, Mul):
-        out = {(): Fraction(1)}
+        out = {(): 1}
         for a in e.args:
             out = _poly_mul(out, _expr_to_poly(a))
         return out
     if isinstance(e, Pow):
         if e.exponent == 0:
-            return {(): Fraction(1)}
+            return {(): 1}
         base = _expr_to_poly(e.base)
         if e.exponent > 0:
             return _poly_pow(base, e.exponent)
@@ -514,8 +514,8 @@ def _expr_to_poly(e: ScalarExpr) -> Poly:
         if arg == ZERO:
             if e.kind == "sin":
                 return {}
-            return {(): Fraction(1)}  # exp(0), cos(0)
-        return {((Func(e.kind, arg), 1),): Fraction(1)}
+            return {(): 1}  # exp(0), cos(0)
+        return {((Func(e.kind, arg), 1),): 1}
     raise TypeError("not a ScalarExpr: %r" % (e,))
 
 
@@ -593,23 +593,24 @@ def _poly_diff(p: Poly, name: str) -> Poly:
             rest = _mono_mul(m, ((atom, -1),))
             for m2, c2 in da.items():
                 key = _mono_mul(rest, m2)
-                nc = out.get(key, Fraction(0)) + c * k * c2
+                prev = out.get(key)
+                nc = _coef(c * k * c2 if prev is None else prev + c * k * c2)
                 if nc:
                     out[key] = nc
                 else:
-                    out.pop(key, None)
+                    del out[key]
     return out
 
 
 def _atom_diff(atom: ScalarExpr, name: str) -> Poly:
     if isinstance(atom, Sym):
-        return {(): Fraction(1)} if atom.name == name else {}
+        return {(): 1} if atom.name == name else {}
     if not isinstance(atom, Func):
         # a composite inverse atom stands for its base g; this is g'
         return _poly_diff(_expr_to_poly(atom), name)
     inner = _poly_diff(_expr_to_poly(atom.arg), name)
     kind, sign = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}[atom.kind]
-    return _poly_mul({((Func(kind, atom.arg), 1),): Fraction(sign)}, inner) if inner else {}
+    return _poly_mul({((Func(kind, atom.arg), 1),): sign}, inner) if inner else {}
 
 
 def free_symbols(e: ScalarExpr) -> frozenset:

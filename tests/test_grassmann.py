@@ -196,6 +196,41 @@ def test_even_partial():
         even_partial(f, 3)
 
 
+def _public(result):
+    """result's terms passed through the public, index-checking constructor."""
+    return SuperFunction(result.chart, dict(result.terms))
+
+
+def test_arithmetic_results_equal_the_public_constructor():
+    # results of arithmetic skip the index checks; they must still hold the
+    # normalized nonzero coefficients, in the order the public constructor
+    # would store them
+    rng = random.Random(29)
+    for _ in range(40):
+        f, g = _random_sf(rng, CHART4), _random_sf(rng, CHART4)
+        raw_sum = dict(f.terms)
+        for idx, c in g.terms.items():
+            raw_sum[idx] = raw_sum[idx] + c if idx in raw_sum else c
+        raw_odd = {}
+        for idx, c in f.terms.items():
+            if 2 in idx:
+                pos = idx.index(2)
+                raw_odd[idx[:pos] + idx[pos + 1:]] = c if pos % 2 == 0 else -c
+        raw_even = {idx: sc.differentiate(c, "x") for idx, c in f.terms.items()}
+        cases = [
+            (f + g, SuperFunction(CHART4, raw_sum)),
+            (f - f, SuperFunction.zero(CHART4)),
+            (-f, SuperFunction(CHART4, {idx: -c for idx, c in f.terms.items()})),
+            (f * g, _oracle_mul(f, g)),
+            (odd_partial(f, 2), SuperFunction(CHART4, raw_odd)),
+            (even_partial(f, 1), SuperFunction(CHART4, raw_even)),
+        ]
+        for result, expected in cases:
+            assert list(result.terms.items()) == list(_public(result).terms.items())
+            assert result == expected
+            assert all(c != sc.ZERO and c == sc.normalize(c) for c in result.terms.values())
+
+
 def test_grade_projections():
     x = sc.sym("x")
     th1 = SuperFunction.generator(CHART4, 1)

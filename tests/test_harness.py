@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from superloc import harness
+from superloc import actions, harness
 from superloc.actions import action_lift, tautological_Q, verify_brst
 from superloc.cli import main
 from superloc.errors import NotQClosed, SchemaError
@@ -411,6 +411,24 @@ def test_adhm_symbolic_scenario_full_suite():
         "fixed_points",
     ):
         assert by_name[name] == "pass"
+
+
+def test_adhm_brst_check_squares_each_operator_once(monkeypatch):
+    # closure_unconstrained reads the square condition of the one
+    # verify_brst report on the matter chart; closure_full squares the
+    # full-chart operator
+    calls = []
+    original = actions.square_residual
+
+    def counted(Q, lift):
+        calls.append(Q.chart)
+        return original(Q, lift)
+
+    monkeypatch.setattr(actions, "square_residual", counted)
+    monkeypatch.setattr(harness, "square_residual", counted)
+    report = run_brst_check(load_scenario(BUNDLED % "adhm_k1_n2"))
+    assert _statuses(report)[:3] == ["pass", "pass", "pass"]
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_adhm_numeric_scenario_subset():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -312,8 +313,103 @@ def test_kernel_caches_are_bounded(monkeypatch):
         compile_numeric(normalize(X**k + Y), ("x", "y"))
     assert len(sc._POLY) == 3 and len(sc._COMPILED) == 2
     assert compile_numeric(X**5 + Y, ("x", "y"))((2.0, 1.0)) == 33.0
-    for cached in (normalize, sc._atom_key, sc._differentiate):
+    for cached in (normalize, sc._atom_key, sc._atom_key_desc, sc._differentiate):
         assert cached.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# polynomial coefficients and the monomial order
+
+
+def _reference_mono_cmp(m1, m2) -> int:
+    """Graded-lex order on monomials as a comparator, atoms compared by
+    _atom_key: the definition that the kernel's sort key must reproduce."""
+    d1 = sum(e for _, e in m1)
+    d2 = sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1 = {a: e for a, e in m1}
+    e2 = {a: e for a, e in m2}
+    for atom in sorted(set(e1) | set(e2), key=sc._atom_key):
+        x1 = e1.get(atom, 0)
+        x2 = e2.get(atom, 0)
+        if x1 != x2:
+            return 1 if x1 > x2 else -1
+    return 0
+
+
+def _atom_pool() -> list:
+    # symbol and call texts where one is a prefix of another, and composite
+    # atoms, which the kernel only holds at negative exponents
+    syms = [sym(name) for name in ("a", "ab", "x", "x1", "xx", "y")]
+    funcs = [sc.exp(X), sc.exp(X + 1), sc.sin(Y), sc.cos(X * Y)]
+    composites = [normalize(X + 1), normalize(X**2 + Y), normalize(X + 1 + Y)]
+    return [(a, False) for a in syms + funcs] + [(a, True) for a in composites]
+
+
+def _random_monomial(rng: random.Random, pool: list):
+    pairs = []
+    for atom, composite in rng.sample(pool, rng.randrange(0, 5)):
+        e = rng.choice([-3, -2, -1, 1, 2, 3])
+        pairs.append((atom, -abs(e) if composite else e))
+    rng.shuffle(pairs)
+    # _mono_mul stores the product sorted by _atom_key, as every monomial is
+    return sc._mono_mul(tuple(pairs), ())
+
+
+def test_monomial_key_orders_as_the_reference_comparator():
+    rng = random.Random(20)
+    pool = _atom_pool()
+    monos = [_random_monomial(rng, pool) for _ in range(400)]
+    for _ in range(5000):
+        m1, m2 = rng.choice(monos), rng.choice(monos)
+        k1, k2 = sc._mono_key(m1), sc._mono_key(m2)
+        assert _reference_mono_cmp(m1, m2) == (k1 > k2) - (k1 < k2), (m1, m2)
+    by_key = sorted(set(monos), key=sc._mono_key)
+    assert by_key == sorted(set(monos), key=functools.cmp_to_key(_reference_mono_cmp))
+
+
+def test_stored_monomials_are_sorted_by_atom_key():
+    # the monomial key reads a monomial's atoms in stored order
+    rng = random.Random(21)
+    sc._POLY.clear()
+    for _ in range(150):
+        normalize(_random_expr(rng))
+    monos = [m for poly in sc._POLY.values() for m in poly]
+    assert any(len(m) > 1 for m in monos)
+    for m in monos:
+        keys = [sc._atom_key(a) for a, _ in m]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), m
+
+
+def _assert_canonical_coefficients():
+    coeffs = [c for poly in sc._POLY.values() for c in poly.values()]
+    assert coeffs
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_memo_coefficients_are_ints_or_proper_fractions():
+    rng = random.Random(22)
+    sc._POLY.clear()
+    for _ in range(150):
+        e = _random_expr(rng)
+        normalize(e)
+        differentiate(e, "x")
+    _assert_canonical_coefficients()
+    assert main(["brst-check", "--scenario", "adhm_k2_n2_brst", "--quiet"]) == 0
+    _assert_canonical_coefficients()
+
+
+def test_division_of_integral_coefficients_stays_exact():
+    # x divided by 3x + 1: quotient 1/3 and remainder -1/3 from int inputs
+    x = ((X, 1),)
+    q, r = sc._poly_divmod({x: 1}, {x: 3, (): 1})
+    assert q == {(): Fraction(1, 3)} and r == {(): Fraction(-1, 3)}
+    assert all(type(c) is Fraction for c in (*q.values(), *r.values()))
+    # an integral quotient is stored as an int
+    q, r = sc._poly_divmod({x: 6, (): 2}, {x: 3, (): 1})
+    assert q == {(): 2} and type(q[()]) is int and r == {}
 
 
 def test_node_pickled_under_another_hash_seed_finds_its_equal():
