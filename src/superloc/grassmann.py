@@ -9,6 +9,7 @@ of real ones on the same chart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -17,6 +18,9 @@ from .errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from .scalars import Binding, ScalarExpr, normalize
 
 Index = Tuple[int, ...]
+
+# Bound of the Koszul sign memo, in pairs of multi-indices.
+_MERGE_SIGN_CACHE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,7 @@ class SuperChart:
         return tuple("th%d" % (k,) for k in range(1, self.n + 1))
 
 
+@functools.lru_cache(maxsize=_MERGE_SIGN_CACHE)
 def _merge_sign(left: Index, right: Index):
     """Concatenate two increasing multi-indices with the Koszul sign.
 
@@ -65,11 +70,11 @@ class SuperFunction:
             if list(idx) != sorted(set(idx)):
                 raise IndexOutOfRange("multi-index must be strictly increasing: %r" % (idx,))
             c = normalize(coeff if isinstance(coeff, ScalarExpr) else sc.as_expr(coeff))
-            if c != sc.ZERO:
+            if c is not sc.ZERO:
                 prev = clean.get(idx)
                 clean[idx] = c if prev is None else normalize(prev + c)
         self.chart = chart
-        self.terms = {k: v for k, v in clean.items() if v != sc.ZERO}
+        self.terms = {k: v for k, v in clean.items() if v is not sc.ZERO}
 
     @classmethod
     def _result(cls, chart: SuperChart, terms: dict) -> "SuperFunction":
@@ -77,7 +82,7 @@ class SuperFunction:
         the coefficients are normalized and the zero ones dropped."""
         self = object.__new__(cls)
         self.chart = chart
-        self.terms = {k: c for k, v in terms.items() if (c := normalize(v)) != sc.ZERO}
+        self.terms = {k: c for k, v in terms.items() if (c := normalize(v)) is not sc.ZERO}
         return self
 
     # -- constructors ------------------------------------------------------
@@ -103,7 +108,7 @@ class SuperFunction:
     # -- ring structure ----------------------------------------------------
 
     def _check_chart(self, other: "SuperFunction") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise DimensionMismatch("superfunctions live on different charts")
 
     def __add__(self, other):
@@ -196,10 +201,7 @@ class SuperFunction:
         return not self.terms
 
     def free_symbols(self) -> frozenset:
-        out: frozenset = frozenset()
-        for c in self.terms.values():
-            out = out | sc.free_symbols(c)
-        return out
+        return frozenset().union(*map(sc.free_symbols, self.terms.values()))
 
 
 def _coerce(chart: SuperChart, value):
@@ -223,7 +225,7 @@ class CSuper:
     im: SuperFunction
 
     def __post_init__(self) -> None:
-        if self.re.chart != self.im.chart:
+        if self.re.chart is not self.im.chart and self.re.chart != self.im.chart:
             raise DimensionMismatch("real and imaginary parts on different charts")
 
     @property
@@ -354,8 +356,7 @@ class SuperVectorField:
     """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity.
 
     Components are SuperFunctions, or CSuper for a complex derivation;
-    apply, graded_commutator, add_fields, scale_field and field_is_zero
-    take both.
+    apply, graded_commutator and field_is_zero take both.
     """
 
     chart: SuperChart
@@ -374,7 +375,7 @@ class SuperVectorField:
     def apply(self, f):
         """Sum of a^i d_i f + b^A d_A f over the coordinates and generators
         that occur in f; every other partial is zero."""
-        if f.chart != self.chart:
+        if f.chart is not self.chart and f.chart != self.chart:
             raise DimensionMismatch("field and function live on different charts")
         names = f.free_symbols()
         parts = (f.re, f.im) if isinstance(f, CSuper) else (f,)
@@ -426,27 +427,6 @@ def graded_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorFi
 
 def field_is_zero(X: SuperVectorField) -> bool:
     return all(c.is_zero() for c in X.a) and all(c.is_zero() for c in X.b)
-
-
-def scale_field(X: SuperVectorField, factor) -> SuperVectorField:
-    factor_sf = _coerce(X.chart, factor)
-    return SuperVectorField(
-        X.chart,
-        X.parity,
-        tuple(factor_sf * c for c in X.a),
-        tuple(factor_sf * c for c in X.b),
-    )
-
-
-def add_fields(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
-    if X.parity != Y.parity:
-        raise DimensionMismatch("cannot add fields of different parity")
-    return SuperVectorField(
-        X.chart,
-        X.parity,
-        tuple(x + y for x, y in zip(X.a, Y.a)),
-        tuple(x + y for x, y in zip(X.b, Y.b)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .actions import (
     ActionSpec,
     action_lift,
     check_sigma_parallel,
+    field_residual_text,
     kahler_Q,
     kahler_lift,
     sigma_from_Q,
@@ -68,7 +69,7 @@ from .geometry import (
     sphere_oracle_patch,
     sphere_polynomial_patch,
 )
-from .grassmann import SuperChart, field_is_zero, parse_super
+from .grassmann import SuperChart, parse_super
 from .localize import classical_localize, super_localize
 from .oracle import global_berezin, super_stokes_check
 
@@ -572,16 +573,18 @@ def _closure(full: bool) -> Callable:
     def compute(run: _Run, item: dict) -> dict:
         if full:
             Q = _adhm_operator(run, item, True)
-            ok = field_is_zero(square_residual(Q, _adhm_lift(run, item, True)))
+            residual = field_residual_text(square_residual(Q, _adhm_lift(run, item, True)))
         else:
             conditions = _unconstrained_report(run, item)["conditions"]
-            square = next(c for c in conditions if c["name"] == "square_equals_lift")
-            ok = square["status"] == "pass"
+            residual = next(c["residual"] for c in conditions if c["name"] == "square_equals_lift")
+        # a failure keeps the nonzero components, in the form of _verified
+        failed = {"name": "square_equals_lift", "status": "fail", "residual": residual}
         return {
-            "status": "pass" if ok else "fail",
+            "status": "fail" if residual else "pass",
             "lhs": "[Q,Q]/2",
             "rhs": "lifted field",
-            "abs_error": 0.0 if ok else None,
+            "abs_error": None if residual else 0.0,
+            "detail": {"conditions": [failed]} if residual else None,
         }
 
     return compute

@@ -52,13 +52,13 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Add((self, Mul((Rat(Fraction(-1)), other))))
+        return Add((self, Mul((MINUS_ONE, other))))
 
     def __rsub__(self, other: object) -> "ScalarExpr":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Add((other, Mul((Rat(Fraction(-1)), self))))
+        return Add((other, Mul((MINUS_ONE, self))))
 
     def __mul__(self, other: object) -> "ScalarExpr":
         other = _coerce(other)
@@ -88,7 +88,7 @@ class ScalarExpr:
         return Pow(self, exponent)
 
     def __neg__(self) -> "ScalarExpr":
-        return Mul((Rat(Fraction(-1)), self))
+        return Mul((MINUS_ONE, self))
 
     def __pos__(self) -> "ScalarExpr":
         return self
@@ -200,8 +200,11 @@ class Func(ScalarExpr):
         object.__setattr__(self, "_h", hash((Func, self.kind, self.arg)))
 
 
+# normalize returns this object itself for every zero result, so a zero
+# test on a normal form may be `is ZERO`.
 ZERO = Rat(Fraction(0))
 ONE = Rat(Fraction(1))
+MINUS_ONE = Rat(Fraction(-1))
 
 
 def sym(name: str) -> Sym:
@@ -249,6 +252,7 @@ _DIFFERENTIATE_CACHE = 1 << 16
 _ATOM_KEY_CACHE = 1 << 12
 _POLY_CACHE = 1 << 16
 _COMPILED_CACHE = 1 << 10
+_RAT_CACHE = 1 << 12
 
 # Normal form (or inverse-atom base) -> its polynomial. Polys are never
 # mutated once built (_poly_add and _poly_divmod copy their inputs), so
@@ -256,10 +260,23 @@ _COMPILED_CACHE = 1 << 10
 _POLY: dict = {}
 
 
-def _remember(e: ScalarExpr, p: Poly) -> None:
-    if len(_POLY) >= _POLY_CACHE:
-        del _POLY[next(iter(_POLY))]
-    _POLY[e] = p
+# Coefficient value -> its one Rat node, so equal normal forms share their
+# leaves and the memos compare them by identity; 1 and Fraction(1) are one
+# key, and -1 starts as the node that negation uses.
+_RAT: dict = {1: ONE, -1: MINUS_ONE}
+
+
+def _put(memo: dict, bound: int, key, value):
+    """memo[key] = value, evicting the oldest entry at the bound; returns value."""
+    if len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _rat(c) -> Rat:
+    node = _RAT.get(c)
+    return _put(_RAT, _RAT_CACHE, c, Rat(c)) if node is None else node
 
 
 @functools.lru_cache(maxsize=_ATOM_KEY_CACHE)
@@ -400,7 +417,7 @@ def _poly_inv(p: Poly) -> Poly:
     inv_lc = _coef(Fraction(1) / lc)
     monic = _poly_scale(p, inv_lc)
     base_expr = _poly_to_expr(monic)
-    _remember(base_expr, monic)
+    _put(_POLY, _POLY_CACHE, base_expr, monic)
     return _poly_mul(_mono_poly(inv_content, inv_lc), {((base_expr, -1),): 1})
 
 
@@ -511,7 +528,7 @@ def _expr_to_poly(e: ScalarExpr) -> Poly:
         return _poly_pow(_poly_inv(_reduce_poly(base)), -e.exponent)
     if isinstance(e, Func):
         arg = normalize(e.arg)
-        if arg == ZERO:
+        if arg is ZERO:
             if e.kind == "sin":
                 return {}
             return {(): 1}  # exp(0), cos(0)
@@ -529,13 +546,13 @@ def _poly_to_expr(p: Poly) -> ScalarExpr:
         for atom, e in m:
             factors.append(atom if e == 1 else Pow(atom, e))
         if not factors:
-            terms.append(Rat(c))
+            terms.append(_rat(c))
         elif c == 1 and len(factors) == 1:
             terms.append(factors[0])
         elif c == 1:
             terms.append(Mul(tuple(factors)))
         else:
-            terms.append(Mul(tuple([Rat(c)] + factors)))
+            terms.append(Mul((_rat(c), *factors)))
     if len(terms) == 1:
         return terms[0]
     return Add(tuple(terms))
@@ -558,12 +575,12 @@ def _normal_form(p: Poly) -> ScalarExpr:
     out = _poly_to_expr(p)
     # idempotence makes p the polynomial of out, so _expr_to_poly(out) can
     # return it without walking the tree
-    _remember(out, p)
+    _put(_POLY, _POLY_CACHE, out, p)
     return out
 
 
 def is_zero(e: ScalarExpr) -> bool:
-    return normalize(e) == ZERO
+    return normalize(e) is ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +636,7 @@ def free_symbols(e: ScalarExpr) -> frozenset:
     if isinstance(e, Sym):
         return frozenset((e.name,))
     if isinstance(e, (Add, Mul)):
-        out: frozenset = frozenset()
-        for a in e.args:
-            out = out | free_symbols(a)
-        return out
+        return frozenset().union(*map(free_symbols, e.args))
     if isinstance(e, Pow):
         return free_symbols(e.base)
     if isinstance(e, Func):
@@ -720,9 +734,7 @@ def compile_numeric(
             refs[name] = "_b%d" % i
             scope[refs[name]] = v
         fn = eval("lambda p: " + _codegen(nf, refs), scope)
-        if len(_COMPILED) >= _COMPILED_CACHE:
-            del _COMPILED[next(iter(_COMPILED))]
-        _COMPILED[key] = fn
+        _put(_COMPILED, _COMPILED_CACHE, key, fn)
     return fn
 
 

@@ -24,9 +24,17 @@ from superloc.actions import (
     residual_verdict,
     sample_bindings,
     sigma_from_Q,
+    square_residual,
     tautological_Q,
     tautological_lift,
     verify_brst,
+)
+from superloc.adhm import (
+    adhm_Q_full,
+    adhm_Q_unconstrained,
+    adhm_lifted_field,
+    adhm_super_chart,
+    cartan_params,
 )
 from superloc.errors import (
     DimensionMismatch,
@@ -43,11 +51,9 @@ from superloc.grassmann import (
     SuperChart,
     SuperFunction,
     SuperVectorField,
-    add_fields,
     field_is_zero,
-    graded_commutator,
     parse_super,
-    scale_field,
+    to_super_text,
 )
 
 X = sc.sym("x")
@@ -197,11 +203,10 @@ def test_square_is_lie_derivative():
             assert (lift.apply(f) - _cartan_lie(f, spec)).is_zero()
 
 
-def test_square_as_fields():
+def test_square_as_fields(square_reference):
     Q = tautological_Q(ROTATION)
-    half_sq = scale_field(graded_commutator(Q, Q), Fraction(1, 2))
     lift = lifted_field(tautological_lift(ROTATION))
-    assert field_is_zero(add_fields(half_sq, scale_field(lift, Fraction(-1))))
+    assert field_is_zero(square_reference(Q, lift))
 
 
 def test_verify_brst_rotation_passes():
@@ -388,13 +393,29 @@ def test_kahler_lift_rotation_weights():
     assert (lift.a[1].im - half * e1s * y1).is_zero()
 
 
-def test_kahler_square_closes():
+def test_kahler_square_closes(square_reference):
     Q = kahler_Q(TORUS)
-    residual = add_fields(
-        scale_field(graded_commutator(Q, Q), Fraction(1, 2)),
-        scale_field(kahler_lift(TORUS), Fraction(-1)),
-    )
-    assert field_is_zero(residual)
+    assert field_is_zero(square_reference(Q, kahler_lift(TORUS)))
+
+
+def test_square_residual_matches_the_reference_on_complex_and_adhm_fields(square_reference):
+    # complex (CSuper) components on the Kahler chart, with the true lift and
+    # one that leaves a residual, and the real ADHM operators at k = 1
+    lift = kahler_lift(TORUS)
+    perturbed = SuperVectorField(CHART4, 0, (lift.a[0] + sc.sym("x2"), *lift.a[1:]), lift.b)
+    cases = [(kahler_Q(TORUS), lift), (kahler_Q(TORUS), perturbed)]
+    for full in (False, True):
+        lay = adhm_super_chart(1, 2, full=full)
+        params = cartan_params(lay)
+        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay, *params)
+        cases.append((Q, adhm_lifted_field(lay, *params)))
+    for Q, flow in cases:
+        got, want = square_residual(Q, flow), square_reference(Q, flow)
+        assert [to_super_text(c) for c in got.a + got.b] == [
+            to_super_text(c) for c in want.a + want.b
+        ]
+    assert field_is_zero(square_residual(*cases[0]))
+    assert not field_is_zero(square_residual(*cases[1]))
 
 
 def test_verify_brst_kahler():

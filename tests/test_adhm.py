@@ -49,10 +49,7 @@ from superloc.grassmann import (
     CSuper,
     SuperChart,
     SuperFunction,
-    add_fields,
     field_is_zero,
-    graded_commutator,
-    scale_field,
 )
 from superloc.linalg import (
     det,
@@ -64,14 +61,6 @@ from superloc.linalg import (
     mat_mul,
     mat_scale,
 )
-
-
-def _half_square(Q):
-    return scale_field(graded_commutator(Q, Q), Fraction(1, 2))
-
-
-def _fields_equal(X, Y) -> bool:
-    return field_is_zero(add_fields(X, scale_field(Y, Fraction(-1))))
 
 
 def _body(comp):
@@ -317,11 +306,11 @@ def test_Q_displays_on_matter():
     assert all((x - y).is_zero() for x, y in zip(Q.b, lift.a))
 
 
-def test_Q_unconstrained_squares_to_lift():
+def test_Q_unconstrained_squares_to_lift(square_reference):
     lay = adhm_super_chart(1, 2)
     p = cartan_params(lay)
     Q = adhm_Q_unconstrained(lay, *p)
-    assert _fields_equal(_half_square(Q), adhm_lifted_field(lay, *p))
+    assert field_is_zero(square_reference(Q, adhm_lifted_field(lay, *p)))
 
 
 def test_sigma_is_identity_on_matter():
@@ -363,10 +352,10 @@ def test_Q_full_displays():
     assert (Q.b[pb + 1] - comm.im).is_zero()
 
 
-def test_Q_full_squares_to_lift():
+def test_Q_full_squares_to_lift(square_reference):
     lay = adhm_super_chart(1, 2, full=True)
     p = cartan_params(lay)
-    assert _fields_equal(_half_square(adhm_Q_full(lay, *p)), adhm_lifted_field(lay, *p))
+    assert field_is_zero(square_reference(adhm_Q_full(lay, *p), adhm_lifted_field(lay, *p)))
 
 
 def test_Q_full_requires_multiplier_sector():

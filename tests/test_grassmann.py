@@ -7,13 +7,21 @@ rule used by the implementation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from superloc import grassmann
 from superloc import scalars as sc
-from superloc.actions import ActionSpec, fundamental_field, lifted_field, tautological_lift
+from superloc.actions import (
+    ActionSpec,
+    fundamental_field,
+    lifted_field,
+    square_residual,
+    tautological_lift,
+)
 from superloc.adhm import adhm_lifted_field, adhm_super_chart, cartan_params
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
@@ -231,6 +239,42 @@ def test_arithmetic_results_equal_the_public_constructor():
             assert all(c != sc.ZERO and c == sc.normalize(c) for c in result.terms.values())
 
 
+def test_arithmetic_results_keep_no_zero_coefficient():
+    # partial cancellations, products that vanish in some index and
+    # derivatives of constants all leave zeros behind before the filter
+    rng = random.Random(41)
+    for _ in range(40):
+        f, g = _random_sf(rng, CHART4), _random_sf(rng, CHART4)
+        for result in (
+            (f + g) - g,
+            f * g - g * f,
+            f * f,
+            (f - f) * g,
+            odd_partial(f * g, 1),
+            even_partial(f - g, 2),
+            even_partial(SuperFunction.from_scalar(CHART4, sc.sym("t")) * f, 1),
+        ):
+            assert all(c is not sc.ZERO and c != sc.ZERO for c in result.terms.values())
+
+
+def _reference_merge_sign(left, right):
+    # the sign of the sorting permutation of the concatenation
+    sign = _sign_of_sort(left + right)
+    return (tuple(sorted(left + right)), sign) if sign else (None, 0)
+
+
+def test_memoized_merge_sign_matches_the_sorting_sign():
+    indices = [
+        idx for k in range(6) for idx in itertools.combinations(range(1, 6), k)
+    ]
+    grassmann._merge_sign.cache_clear()
+    for _ in range(2):  # misses, then hits
+        for left in indices:
+            for right in indices:
+                assert grassmann._merge_sign(left, right) == _reference_merge_sign(left, right)
+    assert grassmann._merge_sign.cache_info().hits == len(indices) ** 2
+
+
 def test_grade_projections():
     x = sc.sym("x")
     th1 = SuperFunction.generator(CHART4, 1)
@@ -335,6 +379,34 @@ def test_graded_commutator_odd_square():
     for _ in range(4):
         f = _random_sf(rng, CHART4, max_terms=3)
         assert Z.apply(f) == 2 * X.apply(X.apply(f))
+
+
+def _assert_same_field(X, Y):
+    assert (X.chart, X.parity) == (Y.chart, Y.parity)
+    for x, y in zip(X.a + X.b, Y.a + Y.b, strict=True):
+        assert to_super_text(x) == to_super_text(y)
+
+
+def test_square_residual_matches_the_commutator_reference(square_reference):
+    # residuals that do not vanish: a random odd Q against a random lift
+    rng = random.Random(37)
+    for _ in range(10):
+        Q = _random_field(rng, CHART4, 1)
+        lift = _random_field(rng, CHART4, 0)
+        _assert_same_field(square_residual(Q, lift), square_reference(Q, lift))
+
+
+def test_square_residual_of_an_even_field_is_minus_the_lift():
+    rng = random.Random(43)
+    for _ in range(5):
+        X = _random_field(rng, CHART4, 0)
+        lift = _random_field(rng, CHART4, 0)
+        residual = square_residual(X, lift)
+        assert residual.parity == 0
+        for r, flow in zip(residual.a + residual.b, lift.a + lift.b, strict=True):
+            assert (r + flow).is_zero()
+    with pytest.raises(DimensionMismatch):
+        square_residual(X, _random_field(rng, CHART4, 1))
 
 
 def test_invert_even_unit_body():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from superloc import actions, harness
+from superloc import scalars as sc
 from superloc.actions import action_lift, tautological_Q, verify_brst
 from superloc.cli import main
 from superloc.errors import NotQClosed, SchemaError
@@ -429,6 +430,53 @@ def test_adhm_brst_check_squares_each_operator_once(monkeypatch):
     report = run_brst_check(load_scenario(BUNDLED % "adhm_k1_n2"))
     assert _statuses(report)[:3] == ["pass", "pass", "pass"]
     assert len(calls) == 2 and calls[0] != calls[1]
+
+
+def test_adhm_brst_check_applies_Q_once_per_square_component(monkeypatch, square_reference):
+    # (1/2)[Q, Q] = Q∘Q for odd Q; the two-sided commutator applies Q twice
+    # per component, 312 applications in all on this scenario
+    calls = []
+    original = SuperVectorField.apply
+
+    def counted(self, f):
+        calls.append(self.chart)
+        return original(self, f)
+
+    monkeypatch.setattr(SuperVectorField, "apply", counted)
+    scenario = load_scenario(BUNDLED % "adhm_k1_n2")
+    report = run_brst_check(scenario)
+    one_sided = len(calls)
+    monkeypatch.setattr(actions, "square_residual", square_reference)
+    monkeypatch.setattr(harness, "square_residual", square_reference)
+    calls.clear()
+    assert _statuses(run_brst_check(scenario)) == _statuses(report)
+    assert one_sided < len(calls) and one_sided < 312
+
+
+def test_closure_full_failure_shows_the_residual(monkeypatch):
+    # a full-chart lift off by x on its first component: only the full square
+    # fails, and its record names the failing component as verify_brst would
+    original = harness.adhm_lifted_field
+
+    def perturbed(layout, *params):
+        lift = original(layout, *params)
+        if not layout.full:
+            return lift
+        first = lift.a[0] + sc.sym("B1_00_im")
+        return SuperVectorField(lift.chart, lift.parity, (first, *lift.a[1:]), lift.b)
+
+    monkeypatch.setattr(harness, "adhm_lifted_field", perturbed)
+    report = run_brst_check(load_scenario(BUNDLED % "adhm_k1_n2"))
+    by_name = {rec["name"]: rec for rec in report["checks"]}
+    assert by_name["closure_unconstrained"]["status"] == "pass"
+    assert "detail" not in by_name["closure_unconstrained"]
+    full = by_name["closure_full"]
+    assert full["status"] == "fail" and full["abs_error"] is None
+    assert full["detail"] == {
+        "conditions": [
+            {"name": "square_equals_lift", "status": "fail", "residual": ["a[1] = -B1_00_im"]}
+        ]
+    }
 
 
 def test_adhm_numeric_scenario_subset():

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from superloc import grassmann
 from superloc import scalars as sc
 from superloc.cli import main
 from superloc.errors import ComputationError, UnboundSymbol
@@ -306,6 +307,8 @@ def test_poly_memo_matches_a_fresh_walk(monkeypatch):
 def test_kernel_caches_are_bounded(monkeypatch):
     monkeypatch.setattr(sc, "_POLY_CACHE", 3)
     monkeypatch.setattr(sc, "_COMPILED_CACHE", 2)
+    monkeypatch.setattr(sc, "_RAT_CACHE", 2)
+    monkeypatch.setattr(sc, "_RAT", {})
     sc._POLY.clear()
     sc._COMPILED.clear()
     normalize.cache_clear()
@@ -313,8 +316,67 @@ def test_kernel_caches_are_bounded(monkeypatch):
         compile_numeric(normalize(X**k + Y), ("x", "y"))
     assert len(sc._POLY) == 3 and len(sc._COMPILED) == 2
     assert compile_numeric(X**5 + Y, ("x", "y"))((2.0, 1.0)) == 33.0
-    for cached in (normalize, sc._atom_key, sc._atom_key_desc, sc._differentiate):
+    for k in range(2, 6):
+        assert to_text(normalize(k * X + Fraction(1, k))) == "%d*x + 1/%d" % (k, k)
+    assert len(sc._RAT) == 2
+    for cached in (
+        normalize,
+        sc._atom_key,
+        sc._atom_key_desc,
+        sc._differentiate,
+        grassmann._merge_sign,
+    ):
         assert cached.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# shared nodes
+
+
+def test_normalize_returns_the_zero_object_itself():
+    rng = random.Random(23)
+    for _ in range(100):
+        e = _random_expr(rng)
+        assert normalize(e - e) is sc.ZERO
+        assert normalize(0 * e) is sc.ZERO
+        assert normalize(Rat(Fraction(0)) * e) is sc.ZERO
+        assert differentiate(e, "z") is sc.ZERO
+    assert differentiate(Rat(Fraction(5, 3)), "x") is sc.ZERO
+    assert normalize((X**2 + 1) * (X**2 + 1) ** -1 - 1) is sc.ZERO
+    assert normalize(sc.sin(X - X)) is sc.ZERO
+
+
+def _rat_leaves(e: sc.ScalarExpr) -> list:
+    if isinstance(e, Rat):
+        return [e]
+    if isinstance(e, (sc.Add, sc.Mul)):
+        return [leaf for a in e.args for leaf in _rat_leaves(a)]
+    if isinstance(e, sc.Pow):
+        return _rat_leaves(e.base)
+    if isinstance(e, sc.Func):
+        return _rat_leaves(e.arg)
+    return []
+
+
+def test_equal_normal_forms_share_their_coefficient_nodes():
+    assert sc._rat(1) is sc._rat(Fraction(1))
+    assert sc._rat(Fraction(-3, 2)) is sc._rat(Fraction(-6, 4))
+    rng = random.Random(24)
+    for _ in range(60):
+        e = _random_expr(rng, depth=2)
+        # the same polynomial reached by another tree: a separate memo entry
+        a, b = normalize(e), normalize(Y - (Y - e))
+        assert a == b
+        leaves_a, leaves_b = _rat_leaves(a), _rat_leaves(b)
+        assert len(leaves_a) == len(leaves_b)
+        assert all(p is q for p, q in zip(leaves_a, leaves_b))
+
+
+def test_negation_and_subtraction_share_minus_one():
+    assert (-X).args[0] is sc.MINUS_ONE
+    assert (X - Y).args[1].args[0] is sc.MINUS_ONE
+    assert (1 - X).args[1].args[0] is sc.MINUS_ONE
+    assert sc.MINUS_ONE == Rat(Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
