@@ -44,17 +44,32 @@ def _tensor_weights(d: int) -> tuple:
     return tuple(math.prod(combo) for combo in product(_GL_WEIGHTS, repeat=d))
 
 
-def _cell_integral(f, lo, hi, weights) -> float:
+def point_rule(f: Callable[[tuple], float]) -> Callable[[list], float]:
+    """The cell rule of a function of one point, for `quadrature`: f is
+    called at each point of the tensor grid in `product` order."""
+
+    def rule(axes) -> float:
+        total = 0.0
+        for w, point in zip(_tensor_weights(len(axes)), product(*axes)):
+            total += w * f(point)
+        return total
+
+    return rule
+
+
+def _compile_rule(e: ScalarExpr, coords, binding=None) -> Callable[[list], float]:
+    """The cell rule of e over the box of `coords`, for `quadrature`."""
+    return sc.compile_rule(e, coords, _tensor_weights(len(coords)), binding)
+
+
+def _cell_integral(rule, lo, hi) -> float:
     axes = []
     scale = 1.0
     for a, b in zip(lo, hi):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         scale *= half
         axes.append([mid + half * x for x in _GL_NODES])
-    total = 0.0
-    for w, point in zip(weights, product(*axes)):
-        total += w * f(point)
-    return total * scale
+    return rule(axes) * scale
 
 
 def _split(lo, hi):
@@ -84,32 +99,37 @@ def _adaptive(refine, cell, tol, depth) -> float:
 
 
 def quadrature(
-    f: Callable[[tuple], float],
+    rule: Callable[[list], float],
     box: Sequence[Tuple[float, float]],
     tol: float = 1e-9,
 ) -> float:
     """Adaptive tensor-product Gauss-Legendre integral over a box.
 
-    Cells are refined dyadically with a fixed traversal order and summed in
-    that order, so results are bit-for-bit reproducible for a given
-    tolerance. Each visited cell's nodes are evaluated once; more than
-    `_MAX_EVALS` evaluations raise `NoConvergence`; a float error in f raises
+    The integrand is a cell rule: `rule(axes)`, given the twelve nodes of
+    each axis of a cell, returns the weighted sum over the cell's grid with
+    the weights `_tensor_weights(d)` in `product` order, unscaled
+    (`scalars.compile_rule` builds one from an expression, `point_rule`
+    from a function of a point). Cells are refined dyadically with a fixed
+    traversal order and summed in that order, so results are bit-for-bit
+    reproducible for a given tolerance. Each visited cell's nodes are
+    evaluated once; more than `_MAX_EVALS` evaluations, 12^d per cell,
+    raise `NoConvergence`; a float error in the rule raises
     `ComputationError`.
     """
     lo = tuple(float(a) for a, _ in box)
     hi = tuple(float(b) for _, b in box)
-    weights = _tensor_weights(len(lo))
+    per_cell = len(_GL_NODES) ** len(lo)
     spent = 0
 
     def refine(lo, hi):
         nonlocal spent
         children = _split(lo, hi)
-        spent += len(children) * len(weights)
+        spent += len(children) * per_cell
         if spent > _MAX_EVALS:
             raise NoConvergence(
                 "quadrature needs more than %d integrand evaluations" % (_MAX_EVALS,)
             )
-        return [(clo, chi, _cell_integral(f, clo, chi, weights)) for clo, chi in children]
+        return [(clo, chi, _cell_integral(rule, clo, chi)) for clo, chi in children]
 
     with float_errors("integrand"):
         cells = refine(lo, hi)
@@ -133,8 +153,8 @@ def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e
     share = tol / max(1, len(patches))
     for patch in patches:
         with float_errors("integrand"):
-            f = sc.compile_numeric(patch.integrand, patch.coords, binding)
-        total += quadrature(f, patch.box, tol=share)
+            rule = _compile_rule(patch.integrand, patch.coords, binding)
+        total += quadrature(rule, patch.box, tol=share)
     return total
 
 
@@ -205,7 +225,7 @@ def boundary_flux(
             return w(point)[axis]
 
         if rest:
-            part = quadrature(f, rest, tol=share)
+            part = quadrature(point_rule(f), rest, tol=share)
         else:
             with float_errors("integrand"):
                 part = f(())
@@ -244,7 +264,7 @@ def super_stokes_check(
             "sigma is not parallel on this domain, residual %s"
             % (assumption["max_residual"],)
         )
-    top = sc.compile_numeric(sc.as_expr(Q.apply(nu).top_component()), coords)
+    top = _compile_rule(sc.as_expr(Q.apply(nu).top_component()), coords)
     lhs = quadrature(top, box, tol=tol / 4)
     dual = hodge_dual(nu)
     sigma_fns = [[sc.compile_numeric(sc.as_expr(e), coords) for e in row] for row in sigma]

@@ -308,6 +308,11 @@ def _coef(c):
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    # a stored monomial is already sorted with nonzero exponents
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps = {a: e for a, e in m1}
     for a, e in m2:
         exps[a] = exps.get(a, 0) + e
@@ -718,6 +723,34 @@ def compile_numeric(
     are `names`, in order.  Every other free symbol takes its value from
     `binding`, made float once and bound now; a symbol in neither raises
     UnboundSymbol here rather than when the function is called."""
+    return _compile(e, names, binding, None)
+
+
+def compile_rule(
+    e: ScalarExpr,
+    names: Sequence[str],
+    weights: Sequence[float],
+    binding: Optional[Binding] = None,
+) -> Callable[[Sequence[Sequence[float]]], float]:
+    """Compile to the tensor-product rule of one quadrature cell.
+
+    The rule takes one sequence of nodes per coordinate of `names` and
+    returns sum_j weights[j] * e(x_j), the grid points x_j taken in
+    `itertools.product` order and summed left to right.  Parameters bind as
+    in compile_numeric.  Each maximal subtree of one coordinate is computed
+    once per node of its axis, a subtree of several coordinates once per
+    pass of the loop over its last axis, so only the weighted sum runs at
+    every grid point.  Hoisting names whole args of an Add or Mul, left to
+    right, and never regroups them: every grid value is the float that the
+    compile_numeric function returns at that point.  Only the order of
+    evaluation moves, so when a cell meets two kinds of float error, the
+    one raised may differ from the first a point-by-point loop meets.
+    """
+    return _compile(e, names, binding, tuple(weights))
+
+
+def _compile(e: ScalarExpr, names: Sequence[str], binding: Optional[Binding], weights):
+    """compile_numeric when weights is None, else compile_rule."""
     nf, names, binding = normalize(e), tuple(names), binding or {}
     bound = {}
     for name in sorted(free_symbols(nf) - set(names)):
@@ -725,17 +758,77 @@ def compile_numeric(
             raise UnboundSymbol("symbol %r has no value in binding" % (name,))
         bound[name] = float(binding[name])
     # float.hex tells -0.0 from 0.0, which bind to different results
-    key = (nf, names, tuple((k, v.hex()) for k, v in bound.items()))
+    key = (nf, names, tuple((k, v.hex()) for k, v in bound.items()), weights)
     fn = _COMPILED.get(key)
     if fn is None:
-        refs = {n: "p[%d]" % i for i, n in enumerate(names)}
-        scope = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos}
+        refs = {}
+        scope = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_W": weights}
         for i, (name, v) in enumerate(bound.items()):
             refs[name] = "_b%d" % i
             scope[refs[name]] = v
-        fn = eval("lambda p: " + _codegen(nf, refs), scope)
+        if weights is None:
+            refs.update((n, "p[%d]" % i) for i, n in enumerate(names))
+            fn = eval("lambda p: " + _codegen(nf, refs), scope)
+        else:
+            exec(_rule_source(nf, names, refs), scope)
+            fn = scope["_rule"]
         _put(_COMPILED, _COMPILED_CACHE, key, fn)
     return fn
+
+
+def _rule_source(nf: ScalarExpr, names: tuple, refs: Mapping[str, str]) -> str:
+    """Source of `_rule(axes)` for compile_rule.
+
+    Loop k runs over the nodes of axis k, nested in axis order, so the grid
+    is visited in `product` order and the weights `_W` are read in turn.
+    Before the loops, table `_T<k>` holds the one-axis subtrees of axis k at
+    each of its nodes; a subtree of several axes is assigned in the loop of
+    its last axis, or left in the summand when that is the innermost one.
+    """
+    axis_of = {n: k for k, n in enumerate(names)}
+    d = len(names)
+    tables = [{} for _ in range(d)]  # subtree -> (name, source at node _x)
+    assigned = [{} for _ in range(d)]  # subtree -> (name, source in loop k)
+
+    def text(e: ScalarExpr, loop: int) -> str:
+        span = {axis_of[s] for s in free_symbols(e) if s in axis_of}
+        if not span:
+            return _codegen(e, refs)
+        if len(span) == 1:
+            (k,) = span
+            return _name(tables[k], e, "_t%d_" % k, lambda: _codegen(e, {**refs, names[k]: "_x"}))
+        last = max(span)
+        source = lambda: _compose(e, lambda a: text(a, last))
+        return source() if last == loop else _name(assigned[last], e, "_m%d_" % last, source)
+
+    summand = text(nf, d - 1)
+    lines = ["def _rule(axes):", "    %s, = axes" % ", ".join("_X%d" % k for k in range(d))]
+    targets = []
+    for k, table in enumerate(tables):
+        targets.append("(%s)" % ", ".join(n for n, _ in table.values()) if table else "_")
+        row = "(%s)" % ", ".join(s for _, s in table.values())
+        axis = "_X%d" % k
+        lines.append("    _T%d = %s" % (k, axis if row in ("()", "(_x)") else
+                                         "[%s for _x in %s]" % (row, axis)))
+    lines += ["    total = 0.0", "    _w = iter(_W)"]
+    for k in range(d):
+        indent = "    " * (k + 1)
+        if k < d - 1:
+            lines.append("%sfor %s in _T%d:" % (indent, targets[k], k))
+        else:
+            # _w comes last so that zip stops without taking a weight
+            lines.append("%sfor %s, _wj in zip(_T%d, _w):" % (indent, targets[k], k))
+        lines += ["%s    %s = %s" % (indent, name, s) for name, s in assigned[k].values()]
+    lines += ["%s    total += _wj * %s" % ("    " * d, summand), "    return total"]
+    return "\n".join(lines) + "\n"
+
+
+def _name(memo: dict, e: ScalarExpr, prefix: str, source: Callable[[], str]) -> str:
+    """The name memo gives e, after adding e with a fresh name if it is new."""
+    if e not in memo:
+        body = source()
+        memo[e] = ("%s%d" % (prefix, len(memo)), body)
+    return memo[e][0]
 
 
 def _codegen(e: ScalarExpr, refs: Mapping[str, str]) -> str:
@@ -743,14 +836,19 @@ def _codegen(e: ScalarExpr, refs: Mapping[str, str]) -> str:
         return "(%r)" % (float(e.value),)
     if isinstance(e, Sym):
         return refs[e.name]
+    return _compose(e, lambda a: _codegen(a, refs))
+
+
+def _compose(e: ScalarExpr, text: Callable[[ScalarExpr], str]) -> str:
+    """Source of a composite node from the source `text` gives each child."""
     if isinstance(e, Add):
-        return "(" + "+".join(_codegen(a, refs) for a in e.args) + ")"
+        return "(" + "+".join(map(text, e.args)) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_codegen(a, refs) for a in e.args) + ")"
+        return "(" + "*".join(map(text, e.args)) + ")"
     if isinstance(e, Pow):
-        return "(%s**(%d))" % (_codegen(e.base, refs), e.exponent)
+        return "(%s**(%d))" % (text(e.base), e.exponent)
     if isinstance(e, Func):
-        return "_%s(%s)" % (e.kind, _codegen(e.arg, refs))
+        return "_%s(%s)" % (e.kind, text(e.arg))
     raise TypeError("not a ScalarExpr: %r" % (e,))
 
 

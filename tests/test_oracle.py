@@ -22,19 +22,27 @@ from superloc.errors import (
     UnboundSymbol,
     WrongGrade,
 )
-from superloc.geometry import gaussian_oracle_patch, sphere_oracle_patch
+from superloc.geometry import (
+    gaussian_oracle_patch,
+    sphere_oracle_patch,
+    sphere_polynomial_patch,
+)
 from superloc.grassmann import SuperChart, SuperFunction, SuperVectorField, parse_super
 from superloc.oracle import (
     OraclePatch,
     boundary_flux,
     global_berezin,
     hodge_dual,
+    point_rule,
     quadrature,
     super_stokes_check,
 )
 
 X = sc.sym("x")
 Y = sc.sym("y")
+Z = sc.sym("z")
+T = sc.sym("t")
+S = sc.sym("s")
 
 CHART = SuperChart(("x", "y"), 2)
 ROTATION = ActionSpec(("t",), CHART, ((sc.ZERO - Y, X),))
@@ -49,27 +57,27 @@ def _gauss_1d(c: float, s: float) -> float:
 
 
 def test_quadrature_polynomial():
-    value = quadrature(lambda p: 3 * p[0] ** 2 + p[1], ((0, 1), (0, 1)), tol=1e-12)
+    value = quadrature(point_rule(lambda p: 3 * p[0] ** 2 + p[1]), ((0, 1), (0, 1)), tol=1e-12)
     assert abs(value - 1.5) < 1e-12
 
 
 def test_quadrature_peaked_gaussian():
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
-    value = quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
+    value = quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11)
     exact = _gauss_1d(0.3, 50) * _gauss_1d(0.7, 50)
     assert abs(value - exact) < 1e-9
 
 
 def test_quadrature_rejects_nonintegrable():
     with pytest.raises(NoConvergence):
-        quadrature(lambda p: 1.0 / p[0], ((0, 1),), tol=1e-10)
+        quadrature(point_rule(lambda p: 1.0 / p[0]), ((0, 1),), tol=1e-10)
 
 
 def test_quadrature_repeats_bit_for_bit():
     # the cells are summed in one fixed order, so repeated calls agree bit for bit
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
-    first = quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
-    second = quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
+    first = quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11)
+    second = quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11)
     assert first == second
 
 
@@ -131,8 +139,11 @@ def _reference_quadrature(f, box, tol, cells):
 
 
 def _reference_berezin(patches, binding, tol):
-    """global_berezin as first written: the exact binding is copied and
-    updated at every point, and every symbol is read from it."""
+    """global_berezin as first written: the binding is copied and updated
+    at every point, and every symbol is read from it.  Parameters enter as
+    floats, as global_berezin binds them: an exact t would square exactly
+    in the t^2 terms of a polynomial patch."""
+    binding = {name: float(v) for name, v in binding.items()}
     total = 0.0
     for patch in patches:
         order = tuple(patch.coords) + tuple(sorted(set(binding) - set(patch.coords)))
@@ -162,7 +173,7 @@ def test_quadrature_matches_reference_bit_for_bit(f, box, tol):
         points.append(p)
         return f(p)
 
-    assert quadrature(counted, box, tol) == _reference_quadrature(f, box, tol, cells)
+    assert quadrature(point_rule(counted), box, tol) == _reference_quadrature(f, box, tol, cells)
     # each visited cell's nodes are evaluated once: no node twice, and one
     # full rule per distinct cell the first algorithm visits
     distinct = set(cells)
@@ -179,8 +190,20 @@ def test_quadrature_matches_reference_bit_for_bit(f, box, tol):
         (sphere_oracle_patch(), Fraction(1, 2)),
         (gaussian_oracle_patch(), Fraction(3)),
         (sphere_oracle_patch(), Fraction(3)),
+        (sphere_polynomial_patch(["1", "2", "-1/3", "5"]), Fraction(7, 3)),
+        (
+            OraclePatch(
+                ("x", "y", "z"),
+                ((0, 1), (-1, 1), (0, 2)),
+                sc.exp(sc.ZERO - T * X * Y) * sc.cos(Z) + X ** 2 * Y * sc.sin(Z) + (1 + X + Z) ** -1,
+            ),
+            Fraction(1, 2),
+        ),
     ],
-    ids=["plane", "sphere", "plane-t=1/2", "sphere-t=1/2", "plane-t=3", "sphere-t=3"],
+    ids=[
+        "plane", "sphere", "plane-t=1/2", "sphere-t=1/2", "plane-t=3", "sphere-t=3",
+        "sphere-polynomial", "3d",
+    ],
 )
 def test_global_berezin_matches_reference_bit_for_bit(patch, t):
     binding = {"t": t}
@@ -201,9 +224,141 @@ def test_quadrature_budget_raises(monkeypatch):
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
     monkeypatch.setattr(oracle, "_MAX_EVALS", 4 * 144)
     with pytest.raises(NoConvergence):
-        quadrature(f, ((0, 1), (0, 1)), tol=1e-11)
+        quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11)
     monkeypatch.undo()
-    assert quadrature(f, ((0, 1), (0, 1)), tol=1e-11) > 0
+    assert quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11) > 0
+
+
+def _cell_axes(rng, d):
+    """The twelve nodes of each axis of a random cell inside [0.2, 1.8]^d."""
+    axes = []
+    for _ in range(d):
+        half = rng.uniform(0.05, 0.4)
+        mid = rng.uniform(0.2, 1.0) + half
+        axes.append([mid + half * x for x in oracle._GL_NODES])
+    return axes
+
+
+def _one_axis(rng, c):
+    return rng.choice([
+        c,
+        c ** rng.choice([-2, -1, 2, 3]),
+        sc.exp(sc.rational(rng.randint(-3, 3), rng.randint(1, 4)) * c),
+        sc.sin(c + sc.rational(rng.randint(-3, 3), 2)),
+        sc.cos(T * c),
+        (c + 1) ** -1,
+    ])
+
+
+def _rule_expr(rng, coords):
+    """A sum of products whose factors come from random axes, with bound
+    parameters, negative powers, calls of one axis and of several."""
+    axes = [sc.sym(n) for n in coords]
+    total = sc.ZERO
+    for _ in range(rng.randint(2, 5)):
+        term = rng.choice([T, S, sc.rational(rng.choice([-9, -2, 1, 5]), rng.randint(1, 7))])
+        for _ in range(rng.randint(1, 4)):
+            term = term * _one_axis(rng, rng.choice(axes))
+        if len(axes) > 1 and rng.random() < 0.4:
+            a, b = rng.sample(axes, 2)
+            term = term * rng.choice([sc.exp, sc.sin, sc.cos])(sc.rational(1, 3) * a * b)
+        if len(axes) > 1 and rng.random() < 0.3:
+            term = term * (sum(axes, sc.ONE)) ** -1
+        total = total + term
+    return total
+
+
+_ALTERNATING = (
+    X ** 3 + Y ** 2 + X,
+    X ** 2 + sc.cos(Y) + sc.sin(X),
+    X * Y * sc.sin(X),
+    S * X + T * Y ** -2 * sc.exp(sc.ZERO - X) + Z * X,
+    sc.exp(X * Y) * sc.sin(Z) + X ** -2 * Y + sc.cos(X) + T * Z * X * Y,
+)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [-0.0, 0.0, Fraction(-5, 4)], ids=["s=-0.0", "s=0.0", "s=-5/4"])
+def test_rule_matches_the_point_function_bit_for_bit(d, s):
+    coords = ("x", "y", "z")[:d]
+    rng = random.Random(40 + d)
+    binding = {"t": Fraction(7, 3), "s": s}
+    exprs = [e for e in _ALTERNATING if sc.free_symbols(e) <= set(coords) | {"s", "t"}]
+    exprs += [_rule_expr(rng, coords) for _ in range(24 // d)]
+    weights = oracle._tensor_weights(d)
+    for e in exprs:
+        rule = sc.compile_rule(e, coords, weights, binding)
+        per_point = point_rule(sc.compile_numeric(e, coords, binding))
+        for _ in range(2):
+            axes = _cell_axes(rng, d)
+            assert rule(axes).hex() == per_point(axes).hex(), sc.to_text(e)
+
+
+def test_alternating_args_stay_in_order():
+    # the normal forms the differential test relies on: args of an Add or
+    # Mul that alternate between the axes
+    def axes(arg):
+        return sorted(sc.free_symbols(arg))
+
+    assert [axes(a) for a in sc.normalize(X ** 3 + Y ** 2 + X).args] == [["x"], ["y"], ["x"]]
+    assert [axes(a) for a in sc.normalize(X * Y * sc.sin(X)).args] == [["x"], ["y"], ["x"]]
+
+
+def test_rule_computes_each_one_axis_subtree_once_per_node(monkeypatch):
+    calls = {"exp": 0, "sin": 0, "cos": 0}
+
+    def counting(kind, fn):
+        def counted(v):
+            calls[kind] += 1
+            return fn(v)
+
+        return counted
+
+    for kind in calls:
+        monkeypatch.setattr(math, kind, counting(kind, getattr(math, kind)))
+    monkeypatch.setattr(sc, "_COMPILED", {})
+    rng = random.Random(5)
+    cases = [
+        # one-axis subtrees: 12 per axis per cell, not 12^d
+        (("x", "y"), sc.sin(X) * sc.cos(Y) + sc.sin(X) * Y, {"sin": 12, "cos": 12}),
+        (("x", "y", "z"), sc.sin(X) * sc.cos(Y) * sc.exp(Z) + X * Y * Z, {"sin": 12, "cos": 12, "exp": 12}),
+        # a subtree of x and y runs in the loop over y, 144 times, not 1728
+        (("x", "y", "z"), sc.sin(X * Y) * Z, {"sin": 144}),
+    ]
+    for coords, e, want in cases:
+        for kind in calls:
+            calls[kind] = 0
+        rule = sc.compile_rule(e, coords, oracle._tensor_weights(len(coords)))
+        rule(_cell_axes(rng, len(coords)))
+        assert {k: v for k, v in calls.items() if v} == want, sc.to_text(e)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_budget_counts_12_to_the_d_evaluations_per_cell(monkeypatch, d):
+    coords = ("x", "y", "z")[:d]
+    e = sc.exp(sc.rational(-20) * sum((sc.sym(n) ** 2 for n in coords), sc.ZERO))
+    rule = sc.compile_rule(e, coords, oracle._tensor_weights(d))
+    cells = []
+
+    def counted(axes):
+        cells.append(len(axes))
+        return rule(axes)
+
+    box = ((-0.3, 1.0),) * d
+    value = quadrature(counted, box, tol=1e-9)
+    assert len(cells) > 2 ** d
+    spent = len(cells) * 12 ** d
+    monkeypatch.setattr(oracle, "_MAX_EVALS", spent)
+    assert quadrature(counted, box, tol=1e-9) == value
+    monkeypatch.setattr(oracle, "_MAX_EVALS", spent - 1)
+    with pytest.raises(NoConvergence, match="more than %d " % (spent - 1)):
+        quadrature(counted, box, tol=1e-9)
+
+
+def test_global_berezin_overflow_raises_computation_error():
+    patch = OraclePatch(("x", "y"), ((0, 1), (0, 1)), sc.exp(1000 * X) * Y)
+    with pytest.raises(ComputationError, match="integrand raised OverflowError"):
+        global_berezin((patch,))
 
 
 def test_quadrature_budget_exits_3(monkeypatch, capsys):
@@ -235,7 +390,7 @@ def test_integrand_float_errors_exit_3(tmp_path, capsys, form, message):
 
 def test_integrand_float_errors_raise_computation_error():
     with pytest.raises(ComputationError, match="ValueError: math domain error"):
-        quadrature(lambda p: math.log(p[0] - 0.5), ((0, 1),))
+        quadrature(point_rule(lambda p: math.log(p[0] - 0.5)), ((0, 1),))
 
     def w(point):
         return (1.0 / point[0],)

@@ -415,8 +415,8 @@ def _random_monomial(rng: random.Random, pool: list):
         e = rng.choice([-3, -2, -1, 1, 2, 3])
         pairs.append((atom, -abs(e) if composite else e))
     rng.shuffle(pairs)
-    # _mono_mul stores the product sorted by _atom_key, as every monomial is
-    return sc._mono_mul(tuple(pairs), ())
+    # stored sorted by _atom_key, as every monomial is
+    return tuple(sorted(pairs, key=lambda p: sc._atom_key(p[0])))
 
 
 def test_monomial_key_orders_as_the_reference_comparator():
@@ -442,6 +442,19 @@ def test_stored_monomials_are_sorted_by_atom_key():
     for m in monos:
         keys = [sc._atom_key(a) for a, _ in m]
         assert keys == sorted(keys) and len(set(keys)) == len(keys), m
+
+
+def test_product_with_the_empty_monomial_is_the_stored_monomial():
+    rng = random.Random(22)
+    sc._POLY.clear()
+    for _ in range(60):
+        normalize(_random_expr(rng))
+    monos = [m for poly in sc._POLY.values() for m in poly if m]
+    assert monos
+    for m in monos:
+        assert sc._mono_mul((), m) is m
+        assert sc._mono_mul(m, ()) is m
+    assert sc._mono_mul((), ()) == ()
 
 
 def _assert_canonical_coefficients():
