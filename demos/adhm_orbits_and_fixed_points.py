@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Tour the matrix data: constraints, group orbits, torus fixed points.
 
-All arithmetic here is exact.  Unitaries come from a Cayley transform of
+A datum is a binding of the chart's real coordinates.  All arithmetic
+here is exact: unitaries, in real form, come from a Cayley transform of
 random anti-hermitian matrices and phases from Pythagorean triples, so
 the invariance of the constraint norms is checked to the last digit.
 """
@@ -11,42 +12,43 @@ import random
 
 from superloc import scalars as sc
 from superloc.adhm import (
-    GroupElement,
+    adhm_constraint_scalars,
     adhm_fixed_points,
-    constraint_complex,
-    constraint_real,
+    adhm_super_chart,
     group_act,
-    nmat_norm2,
-    random_adhm_data,
+    random_datum,
     random_unitary,
     rank_bookkeeping,
     unit_phase,
 )
 
 
+def print_norms(lay, V, binding) -> None:
+    values = [sc.evaluate(v, binding) for v in V]
+    split = 2 * lay.k * lay.k
+    print("  |c_R|^2 = %s" % sum(x * x for x in values[:split]))
+    print("  |c_C|^2 = %s" % sum(x * x for x in values[split:]))
+
+
 def main() -> None:
     rng = random.Random(7)
-    d = random_adhm_data(2, 3, rng)
-    print("random data at k=2, N=3 (moduli dimension %d):" % d.moduli_dimension)
-    print("  |c_R|^2 = %s" % nmat_norm2(constraint_real(d)))
-    print("  |c_C|^2 = %s" % nmat_norm2(constraint_complex(d)))
+    lay = adhm_super_chart(2, 3)
+    V = adhm_constraint_scalars(lay)
+    d = random_datum(lay, rng)
+    print("random data at k=2, N=3 (moduli dimension %d):" % rank_bookkeeping(2, 3, 2))
+    print_norms(lay, V, d)
 
-    g = GroupElement(
-        U=random_unitary(2, rng),
-        V=random_unitary(3, rng),
-        t1=unit_phase(rng),
-        t2=unit_phase(rng),
-    )
-    moved = group_act(g, d)
+    moved = group_act(lay, d, random_unitary(2, rng), random_unitary(3, rng),
+                      unit_phase(rng), unit_phase(rng))
     print("after a random U(2) x U(3) x T^2 element:")
-    print("  |c_R|^2 = %s" % nmat_norm2(constraint_real(moved)))
-    print("  |c_C|^2 = %s" % nmat_norm2(constraint_complex(moved)))
+    print_norms(lay, V, moved)
     print()
 
     print("torus fixed points at k=1, N=2 (resolution parameter 1):")
     for fp in adhm_fixed_points(1, 2):
         print("  class r=%d: phi = %s" % (fp.r, sc.to_text(fp.phi)))
-        print("    I = %s" % ([[str(c.as_complex()) for c in row] for row in fp.data.I],))
+        nonzero = ["%s = %s" % (name, x) for name, x in fp.binding.items() if x]
+        print("    nonzero coordinates: %s" % ", ".join(nonzero))
         print("    tangent weights: %s" % ", ".join(sc.to_text(w) for w in fp.weights))
     print()
 

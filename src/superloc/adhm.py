@@ -2,15 +2,13 @@
 actions, and the odd vector fields that square to the symmetry generator.
 
 The bosonic data are four complex matrices (B1, B2 of size k x k, I of
-size k x N, J of size N x k).  Two layers coexist:
-
-* a numeric layer (`ADHMData`, exact complex rationals) for constraint
-  residuals and finite group actions;
-* a symbolic layer (`ADHMSuperChart`) where every complex entry is
-  flattened into a real coordinate pair and every boson gets one odd
-  partner at the same position.  The partners are, in order, M1, M2,
-  mu_I, mu_J and, when the multiplier sector is present, chi_R, chi_C,
-  eta paired with the extra bosons H_R, H_C, phibar.
+size k x N, J of size N x k).  They live on one chart, `ADHMSuperChart`,
+where every complex entry is flattened into a real coordinate pair and
+every boson gets one odd partner at the same position.  The partners are,
+in order, M1, M2, mu_I, mu_J and, when the multiplier sector is present,
+chi_R, chi_C, eta paired with the extra bosons H_R, H_C, phibar.  A datum
+is a binding of the chart's real coordinates, and the constraints and the
+finite group action read it there.
 
 With that positional pairing the odd operator on the matter sector has
 the identity symbol map, and its square is the lifted even field.
@@ -20,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from . import scalars as sc
 from .actions import certified_rank, residual_verdict
@@ -35,6 +33,7 @@ from .errors import (
 )
 from .grassmann import CSuper, SuperChart, SuperFunction, SuperVectorField
 from .linalg import (
+    identity,
     inverse,
     mat_add,
     mat_commutator,
@@ -44,168 +43,6 @@ from .linalg import (
     mat_scale,
     mat_sub,
 )
-
-
-# ---------------------------------------------------------------------------
-# exact complex numbers and small dense matrices over them
-
-
-@dataclass(frozen=True)
-class CNum:
-    """Complex number with exact rational parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(value) -> "CNum":
-        if isinstance(value, CNum):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return CNum(Fraction(value), Fraction(0))
-        if isinstance(value, tuple) and len(value) == 2:
-            return CNum(Fraction(value[0]), Fraction(value[1]))
-        raise TypeError("cannot interpret %r as an exact complex number" % (value,))
-
-    def __add__(self, other) -> "CNum":
-        other = CNum.of(other)
-        return CNum(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other) -> "CNum":
-        other = CNum.of(other)
-        return CNum(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CNum":
-        return CNum(-self.re, -self.im)
-
-    def __mul__(self, other) -> "CNum":
-        other = CNum.of(other)
-        return CNum(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other) -> "CNum":
-        return self * CNum.of(other).inv()
-
-    def __rsub__(self, other) -> "CNum":
-        return CNum.of(other) - self
-
-    def __rtruediv__(self, other) -> "CNum":
-        return CNum.of(other) * self.inv()
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CNum":
-        return CNum(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def inv(self) -> "CNum":
-        d = self.abs2()
-        if d == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return CNum(self.re / d, -self.im / d)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def as_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
-C_ZERO = CNum(Fraction(0), Fraction(0))
-C_ONE = CNum(Fraction(1), Fraction(0))
-
-NMatrix = Tuple[Tuple[CNum, ...], ...]
-
-
-def nmat(rows) -> NMatrix:
-    return tuple(tuple(CNum.of(x) for x in row) for row in rows)
-
-
-def nmat_zero(rows: int, cols: int) -> NMatrix:
-    return tuple(tuple(C_ZERO for _ in range(cols)) for _ in range(rows))
-
-
-def nmat_eye(n: int) -> NMatrix:
-    return tuple(
-        tuple(C_ONE if i == j else C_ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def nmat_norm2(A: NMatrix) -> Fraction:
-    """Squared Frobenius norm, an exact rational."""
-    return sum((x.abs2() for row in A for x in row), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# numeric data, constraints, and group actions
-
-
-@dataclass(frozen=True)
-class ADHMData:
-    """Exact matrix data (B1, B2, I, J) for instanton number k, group rank N."""
-
-    B1: NMatrix
-    B2: NMatrix
-    I: NMatrix
-    J: NMatrix
-
-    def __post_init__(self) -> None:
-        k = len(self.B1)
-        if any(len(row) != k for row in self.B1):
-            raise ShapeMismatch("B1 must be square")
-        if len(self.B2) != k or any(len(row) != k for row in self.B2):
-            raise ShapeMismatch("B2 must be %d x %d" % (k, k))
-        if len(self.I) != k:
-            raise ShapeMismatch("I must have %d rows" % (k,))
-        N = len(self.I[0]) if k else 0
-        if any(len(row) != N for row in self.I):
-            raise ShapeMismatch("ragged I")
-        if len(self.J) != N or any(len(row) != k for row in self.J):
-            raise ShapeMismatch("J must be %d x %d" % (N, k))
-
-    @property
-    def k(self) -> int:
-        return len(self.B1)
-
-    @property
-    def N(self) -> int:
-        return len(self.I[0])
-
-    @property
-    def moduli_dimension(self) -> int:
-        return 4 * self.k * self.N
-
-
-def adhm_data(B1, B2, I, J) -> ADHMData:
-    return ADHMData(nmat(B1), nmat(B2), nmat(I), nmat(J))
-
-
-def _real_moment(B1, B2, I, J) -> list:
-    """[B1,B1+] + [B2,B2+] + I I+ - J+ J, a hermitian k x k matrix.
-
-    Entries may be exact complex numbers or complex superfunctions.
-    """
-    out = mat_add(mat_commutator(B1, mat_dagger(B1)), mat_commutator(B2, mat_dagger(B2)))
-    out = mat_add(out, mat_mul(I, mat_dagger(I)))
-    return mat_sub(out, mat_mul(mat_dagger(J), J))
-
-
-def _complex_moment(B1, B2, I, J) -> list:
-    """[B1,B2] + I J, a k x k matrix."""
-    return mat_add(mat_commutator(B1, B2), mat_mul(I, J))
-
-
-def constraint_real(d: ADHMData) -> list:
-    return _real_moment(d.B1, d.B2, d.I, d.J)
-
-
-def constraint_complex(d: ADHMData) -> list:
-    return _complex_moment(d.B1, d.B2, d.I, d.J)
 
 
 # How each sector transforms under U(k) x U(N) x T^2: (left group, right
@@ -224,95 +61,6 @@ _CHARGES = {
     "PB": ("gauge", "gauge", (0, 0)),
 }
 MATTER_SECTORS = ("B1", "B2", "I", "J")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Block (U, V, t1, t2); omitted blocks act as the identity."""
-
-    U: Optional[NMatrix] = None
-    V: Optional[NMatrix] = None
-    t1: Optional[CNum] = None
-    t2: Optional[CNum] = None
-
-
-def _check_unitary(M: NMatrix, label: str) -> None:
-    if not mat_equal(mat_mul(mat_dagger(M), M), nmat_eye(len(M))):
-        raise NotUnitary("%s block is not exactly unitary" % (label,))
-
-
-def group_act(g: GroupElement, d: ADHMData) -> ADHMData:
-    """The finite action of the charge table on the matter sectors."""
-    U = g.U if g.U is not None else nmat_eye(d.k)
-    V = g.V if g.V is not None else nmat_eye(d.N)
-    t1 = CNum.of(g.t1) if g.t1 is not None else C_ONE
-    t2 = CNum.of(g.t2) if g.t2 is not None else C_ONE
-    _check_unitary(U, "gauge")
-    _check_unitary(V, "framing")
-    for t, label in ((t1, "first torus"), (t2, "second torus")):
-        if t.abs2() != 1:
-            raise NotUnitary("%s phase is not on the unit circle" % (label,))
-    groups = {"gauge": U, "frame": V}
-
-    def move(name: str) -> list:
-        left, right, character = _CHARGES[name]
-        phase = C_ONE
-        for t, n in zip((t1, t2), character):
-            for _ in range(n):
-                phase = phase * t
-        X = mat_mul(mat_mul(groups[left], getattr(d, name)), mat_dagger(groups[right]))
-        return mat_scale(X, phase)
-
-    return adhm_data(*(move(name) for name in MATTER_SECTORS))
-
-
-def cayley_unitary(A: NMatrix) -> list:
-    """(1 - A)(1 + A)^-1 for exact anti-hermitian A, an exact unitary."""
-    if not mat_equal(mat_dagger(A), mat_scale(A, -1)):
-        raise ShapeMismatch("Cayley input must be anti-hermitian")
-    one = nmat_eye(len(A))
-    return mat_mul(mat_sub(one, A), inverse(mat_add(one, A)))
-
-
-def random_antihermitian(n: int, rng: random.Random) -> NMatrix:
-    rows = [[C_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = CNum(Fraction(0), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        for j in range(i + 1, n):
-            z = CNum(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            )
-            rows[i][j] = z
-            rows[j][i] = -z.conjugate()
-    return tuple(tuple(r) for r in rows)
-
-
-def random_unitary(n: int, rng: random.Random) -> list:
-    return cayley_unitary(random_antihermitian(n, rng))
-
-
-def unit_phase(rng: random.Random) -> CNum:
-    """Random exact point on the unit circle from a Pythagorean pair."""
-    m = rng.randint(2, 9)
-    n = rng.randint(1, m - 1)
-    t = CNum(
-        Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
-    )
-    return t.conjugate() if rng.random() < 0.5 else t
-
-
-def random_adhm_data(k: int, N: int, rng: random.Random) -> ADHMData:
-    def entry() -> CNum:
-        return CNum(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-            Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-        )
-
-    def block(rows: int, cols: int) -> NMatrix:
-        return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
-
-    return ADHMData(block(k, k), block(k, k), block(k, N), block(N, k))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +148,124 @@ def adhm_super_chart(k: int, N: int, full: bool = False) -> ADHMSuperChart:
     params += tuple("a%d" % (r + 1,) for r in range(N - 1))
     params += ("e1", "e2")
     return ADHMSuperChart(k, N, full, chart, tuple(sectors), params)
+
+
+# ---------------------------------------------------------------------------
+# data: a datum is a binding of the chart's real coordinates; a complex
+# matrix is given as rows of (re, im) pairs
+
+
+def adhm_binding(lay: ADHMSuperChart, B1, B2, I, J) -> dict:
+    """The datum (B1, B2, I, J) as a binding of the chart's matter coordinates."""
+    binding = {}
+    names = lay.chart.coords
+    for name, block in zip(MATTER_SECTORS, (B1, B2, I, J)):
+        rows, cols = lay.shape(name)
+        if len(block) != rows or any(len(row) != cols for row in block):
+            raise ShapeMismatch("%s must be %d x %d" % (name, rows, cols))
+        for i, row in enumerate(block):
+            for j, (re, im) in enumerate(row):
+                p = lay.coord_index(name, i, j)
+                binding[names[p]], binding[names[p + 1]] = Fraction(re), Fraction(im)
+    return binding
+
+
+def _block(lay: ADHMSuperChart, binding, sector: str) -> list:
+    """One sector of a datum, as rows of (re, im) pairs."""
+    rows, cols = lay.shape(sector)
+    names = lay.chart.coords
+
+    def pair(p: int) -> tuple:
+        return binding[names[p]], binding[names[p + 1]]
+
+    return [[pair(lay.coord_index(sector, i, j)) for j in range(cols)] for i in range(rows)]
+
+
+def real_form(M) -> list:
+    """[[A, -B], [B, A]] for the complex matrix A + iB: the real matrix
+    that acts on (Re z, Im z) as M acts on z."""
+    top = [[a for a, _ in row] + [-b for _, b in row] for row in M]
+    return top + [[b for _, b in row] + [a for a, _ in row] for row in M]
+
+
+def _scalar(t, n: int) -> list:
+    """The real form of t times the n x n identity."""
+    return real_form([[t if i == j else (0, 0) for j in range(n)] for i in range(n)])
+
+
+def _unitary(M, n: int, label: str) -> list:
+    """M, checked to be the real form of an exact n x n unitary; the
+    identity for None."""
+    if M is None:
+        return identity(2 * n)
+    if not mat_equal(mat_mul(mat_dagger(M), M), identity(2 * n)):
+        raise NotUnitary("%s block is not exactly orthogonal" % (label,))
+    i = _scalar((0, 1), n)
+    if not mat_equal(mat_mul(M, i), mat_mul(i, M)):
+        raise NotUnitary("%s block does not commute with i" % (label,))
+    return M
+
+
+def group_act(lay: ADHMSuperChart, binding, U=None, V=None, t1=(1, 0), t2=(1, 0)) -> dict:
+    """The finite action of the charge table on a datum's matter sectors.
+
+    U and V are real forms of exact unitaries of U(k) and U(N), None for
+    the identity; the torus phases t1 and t2 are exact (cos, sin) pairs.
+    Each block X becomes t1^n1 t2^n2 L X R^T, all in real form.
+    """
+    groups = {"gauge": _unitary(U, lay.k, "gauge"), "frame": _unitary(V, lay.N, "framing")}
+    for (c, s), label in ((t1, "first torus"), (t2, "second torus")):
+        if c * c + s * s != 1:
+            raise NotUnitary("%s phase is not on the unit circle" % (label,))
+
+    def move(name: str) -> list:
+        left, right, character = _CHARGES[name]
+        rows, cols = lay.shape(name)
+        L = groups[left]
+        for t, n in zip((t1, t2), character):
+            for _ in range(n):
+                L = mat_mul(_scalar(t, rows), L)
+        X = mat_mul(mat_mul(L, real_form(_block(lay, binding, name))), mat_dagger(groups[right]))
+        return [[(X[i][j], X[rows + i][j]) for j in range(cols)] for i in range(rows)]
+
+    return {**binding, **adhm_binding(lay, *(move(name) for name in MATTER_SECTORS))}
+
+
+def cayley_unitary(A) -> list:
+    """(1 - A)(1 + A)^-1 for the real form A of an exact anti-hermitian
+    matrix: the real form of an exact unitary."""
+    if not mat_equal(mat_dagger(A), mat_scale(A, -1)):
+        raise ShapeMismatch("Cayley input must be anti-hermitian")
+    one = identity(len(A))
+    return mat_mul(mat_sub(one, A), inverse(mat_add(one, A)))
+
+
+def random_unitary(n: int, rng: random.Random) -> list:
+    """The real form of the Cayley transform of a random anti-hermitian matrix."""
+
+    def draw() -> Fraction:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    A = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i] = (0, draw())
+        for j in range(i + 1, n):
+            re, im = draw(), draw()
+            A[i][j], A[j][i] = (re, im), (-re, im)
+    return cayley_unitary(real_form(A))
+
+
+def unit_phase(rng: random.Random) -> tuple:
+    """Random exact point (cos, sin) on the unit circle from a Pythagorean pair."""
+    m = rng.randint(2, 9)
+    n = rng.randint(1, m - 1)
+    c, s = Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
+    return (c, -s) if rng.random() < 0.5 else (c, s)
+
+
+def random_datum(lay: ADHMSuperChart, rng: random.Random) -> dict:
+    """A binding with a random rational for each coordinate of the chart."""
+    return {name: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for name in lay.chart.coords}
 
 
 def _traceless_diagonal(N: int) -> list:
@@ -526,10 +392,13 @@ def adhm_Q_full(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
 
 def adhm_constraint_scalars(lay: ADHMSuperChart):
     """All real components of both constraints, ordered like the
-    multiplier coordinates (real block first, then complex block)."""
-    matter = [lay.boson_matrix(name) for name in MATTER_SECTORS]
+    multiplier coordinates: the real block [B1,B1+] + [B2,B2+] + I I+ - J+ J,
+    then the complex block [B1,B2] + I J."""
+    B1, B2, I, J = (lay.boson_matrix(name) for name in MATTER_SECTORS)
+    real = mat_add(mat_commutator(B1, mat_dagger(B1)), mat_commutator(B2, mat_dagger(B2)))
+    real = mat_sub(mat_add(real, mat_mul(I, mat_dagger(I))), mat_mul(mat_dagger(J), J))
     out = []
-    for block in (_real_moment(*matter), _complex_moment(*matter)):
+    for block in (real, mat_add(mat_commutator(B1, B2), mat_mul(I, J))):
         for row in block:
             for z in row:
                 out.append(sc.normalize(z.re.terms.get((), sc.ZERO)))
@@ -644,12 +513,10 @@ def rank_bookkeeping(k: int, N: int, susy: int) -> int:
     return ranks[susy]
 
 
-def check_stabilizer(d: ADHMData) -> None:
+def check_stabilizer(lay: ADHMSuperChart, binding) -> None:
     """Reject data whose gauge stabilizer is larger than the center acts
     freely on; vanishing (I, J) always fails."""
-    if all(z.is_zero() for row in d.I for z in row) and all(
-        z.is_zero() for row in d.J for z in row
-    ):
+    if not any(any(z) for name in ("I", "J") for row in _block(lay, binding, name) for z in row):
         raise StabilizerNotTrivial("data with I = J = 0 sit on a singular stratum")
 
 
@@ -657,12 +524,13 @@ def check_stabilizer(d: ADHMData) -> None:
 class ADHMFixedPoint:
     """Torus-fixed datum at instanton number one.
 
-    `phi` is the compensating gauge parameter; `weights` are the four
-    torus weights of the reduced tangent directions.
+    `binding` is the datum on the matter chart, `phi` the compensating
+    gauge parameter; `weights` are the four torus weights of the reduced
+    tangent directions.
     """
 
     r: int
-    data: ADHMData
+    binding: dict
     phi: sc.ScalarExpr
     weights: Tuple[sc.ScalarExpr, ...]
 
@@ -677,20 +545,21 @@ def adhm_fixed_points(k: int, N: int) -> list:
         raise ShapeMismatch("fixed-point enumeration only covers k = 1")
     if N < 2:
         raise ShapeMismatch("need N >= 2 for isolated fixed data")
+    lay = adhm_super_chart(1, N)
+    V = adhm_constraint_scalars(lay)
     a_diag = _traceless_diagonal(N)
     e1, e2 = sc.sym("e1"), sc.sym("e2")
+    zero = [[(0, 0)]]
     out = []
     for r in range(N):
-        I = (tuple(C_ONE if c == r else C_ZERO for c in range(N)),)
-        data = ADHMData(nmat_zero(1, 1), nmat_zero(1, 1), I, nmat_zero(N, 1))
-        check_stabilizer(data)
-        if not (
-            mat_equal(constraint_real(data), nmat_eye(1))
-            and mat_equal(constraint_complex(data), nmat_zero(1, 1))
-        ):
+        I = [[(int(c == r), 0) for c in range(N)]]
+        binding = adhm_binding(lay, zero, zero, I, zero * N)
+        check_stabilizer(lay, binding)
+        # the real constraint is 1 + 0i and the complex one 0
+        if [sc.evaluate(v, binding) for v in V] != [1, 0, 0, 0]:
             raise ComputationError("fixed datum r=%d misses the constraint level" % (r,))
         weights = [e1, e2]
         weights += [sc.normalize(a_diag[r] - a_diag[s]) for s in range(N) if s != r]
         weights += [sc.normalize(a_diag[s] - a_diag[r] + e1 + e2) for s in range(N) if s != r]
-        out.append(ADHMFixedPoint(r, data, sc.normalize(a_diag[r]), tuple(weights)))
+        out.append(ADHMFixedPoint(r, binding, sc.normalize(a_diag[r]), tuple(weights)))
     return out

@@ -3,8 +3,8 @@
 Rational matrices go through fraction-exact Gaussian elimination; symbolic
 matrices use subset dynamic programming so no division is ever needed.
 The dense helpers (mat_add .. mat_equal, mat_mul) take any entry type with
-``+ - *``, and mat_dagger also needs ``conjugate()``: Fractions, exact
-complex numbers and complex superfunctions all qualify.
+``+ - *``, and mat_dagger also needs ``conjugate()``: Fractions and complex
+superfunctions both qualify.
 """
 
 from __future__ import annotations
@@ -232,27 +232,26 @@ def pfaffian(M):
 
 
 def _eliminate(rows, right) -> list:
-    """Gauss-Jordan on [rows | right] over a field: Fractions, or exact
-    complex numbers with ``/`` and ``is_zero()``; returns the reduced right block."""
+    """Gauss-Jordan on [rows | right] over the Fractions; returns the
+    reduced right block."""
     n = len(rows)
-    aug = [[Fraction(e) if isinstance(e, (int, Fraction)) else e for e in list(row) + list(extra)]
-           for row, extra in zip(rows, right)]
+    aug = [[Fraction(e) for e in list(row) + list(extra)] for row, extra in zip(rows, right)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not _entry_zero(aug[r][col])), None)
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         p = aug[col][col]
         aug[col] = [e / p for e in aug[col]]
         for r in range(n):
-            if r != col and not _entry_zero(aug[r][col]):
+            if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [e - f * aug[col][c] for c, e in enumerate(aug[r])]
     return [row[n:] for row in aug]
 
 
 def inverse(A) -> list:
-    """Exact inverse of a Fraction or exact complex matrix."""
+    """Exact inverse of a matrix of ints and Fractions."""
     rows = _square(A)
     return _eliminate(rows, identity(len(rows)))
 

@@ -199,17 +199,17 @@ def _eps_sign(perm: tuple) -> int:
 
 
 def boundary_flux(
-    w: Callable[[tuple], Sequence[float]],
+    w: Callable[[tuple, int], float],
     box,
     faces: Optional[Sequence[Tuple[int, int]]] = None,
     tol: float = 1e-8,
 ) -> float:
     """Outward flux of a vector field through selected box faces.
 
-    `w` takes a point of the box. The integrand on the face normal to axis
-    k is w^k; faces default to all of them, and are dropped for periodic
-    axes by passing an explicit list of (axis, side) pairs with side = +1
-    or -1.
+    `w(point, k)` is component k of the field at a point of the box. The
+    integrand on the face normal to axis k is w^k; faces default to all of
+    them, and are dropped for periodic axes by passing an explicit list of
+    (axis, side) pairs with side = +1 or -1.
     """
     m = len(box)
     if faces is None:
@@ -222,7 +222,7 @@ def boundary_flux(
 
         def f(face_point, axis=axis, value=value):
             point = face_point[:axis] + (value,) + face_point[axis:]
-            return w(point)[axis]
+            return w(point, axis)
 
         if rest:
             part = quadrature(point_rule(f), rest, tol=share)
@@ -269,9 +269,9 @@ def super_stokes_check(
     dual = hodge_dual(nu)
     sigma_fns = [[sc.compile_numeric(sc.as_expr(e), coords) for e in row] for row in sigma]
 
-    def w(point) -> list:
+    def w(point, axis) -> float:
         d = dual(point)
-        return [sum(fn(point) * d[A] for A, fn in enumerate(row)) for row in sigma_fns]
+        return sum(fn(point) * d[A] for A, fn in enumerate(sigma_fns[axis]))
 
     rhs = boundary_flux(w, box, faces=faces, tol=tol / 4)
     return {

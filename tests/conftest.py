@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from superloc import scalars as sc
+from superloc.adhm import adhm_constraint_scalars
 from superloc.grassmann import SuperVectorField, graded_commutator
 
 
@@ -24,3 +26,32 @@ def reference_square_residual(Q: SuperVectorField, lift: SuperVectorField) -> Su
 @pytest.fixture
 def square_reference():
     return reference_square_residual
+
+
+_CONSTRAINTS = {}
+
+
+def adhm_constraint_values(lay, binding) -> tuple:
+    """The real and the complex constraint block at a datum, each as the
+    flat (re, im, re, im, ...) values of `adhm_constraint_scalars`."""
+    key = (lay.k, lay.N, lay.full)
+    if key not in _CONSTRAINTS:
+        _CONSTRAINTS[key] = adhm_constraint_scalars(lay)
+    values = [sc.evaluate(v, binding) for v in _CONSTRAINTS[key]]
+    split = 2 * lay.k * lay.k
+    return values[:split], values[split:]
+
+
+def adhm_constraint_norms(lay, binding) -> tuple:
+    """|c_R|^2 and |c_C|^2 at a datum, exact on a Fraction binding."""
+    return tuple(sum(x * x for x in block) for block in adhm_constraint_values(lay, binding))
+
+
+@pytest.fixture
+def constraint_values():
+    return adhm_constraint_values
+
+
+@pytest.fixture
+def constraint_norms():
+    return adhm_constraint_norms

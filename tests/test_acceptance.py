@@ -20,19 +20,15 @@ from superloc.actions import (
     verify_brst,
 )
 from superloc.adhm import (
-    GroupElement,
     adhm_Q_full,
     adhm_Q_unconstrained,
     adhm_constraint_scalars,
     adhm_lifted_field,
     adhm_super_chart,
     cartan_params,
-    constraint_complex,
-    constraint_real,
     fermionic_constraints,
     group_act,
-    nmat_norm2,
-    random_adhm_data,
+    random_datum,
     random_unitary,
     rank_bookkeeping,
     sector_completion,
@@ -194,20 +190,15 @@ def test_05_super_stokes_on_box_and_annulus():
         assert abs(result["bulk"] - result["boundary"]) < 1e-7
 
 
-def test_06_adhm_constraints_and_multiplier_structure():
+def test_06_adhm_constraints_and_multiplier_structure(constraint_norms):
     rng = random.Random(733)
     for _ in range(50):
         k, N = rng.randint(1, 3), rng.randint(1, 3)
-        d = random_adhm_data(k, N, rng)
-        g = GroupElement(
-            U=random_unitary(k, rng),
-            V=random_unitary(N, rng),
-            t1=unit_phase(rng),
-            t2=unit_phase(rng),
-        )
-        moved = group_act(g, d)
-        assert nmat_norm2(constraint_real(moved)) == nmat_norm2(constraint_real(d))
-        assert nmat_norm2(constraint_complex(moved)) == nmat_norm2(constraint_complex(d))
+        lay = adhm_super_chart(k, N)
+        d = random_datum(lay, rng)
+        U, V = random_unitary(k, rng), random_unitary(N, rng)
+        moved = group_act(lay, d, U, V, unit_phase(rng), unit_phase(rng))
+        assert constraint_norms(lay, moved) == constraint_norms(lay, d)
 
     lay = adhm_super_chart(1, 2)
     V = adhm_constraint_scalars(lay)

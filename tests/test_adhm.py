@@ -10,30 +10,23 @@ from superloc import adhm
 from superloc import scalars as sc
 from superloc.actions import sigma_from_Q, verify_brst
 from superloc.adhm import (
-    ADHMData,
-    GroupElement,
     adhm_Q_full,
     adhm_Q_unconstrained,
+    adhm_binding,
     adhm_constraint_scalars,
-    adhm_data,
     adhm_fixed_points,
     adhm_lifted_field,
     adhm_super_chart,
     cartan_params,
     cayley_unitary,
     check_stabilizer,
-    constraint_complex,
-    constraint_real,
     fermionic_constraints,
     group_act,
     multiplier_completion,
-    nmat,
-    nmat_eye,
-    nmat_norm2,
-    nmat_zero,
-    random_adhm_data,
+    random_datum,
     random_unitary,
     rank_bookkeeping,
+    real_form,
     sector_completion,
     unit_phase,
 )
@@ -53,13 +46,13 @@ from superloc.grassmann import (
 )
 from superloc.linalg import (
     det,
+    identity,
     inverse,
     mat_add,
     mat_commutator,
     mat_dagger,
     mat_equal,
     mat_mul,
-    mat_scale,
 )
 
 
@@ -105,115 +98,158 @@ def test_chart_indexing():
 
 
 # ---------------------------------------------------------------------------
-# numeric constraints and group actions
+# data as bindings: constraints and group actions
 
 
-def test_constraints_zero_data():
-    d = adhm_data(nmat_zero(2, 2), nmat_zero(2, 2), nmat_zero(2, 2), nmat_zero(2, 2))
-    assert mat_equal(constraint_real(d), nmat_zero(2, 2))
-    assert mat_equal(constraint_complex(d), nmat_zero(2, 2))
-    assert d.moduli_dimension == 16
+def _cmul(z, w) -> tuple:
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
 
 
-def test_constraints_k1_scalars():
-    d = adhm_data(
-        [[(1, 2)]], [[(0, 3)]], [[(2, 0), (0, 1)]], [[(1, 1)], [(0, 2)]]
-    )
-    c1 = constraint_real(d)
-    assert c1[0][0].re == Fraction(4 + 1) - Fraction(2 + 4)
-    assert c1[0][0].im == 0
-    c2 = constraint_complex(d)
-    want = (
-        d.I[0][0] * d.J[0][0] + d.I[0][1] * d.J[1][0]
-    )
-    assert (c2[0][0] - want).is_zero()
+def _pairs(values, cols) -> list:
+    """Flat (re, im, ...) values as rows of (re, im) pairs."""
+    pairs = list(zip(values[0::2], values[1::2]))
+    return [pairs[i:i + cols] for i in range(0, len(pairs), cols)]
 
 
-def test_constraint_hermitian_random():
+def _zero(rows, cols) -> list:
+    return [[(0, 0)] * cols for _ in range(rows)]
+
+
+def test_binding_round_trips_through_the_chart():
+    rng = random.Random(5)
+    lay = adhm_super_chart(2, 3)
+
+    def draw():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    blocks = {}
+    for name in adhm.MATTER_SECTORS:
+        rows, cols = lay.shape(name)
+        blocks[name] = [[(draw(), draw()) for _ in range(cols)] for _ in range(rows)]
+    binding = adhm_binding(lay, *(blocks[name] for name in adhm.MATTER_SECTORS))
+    assert list(binding) == list(lay.chart.coords)
+    for name in adhm.MATTER_SECTORS:
+        got = [
+            [(sc.evaluate(_body(z.re), binding), sc.evaluate(_body(z.im), binding)) for z in row]
+            for row in lay.boson_matrix(name)
+        ]
+        assert got == blocks[name]
+
+
+def test_constraints_zero_data(constraint_values):
+    lay = adhm_super_chart(2, 2)
+    zero = _zero(2, 2)
+    real, cplx = constraint_values(lay, adhm_binding(lay, zero, zero, zero, zero))
+    assert real == [0] * 8 and cplx == [0] * 8
+    assert rank_bookkeeping(2, 2, 2) == 16
+
+
+def test_constraints_k1_scalars(constraint_values):
+    lay = adhm_super_chart(1, 2)
+    I, J = [[(2, 0), (0, 1)]], [[(1, 1)], [(0, 2)]]
+    d = adhm_binding(lay, [[(1, 2)]], [[(0, 3)]], I, J)
+    c1, c2 = constraint_values(lay, d)
+    assert c1[0] == Fraction(4 + 1) - Fraction(2 + 4)
+    assert c1[1] == 0
+    want = [a + b for a, b in zip(_cmul(I[0][0], J[0][0]), _cmul(I[0][1], J[1][0]))]
+    assert c2 == want
+
+
+def test_constraint_hermitian_random(constraint_values):
     rng = random.Random(31)
+    lay = adhm_super_chart(2, 3)
     for _ in range(5):
-        d = random_adhm_data(2, 3, rng)
-        c1 = constraint_real(d)
+        c1 = real_form(_pairs(constraint_values(lay, random_datum(lay, rng))[0], 2))
         assert mat_equal(c1, mat_dagger(c1))
 
 
 def test_group_identity():
     rng = random.Random(7)
-    d = random_adhm_data(2, 2, rng)
-    d2 = group_act(GroupElement(), d)
-    for sec in ("B1", "B2", "I", "J"):
-        assert mat_equal(getattr(d, sec), getattr(d2, sec))
+    lay = adhm_super_chart(2, 2)
+    d = random_datum(lay, rng)
+    assert group_act(lay, d) == d
 
 
 def test_group_torus_phases():
     rng = random.Random(8)
-    d = random_adhm_data(2, 2, rng)
+    lay = adhm_super_chart(2, 2)
+    d = random_datum(lay, rng)
     t1, t2 = unit_phase(rng), unit_phase(rng)
-    d2 = group_act(GroupElement(t1=t1, t2=t2), d)
-    assert mat_equal(d2.B1, mat_scale(d.B1, t1))
-    assert mat_equal(d2.B2, mat_scale(d.B2, t2))
-    assert mat_equal(d2.I, d.I)
-    assert mat_equal(d2.J, mat_scale(d.J, t1 * t2))
+    d2 = group_act(lay, d, t1=t1, t2=t2)
+    for name, t in (("B1", t1), ("B2", t2), ("I", (1, 0)), ("J", _cmul(t1, t2))):
+        want = [[_cmul(t, z) for z in row] for row in adhm._block(lay, d, name)]
+        assert adhm._block(lay, d2, name) == want
 
 
 def test_group_rejects_nonunitary():
-    d = random_adhm_data(2, 2, random.Random(9))
-    bad = nmat([[(2, 0), (0, 0)], [(0, 0), (1, 0)]])
+    lay = adhm_super_chart(2, 2)
+    d = random_datum(lay, random.Random(9))
+    bad = real_form([[(2, 0), (0, 0)], [(0, 0), (1, 0)]])
     with pytest.raises(NotUnitary):
-        group_act(GroupElement(U=bad), d)
+        group_act(lay, d, U=bad)
     with pytest.raises(NotUnitary):
-        group_act(GroupElement(t1=(1, 1)), d)
+        group_act(lay, d, V=bad)
+    with pytest.raises(NotUnitary):
+        group_act(lay, d, t1=(1, 1))
+    with pytest.raises(NotUnitary):
+        group_act(lay, d, t2=(Fraction(1, 2), Fraction(1, 2)))
 
 
-def test_group_preserves_constraint_norms():
+def test_group_rejects_an_orthogonal_block_that_is_not_complex_linear():
+    # complex conjugation on C^2: orthogonal in real form, but it
+    # anticommutes with multiplication by i
+    lay = adhm_super_chart(2, 2)
+    d = random_datum(lay, random.Random(10))
+    conj = [[Fraction(int(i == j) * (1 if i < 2 else -1)) for j in range(4)] for i in range(4)]
+    assert mat_equal(mat_mul(mat_dagger(conj), conj), identity(4))
+    with pytest.raises(NotUnitary):
+        group_act(lay, d, U=conj)
+    with pytest.raises(NotUnitary):
+        group_act(lay, d, V=conj)
+
+
+def test_group_preserves_constraint_norms(constraint_norms):
     rng = random.Random(12)
-    d = random_adhm_data(2, 2, rng)
-    n1, n2 = nmat_norm2(constraint_real(d)), nmat_norm2(constraint_complex(d))
+    lay = adhm_super_chart(2, 2)
+    d = random_datum(lay, rng)
+    norms = constraint_norms(lay, d)
     for _ in range(12):
-        g = GroupElement(
-            U=random_unitary(2, rng),
-            V=random_unitary(2, rng),
-            t1=unit_phase(rng),
-            t2=unit_phase(rng),
-        )
-        d2 = group_act(g, d)
-        assert nmat_norm2(constraint_real(d2)) == n1
-        assert nmat_norm2(constraint_complex(d2)) == n2
+        U, V = random_unitary(2, rng), random_unitary(2, rng)
+        d2 = group_act(lay, d, U, V, unit_phase(rng), unit_phase(rng))
+        assert constraint_norms(lay, d2) == norms
 
 
-def test_complex_constraint_equivariance():
+def test_complex_constraint_equivariance(constraint_values):
     rng = random.Random(13)
-    d = random_adhm_data(2, 2, rng)
+    lay = adhm_super_chart(2, 2)
+    d = random_datum(lay, rng)
     U = random_unitary(2, rng)
     t1, t2 = unit_phase(rng), unit_phase(rng)
-    d2 = group_act(GroupElement(U=U, t1=t1, t2=t2), d)
-    want = mat_scale(
-        mat_mul(mat_mul(U, constraint_complex(d)), mat_dagger(U)), t1 * t2
-    )
-    assert mat_equal(constraint_complex(d2), want)
+    d2 = group_act(lay, d, U=U, t1=t1, t2=t2)
+    t = _cmul(t1, t2)
+    phase = real_form([[t, (0, 0)], [(0, 0), t]])
+    c = real_form(_pairs(constraint_values(lay, d)[1], 2))
+    want = mat_mul(phase, mat_mul(mat_mul(U, c), mat_dagger(U)))
+    assert mat_equal(real_form(_pairs(constraint_values(lay, d2)[1], 2)), want)
 
 
 def test_cayley_and_inverse_exact():
     rng = random.Random(14)
     U = random_unitary(3, rng)
-    assert mat_equal(mat_mul(mat_dagger(U), U), nmat_eye(3))
-    assert mat_equal(mat_mul(U, inverse(U)), nmat_eye(3))
+    i = real_form([[(0, 1) if r == c else (0, 0) for c in range(3)] for r in range(3)])
+    assert mat_equal(mat_mul(mat_dagger(U), U), identity(6))
+    assert mat_equal(mat_mul(U, i), mat_mul(i, U))
+    assert mat_equal(mat_mul(U, inverse(U)), identity(6))
     with pytest.raises(ShapeMismatch):
-        cayley_unitary(nmat([[(1, 0)]]))
-
-
-def test_singular_complex_inverse_raises_value_error():
-    # second row is (1 + i) times the first
-    singular = nmat([[(1, 2), (0, 1)], [(-1, 3), (-1, 1)]])
-    with pytest.raises(ValueError, match="singular"):
-        inverse(singular)
+        cayley_unitary(real_form([[(1, 0)]]))
 
 
 def test_data_shape_guards():
+    lay = adhm_super_chart(1, 2)
     with pytest.raises(ShapeMismatch):
-        adhm_data([[0, 0]], [[0]], [[0, 0]], [[0], [0]])
+        adhm_binding(lay, _zero(1, 2), _zero(1, 1), _zero(1, 2), _zero(2, 1))
     with pytest.raises(ShapeMismatch):
-        adhm_data([[0]], [[0]], [[0, 0]], [[0]])
+        adhm_binding(lay, _zero(1, 1), _zero(1, 1), _zero(1, 2), _zero(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +588,7 @@ def test_rank_bookkeeping_values():
         rank_bookkeeping(0, 1, 2)
 
 
-def test_fixed_points_k1():
+def test_fixed_points_k1(constraint_values):
     points = adhm_fixed_points(1, 2)
     assert len(points) == 2
     a1, e1, e2 = sc.sym("a1"), sc.sym("e1"), sc.sym("e2")
@@ -564,21 +600,27 @@ def test_fixed_points_k1():
         assert sc.is_zero(sc.normalize(got - want))
     second = points[1]
     assert sc.is_zero(sc.normalize(second.phi + a1))
+    lay = adhm_super_chart(1, 2)
     for fp in points:
-        assert constraint_real(fp.data)[0][0].re == 1
-        assert mat_equal(constraint_complex(fp.data), nmat_zero(1, 1))
+        real, cplx = constraint_values(lay, fp.binding)
+        assert real[0] == 1
+        assert cplx == [0, 0]
 
 
 def test_fixed_points_raise_when_constraint_fails(monkeypatch):
-    # an invariant, so it must hold under python -O as well: an exception
-    monkeypatch.setattr(adhm, "constraint_complex", lambda d: nmat([[(1, 0)]]))
+    # an invariant, so it must hold under python -O as well: an exception;
+    # here the complex constraint reads 1 + 0i
+    monkeypatch.setattr(
+        adhm, "adhm_constraint_scalars", lambda lay: [sc.ONE, sc.ZERO, sc.ONE, sc.ZERO]
+    )
     with pytest.raises(ComputationError):
         adhm_fixed_points(1, 2)
 
 
-def test_fixed_points_scale_and_guards():
+def test_fixed_points_scale_and_guards(constraint_values):
     points = adhm_fixed_points(1, 3)
-    assert all(constraint_real(fp.data)[0][0].re == 1 for fp in points)
+    lay = adhm_super_chart(1, 3)
+    assert all(constraint_values(lay, fp.binding)[0][0] == 1 for fp in points)
     with pytest.raises(ShapeMismatch):
         adhm_fixed_points(2, 2)
     with pytest.raises(ShapeMismatch):
@@ -607,8 +649,10 @@ def test_charge_table_gives_the_fixed_point_weights(N):
 
 
 def test_stabilizer_guard():
-    d = adhm_data([[0]], [[0]], [[0, 0]], [[0], [0]])
+    lay = adhm_super_chart(1, 2)
+    zero = _zero(1, 1)
+    d = adhm_binding(lay, zero, zero, _zero(1, 2), _zero(2, 1))
     with pytest.raises(StabilizerNotTrivial):
-        check_stabilizer(d)
-    ok = adhm_data([[0]], [[0]], [[1, 0]], [[0], [0]])
-    check_stabilizer(ok)
+        check_stabilizer(lay, d)
+    ok = adhm_binding(lay, zero, zero, [[(1, 0), (0, 0)]], _zero(2, 1))
+    check_stabilizer(lay, ok)

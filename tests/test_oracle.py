@@ -392,8 +392,8 @@ def test_integrand_float_errors_raise_computation_error():
     with pytest.raises(ComputationError, match="ValueError: math domain error"):
         quadrature(point_rule(lambda p: math.log(p[0] - 0.5)), ((0, 1),))
 
-    def w(point):
-        return (1.0 / point[0],)
+    def w(point, axis):
+        return 1.0 / point[axis]
 
     with pytest.raises(ComputationError, match="ZeroDivisionError: float division by zero"):
         boundary_flux(w, ((0.0, 1.0),))
@@ -471,9 +471,36 @@ def test_super_stokes_rejects_a_non_injective_sigma_before_quadrature(monkeypatc
 
 def test_boundary_flux_divergence():
     # flux of (x, y) out of the unit square equals the divergence integral
-    w = lambda p: (p[0], p[1])
+    w = lambda p, axis: p[axis]
     value = boundary_flux(w, ((0, 1), (0, 1)), tol=1e-10)
     assert abs(value - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("face", [(0, 1), (0, -1), (1, 1), (1, -1)])
+def test_boundary_integrand_evaluates_one_row_of_sigma(monkeypatch, face):
+    # the flux through the face normal to axis k reads only component k
+    # of sigma applied to the dual, so each point evaluates row k of sigma:
+    # two sigma entries per point here, not all four
+    Q = tautological_Q(ROTATION)
+    sigma = {sc.as_expr(e) for row in oracle.sigma_from_Q(Q) for e in row}
+    calls = {"sigma": 0, "dual": 0}
+    compile_numeric = sc.compile_numeric
+
+    def counting(e, names, binding=None):
+        fn = compile_numeric(e, names, binding)
+        kind = "sigma" if e in sigma else "dual"
+
+        def counted(point):
+            calls[kind] += 1
+            return fn(point)
+
+        return counted
+
+    monkeypatch.setattr(sc, "compile_numeric", counting)
+    nu = parse_super(CHART, "x*y*th2")
+    super_stokes_check(nu, Q, EYE, ((0, 1), (0, 1)), faces=(face,), tol=1e-7)
+    assert calls["dual"] > 0
+    assert calls["sigma"] == 2 * calls["dual"]
 
 
 def test_super_stokes_unit_box():
