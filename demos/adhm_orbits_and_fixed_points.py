@@ -45,7 +45,8 @@ def main() -> None:
     print()
 
     print("torus fixed points at k=1, N=2 (resolution parameter 1):")
-    for fp in adhm_fixed_points(1, 2):
+    fixed = adhm_super_chart(1, 2)
+    for fp in adhm_fixed_points(fixed, adhm_constraint_scalars(fixed)):
         print("  class r=%d: phi = %s" % (fp.r, sc.to_text(fp.phi)))
         nonzero = ["%s = %s" % (name, x) for name, x in fp.binding.items() if x]
         print("    nonzero coordinates: %s" % ", ".join(nonzero))

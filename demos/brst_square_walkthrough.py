@@ -28,7 +28,6 @@ from superloc.adhm import (
     adhm_Q_unconstrained,
     adhm_lifted_field,
     adhm_super_chart,
-    cartan_params,
 )
 from superloc.geometry import PLANE_ROTATION
 from superloc.grassmann import SuperChart, field_is_zero, to_super_text
@@ -67,9 +66,8 @@ def main() -> None:
 
     for full in (False, True):
         lay = adhm_super_chart(1, 2, full=full)
-        params = cartan_params(lay)
-        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay, *params)
-        lift = adhm_lifted_field(lay, *params)
+        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay)
+        lift = adhm_lifted_field(lay)
         label = "with multipliers" if full else "matter only"
         print("matrix model k=1, N=2 (%s):" % label)
         print("  coordinates: %d even, %d odd" % (lay.chart.m, lay.chart.n))

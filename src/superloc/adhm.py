@@ -10,8 +10,11 @@ chi_R, chi_C, eta paired with the extra bosons H_R, H_C, phibar.  A datum
 is a binding of the chart's real coordinates, and the constraints and the
 finite group action read it there.
 
-With that positional pairing the odd operator on the matter sector has
-the identity symbol map, and its square is the lifted even field.
+The Cartan parameters of the symmetry are diagonal, so each entry turns
+by one weight of the charge table (`entry_weight`).  The lifted field and
+both odd operators are built entry by entry from those weights.  With the
+positional pairing the odd operator on the matter sector has the identity
+symbol map, and its square is the lifted even field.
 """
 from __future__ import annotations
 
@@ -48,9 +51,10 @@ from .linalg import (
 # How each sector transforms under U(k) x U(N) x T^2: (left group, right
 # group, torus character (n1, n2)), with "gauge" the U(k) factor and
 # "frame" the U(N) factor.  The finite action is X -> L X R^+ t1^n1 t2^n2,
-# the infinitesimal one X -> L X - X R + (n1 e1 + n2 e2) X with L, R the
-# Cartan parameters phi or a.  Matter sectors come first, then the
-# multiplier sector, in chart order.
+# the infinitesimal one turns the entry (i, j) by the weight
+# L_i - R_j + n1 e1 + n2 e2 (`entry_weight`), with L, R the diagonal Cartan
+# parameters phi or a.  Matter sectors come first, then the multiplier
+# sector, in chart order.
 _CHARGES = {
     "B1": ("gauge", "gauge", (1, 0)),
     "B2": ("gauge", "gauge", (0, 1)),
@@ -110,24 +114,10 @@ class ADHMSuperChart:
         im = SuperFunction.from_scalar(self.chart, sc.sym(self.chart.coords[p + 1]))
         return CSuper(re, im)
 
-    def fermion_entry(self, sector: str, i: int, j: int) -> CSuper:
-        p = self.coord_index(sector, i, j)
-        return CSuper(
-            SuperFunction.generator(self.chart, p + 1),
-            SuperFunction.generator(self.chart, p + 2),
-        )
-
     def boson_matrix(self, sector: str):
         rows, cols = self.shape(sector)
         return [
             [self.boson_entry(sector, i, j) for j in range(cols)] for i in range(rows)
-        ]
-
-    def fermion_matrix(self, sector: str):
-        rows, cols = self.shape(sector)
-        return [
-            [self.fermion_entry(sector, i, j) for j in range(cols)]
-            for i in range(rows)
         ]
 
 
@@ -277,113 +267,73 @@ def _traceless_diagonal(N: int) -> list:
     return a_top + [a_last]
 
 
-def cartan_params(lay: ADHMSuperChart):
-    """Diagonal (phi, a) and the two rotation symbols, all anti-hermitian.
-
-    Returns (phi, a, e1, e2) with phi = i diag(phi_1..phi_k), a the
-    traceless i diag(a_1, .., -sum), e_l = i times a real symbol.
-    """
-    chart = lay.chart
-
-    def imag_const(e) -> CSuper:
-        return CSuper.imag(SuperFunction.from_scalar(chart, e))
-
-    zero = CSuper.zero(chart)
-    phi = [
-        [imag_const(sc.sym("phi%d" % (i + 1,))) if i == j else zero for j in range(lay.k)]
-        for i in range(lay.k)
-    ]
-    a_diag = _traceless_diagonal(lay.N)
-    a = [
-        [imag_const(a_diag[i]) if i == j else zero for j in range(lay.N)]
-        for i in range(lay.N)
-    ]
-    return phi, a, imag_const(sc.sym("e1")), imag_const(sc.sym("e2"))
-
-
-def _mover(lay: ADHMSuperChart, phi, a, e1, e2):
-    """The infinitesimal action of the charge table, sector by sector.
-
-    Each torus weight n1 e1 + n2 e2 is built once, here, not per sector.
-    """
-    groups = {"gauge": phi, "frame": a}
-    for label, M, n in (("phi", phi, lay.k), ("a", a, lay.N)):
-        if len(M) != n or any(len(row) != n for row in M):
-            raise ShapeMismatch("%s must be %d x %d" % (label, n, n))
-    weights = {}
-    for n1, n2 in {character for _, _, character in _CHARGES.values()}:
-        parts = [e1] * n1 + [e2] * n2
-        weights[(n1, n2)] = sum(parts[1:], parts[0]) if parts else None
-
-    def move(name: str, X) -> list:
-        left, right, character = _CHARGES[name]
-        out = mat_sub(mat_mul(groups[left], X), mat_mul(X, groups[right]))
-        w = weights[character]
-        return out if w is None else mat_add(out, mat_scale(X, w))
-
-    return move
-
-
-def _flatten(lay: ADHMSuperChart, updates: Mapping[str, list]) -> tuple:
-    comps = [SuperFunction.zero(lay.chart) for _ in range(lay.chart.m)]
-    for name, rows, cols in lay.sectors:
-        block = updates.get(name)
-        if block is None:
-            continue
-        base = lay.offset(name)
-        for i in range(rows):
-            for j in range(cols):
-                z = block[i][j]
-                comps[base + 2 * (i * cols + j)] = z.re
-                comps[base + 2 * (i * cols + j) + 1] = z.im
-    return tuple(comps)
-
-
-def _flow(lay: ADHMSuperChart, move, entries) -> tuple:
-    """The flattened action on every sector's boson or fermion matrix."""
-    return _flatten(lay, {name: move(name, entries(name)) for name, _, _ in lay.sectors})
-
-
-def adhm_lifted_field(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
-    """Fundamental field plus the matching rotation of the odd partners."""
-    move = _mover(lay, phi, a, e1, e2)
-    return SuperVectorField(
-        lay.chart,
-        0,
-        _flow(lay, move, lay.boson_matrix),
-        _flow(lay, move, lay.fermion_matrix),
-    )
+def entry_weight(lay: ADHMSuperChart, sector: str, i: int, j: int) -> sc.ScalarExpr:
+    """The torus weight w = L_i - R_j + n1 e1 + n2 e2 of the entry (i, j)
+    of `sector`, read off `_CHARGES` in the chart's symbols: L and R are
+    phi_1 .. phi_k on the gauge side and the traceless a on the frame
+    side.  The infinitesimal action turns that entry z into i w z."""
+    lay.coord_index(sector, i, j)  # ShapeMismatch off the block
+    left, right, (n1, n2) = _CHARGES[sector]
+    diagonal = {
+        "gauge": [sc.sym("phi%d" % (p + 1,)) for p in range(lay.k)],
+        "frame": _traceless_diagonal(lay.N),
+    }
+    torus = sc.rational(n1) * sc.sym("e1") + sc.rational(n2) * sc.sym("e2")
+    return sc.normalize(diagonal[left][i] - diagonal[right][j] + torus)
 
 
 # Multiplier sectors whose fermion leads: Q chi = H and Q H = d chi.
 _FERMION_LED = ("HR", "HC")
 
 
-def _odd_operator(lay: ADHMSuperChart, names, phi, a, e1, e2) -> SuperVectorField:
-    """Q on the sectors `names`: Q X = psi and Q psi = d X for a boson-led
-    sector, the reverse for a fermion-led one.  Its square is the lift."""
-    move = _mover(lay, phi, a, e1, e2)
-    even, odd = {}, {}
+def _turning_field(lay: ADHMSuperChart, parity: int, names) -> SuperVectorField:
+    """The field that turns each entry of the sectors `names` by its weight,
+    (u, v) -> (-w v, w u) on a real pair (x, y) or an odd pair (xi, eta).
+
+    The lift (parity 0) turns both pairs.  Q (parity 1) sends the bosons of
+    a boson-led sector to their partners and turns the partners; on a
+    fermion-led sector it does the reverse.  Every other component is zero.
+    """
+    chart = lay.chart
+    a = [SuperFunction.zero(chart)] * chart.m
+    b = [SuperFunction.zero(chart)] * chart.n
+
+    def turn(w, u, v) -> tuple:
+        return -(v * w), u * w
+
     for name in names:
-        X, psi = lay.boson_matrix(name), lay.fermion_matrix(name)
-        if name in _FERMION_LED:
-            even[name], odd[name] = move(name, psi), X
-        else:
-            even[name], odd[name] = psi, move(name, X)
-    return SuperVectorField(lay.chart, 1, _flatten(lay, even), _flatten(lay, odd))
+        rows, cols = lay.shape(name)
+        for i in range(rows):
+            for j in range(cols):
+                w, z = entry_weight(lay, name, i, j), lay.boson_entry(name, i, j)
+                q = lay.coord_index(name, i, j)
+                even = z.re, z.im
+                odd = SuperFunction.generator(chart, q + 1), SuperFunction.generator(chart, q + 2)
+                if parity == 0:
+                    a[q:q + 2], b[q:q + 2] = turn(w, *even), turn(w, *odd)
+                elif name in _FERMION_LED:
+                    a[q:q + 2], b[q:q + 2] = turn(w, *odd), even
+                else:
+                    a[q:q + 2], b[q:q + 2] = odd, turn(w, *even)
+    return SuperVectorField(chart, parity, tuple(a), tuple(b))
 
 
-def adhm_Q_unconstrained(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
+def adhm_lifted_field(lay: ADHMSuperChart) -> SuperVectorField:
+    """Fundamental field plus the matching rotation of the odd partners."""
+    return _turning_field(lay, 0, [name for name, _, _ in lay.sectors])
+
+
+def adhm_Q_unconstrained(lay: ADHMSuperChart) -> SuperVectorField:
     """Odd operator on the matter sector: partner on bosons, action on
     partners.  Its square is the lifted even field."""
-    return _odd_operator(lay, MATTER_SECTORS, phi, a, e1, e2)
+    return _turning_field(lay, 1, MATTER_SECTORS)
 
 
-def adhm_Q_full(lay: ADHMSuperChart, phi, a, e1, e2) -> SuperVectorField:
+def adhm_Q_full(lay: ADHMSuperChart) -> SuperVectorField:
     """Odd operator including the multiplier and auxiliary sector."""
     if not lay.full:
         raise ShapeMismatch("layout lacks the multiplier sector")
-    return _odd_operator(lay, _CHARGES, phi, a, e1, e2)
+    return _turning_field(lay, 1, _CHARGES)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +474,9 @@ def check_stabilizer(lay: ADHMSuperChart, binding) -> None:
 class ADHMFixedPoint:
     """Torus-fixed datum at instanton number one.
 
-    `binding` is the datum on the matter chart, `phi` the compensating
-    gauge parameter; `weights` are the four torus weights of the reduced
-    tangent directions.
+    `binding` binds the datum's matter coordinates, `phi` is the
+    compensating gauge parameter; `weights` are the torus weights of the
+    reduced tangent directions.
     """
 
     r: int
@@ -535,18 +485,19 @@ class ADHMFixedPoint:
     weights: Tuple[sc.ScalarExpr, ...]
 
 
-def adhm_fixed_points(k: int, N: int) -> list:
-    """Enumerate the k = 1 fixed data classes of the torus action.
+def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
+    """Enumerate the k = 1 fixed data classes of the torus action on the
+    chart `lay`, matter or full, whose constraints `V` are those of
+    `adhm_constraint_scalars`.
 
     At instanton number one the fixed classes are labelled by the frame
     index carrying the single unit of charge, at real constraint level 1.
     """
-    if k != 1:
+    N = lay.N
+    if lay.k != 1:
         raise ShapeMismatch("fixed-point enumeration only covers k = 1")
     if N < 2:
         raise ShapeMismatch("need N >= 2 for isolated fixed data")
-    lay = adhm_super_chart(1, N)
-    V = adhm_constraint_scalars(lay)
     a_diag = _traceless_diagonal(N)
     e1, e2 = sc.sym("e1"), sc.sym("e2")
     zero = [[(0, 0)]]

@@ -389,23 +389,6 @@ class SuperVectorField:
                 out = out + comp * odd_partial(f, A)
         return out
 
-    def parity_violations(self) -> list:
-        """Component grades inconsistent with the declared parity.
-
-        For an even field a^i must be even-graded and b^A odd-graded;
-        reversed for an odd field.
-        """
-        bad = []
-        want_a = self.parity % 2
-        want_b = (self.parity + 1) % 2
-        for i, comp in enumerate(self.a, start=1):
-            if any(g % 2 != want_a for g in comp.grades()):
-                bad.append("a[%d] has grades %s" % (i, comp.grades()))
-        for A, comp in enumerate(self.b, start=1):
-            if any(g % 2 != want_b for g in comp.grades()):
-                bad.append("b[%d] has grades %s" % (A, comp.grades()))
-        return bad
-
 
 def graded_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
     """[X, Y] = X Y - (-1)^{|X||Y|} Y X, itself a derivation."""

@@ -52,7 +52,6 @@ from .adhm import (
     adhm_fixed_points,
     adhm_lifted_field,
     adhm_super_chart,
-    cartan_params,
     sector_completion,
 )
 from .errors import AssumptionViolated, NotQClosed, SchemaError, float_errors
@@ -542,29 +541,28 @@ def _verify_kahler(run: _Run, item: dict) -> dict:
 
 
 def _adhm_chart(run: _Run, item: dict, full: bool):
-    """(layout, Cartan params) on the matter or the full chart."""
-
-    def build():
-        layout = adhm_super_chart(run.scenario["k"], run.scenario["N"], full=full)
-        return layout, cartan_params(layout)
-
-    return _memo(item, ("chart", full), build)
+    """The matter or the full chart of the scenario's k and N."""
+    k, N = run.scenario["k"], run.scenario["N"]
+    return _memo(item, ("chart", full), lambda: adhm_super_chart(k, N, full=full))
 
 
 def _adhm_operator(run: _Run, item: dict, full: bool):
-    layout, params = _adhm_chart(run, item, full)
     builder = adhm_Q_full if full else adhm_Q_unconstrained
-    return _memo(item, ("Q", full), lambda: builder(layout, *params))
+    return _memo(item, ("Q", full), lambda: builder(_adhm_chart(run, item, full)))
 
 
 def _adhm_lift(run: _Run, item: dict, full: bool):
-    layout, params = _adhm_chart(run, item, full)
-    return _memo(item, ("lift", full), lambda: adhm_lifted_field(layout, *params))
+    return _memo(item, ("lift", full), lambda: adhm_lifted_field(_adhm_chart(run, item, full)))
+
+
+def _constraints(run: _Run, item: dict) -> list:
+    """The constraint scalars on the full chart, shared by the checks."""
+    return _memo(item, "constraints", lambda: adhm_constraint_scalars(_adhm_chart(run, item, True)))
 
 
 def _unconstrained_report(run: _Run, item: dict) -> dict:
     """The one verify_brst report on the matter chart; closure reads it too."""
-    layout, _ = _adhm_chart(run, item, False)
+    layout = _adhm_chart(run, item, False)
     Q, lift = _adhm_operator(run, item, False), _adhm_lift(run, item, False)
     return _memo(item, "verify", lambda: verify_brst(Q, lift, layout.params))
 
@@ -602,8 +600,7 @@ def _sigma_identity(run: _Run, item: dict) -> dict:
 
 def _multiplier(sector: str) -> Callable:
     def compute(run: _Run, item: dict) -> dict:
-        lay, _ = _adhm_chart(run, item, True)
-        V = _memo(item, "constraints", lambda: adhm_constraint_scalars(lay))
+        lay, V = _adhm_chart(run, item, True), _constraints(run, item)
         _, rep = sector_completion(lay, _adhm_lift(run, item, True), V, sector)
         ok = rep["pairing_residual_zero"] and (rep["invertible"] or sector == "HR")
         return {
@@ -616,10 +613,10 @@ def _multiplier(sector: str) -> Callable:
 
 
 def _fixed_points(run: _Run, item: dict) -> dict:
-    k, N = run.scenario["k"], run.scenario["N"]
-    if k != 1:
+    N = run.scenario["N"]
+    if run.scenario["k"] != 1:
         return {"status": "skipped(OnlyRankOne)"}
-    points = adhm_fixed_points(k, N)
+    points = adhm_fixed_points(_adhm_chart(run, item, True), _constraints(run, item))
     return {
         "status": "pass" if len(points) == N else "fail",
         "lhs": len(points),

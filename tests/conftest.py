@@ -6,7 +6,8 @@ import pytest
 
 from superloc import scalars as sc
 from superloc.adhm import adhm_constraint_scalars
-from superloc.grassmann import SuperVectorField, graded_commutator
+from superloc.grassmann import CSuper, SuperFunction, SuperVectorField, graded_commutator
+from superloc.linalg import mat_add, mat_mul, mat_scale, mat_sub
 
 
 def reference_square_residual(Q: SuperVectorField, lift: SuperVectorField) -> SuperVectorField:
@@ -55,3 +56,103 @@ def constraint_values():
 @pytest.fixture
 def constraint_norms():
     return adhm_constraint_norms
+
+
+# An independent statement of the ADHM flow as dense matrix products: each
+# sector's matrix X of complex bosons, or of their odd partners, moves by
+# L X - X R + (n1 e1 + n2 e2) X, where L and R are i diag(phi_1, .., phi_k)
+# or i diag(a_1, .., a_(N-1), -a_1 - .. - a_(N-1)) and e1, e2 carry a
+# factor i.  The table repeats the charges by hand, in chart order.
+_DENSE_CHARGES = {
+    "B1": ("phi", "phi", (1, 0)),
+    "B2": ("phi", "phi", (0, 1)),
+    "I": ("phi", "a", (0, 0)),
+    "J": ("a", "phi", (1, 1)),
+    "HR": ("phi", "phi", (0, 0)),
+    "HC": ("phi", "phi", (1, 1)),
+    "PB": ("phi", "phi", (0, 0)),
+}
+
+
+def adhm_cartan_matrices(lay) -> dict:
+    """i diag(phi), the traceless i diag(a) and i e1, i e2 as CSuper."""
+    chart = lay.chart
+
+    def imag(e) -> CSuper:
+        return CSuper.imag(SuperFunction.from_scalar(chart, e))
+
+    a = [sc.sym("a%d" % (r + 1,)) for r in range(lay.N - 1)]
+    a.append(sc.ZERO - sum(a, sc.ZERO))
+    diagonals = {"phi": [sc.sym("phi%d" % (p + 1,)) for p in range(lay.k)], "a": a}
+    zero = CSuper.zero(chart)
+    out = {
+        name: [[imag(d[i]) if i == j else zero for j in range(len(d))] for i in range(len(d))]
+        for name, d in diagonals.items()
+    }
+    out["e1"], out["e2"] = imag(sc.sym("e1")), imag(sc.sym("e2"))
+    return out
+
+
+def adhm_fermion_matrix(lay, sector) -> list:
+    """The odd partners of a sector's entries: generators q + 1 and q + 2
+    pair with the real coordinates q and q + 1."""
+    rows, cols = lay.shape(sector)
+
+    def entry(i, j) -> CSuper:
+        q = lay.coord_index(sector, i, j)
+        return CSuper(
+            SuperFunction.generator(lay.chart, q + 1), SuperFunction.generator(lay.chart, q + 2)
+        )
+
+    return [[entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def dense_adhm_fields(lay) -> dict:
+    """The lift on every sector, Q on the matter sectors and, on a full
+    chart, Q on every sector, built from the dense products: Q X = psi and
+    Q psi = dX, except on HR and HC, where Q psi = X and Q X = d psi."""
+    cartan = adhm_cartan_matrices(lay)
+
+    def move(name, X) -> list:
+        left, right, (n1, n2) = _DENSE_CHARGES[name]
+        out = mat_sub(mat_mul(cartan[left], X), mat_mul(X, cartan[right]))
+        return mat_add(out, mat_scale(X, cartan["e1"] * n1 + cartan["e2"] * n2))
+
+    def field(parity, names) -> SuperVectorField:
+        zero = SuperFunction.zero(lay.chart)
+        a, b = [zero] * lay.chart.m, [zero] * lay.chart.n
+        for name in names:
+            X, psi = lay.boson_matrix(name), adhm_fermion_matrix(lay, name)
+            if parity == 0:
+                even, odd = move(name, X), move(name, psi)
+            elif name in ("HR", "HC"):
+                even, odd = move(name, psi), X
+            else:
+                even, odd = psi, move(name, X)
+            for i, row in enumerate(X):
+                for j in range(len(row)):
+                    q = lay.coord_index(name, i, j)
+                    a[q], a[q + 1] = even[i][j].re, even[i][j].im
+                    b[q], b[q + 1] = odd[i][j].re, odd[i][j].im
+        return SuperVectorField(lay.chart, parity, tuple(a), tuple(b))
+
+    sectors = [name for name, _, _ in lay.sectors]
+    out = {"lift": field(0, sectors), "Q_unconstrained": field(1, ("B1", "B2", "I", "J"))}
+    if lay.full:
+        out["Q_full"] = field(1, sectors)
+    return out
+
+
+@pytest.fixture
+def cartan_matrices():
+    return adhm_cartan_matrices
+
+
+@pytest.fixture
+def fermion_matrix():
+    return adhm_fermion_matrix
+
+
+@pytest.fixture
+def dense_fields():
+    return dense_adhm_fields

@@ -25,7 +25,6 @@ from superloc.adhm import (
     adhm_constraint_scalars,
     adhm_lifted_field,
     adhm_super_chart,
-    cartan_params,
     fermionic_constraints,
     group_act,
     random_datum,
@@ -127,9 +126,8 @@ def test_03_operator_squares_to_flow_all_families(square_reference):
     assert verify_brst(kahler_Q(torus), kahler_lift(torus), torus.params)["passed"]
     for full in (False, True):
         lay = adhm_super_chart(1, 2, full=full)
-        params = cartan_params(lay)
-        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay, *params)
-        lift = adhm_lifted_field(lay, *params)
+        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay)
+        lift = adhm_lifted_field(lay)
         assert field_is_zero(square_reference(Q, lift))
     report = run_brst_check(load_scenario(SCENARIOS % "adhm_k2_n2_brst"))
     for rec in report["checks"]:
@@ -220,13 +218,13 @@ def test_06_adhm_constraints_and_multiplier_structure(constraint_norms):
 
     for k in (1, 2):
         full = adhm_super_chart(k, 2, full=True)
-        lifted = adhm_lifted_field(full, *cartan_params(full))
+        lifted = adhm_lifted_field(full)
         _, rep_c = sector_completion(full, lifted, adhm_constraint_scalars(full), "HC")
         assert rep_c["pairing_residual_zero"]
         if k == 2:
             assert rep_c["invertible"]
     toy = adhm_super_chart(1, 2, full=True)
-    lifted = adhm_lifted_field(toy, *cartan_params(toy))
+    lifted = adhm_lifted_field(toy)
     _, rep_r = sector_completion(toy, lifted, adhm_constraint_scalars(toy), "HR")
     assert rep_r["pairing_residual_zero"]
     assert not rep_r["invertible"]

@@ -34,7 +34,6 @@ from superloc.adhm import (
     adhm_Q_unconstrained,
     adhm_lifted_field,
     adhm_super_chart,
-    cartan_params,
 )
 from superloc.errors import (
     DimensionMismatch,
@@ -151,7 +150,6 @@ def test_fundamental_field_rotation():
     assert field.a[0] == SuperFunction.from_scalar(CHART, sc.ZERO - T * Y)
     assert field.a[1] == SuperFunction.from_scalar(CHART, T * X)
     assert all(comp.is_zero() for comp in field.b)
-    assert field.parity_violations() == []
 
 
 def test_lifted_field_annihilates_invariants():
@@ -406,9 +404,8 @@ def test_square_residual_matches_the_reference_on_complex_and_adhm_fields(square
     cases = [(kahler_Q(TORUS), lift), (kahler_Q(TORUS), perturbed)]
     for full in (False, True):
         lay = adhm_super_chart(1, 2, full=full)
-        params = cartan_params(lay)
-        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay, *params)
-        cases.append((Q, adhm_lifted_field(lay, *params)))
+        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay)
+        cases.append((Q, adhm_lifted_field(lay)))
     for Q, flow in cases:
         got, want = square_residual(Q, flow), square_reference(Q, flow)
         assert [to_super_text(c) for c in got.a + got.b] == [

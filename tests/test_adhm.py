@@ -17,9 +17,9 @@ from superloc.adhm import (
     adhm_fixed_points,
     adhm_lifted_field,
     adhm_super_chart,
-    cartan_params,
     cayley_unitary,
     check_stabilizer,
+    entry_weight,
     fermionic_constraints,
     group_act,
     multiplier_completion,
@@ -39,9 +39,9 @@ from superloc.errors import (
     StabilizerNotTrivial,
 )
 from superloc.grassmann import (
-    CSuper,
     SuperChart,
     SuperFunction,
+    SuperVectorField,
     field_is_zero,
 )
 from superloc.linalg import (
@@ -89,9 +89,11 @@ def test_chart_indexing():
     assert lay.chart.coords[lay.coord_index("I", 1, 2, imag=True)] == "I_12_im"
     z = lay.boson_entry("B2", 0, 1)
     assert _body(z.re) == sc.sym("B2_01_re")
-    psi = lay.fermion_entry("B2", 0, 1)
-    assert psi.re.terms == {(lay.coord_index("B2", 0, 1) + 1,): sc.ONE}
-    assert psi.im.terms == {(lay.coord_index("B2", 0, 1) + 2,): sc.ONE}
+    # Q sends each real coordinate to its positional odd partner
+    p = lay.coord_index("B2", 0, 1)
+    psi = adhm_Q_unconstrained(lay).a
+    assert psi[p].terms == {(p + 1,): sc.ONE}
+    assert psi[p + 1].terms == {(p + 2,): sc.ONE}
     assert lay.chart.coords[lay.offset("J")] == "J_00_re"
     with pytest.raises(ShapeMismatch):
         lay.coord_index("I", 2, 0)
@@ -256,18 +258,28 @@ def test_data_shape_guards():
 # even fields
 
 
+def _bound(field, values) -> SuperVectorField:
+    """The field with the Cartan symbols bound to `values`."""
+
+    def bind(comp):
+        return SuperFunction(
+            comp.chart, {idx: sc.substitute(c, values) for idx, c in comp.terms.items()}
+        )
+
+    return SuperVectorField(
+        field.chart, field.parity, tuple(map(bind, field.a)), tuple(map(bind, field.b))
+    )
+
+
 def test_fundamental_zero_params_is_zero():
     lay = adhm_super_chart(1, 2)
-    zero1 = [[CSuper.zero(lay.chart)]]
-    zero2 = [[CSuper.zero(lay.chart) for _ in range(2)] for _ in range(2)]
-    z = CSuper.zero(lay.chart)
-    field = adhm_lifted_field(lay, zero1, zero2, z, z)
+    field = _bound(adhm_lifted_field(lay), {name: sc.ZERO for name in lay.params})
     assert field_is_zero(field)
 
 
 def test_fundamental_cartan_weights_on_I():
     lay = adhm_super_chart(1, 2)
-    field = adhm_lifted_field(lay, *cartan_params(lay))
+    field = adhm_lifted_field(lay)
     binding = {
         "phi1": Fraction(2),
         "a1": Fraction(5),
@@ -292,11 +304,8 @@ def test_fundamental_cartan_weights_on_I():
 def test_flow_matches_torus_phases():
     lay = adhm_super_chart(1, 2)
     chart = lay.chart
-    zero1 = [[CSuper.zero(chart)]]
-    zero2 = [[CSuper.zero(chart) for _ in range(2)] for _ in range(2)]
-    e1 = CSuper.imag(SuperFunction.from_scalar(chart, sc.rational(7, 10)))
-    e2 = CSuper.imag(SuperFunction.from_scalar(chart, sc.rational(2, 5)))
-    field = adhm_lifted_field(lay, zero1, zero2, e1, e2)
+    values = {"phi1": sc.ZERO, "a1": sc.ZERO, "e1": sc.rational(7, 10), "e2": sc.rational(2, 5)}
+    field = _bound(adhm_lifted_field(lay), values)
     comps = [sc.compile_numeric(_body(c), chart.coords) for c in field.a]
     rng = random.Random(77)
     start = [rng.uniform(-1, 1) for _ in chart.coords]
@@ -326,33 +335,69 @@ def test_flow_matches_torus_phases():
                 assert abs(got - want) < 1e-9
 
 
+def test_entry_weight_reads_the_charge_table():
+    lay = adhm_super_chart(2, 3, full=True)
+    phi1, phi2, a1, a2, e1, e2 = map(sc.sym, lay.params)
+    cases = {
+        ("B1", 0, 1): phi1 - phi2 + e1,
+        ("B2", 1, 1): e2,
+        ("I", 1, 2): phi2 + a1 + a2,
+        ("J", 0, 1): a1 - phi2 + e1 + e2,
+        ("HR", 1, 0): phi2 - phi1,
+        ("HC", 0, 0): e1 + e2,
+        ("PB", 0, 1): phi1 - phi2,
+    }
+    for (name, i, j), want in cases.items():
+        assert entry_weight(lay, name, i, j) == sc.normalize(want)
+    with pytest.raises(ShapeMismatch):
+        entry_weight(lay, "I", 2, 0)
+    with pytest.raises(KeyError):
+        entry_weight(adhm_super_chart(2, 3), "HC", 0, 0)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["matter", "full"])
+@pytest.mark.parametrize("k, N", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
+def test_builders_match_the_dense_cartan_product(k, N, full, dense_fields):
+    # term for term, against L X - X R + (n1 e1 + n2 e2) X with L and R the
+    # diagonal Cartan matrices, on every sector's bosons and partners
+    lay = adhm_super_chart(k, N, full=full)
+    got = {"lift": adhm_lifted_field(lay), "Q_unconstrained": adhm_Q_unconstrained(lay)}
+    if full:
+        got["Q_full"] = adhm_Q_full(lay)
+    want = dense_fields(lay)
+    assert list(got) == list(want)
+    for name, field in got.items():
+        assert field.parity == want[name].parity
+        assert [c.terms for c in field.a + field.b] == [
+            c.terms for c in want[name].a + want[name].b
+        ]
+
+
 # ---------------------------------------------------------------------------
 # odd operators
 
 
 def test_Q_displays_on_matter():
     lay = adhm_super_chart(1, 2)
-    p = cartan_params(lay)
-    Q = adhm_Q_unconstrained(lay, *p)
+    Q = adhm_Q_unconstrained(lay)
     # bosons map to their positional partners
     for idx in range(lay.chart.m):
         assert Q.a[idx].terms == {(idx + 1,): sc.ONE}
     # partners map to the even action components
-    lift = adhm_lifted_field(lay, *p)
+    lift = adhm_lifted_field(lay)
     assert all((x - y).is_zero() for x, y in zip(Q.b, lift.a))
 
 
 def test_Q_unconstrained_squares_to_lift(square_reference):
     lay = adhm_super_chart(1, 2)
-    p = cartan_params(lay)
-    Q = adhm_Q_unconstrained(lay, *p)
-    assert field_is_zero(square_reference(Q, adhm_lifted_field(lay, *p)))
+    Q = adhm_Q_unconstrained(lay)
+    assert field_is_zero(square_reference(Q, adhm_lifted_field(lay)))
 
 
 def test_sigma_is_identity_on_matter():
     for k in (1, 2):
         lay = adhm_super_chart(k, 2)
-        sig = sigma_from_Q(adhm_Q_unconstrained(lay, *cartan_params(lay)))
+        sig = sigma_from_Q(adhm_Q_unconstrained(lay))
         for i in range(lay.chart.m):
             for A in range(lay.chart.n):
                 want = sc.ONE if i == A else sc.ZERO
@@ -361,18 +406,16 @@ def test_sigma_is_identity_on_matter():
 
 def test_verify_brst_unconstrained():
     lay = adhm_super_chart(1, 2)
-    p = cartan_params(lay)
-    report = verify_brst(adhm_Q_unconstrained(lay, *p), adhm_lifted_field(lay, *p), lay.params)
+    report = verify_brst(adhm_Q_unconstrained(lay), adhm_lifted_field(lay), lay.params)
     assert report["passed"]
     names = [c["name"] for c in report["conditions"]]
     assert "square_equals_lift" in names and "sigma_injective" in names
 
 
-def test_Q_full_displays():
+def test_Q_full_displays(cartan_matrices):
     lay = adhm_super_chart(1, 2, full=True)
-    p = cartan_params(lay)
-    Q = adhm_Q_full(lay, *p)
-    phi = p[0]
+    Q = adhm_Q_full(lay)
+    phi = cartan_matrices(lay)["phi"]
     # multipliers map back onto their partners
     for sec in ("HR", "HC"):
         base = lay.offset(sec)
@@ -390,14 +433,13 @@ def test_Q_full_displays():
 
 def test_Q_full_squares_to_lift(square_reference):
     lay = adhm_super_chart(1, 2, full=True)
-    p = cartan_params(lay)
-    assert field_is_zero(square_reference(adhm_Q_full(lay, *p), adhm_lifted_field(lay, *p)))
+    assert field_is_zero(square_reference(adhm_Q_full(lay), adhm_lifted_field(lay)))
 
 
 def test_Q_full_requires_multiplier_sector():
     lay = adhm_super_chart(1, 2)
     with pytest.raises(ShapeMismatch):
-        adhm_Q_full(lay, *cartan_params(lay))
+        adhm_Q_full(lay)
 
 
 def _random_superfunction(chart, rng):
@@ -419,9 +461,8 @@ def _random_superfunction(chart, rng):
 
 def test_Q_full_squares_numerically_k2():
     lay = adhm_super_chart(2, 2, full=True)
-    p = cartan_params(lay)
-    Q = adhm_Q_full(lay, *p)
-    lift = adhm_lifted_field(lay, *p)
+    Q = adhm_Q_full(lay)
+    lift = adhm_lifted_field(lay)
     rng = random.Random(2024)
     names = list(lay.chart.coords) + ["phi1", "phi2", "a1", "e1", "e2"]
     binding = {n: Fraction(rng.randint(-7, 7), rng.randint(1, 3)) for n in names}
@@ -453,12 +494,12 @@ def test_fermionic_constraints_toy():
     assert w.terms == {(1,): sc.normalize(sc.rational(2) * x)}
 
 
-def test_fermionic_constraints_k1_complex_block():
+def test_fermionic_constraints_k1_complex_block(fermion_matrix):
     lay = adhm_super_chart(1, 2)
     V = adhm_constraint_scalars(lay)
     W = fermionic_constraints(lay.chart, V)
-    muI = lay.fermion_matrix("I")
-    muJ = lay.fermion_matrix("J")
+    muI = fermion_matrix(lay, "I")
+    muJ = fermion_matrix(lay, "J")
     I = lay.boson_matrix("I")
     J = lay.boson_matrix("J")
     want = mat_add(mat_mul(muI, J), mat_mul(I, muJ))[0][0]
@@ -468,7 +509,7 @@ def test_fermionic_constraints_k1_complex_block():
 
 def test_fermionic_constraints_match_Q_grade_one():
     lay = adhm_super_chart(1, 2)
-    Q = adhm_Q_unconstrained(lay, *cartan_params(lay))
+    Q = adhm_Q_unconstrained(lay)
     V = adhm_constraint_scalars(lay)
     for v, w in zip(V, fermionic_constraints(lay.chart, V)):
         assert (Q.apply(SuperFunction.from_scalar(lay.chart, v)) - w).is_zero()
@@ -513,7 +554,7 @@ def test_fermionic_constraints_need_enough_generators():
 
 def _sector_completion(k, sector):
     lay = adhm_super_chart(k, 2, full=True)
-    lifted = adhm_lifted_field(lay, *cartan_params(lay))
+    lifted = adhm_lifted_field(lay)
     return sector_completion(lay, lifted, adhm_constraint_scalars(lay), sector)
 
 
@@ -588,8 +629,13 @@ def test_rank_bookkeeping_values():
         rank_bookkeeping(0, 1, 2)
 
 
+def _fixed_points(k, N, full=False) -> list:
+    lay = adhm_super_chart(k, N, full=full)
+    return adhm_fixed_points(lay, adhm_constraint_scalars(lay))
+
+
 def test_fixed_points_k1(constraint_values):
-    points = adhm_fixed_points(1, 2)
+    points = _fixed_points(1, 2)
     assert len(points) == 2
     a1, e1, e2 = sc.sym("a1"), sc.sym("e1"), sc.sym("e2")
     first = points[0]
@@ -607,43 +653,49 @@ def test_fixed_points_k1(constraint_values):
         assert cplx == [0, 0]
 
 
-def test_fixed_points_raise_when_constraint_fails(monkeypatch):
+def test_fixed_points_raise_when_constraint_fails():
     # an invariant, so it must hold under python -O as well: an exception;
     # here the complex constraint reads 1 + 0i
-    monkeypatch.setattr(
-        adhm, "adhm_constraint_scalars", lambda lay: [sc.ONE, sc.ZERO, sc.ONE, sc.ZERO]
-    )
+    lay = adhm_super_chart(1, 2)
     with pytest.raises(ComputationError):
-        adhm_fixed_points(1, 2)
+        adhm_fixed_points(lay, [sc.ONE, sc.ZERO, sc.ONE, sc.ZERO])
 
 
 def test_fixed_points_scale_and_guards(constraint_values):
-    points = adhm_fixed_points(1, 3)
+    points = _fixed_points(1, 3)
     lay = adhm_super_chart(1, 3)
     assert all(constraint_values(lay, fp.binding)[0][0] == 1 for fp in points)
     with pytest.raises(ShapeMismatch):
-        adhm_fixed_points(2, 2)
+        _fixed_points(2, 2)
     with pytest.raises(ShapeMismatch):
-        adhm_fixed_points(1, 1)
+        _fixed_points(1, 1)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_fixed_points_read_the_same_on_the_full_chart(N):
+    # the full chart adds multiplier coordinates after the matter ones, so a
+    # datum binds the same coordinates to the same values
+    for matter, full in zip(_fixed_points(1, N), _fixed_points(1, N, full=True)):
+        assert list(matter.binding.items()) == list(full.binding.items())
+        assert (matter.r, matter.phi, matter.weights) == (full.r, full.phi, full.weights)
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_charge_table_gives_the_fixed_point_weights(N):
-    # at phi = a_r the matter entry (i, j) of a sector with charges
-    # (L, R, (n1, n2)) has weight L_i - R_j + n1 e1 + n2 e2; leaving out the
-    # I entry (weight 0) and the J entry (weight e1 + e2) of frame r gives
+    # at phi = a_r the flow's weight of each matter entry, leaving out the
+    # I entry (weight 0) and the J entry (weight e1 + e2) of frame r, gives
     # the tangent weights, in order
     e1, e2 = sc.sym("e1"), sc.sym("e2")
-    for fp in adhm_fixed_points(1, N):
-        diagonal = {"gauge": [fp.phi], "frame": adhm._traceless_diagonal(N)}
+    lay = adhm_super_chart(1, N)
+    for fp in _fixed_points(1, N):
         dropped = {("I", 0, fp.r): [], ("J", fp.r, 0): []}
         weights = []
         for name in adhm.MATTER_SECTORS:
-            left, right, (n1, n2) = adhm._CHARGES[name]
-            for i, L in enumerate(diagonal[left]):
-                for j, R in enumerate(diagonal[right]):
-                    w = L - R + sc.rational(n1) * e1 + sc.rational(n2) * e2
-                    dropped.get((name, i, j), weights).append(sc.to_text(sc.normalize(w)))
+            rows, cols = lay.shape(name)
+            for i in range(rows):
+                for j in range(cols):
+                    w = sc.substitute(entry_weight(lay, name, i, j), {"phi1": fp.phi})
+                    dropped.get((name, i, j), weights).append(sc.to_text(w))
         assert weights == [sc.to_text(w) for w in fp.weights]
         assert list(dropped.values()) == [["0"], [sc.to_text(sc.normalize(e1 + e2))]]
 

@@ -1,10 +1,12 @@
-"""Every module-level function, class and assigned name in the package has a
-caller or a reader, and every module-level import is read by its module.
+"""Every module-level function, class and assigned name in the package, and
+every method of a top-level class, has a caller or a reader, and every
+module-level import is read by its module.
 
 A definition in ``src/superloc`` counts as used when its name occurs in the
 package outside the definition itself (in its own module or another one),
 in ``superloc.__all__``, or in a demo.  A name that only tests use is dead
-code.  The scan reads the source with ``ast`` and imports nothing.
+code.  Dunder methods are exempt: the language calls them.  The scan reads
+the source with ``ast`` and imports nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +71,17 @@ def _defined(node: ast.stmt) -> list:
     ]
 
 
+def _methods(node: ast.stmt) -> list:
+    """(name, node) for each method of a top-level class, dunders excepted."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [
+        (item.name, item)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    ]
+
+
 def _unused() -> list:
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     used = _exported(modules["__init__"])
@@ -91,10 +104,15 @@ def _unused() -> list:
     out = []
     for stem, parts in statements.items():
         for node, inside in parts:
-            for name in _defined(node):
-                if name in used or homes[name] - {stem} or totals[stem][name] > inside[name]:
+            defined = [(name, inside) for name in _defined(node)]
+            defined += [
+                ("%s.%s" % (node.name, name), _names(method)) for name, method in _methods(node)
+            ]
+            for qualified, counts in defined:
+                name = qualified.rsplit(".", 1)[-1]
+                if name in used or homes[name] - {stem} or totals[stem][name] > counts[name]:
                     continue
-                out.append("%s.%s" % (stem, name))
+                out.append("%s.%s" % (stem, qualified))
     return out
 
 

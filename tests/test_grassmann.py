@@ -22,7 +22,7 @@ from superloc.actions import (
     square_residual,
     tautological_lift,
 )
-from superloc.adhm import adhm_lifted_field, adhm_super_chart, cartan_params
+from superloc.adhm import adhm_lifted_field, adhm_super_chart
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
     CSuper,
@@ -327,18 +327,6 @@ def test_field_application_is_componentwise():
     r2 = SuperFunction.from_scalar(CHART, x**2 + y**2)
     assert X.apply(r2).is_zero()
     assert X.apply(th1 * th2).is_zero()
-    assert X.parity_violations() == []
-
-
-def test_parity_violation_report():
-    th1 = SuperFunction.generator(CHART, 1)
-    X = SuperVectorField(
-        CHART,
-        parity=0,
-        a=(th1, SuperFunction.zero(CHART)),
-        b=(SuperFunction.zero(CHART), SuperFunction.zero(CHART)),
-    )
-    assert any("a[1]" in msg for msg in X.parity_violations())
 
 
 def _random_field(rng, chart, parity):
@@ -535,7 +523,6 @@ def test_complex_field_commutator_against_composition():
         (CSuper.real(th1), CSuper.imag(th1)),
         (CSuper.real(parse_super(CHART, "x")), CSuper.imag(parse_super(CHART, "y"))),
     )
-    assert Q.parity_violations() == []
     sq = graded_commutator(Q, Q)
     f = CSuper(parse_super(CHART, "x*y + x*th1*th2"), parse_super(CHART, "y^2*th1"))
     direct = Q.apply(Q.apply(f))
@@ -605,7 +592,7 @@ def test_lifted_field_matches_dense_sum_on_adhm_k2():
     # The k=2 ADHM lift skips zero entries of U; the dense sum keeps them.
     # T is the derivative of the ADHM flow along each Cartan symbol.
     lay = adhm_super_chart(2, 2)
-    adhm_lift = adhm_lifted_field(lay, *cartan_params(lay))
+    adhm_lift = adhm_lifted_field(lay)
     bodies = [comp.body() for comp in adhm_lift.a]
     T = [[sc.normalize(sc.differentiate(body, p)) for body in bodies] for p in lay.params]
     spec = tautological_lift(ActionSpec(lay.params, lay.chart, T))

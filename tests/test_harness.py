@@ -458,8 +458,8 @@ def test_closure_full_failure_shows_the_residual(monkeypatch):
     # fails, and its record names the failing component as verify_brst would
     original = harness.adhm_lifted_field
 
-    def perturbed(layout, *params):
-        lift = original(layout, *params)
+    def perturbed(layout):
+        lift = original(layout)
         if not layout.full:
             return lift
         first = lift.a[0] + sc.sym("B1_00_im")
