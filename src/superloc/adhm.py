@@ -7,8 +7,10 @@ where every complex entry is flattened into a real coordinate pair and
 every boson gets one odd partner at the same position.  The partners are,
 in order, M1, M2, mu_I, mu_J and, when the multiplier sector is present,
 chi_R, chi_C, eta paired with the extra bosons H_R, H_C, phibar.  A datum
-is a binding of the chart's real coordinates, and the constraints and the
-finite group action read it there.
+is a binding of the chart's real coordinates, and the finite group action
+reads each sector there as the real form of its block of (re, im) pairs.
+The moment maps are formed from the same real forms, with each coordinate
+bound to its own symbol, so no complex superfunction is built.
 
 The Cartan parameters of the symmetry are diagonal, so each entry turns
 by one weight of the charge table (`entry_weight`).  The lifted field and
@@ -34,17 +36,17 @@ from .errors import (
     ShapeMismatch,
     StabilizerNotTrivial,
 )
-from .grassmann import CSuper, SuperChart, SuperFunction, SuperVectorField
+from .grassmann import SuperChart, SuperFunction, SuperVectorField
 from .linalg import (
     identity,
     inverse,
     mat_add,
     mat_commutator,
-    mat_dagger,
     mat_equal,
     mat_mul,
     mat_scale,
     mat_sub,
+    transpose,
 )
 
 
@@ -107,18 +109,6 @@ class ADHMSuperChart:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ShapeMismatch("entry (%d,%d) outside %s block" % (i, j, sector))
         return self.offset(sector) + 2 * (i * cols + j) + (1 if imag else 0)
-
-    def boson_entry(self, sector: str, i: int, j: int) -> CSuper:
-        p = self.coord_index(sector, i, j)
-        re = SuperFunction.from_scalar(self.chart, sc.sym(self.chart.coords[p]))
-        im = SuperFunction.from_scalar(self.chart, sc.sym(self.chart.coords[p + 1]))
-        return CSuper(re, im)
-
-    def boson_matrix(self, sector: str):
-        rows, cols = self.shape(sector)
-        return [
-            [self.boson_entry(sector, i, j) for j in range(cols)] for i in range(rows)
-        ]
 
 
 def adhm_super_chart(k: int, N: int, full: bool = False) -> ADHMSuperChart:
@@ -188,7 +178,7 @@ def _unitary(M, n: int, label: str) -> list:
     identity for None."""
     if M is None:
         return identity(2 * n)
-    if not mat_equal(mat_mul(mat_dagger(M), M), identity(2 * n)):
+    if not mat_equal(mat_mul(transpose(M), M), identity(2 * n)):
         raise NotUnitary("%s block is not exactly orthogonal" % (label,))
     i = _scalar((0, 1), n)
     if not mat_equal(mat_mul(M, i), mat_mul(i, M)):
@@ -215,7 +205,7 @@ def group_act(lay: ADHMSuperChart, binding, U=None, V=None, t1=(1, 0), t2=(1, 0)
         for t, n in zip((t1, t2), character):
             for _ in range(n):
                 L = mat_mul(_scalar(t, rows), L)
-        X = mat_mul(mat_mul(L, real_form(_block(lay, binding, name))), mat_dagger(groups[right]))
+        X = mat_mul(mat_mul(L, real_form(_block(lay, binding, name))), transpose(groups[right]))
         return [[(X[i][j], X[rows + i][j]) for j in range(cols)] for i in range(rows)]
 
     return {**binding, **adhm_binding(lay, *(move(name) for name in MATTER_SECTORS))}
@@ -224,7 +214,7 @@ def group_act(lay: ADHMSuperChart, binding, U=None, V=None, t1=(1, 0), t2=(1, 0)
 def cayley_unitary(A) -> list:
     """(1 - A)(1 + A)^-1 for the real form A of an exact anti-hermitian
     matrix: the real form of an exact unitary."""
-    if not mat_equal(mat_dagger(A), mat_scale(A, -1)):
+    if not mat_equal(transpose(A), mat_scale(A, -1)):
         raise ShapeMismatch("Cayley input must be anti-hermitian")
     one = identity(len(A))
     return mat_mul(mat_sub(one, A), inverse(mat_add(one, A)))
@@ -305,9 +295,8 @@ def _turning_field(lay: ADHMSuperChart, parity: int, names) -> SuperVectorField:
         rows, cols = lay.shape(name)
         for i in range(rows):
             for j in range(cols):
-                w, z = entry_weight(lay, name, i, j), lay.boson_entry(name, i, j)
-                q = lay.coord_index(name, i, j)
-                even = z.re, z.im
+                w, q = entry_weight(lay, name, i, j), lay.coord_index(name, i, j)
+                even = [SuperFunction.from_scalar(chart, sc.sym(x)) for x in chart.coords[q:q + 2]]
                 odd = SuperFunction.generator(chart, q + 1), SuperFunction.generator(chart, q + 2)
                 if parity == 0:
                     a[q:q + 2], b[q:q + 2] = turn(w, *even), turn(w, *odd)
@@ -343,16 +332,23 @@ def adhm_Q_full(lay: ADHMSuperChart) -> SuperVectorField:
 def adhm_constraint_scalars(lay: ADHMSuperChart):
     """All real components of both constraints, ordered like the
     multiplier coordinates: the real block [B1,B1+] + [B2,B2+] + I I+ - J+ J,
-    then the complex block [B1,B2] + I J."""
-    B1, B2, I, J = (lay.boson_matrix(name) for name in MATTER_SECTORS)
-    real = mat_add(mat_commutator(B1, mat_dagger(B1)), mat_commutator(B2, mat_dagger(B2)))
-    real = mat_sub(mat_add(real, mat_mul(I, mat_dagger(I))), mat_mul(mat_dagger(J), J))
+    then the complex block [B1,B2] + I J.
+
+    Each matter sector is the real form of its block in the chart's own
+    symbols, as `group_act` reads a datum, so the dagger is the transpose
+    and entry (p, q) of a k x k block is read at [p][q] and [k + p][q].
+    """
+    symbols = {name: sc.sym(name) for name in lay.chart.coords}
+    B1, B2, I, J = (real_form(_block(lay, symbols, name)) for name in MATTER_SECTORS)
+    real = mat_add(mat_commutator(B1, transpose(B1)), mat_commutator(B2, transpose(B2)))
+    real = mat_sub(mat_add(real, mat_mul(I, transpose(I))), mat_mul(transpose(J), J))
+    k = lay.k
     out = []
     for block in (real, mat_add(mat_commutator(B1, B2), mat_mul(I, J))):
-        for row in block:
-            for z in row:
-                out.append(sc.normalize(z.re.terms.get((), sc.ZERO)))
-                out.append(sc.normalize(z.im.terms.get((), sc.ZERO)))
+        for p in range(k):
+            for q in range(k):
+                out.append(sc.normalize(block[p][q]))
+                out.append(sc.normalize(block[k + p][q]))
     return out
 
 

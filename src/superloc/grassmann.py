@@ -293,9 +293,6 @@ class CSuper:
             return NotImplemented
         return other * self
 
-    def conjugate(self) -> "CSuper":
-        return CSuper(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 

@@ -2,9 +2,9 @@
 
 Rational matrices go through fraction-exact Gaussian elimination; symbolic
 matrices use subset dynamic programming so no division is ever needed.
-The dense helpers (mat_add .. mat_equal, mat_mul) take any entry type with
-``+ - *``, and mat_dagger also needs ``conjugate()``: Fractions and complex
-superfunctions both qualify.
+The dense helpers (mat_mul .. mat_equal) take any entry type with ``+ - *``
+and need no ``conjugate()``: a complex matrix enters in real form, where
+the conjugate transpose is the transpose.
 """
 
 from __future__ import annotations
@@ -74,11 +74,10 @@ def mat_scale(A, factor) -> list:
     return [[factor * x for x in row] for row in A]
 
 
-def mat_dagger(A) -> list:
-    """Conjugate transpose; correct for matrices of even entries."""
-    if not A:
-        return []
-    return [[row[j].conjugate() for row in A] for j in range(len(A[0]))]
+def transpose(A) -> list:
+    """The transpose; on the real form of a complex matrix it is the real
+    form of the conjugate transpose."""
+    return [list(col) for col in zip(*A)]
 
 
 def mat_commutator(A, B) -> list:

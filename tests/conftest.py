@@ -7,7 +7,7 @@ import pytest
 from superloc import scalars as sc
 from superloc.adhm import adhm_constraint_scalars
 from superloc.grassmann import CSuper, SuperFunction, SuperVectorField, graded_commutator
-from superloc.linalg import mat_add, mat_mul, mat_scale, mat_sub
+from superloc.linalg import mat_add, mat_commutator, mat_mul, mat_scale, mat_sub
 
 
 def reference_square_residual(Q: SuperVectorField, lift: SuperVectorField) -> SuperVectorField:
@@ -93,6 +93,18 @@ def adhm_cartan_matrices(lay) -> dict:
     return out
 
 
+def adhm_boson_matrix(lay, sector) -> list:
+    """The complex bosons of a sector: the real coordinates q and q + 1
+    are the real and imaginary part of one entry."""
+    chart, (rows, cols) = lay.chart, lay.shape(sector)
+
+    def entry(i, j) -> CSuper:
+        q = lay.coord_index(sector, i, j)
+        return CSuper(*(SuperFunction.from_scalar(chart, sc.sym(x)) for x in chart.coords[q:q + 2]))
+
+    return [[entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
 def adhm_fermion_matrix(lay, sector) -> list:
     """The odd partners of a sector's entries: generators q + 1 and q + 2
     pair with the real coordinates q and q + 1."""
@@ -122,7 +134,7 @@ def dense_adhm_fields(lay) -> dict:
         zero = SuperFunction.zero(lay.chart)
         a, b = [zero] * lay.chart.m, [zero] * lay.chart.n
         for name in names:
-            X, psi = lay.boson_matrix(name), adhm_fermion_matrix(lay, name)
+            X, psi = adhm_boson_matrix(lay, name), adhm_fermion_matrix(lay, name)
             if parity == 0:
                 even, odd = move(name, X), move(name, psi)
             elif name in ("HR", "HC"):
@@ -143,9 +155,36 @@ def dense_adhm_fields(lay) -> dict:
     return out
 
 
+def _dagger(M) -> list:
+    """The conjugate transpose of a matrix of complex entries."""
+    return [[CSuper(z.re, -z.im) for z in column] for column in zip(*M)]
+
+
+def dense_adhm_constraints(lay) -> list:
+    """An independent statement of `adhm_constraint_scalars`: the moment
+    maps [B1,B1+] + [B2,B2+] + I I+ - J+ J and [B1,B2] + I J as products of
+    complex boson matrices, with the real and imaginary part of the body of
+    each entry in row order, real block first."""
+    B1, B2, I, J = (adhm_boson_matrix(lay, name) for name in ("B1", "B2", "I", "J"))
+    real = mat_add(mat_commutator(B1, _dagger(B1)), mat_commutator(B2, _dagger(B2)))
+    real = mat_sub(mat_add(real, mat_mul(I, _dagger(I))), mat_mul(_dagger(J), J))
+    out = []
+    for block in (real, mat_add(mat_commutator(B1, B2), mat_mul(I, J))):
+        for row in block:
+            for z in row:
+                out.append(sc.normalize(z.re.terms.get((), sc.ZERO)))
+                out.append(sc.normalize(z.im.terms.get((), sc.ZERO)))
+    return out
+
+
 @pytest.fixture
 def cartan_matrices():
     return adhm_cartan_matrices
+
+
+@pytest.fixture
+def boson_matrix():
+    return adhm_boson_matrix
 
 
 @pytest.fixture
@@ -156,3 +195,8 @@ def fermion_matrix():
 @pytest.fixture
 def dense_fields():
     return dense_adhm_fields
+
+
+@pytest.fixture
+def dense_constraints():
+    return dense_adhm_constraints

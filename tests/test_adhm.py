@@ -50,9 +50,9 @@ from superloc.linalg import (
     inverse,
     mat_add,
     mat_commutator,
-    mat_dagger,
     mat_equal,
     mat_mul,
+    transpose,
 )
 
 
@@ -79,7 +79,7 @@ def test_chart_counts_and_partners():
     assert adhm_super_chart(2, 3).params == ("phi1", "phi2", "a1", "a2", "e1", "e2")
 
 
-def test_chart_indexing():
+def test_chart_indexing(boson_matrix):
     lay = adhm_super_chart(2, 3)
     assert lay.offset("B1") == 0
     assert lay.offset("B2") == 8
@@ -87,7 +87,7 @@ def test_chart_indexing():
     assert lay.offset("J") == 28
     assert lay.chart.coords[lay.coord_index("I", 1, 2)] == "I_12_re"
     assert lay.chart.coords[lay.coord_index("I", 1, 2, imag=True)] == "I_12_im"
-    z = lay.boson_entry("B2", 0, 1)
+    z = boson_matrix(lay, "B2")[0][1]
     assert _body(z.re) == sc.sym("B2_01_re")
     # Q sends each real coordinate to its positional odd partner
     p = lay.coord_index("B2", 0, 1)
@@ -117,7 +117,7 @@ def _zero(rows, cols) -> list:
     return [[(0, 0)] * cols for _ in range(rows)]
 
 
-def test_binding_round_trips_through_the_chart():
+def test_binding_round_trips_through_the_chart(boson_matrix):
     rng = random.Random(5)
     lay = adhm_super_chart(2, 3)
 
@@ -133,7 +133,7 @@ def test_binding_round_trips_through_the_chart():
     for name in adhm.MATTER_SECTORS:
         got = [
             [(sc.evaluate(_body(z.re), binding), sc.evaluate(_body(z.im), binding)) for z in row]
-            for row in lay.boson_matrix(name)
+            for row in boson_matrix(lay, name)
         ]
         assert got == blocks[name]
 
@@ -157,12 +157,33 @@ def test_constraints_k1_scalars(constraint_values):
     assert c2 == want
 
 
+@pytest.mark.parametrize("k, N", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("full", [False, True], ids=["matter", "full"])
+def test_constraint_scalars_match_the_dense_moment_maps(k, N, full, dense_constraints):
+    lay = adhm_super_chart(k, N, full)
+    got, want = adhm_constraint_scalars(lay), dense_constraints(lay)
+    assert len(got) == len(want) == 4 * k * k
+    assert [sc.to_text(v) for v in got] == [sc.to_text(v) for v in want]
+
+
+def test_transpose_of_a_real_form_is_the_real_form_of_the_dagger():
+    rng = random.Random(30)
+
+    def draw():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    for rows, cols in ((1, 1), (2, 2), (2, 3), (3, 1)):
+        M = [[(draw(), draw()) for _ in range(cols)] for _ in range(rows)]
+        dagger = [[(re, -im) for re, im in column] for column in zip(*M)]
+        assert transpose(real_form(M)) == real_form(dagger)
+
+
 def test_constraint_hermitian_random(constraint_values):
     rng = random.Random(31)
     lay = adhm_super_chart(2, 3)
     for _ in range(5):
         c1 = real_form(_pairs(constraint_values(lay, random_datum(lay, rng))[0], 2))
-        assert mat_equal(c1, mat_dagger(c1))
+        assert mat_equal(c1, transpose(c1))
 
 
 def test_group_identity():
@@ -203,7 +224,7 @@ def test_group_rejects_an_orthogonal_block_that_is_not_complex_linear():
     lay = adhm_super_chart(2, 2)
     d = random_datum(lay, random.Random(10))
     conj = [[Fraction(int(i == j) * (1 if i < 2 else -1)) for j in range(4)] for i in range(4)]
-    assert mat_equal(mat_mul(mat_dagger(conj), conj), identity(4))
+    assert mat_equal(mat_mul(transpose(conj), conj), identity(4))
     with pytest.raises(NotUnitary):
         group_act(lay, d, U=conj)
     with pytest.raises(NotUnitary):
@@ -231,7 +252,7 @@ def test_complex_constraint_equivariance(constraint_values):
     t = _cmul(t1, t2)
     phase = real_form([[t, (0, 0)], [(0, 0), t]])
     c = real_form(_pairs(constraint_values(lay, d)[1], 2))
-    want = mat_mul(phase, mat_mul(mat_mul(U, c), mat_dagger(U)))
+    want = mat_mul(phase, mat_mul(mat_mul(U, c), transpose(U)))
     assert mat_equal(real_form(_pairs(constraint_values(lay, d2)[1], 2)), want)
 
 
@@ -239,7 +260,7 @@ def test_cayley_and_inverse_exact():
     rng = random.Random(14)
     U = random_unitary(3, rng)
     i = real_form([[(0, 1) if r == c else (0, 0) for c in range(3)] for r in range(3)])
-    assert mat_equal(mat_mul(mat_dagger(U), U), identity(6))
+    assert mat_equal(mat_mul(transpose(U), U), identity(6))
     assert mat_equal(mat_mul(U, i), mat_mul(i, U))
     assert mat_equal(mat_mul(U, inverse(U)), identity(6))
     with pytest.raises(ShapeMismatch):
@@ -412,7 +433,7 @@ def test_verify_brst_unconstrained():
     assert "square_equals_lift" in names and "sigma_injective" in names
 
 
-def test_Q_full_displays(cartan_matrices):
+def test_Q_full_displays(cartan_matrices, boson_matrix):
     lay = adhm_super_chart(1, 2, full=True)
     Q = adhm_Q_full(lay)
     phi = cartan_matrices(lay)["phi"]
@@ -426,7 +447,7 @@ def test_Q_full_displays(cartan_matrices):
     # the auxiliary pair: Q(phibar) = eta, Q(eta) = [phi, phibar]
     pb = lay.offset("PB")
     assert Q.a[pb].terms == {(pb + 1,): sc.ONE}
-    comm = mat_commutator(phi, lay.boson_matrix("PB"))[0][0]
+    comm = mat_commutator(phi, boson_matrix(lay, "PB"))[0][0]
     assert (Q.b[pb] - comm.re).is_zero()
     assert (Q.b[pb + 1] - comm.im).is_zero()
 
@@ -494,14 +515,14 @@ def test_fermionic_constraints_toy():
     assert w.terms == {(1,): sc.normalize(sc.rational(2) * x)}
 
 
-def test_fermionic_constraints_k1_complex_block(fermion_matrix):
+def test_fermionic_constraints_k1_complex_block(boson_matrix, fermion_matrix):
     lay = adhm_super_chart(1, 2)
     V = adhm_constraint_scalars(lay)
     W = fermionic_constraints(lay.chart, V)
     muI = fermion_matrix(lay, "I")
     muJ = fermion_matrix(lay, "J")
-    I = lay.boson_matrix("I")
-    J = lay.boson_matrix("J")
+    I = boson_matrix(lay, "I")
+    J = boson_matrix(lay, "J")
     want = mat_add(mat_mul(muI, J), mat_mul(I, muJ))[0][0]
     assert (W[-2] - want.re).is_zero()
     assert (W[-1] - want.im).is_zero()

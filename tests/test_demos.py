@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the library."""
+"""Every script in demos/ runs to completion against the library and prints
+exactly its recorded output, ``tests/demo_output/<script>.txt``."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -28,3 +30,4 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (RECORDED / (script.stem + ".txt")).read_text()

@@ -496,16 +496,6 @@ def test_complex_i_squared():
     assert (i_unit * i_unit + one).is_zero()
 
 
-def test_complex_conjugation_is_involutive_and_multiplicative():
-    rng = random.Random(72)
-    for _ in range(20):
-        u, v = _rand_csuper(rng), _rand_csuper(rng)
-        assert (u.conjugate().conjugate() - u).is_zero()
-        # even factors commute, so conjugation distributes without a twist
-        if u.parity() == 0 and v.parity() == 0:
-            assert ((u * v).conjugate() - u.conjugate() * v.conjugate()).is_zero()
-
-
 def test_complex_chart_mismatch_guard():
     other = SuperChart(("z", "w"), 2)
     with pytest.raises(DimensionMismatch):

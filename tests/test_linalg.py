@@ -23,12 +23,12 @@ from superloc.linalg import (
     inverse_symbolic,
     mat_add,
     mat_commutator,
-    mat_dagger,
     mat_equal,
     mat_mul,
     mat_sub,
     pfaffian,
     rank,
+    transpose,
 )
 
 
@@ -209,8 +209,8 @@ def test_inverse_symbolic_cancels():
 
 
 def test_transpose_and_shapes():
-    # on real entries the conjugate transpose is the transpose
-    assert mat_dagger([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
+    assert transpose([]) == []
     with pytest.raises(ShapeMismatch):
         mat_mul([[1, 2]], [[1, 2]])
     with pytest.raises(ShapeMismatch):
@@ -218,34 +218,27 @@ def test_transpose_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# Dense helpers over any entry type with + - * conjugate().
+# Dense helpers over any entry type with + - *.
 
 CCHART = SuperChart(("x", "y"), 2)
 
 
-def test_mat_dagger_reverses_products():
+def test_transpose_reverses_products():
     rng = random.Random(73)
+    symbols = [sc.sym(name) for name in ("x", "y", "z")]
 
     def rat():
         return Fraction(rng.randint(-3, 3))
 
-    def body_mat():
-        return [
-            [
-                CSuper(
-                    SuperFunction.from_scalar(CCHART, sc.rational(rng.randint(-3, 3))),
-                    SuperFunction.from_scalar(CCHART, sc.rational(rng.randint(-3, 3))),
-                )
-                for _ in range(2)
-            ]
-            for _ in range(2)
-        ]
+    def expr():
+        return sc.rational(rng.randint(-3, 3)) * rng.choice(symbols) + sc.rational(rng.randint(-3, 3))
 
-    for make in (body_mat, lambda: [[rat() for _ in range(3)] for _ in range(3)]):
+    for entry, (rows, inner, cols) in ((rat, (3, 3, 3)), (rat, (2, 3, 4)), (expr, (2, 3, 2))):
         for _ in range(10):
-            A, B = make(), make()
-            lhs = mat_dagger(mat_mul(A, B))
-            rhs = mat_mul(mat_dagger(B), mat_dagger(A))
+            A = [[entry() for _ in range(inner)] for _ in range(rows)]
+            B = [[entry() for _ in range(cols)] for _ in range(inner)]
+            lhs = transpose(mat_mul(A, B))
+            rhs = mat_mul(transpose(B), transpose(A))
             assert mat_equal(lhs, rhs)
 
 
