@@ -313,12 +313,12 @@ def metric_invariance_report(h, spec: ActionSpec):
     m = chart.m
     field = fundamental_field(spec)
     comp = [field.a[i].body() for i in range(m)]
+    flow = dict(zip(coords, comp))
     residuals = []
     for i in range(m):
         for j in range(m):
-            r = sc.ZERO
+            r = sc.derive(sc.as_expr(h[i][j]), flow)
             for k in range(m):
-                r = r + comp[k] * sc.differentiate(sc.as_expr(h[i][j]), coords[k])
                 r = r + sc.as_expr(h[k][j]) * sc.differentiate(comp[k], coords[i])
                 r = r + sc.as_expr(h[i][k]) * sc.differentiate(comp[k], coords[j])
             residuals.append(normalize(r))
@@ -398,16 +398,15 @@ def closure_check(spec: ActionSpec):
     coords = chart.coords
     m = chart.m
     dim_g = len(spec.params)
+    fields = [dict(zip(coords, row)) for row in spec.T]
     brackets = []
     for alpha in range(dim_g):
         for beta in range(alpha + 1, dim_g):
-            comp = []
-            for i in range(m):
-                acc = sc.ZERO
-                for k in range(m):
-                    acc = acc + spec.T[alpha][k] * sc.differentiate(spec.T[beta][i], coords[k])
-                    acc = acc - spec.T[beta][k] * sc.differentiate(spec.T[alpha][i], coords[k])
-                comp.append(normalize(acc))
+            comp = [
+                normalize(sc.derive(spec.T[beta][i], fields[alpha])
+                          - sc.derive(spec.T[alpha][i], fields[beta]))
+                for i in range(m)
+            ]
             brackets.append(((alpha, beta), comp))
     if not brackets:
         return {"status": "pass", "residual": None, "pairs": 0}

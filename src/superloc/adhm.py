@@ -365,7 +365,7 @@ def fermionic_constraints(chart: SuperChart, V: Sequence) -> list:
         expr = sc.as_expr(v)
         terms = {}
         for idx, name in enumerate(chart.coords, start=1):
-            d = sc.normalize(sc.differentiate(expr, name))
+            d = sc.differentiate(expr, name)
             if not sc.is_zero(d):
                 terms[(idx,)] = d
         out.append(SuperFunction(chart, terms))
@@ -395,10 +395,7 @@ def multiplier_completion(
     if len(Ttilde) != r or len(H_names) != r:
         raise ShapeMismatch("V, Ttilde, H_names must have equal length")
     V = [sc.normalize(v) for v in V]
-    N = [
-        [sc.normalize(sc.differentiate(Ttilde[a], H_names[b])) for b in range(r)]
-        for a in range(r)
-    ]
+    N = [[sc.differentiate(Ttilde[a], H_names[b]) for b in range(r)] for a in range(r)]
     H_set = set(H_names)
     for a in range(r):
         for b in range(r):
@@ -409,13 +406,10 @@ def multiplier_completion(
 
     residuals = []
     for b in range(r):
-        e = sc.ZERO
+        e = sc.derive(V[b], T)
         for a in range(r):
-            e = e + N[a][b] * V[a]
-        occurs = sc.free_symbols(V[b])
-        for coord, comp in T.items():
-            if coord in occurs:
-                e = e + comp * sc.differentiate(V[b], coord)
+            if N[a][b] is not sc.ZERO:
+                e = e + N[a][b] * V[a]
         residuals.append(sc.normalize(e))
     pairing = residual_verdict(residuals)
     report = {

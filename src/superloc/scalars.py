@@ -5,7 +5,7 @@ atoms are named symbols, transcendental calls (exp, sin, cos) with
 normalized arguments, and inverses of composite polynomials. Two
 expressions that are equal as polynomials in those atoms normalize to
 structurally identical trees. Rational arithmetic is exact throughout;
-normalize and differentiate touch no floating point.
+normalize, differentiate and derive touch no floating point.
 
 Text grammar (ASCII, explicit operators):
 
@@ -600,16 +600,27 @@ def differentiate(e: ScalarExpr, name: str) -> ScalarExpr:
 
 @functools.lru_cache(maxsize=_DIFFERENTIATE_CACHE)
 def _differentiate(n: ScalarExpr, name: str) -> ScalarExpr:
-    return _normal_form(_poly_diff(_expr_to_poly(n), name))
+    p = _poly_derive(_expr_to_poly(n), {name: {(): 1}})
+    # most misses are by a symbol that does not occur: no normal form to build
+    return _normal_form(p) if p else ZERO
 
 
-def _poly_diff(p: Poly, name: str) -> Poly:
+def derive(e: ScalarExpr, field: Mapping[str, ScalarExpr]) -> ScalarExpr:
+    """The derivative of e along a field: the sum over its names of
+    field[name] * de/dname, in one product-rule walk and one normal form."""
+    velocity = {name: _expr_to_poly(normalize(v)) for name, v in field.items()}
+    p = _poly_derive(_expr_to_poly(normalize(e)), velocity)
+    return _normal_form(p) if p else ZERO
+
+
+def _poly_derive(p: Poly, field: Mapping[str, Poly]) -> Poly:
     """Product rule over the atoms of each monomial, before reduction:
-    d(a^k) = k*a^(k-1)*a' for every atom a, composite inverse atoms too."""
+    d(a^k) = k*a^(k-1)*a' for every atom a, composite inverse atoms too,
+    where a symbol's a' is its polynomial in `field`, or 0 if it has none."""
     out: Poly = {}
     for m, c in p.items():
         for atom, k in m:
-            da = _atom_diff(atom, name)
+            da = _atom_derive(atom, field)
             if not da:
                 continue
             rest = _mono_mul(m, ((atom, -1),))
@@ -624,13 +635,13 @@ def _poly_diff(p: Poly, name: str) -> Poly:
     return out
 
 
-def _atom_diff(atom: ScalarExpr, name: str) -> Poly:
+def _atom_derive(atom: ScalarExpr, field: Mapping[str, Poly]) -> Poly:
     if isinstance(atom, Sym):
-        return {(): 1} if atom.name == name else {}
+        return field.get(atom.name, {})
     if not isinstance(atom, Func):
         # a composite inverse atom stands for its base g; this is g'
-        return _poly_diff(_expr_to_poly(atom), name)
-    inner = _poly_diff(_expr_to_poly(atom.arg), name)
+        return _poly_derive(_expr_to_poly(atom), field)
+    inner = _poly_derive(_expr_to_poly(atom.arg), field)
     kind, sign = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}[atom.kind]
     return _poly_mul({((Func(kind, atom.arg), 1),): sign}, inner) if inner else {}
 

@@ -615,6 +615,35 @@ def test_multiplier_real_sector_has_kernel():
     assert not report["invertible"]
 
 
+def _perturbed_completion(k, sector, entry, change):
+    """sector_completion with the lift's even components on one complex
+    entry (sector name, i, j) replaced by `change` of their bodies."""
+    lay = adhm_super_chart(k, 2, full=True)
+    lifted = adhm_lifted_field(lay)
+    a = list(lifted.a)
+    q = lay.coord_index(*entry)
+    for p in (q, q + 1):
+        a[p] = SuperFunction.from_scalar(lay.chart, change(_body(a[p])))
+    lifted = SuperVectorField(lay.chart, 0, tuple(a), lifted.b)
+    return sector_completion(lay, lifted, adhm_constraint_scalars(lay), sector)
+
+
+def test_multiplier_pairing_fails_with_a_wrong_multiplier_weight():
+    # one HC multiplier pair turns by e2 where its weight has e1
+    _, report = _perturbed_completion(
+        2, "HC", ("HC", 0, 1), lambda w: sc.substitute(w, {"e1": sc.sym("e2")})
+    )
+    assert not report["pairing_residual_zero"]
+    assert report["pairing_residual_max"] > 0
+
+
+def test_multiplier_pairing_fails_with_a_matter_entry_turned_backwards():
+    # B1's entry (0, 1) turns by minus its weight; the multipliers do not follow
+    _, report = _perturbed_completion(2, "HR", ("B1", 0, 1), lambda w: sc.ZERO - w)
+    assert not report["pairing_residual_zero"]
+    assert report["pairing_residual_max"] > 0
+
+
 def test_multiplier_invertibility_is_certified_exactly():
     # a float or a division by zero at a sample certifies nothing
     x, h = sc.sym("x"), sc.sym("h")

@@ -607,3 +607,23 @@ def test_cli_t_outside_float_range_exit_code(tmp_path, capsys, kind, form, comma
     err = capsys.readouterr().err
     assert err.startswith("computation error: %s raised OverflowError" % (message,))
     assert "Traceback" not in err
+
+
+def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
+    # From cold kernel caches. Each pairing residual of the multiplier
+    # completion is one derivation pass, and a derivative that is zero
+    # builds no normal form; without either, this run builds 2,464.
+    built = []
+    normal_form = sc._normal_form
+
+    def counted(p):
+        built.append(p)
+        return normal_form(p)
+
+    sc.normalize.cache_clear()
+    sc._differentiate.cache_clear()
+    sc._POLY.clear()
+    monkeypatch.setattr(sc, "_normal_form", counted)
+    report = run_brst_check(load_scenario(BUNDLED % "adhm_k2_n2_brst"))
+    assert report["checks"] and all(rec["status"] != "fail" for rec in report["checks"])
+    assert len(built) <= 1200

@@ -21,6 +21,7 @@ from superloc.errors import ComputationError, UnboundSymbol
 from superloc.scalars import (
     Rat,
     compile_numeric,
+    derive,
     differentiate,
     evaluate,
     normalize,
@@ -182,6 +183,56 @@ def test_differentiate_matches_the_tree_rule_structurally():
                 isinstance(a, sc.Func) and not isinstance(a.arg, sc.Sym) for a in atoms
             )
     assert pairs == 3000 and inverses >= 500 and composite_args >= 500
+
+
+def _random_field(rng: random.Random) -> dict:
+    """Two or three of x, y, t, each sent to a random expression."""
+    return {name: _random_expr(rng, 2) for name in rng.sample(("x", "y", "t"), rng.randrange(2, 4))}
+
+
+def test_derive_matches_the_sum_of_partials_structurally():
+    # 300 seeded expressions, each along a random field: against the tree
+    # rule, which shares no code with the product-rule walk, and against the
+    # sum of partial derivatives
+    rng = random.Random(83)
+    inverses = funcs = 0
+    split = []
+    for draw in range(300):
+        e, field = _random_expr(rng), _random_field(rng)
+        n = normalize(e)
+        got = derive(e, field)
+        assert got == normalize(sc.Add(tuple(v * _tree_diff(n, c) for c, v in field.items())))
+        partials = normalize(sc.Add(tuple(v * differentiate(e, c) for c, v in field.items())))
+        if got != partials:
+            split.append(draw)
+            for x0, y0, t0 in ((Fraction(1, 3), Fraction(2, 7), Fraction(-3, 5)), (2, -1, Fraction(5, 4))):
+                point = {"x": Fraction(x0), "y": Fraction(y0), "t": Fraction(t0)}
+                assert evaluate(got, point) == evaluate(partials, point)
+        atoms = _atoms(n)
+        inverses += any(sc._is_composite_atom(a) for a in atoms)
+        funcs += any(isinstance(a, sc.Func) for a in atoms)
+    assert inverses >= 50 and funcs >= 50
+    # Draw 181 is (y - 1)^2 over t*y*(y - 1)^2 + 1 along a field with two
+    # other composite inverses. Reducing each partial and then their sum
+    # gives a normal form of the same function that differs from the one a
+    # single reduction gives: the normal form is canonical only as a
+    # polynomial in its atoms (ROADMAP item 2).
+    assert split == [181]
+
+
+def test_a_zero_derivative_builds_no_normal_form():
+    e = parse_scalar("exp(x*y)*(x^2 + y^2 + 7)^-2 + sin(x + t)")
+    # warm the memos the calls below read, so that only a normal form built
+    # for a zero derivative could add an entry
+    differentiate(e, "x")
+    normalize(X)
+    normalize(Y)
+    sc._POLY.pop(sc.ZERO, None)
+    memo = dict(sc._POLY)
+    assert differentiate(e, "absent") is sc.ZERO
+    assert derive(e, {"absent": X, "other": Y}) is sc.ZERO
+    assert derive(e, {}) is sc.ZERO
+    assert sc._POLY == memo
 
 
 def test_mixed_partials_commute_structurally():

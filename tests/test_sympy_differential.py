@@ -1,14 +1,16 @@
 """The exact kernel against sympy, an independent computer algebra system.
 
 Seeded random expressions, composite inverses included, go through
-`normalize`, `differentiate` and `linalg.det`; each result must agree with
-sympy's computation on the same raw tree. `linalg.rank` must agree with
-sympy's rank on seeded rational matrices, full rank and deficient. sympy is
-a test-only oracle: the module is skipped when it is not installed.
+`normalize`, `differentiate`, `derive` and `linalg.det`; each result must
+agree with sympy's computation on the same raw tree. `linalg.rank` must
+agree with sympy's rank on seeded rational matrices, full rank and
+deficient. sympy is a test-only oracle: the module is skipped when it is
+not installed.
 
-`normalize` and `differentiate` are compared as identities. sympy needs
-seconds to cancel a 4x4 determinant over several composite denominators,
-so `det` is compared exactly at random rational points instead.
+`normalize`, `differentiate` and `derive` are compared as identities.
+sympy needs seconds to cancel a 4x4 determinant over several composite
+denominators, so `det` is compared exactly at random rational points
+instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 
 from superloc import scalars as sc
 from superloc.linalg import det, rank
-from superloc.scalars import differentiate, normalize
+from superloc.scalars import derive, differentiate, normalize
 
 from test_scalars import _random_expr
 
@@ -93,6 +95,16 @@ def test_differentiate_matches_sympy():
         for name in ("x", "t"):
             got = _to_sympy(differentiate(e, name))
             assert _sympy_equal(got, sympy.diff(_to_sympy(e), sympy.Symbol(name)))
+
+
+def test_derive_matches_sympy():
+    # the 20th draw of this seed takes sympy 3 s to cancel; 15 run in 0.2 s
+    rng = random.Random(89)
+    for _ in range(15):
+        e = _nonsingular(rng, 3)
+        field = {"x": _nonsingular(rng, 2), "t": _nonsingular(rng, 2)}
+        want = sum(_to_sympy(v) * sympy.diff(_to_sympy(e), sympy.Symbol(c)) for c, v in field.items())
+        assert _sympy_equal(_to_sympy(derive(e, field)), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
