@@ -263,6 +263,11 @@ def entry_weight(lay: ADHMSuperChart, sector: str, i: int, j: int) -> sc.ScalarE
     phi_1 .. phi_k on the gauge side and the traceless a on the frame
     side.  The infinitesimal action turns that entry z into i w z."""
     lay.coord_index(sector, i, j)  # ShapeMismatch off the block
+    return _charge_weight(lay, sector, i, j)
+
+
+def _charge_weight(lay: ADHMSuperChart, sector: str, i: int, j: int) -> sc.ScalarExpr:
+    """entry_weight's w, also for a sector that the chart does not carry."""
     left, right, (n1, n2) = _CHARGES[sector]
     diagonal = {
         "gauge": [sc.sym("phi%d" % (p + 1,)) for p in range(lay.k)],
@@ -482,6 +487,9 @@ def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
 
     At instanton number one the fixed classes are labelled by the frame
     index carrying the single unit of charge, at real constraint level 1.
+    The tangent weights are those of the matter entries at the compensating
+    phi, less one gauge weight (HR's charges) and one weight of the complex
+    moment map (HC's); a removal that finds no copy raises ComputationError.
     """
     N = lay.N
     if lay.k != 1:
@@ -489,7 +497,6 @@ def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
     if N < 2:
         raise ShapeMismatch("need N >= 2 for isolated fixed data")
     a_diag = _traceless_diagonal(N)
-    e1, e2 = sc.sym("e1"), sc.sym("e2")
     zero = [[(0, 0)]]
     out = []
     for r in range(N):
@@ -499,8 +506,23 @@ def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
         # the real constraint is 1 + 0i and the complex one 0
         if [sc.evaluate(v, binding) for v in V] != [1, 0, 0, 0]:
             raise ComputationError("fixed datum r=%d misses the constraint level" % (r,))
-        weights = [e1, e2]
-        weights += [sc.normalize(a_diag[r] - a_diag[s]) for s in range(N) if s != r]
-        weights += [sc.normalize(a_diag[s] - a_diag[r] + e1 + e2) for s in range(N) if s != r]
-        out.append(ADHMFixedPoint(r, binding, sc.normalize(a_diag[r]), tuple(weights)))
+        phi = sc.normalize(a_diag[r])
+
+        def at_phi(sector, i, j):
+            return sc.normalize(sc.substitute(_charge_weight(lay, sector, i, j), {"phi1": phi}))
+
+        weights = [
+            at_phi(name, i, j)
+            for name in MATTER_SECTORS
+            for i in range(lay.shape(name)[0])
+            for j in range(lay.shape(name)[1])
+        ]
+        for name in ("HR", "HC"):
+            w = at_phi(name, 0, 0)
+            if w not in weights:
+                raise ComputationError(
+                    "fixed datum r=%d has no tangent weight %s to remove" % (r, sc.to_text(w))
+                )
+            weights.remove(w)
+        out.append(ADHMFixedPoint(r, binding, phi, tuple(weights)))
     return out

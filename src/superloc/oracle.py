@@ -44,22 +44,13 @@ def _tensor_weights(d: int) -> tuple:
     return tuple(math.prod(combo) for combo in product(_GL_WEIGHTS, repeat=d))
 
 
-def point_rule(f: Callable[[tuple], float]) -> Callable[[list], float]:
-    """The cell rule of a function of one point, for `quadrature`: f is
-    called at each point of the tensor grid in `product` order."""
-
-    def rule(axes) -> float:
-        total = 0.0
-        for w, point in zip(_tensor_weights(len(axes)), product(*axes)):
-            total += w * f(point)
-        return total
-
-    return rule
-
-
 def _compile_rule(e: ScalarExpr, coords, binding=None) -> Callable[[list], float]:
-    """The cell rule of e over the box of `coords`, for `quadrature`."""
-    return sc.compile_rule(e, coords, _tensor_weights(len(coords)), binding)
+    """The cell rule of e over the box of `coords`, for `quadrature`. With
+    no coords the box is one point, and the rule is e's value there."""
+    if coords:
+        return sc.compile_rule(e, coords, _tensor_weights(len(coords)), binding)
+    value = sc.compile_numeric(e, (), binding)
+    return lambda axes: value(())
 
 
 def _cell_integral(rule, lo, hi) -> float:
@@ -107,14 +98,13 @@ def quadrature(
 
     The integrand is a cell rule: `rule(axes)`, given the twelve nodes of
     each axis of a cell, returns the weighted sum over the cell's grid with
-    the weights `_tensor_weights(d)` in `product` order, unscaled
-    (`scalars.compile_rule` builds one from an expression, `point_rule`
-    from a function of a point). Cells are refined dyadically with a fixed
-    traversal order and summed in that order, so results are bit-for-bit
-    reproducible for a given tolerance. Each visited cell's nodes are
-    evaluated once; more than `_MAX_EVALS` evaluations, 12^d per cell,
-    raise `NoConvergence`; a float error in the rule raises
-    `ComputationError`.
+    the weights `_tensor_weights(d)` in `product` order, unscaled, as
+    `scalars.compile_rule` builds it from an expression. Cells are refined
+    dyadically with a fixed traversal order and summed in that order, so
+    results are bit-for-bit reproducible for a given tolerance. Each
+    visited cell's nodes are evaluated once; more than `_MAX_EVALS`
+    evaluations, 12^d per cell, raise `NoConvergence`; a float error in the
+    rule raises `ComputationError`.
     """
     lo = tuple(float(a) for a, _ in box)
     hi = tuple(float(b) for _, b in box)
@@ -163,35 +153,22 @@ def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
-def hodge_dual(nu: SuperFunction) -> Callable[[tuple], list]:
+def hodge_dual(nu: SuperFunction) -> list:
     """Dual of a grade n-1 superfunction along the odd directions.
 
-    Returns an evaluator, of a point in chart-coordinate order, for the n
-    components indexed by the missing generator.
+    Returns its n components, indexed by the missing generator, as
+    normalized expressions.
     """
-    n, coords = nu.chart.n, nu.chart.coords
+    n = nu.chart.n
     if any(len(idx) != n - 1 for idx in nu.terms):
         raise WrongGrade("dual needs a homogeneous superfunction of grade n-1")
     fact = math.factorial(n - 1)
-    comps = []
+    dual = []
     for A in range(1, n + 1):
         comp = tuple(B for B in range(1, n + 1) if B != A)
-        coeff = nu.terms.get(comp)
-        if coeff is None:
-            comps.append(None)
-            continue
-        sign = _eps_sign((A,) + comp)
-        comps.append((sign, sc.compile_numeric(coeff, coords)))
-
-    def evaluate(point) -> list:
-        out = [0.0] * n
-        for k, entry in enumerate(comps):
-            if entry is not None:
-                sign, fn = entry
-                out[k] = sign * fn(point) / fact
-        return out
-
-    return evaluate
+        coeff = nu.terms.get(comp, sc.ZERO)
+        dual.append(sc.normalize(sc.rational(_eps_sign((A,) + comp), fact) * coeff))
+    return dual
 
 
 def _eps_sign(perm: tuple) -> int:
@@ -199,37 +176,30 @@ def _eps_sign(perm: tuple) -> int:
 
 
 def boundary_flux(
-    w: Callable[[tuple, int], float],
+    w: Sequence[ScalarExpr],
+    coords: Sequence[str],
     box,
     faces: Optional[Sequence[Tuple[int, int]]] = None,
     tol: float = 1e-8,
 ) -> float:
     """Outward flux of a vector field through selected box faces.
 
-    `w(point, k)` is component k of the field at a point of the box. The
-    integrand on the face normal to axis k is w^k; faces default to all of
-    them, and are dropped for periodic axes by passing an explicit list of
-    (axis, side) pairs with side = +1 or -1.
+    `w[k]` is component k of the field, an expression in `coords`. The
+    integrand on the face normal to axis k is w^k with coords[k] bound to
+    the face's value, integrated over the other coordinates. Faces default
+    to all of them, and are dropped for periodic axes by passing an
+    explicit list of (axis, side) pairs with side = +1 or -1.
     """
-    m = len(box)
     if faces is None:
-        faces = [(k, s) for k in range(m) for s in (1, -1)]
+        faces = [(k, s) for k in range(len(box)) for s in (1, -1)]
     total = 0.0
     share = tol / max(1, len(faces))
     for axis, side in faces:
-        value = float(box[axis][1] if side > 0 else box[axis][0])
-        rest = [box[k] for k in range(m) if k != axis]
-
-        def f(face_point, axis=axis, value=value):
-            point = face_point[:axis] + (value,) + face_point[axis:]
-            return w(point, axis)
-
-        if rest:
-            part = quadrature(point_rule(f), rest, tol=share)
-        else:
-            with float_errors("integrand"):
-                part = f(())
-        total += side * part
+        face = {coords[axis]: float(box[axis][1] if side > 0 else box[axis][0])}
+        rest = [k for k in range(len(box)) if k != axis]
+        with float_errors("integrand"):
+            rule = _compile_rule(w[axis], [coords[k] for k in rest], face)
+        total += side * quadrature(rule, [box[k] for k in rest], tol=share)
     return total
 
 
@@ -267,13 +237,9 @@ def super_stokes_check(
     top = _compile_rule(sc.as_expr(Q.apply(nu).top_component()), coords)
     lhs = quadrature(top, box, tol=tol / 4)
     dual = hodge_dual(nu)
-    sigma_fns = [[sc.compile_numeric(sc.as_expr(e), coords) for e in row] for row in sigma]
-
-    def w(point, axis) -> float:
-        d = dual(point)
-        return sum(fn(point) * d[A] for A, fn in enumerate(sigma_fns[axis]))
-
-    rhs = boundary_flux(w, box, faces=faces, tol=tol / 4)
+    w = [sc.normalize(sum((sc.as_expr(e) * d for e, d in zip(row, dual)), sc.ZERO))
+         for row in sigma]
+    rhs = boundary_flux(w, coords, box, faces=faces, tol=tol / 4)
     return {
         "bulk": lhs,
         "boundary": rhs,

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from superloc import oracle
 from superloc import scalars as sc
 from superloc.adhm import adhm_constraint_scalars
 from superloc.grassmann import CSuper, SuperFunction, SuperVectorField, graded_commutator
@@ -27,6 +29,25 @@ def reference_square_residual(Q: SuperVectorField, lift: SuperVectorField) -> Su
 @pytest.fixture
 def square_reference():
     return reference_square_residual
+
+
+def reference_point_rule(f):
+    """The cell rule of a function of one point, for `oracle.quadrature`:
+    f is called at each point of the tensor grid in `product` order.  The
+    per-point reference that `scalars.compile_rule` is checked against."""
+
+    def rule(axes) -> float:
+        total = 0.0
+        for w, point in zip(oracle._tensor_weights(len(axes)), product(*axes)):
+            total += w * f(point)
+        return total
+
+    return rule
+
+
+@pytest.fixture
+def point_rule():
+    return reference_point_rule
 
 
 _CONSTRAINTS = {}

@@ -33,7 +33,6 @@ from superloc.oracle import (
     boundary_flux,
     global_berezin,
     hodge_dual,
-    point_rule,
     quadrature,
     super_stokes_check,
 )
@@ -56,24 +55,24 @@ def _gauss_1d(c: float, s: float) -> float:
     return math.sqrt(math.pi / s) / 2 * (math.erf(r * (1 - c)) + math.erf(r * c))
 
 
-def test_quadrature_polynomial():
+def test_quadrature_polynomial(point_rule):
     value = quadrature(point_rule(lambda p: 3 * p[0] ** 2 + p[1]), ((0, 1), (0, 1)), tol=1e-12)
     assert abs(value - 1.5) < 1e-12
 
 
-def test_quadrature_peaked_gaussian():
+def test_quadrature_peaked_gaussian(point_rule):
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
     value = quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11)
     exact = _gauss_1d(0.3, 50) * _gauss_1d(0.7, 50)
     assert abs(value - exact) < 1e-9
 
 
-def test_quadrature_rejects_nonintegrable():
+def test_quadrature_rejects_nonintegrable(point_rule):
     with pytest.raises(NoConvergence):
         quadrature(point_rule(lambda p: 1.0 / p[0]), ((0, 1),), tol=1e-10)
 
 
-def test_quadrature_repeats_bit_for_bit():
+def test_quadrature_repeats_bit_for_bit(point_rule):
     # the cells are summed in one fixed order, so repeated calls agree bit for bit
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
     first = quadrature(point_rule(f), ((0, 1), (0, 1)), tol=1e-11)
@@ -166,7 +165,7 @@ def _reference_berezin(patches, binding, tol):
     ],
     ids=["1d", "3d"],
 )
-def test_quadrature_matches_reference_bit_for_bit(f, box, tol):
+def test_quadrature_matches_reference_bit_for_bit(point_rule, f, box, tol):
     cells, points = [], []
 
     def counted(p):
@@ -220,7 +219,7 @@ def test_global_berezin_unbound_symbol_raises_before_evaluating(monkeypatch):
         global_berezin((patch,), binding={"t": Fraction(1)})
 
 
-def test_quadrature_budget_raises(monkeypatch):
+def test_quadrature_budget_raises(monkeypatch, point_rule):
     f = lambda p: math.exp(-50 * ((p[0] - 0.3) ** 2 + (p[1] - 0.7) ** 2))
     monkeypatch.setattr(oracle, "_MAX_EVALS", 4 * 144)
     with pytest.raises(NoConvergence):
@@ -279,7 +278,7 @@ _ALTERNATING = (
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", [-0.0, 0.0, Fraction(-5, 4)], ids=["s=-0.0", "s=0.0", "s=-5/4"])
-def test_rule_matches_the_point_function_bit_for_bit(d, s):
+def test_rule_matches_the_point_function_bit_for_bit(point_rule, d, s):
     coords = ("x", "y", "z")[:d]
     rng = random.Random(40 + d)
     binding = {"t": Fraction(7, 3), "s": s}
@@ -370,11 +369,14 @@ def test_quadrature_budget_exits_3(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "form,message",
     [
-        ("exp(x^-1)*th1", "computation error: integrand raised ZeroDivisionError"),
+        ("exp(-1*x^-1)*th2", "computation error: integrand raised ZeroDivisionError"),
         ("exp(1000*x)*th1", "computation error: integrand raised OverflowError"),
+        # the dual component x^-1 meets a zero entry of sigma and is never
+        # evaluated, but exp(1/x) overflows near x = 0 on the y faces
+        ("exp(x^-1)*th1", "computation error: integrand raised OverflowError"),
         ("x^-1*y*th2", "computation error: quadrature cell at depth 12 did not converge"),
     ],
-    ids=["zero-division", "overflow", "no-convergence"],
+    ids=["zero-division", "overflow", "singular-dual-overflow", "no-convergence"],
 )
 def test_integrand_float_errors_exit_3(tmp_path, capsys, form, message):
     # a flat_box face integrand meets x = 0.0 or overflows: exit 3, no traceback
@@ -388,15 +390,13 @@ def test_integrand_float_errors_exit_3(tmp_path, capsys, form, message):
     assert message in capsys.readouterr().err
 
 
-def test_integrand_float_errors_raise_computation_error():
+def test_integrand_float_errors_raise_computation_error(point_rule):
     with pytest.raises(ComputationError, match="ValueError: math domain error"):
         quadrature(point_rule(lambda p: math.log(p[0] - 0.5)), ((0, 1),))
 
-    def w(point, axis):
-        return 1.0 / point[axis]
-
-    with pytest.raises(ComputationError, match="ZeroDivisionError: float division by zero"):
-        boundary_flux(w, ((0.0, 1.0),))
+    # the face x = 0.0 of a one-dimensional box is one point
+    with pytest.raises(ComputationError, match="ZeroDivisionError"):
+        boundary_flux([X ** -1], ("x",), ((0.0, 1.0),))
 
 
 def test_patch_sum_sphere_area():
@@ -425,8 +425,7 @@ def test_height_exponential_patch():
 
 def test_hodge_dual_two_generators():
     nu = parse_super(CHART, "x*th1 + y*th2")
-    dual = hodge_dual(nu)
-    out = dual((2.0, 8.0))
+    out = [sc.evaluate(e, {"x": 2.0, "y": 8.0}) for e in hodge_dual(nu)]
     assert abs(out[0] - 8.0) < 1e-12
     assert abs(out[1] + 2.0) < 1e-12
 
@@ -434,8 +433,7 @@ def test_hodge_dual_two_generators():
 def test_hodge_dual_three_generators():
     chart = SuperChart(("x", "y", "z"), 3)
     nu = parse_super(chart, "th1*th2")
-    dual = hodge_dual(nu)
-    out = dual((0.0, 0.0, 0.0))
+    out = [sc.evaluate(e, {"x": 0.0, "y": 0.0, "z": 0.0}) for e in hodge_dual(nu)]
     assert abs(out[0]) < 1e-12 and abs(out[1]) < 1e-12
     assert abs(out[2] - 0.5) < 1e-12
 
@@ -471,36 +469,33 @@ def test_super_stokes_rejects_a_non_injective_sigma_before_quadrature(monkeypatc
 
 def test_boundary_flux_divergence():
     # flux of (x, y) out of the unit square equals the divergence integral
-    w = lambda p, axis: p[axis]
-    value = boundary_flux(w, ((0, 1), (0, 1)), tol=1e-10)
+    value = boundary_flux([X, Y], ("x", "y"), ((0, 1), (0, 1)), tol=1e-10)
     assert abs(value - 2.0) < 1e-9
 
 
 @pytest.mark.parametrize("face", [(0, 1), (0, -1), (1, 1), (1, -1)])
 def test_boundary_integrand_evaluates_one_row_of_sigma(monkeypatch, face):
-    # the flux through the face normal to axis k reads only component k
-    # of sigma applied to the dual, so each point evaluates row k of sigma:
-    # two sigma entries per point here, not all four
-    Q = tautological_Q(ROTATION)
-    sigma = {sc.as_expr(e) for row in oracle.sigma_from_Q(Q) for e in row}
-    calls = {"sigma": 0, "dual": 0}
-    compile_numeric = sc.compile_numeric
+    # the face normal to axis k integrates one compiled expression, row k
+    # of sigma applied to the dual, over the other coordinate with coords[k]
+    # bound to the face; sigma = ((1, 2), (-1, 1)) and the dual is (xy, -x^2)
+    th1, th2 = SuperFunction.generator(CHART, 1), SuperFunction.generator(CHART, 2)
+    rows = (sc.parse_scalar("x*y - 2*x^2"), sc.parse_scalar("-1*x*y - x^2"))
+    calls = []
+    compile_rule = sc.compile_rule
 
-    def counting(e, names, binding=None):
-        fn = compile_numeric(e, names, binding)
-        kind = "sigma" if e in sigma else "dual"
+    def recording(e, names, weights, binding=None):
+        calls.append((e, tuple(names), binding))
+        return compile_rule(e, names, weights, binding)
 
-        def counted(point):
-            calls[kind] += 1
-            return fn(point)
-
-        return counted
-
-    monkeypatch.setattr(sc, "compile_numeric", counting)
-    nu = parse_super(CHART, "x*y*th2")
-    super_stokes_check(nu, Q, EYE, ((0, 1), (0, 1)), faces=(face,), tol=1e-7)
-    assert calls["dual"] > 0
-    assert calls["sigma"] == 2 * calls["dual"]
+    monkeypatch.setattr(sc, "compile_rule", recording)
+    nu = parse_super(CHART, "x*y*th2 + x^2*th1")
+    Q = _odd_field(th1 + 2 * th2, th2 - th1)
+    super_stokes_check(nu, Q, EYE, ((0, 1), (0.5, 2)), faces=(face,), tol=1e-7)
+    k, side = face
+    value = ((0.0, 1.0), (0.5, 2.0))[k][side > 0]
+    assert [call for call in calls if call[2]] == [
+        (sc.normalize(rows[k]), (("y", "x")[k],), {("x", "y")[k]: value})
+    ]
 
 
 def test_super_stokes_unit_box():
@@ -510,6 +505,17 @@ def test_super_stokes_unit_box():
     assert report["status"] == "pass"
     assert abs(report["bulk"] - 0.5) < 1e-7
     assert abs(report["boundary"] - 0.5) < 1e-7
+
+
+def test_super_stokes_one_dimensional_box():
+    # each face of an interval is one point: the flux is nu(2) - nu(1/2)
+    chart = SuperChart(("x",), 1)
+    Q = tautological_Q(ActionSpec(("t",), chart, ((sc.ONE,),)))
+    nu = parse_super(chart, "x^3 - 2*x")
+    report = super_stokes_check(nu, Q, ((sc.ONE,),), ((0.5, 2.0),), tol=1e-7)
+    assert report["status"] == "pass"
+    assert abs(report["bulk"] - 4.875) < 1e-12
+    assert abs(report["boundary"] - 4.875) < 1e-12
 
 
 def test_super_stokes_random_coefficients():
