@@ -9,7 +9,6 @@ lifted field of generator alpha.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -32,38 +31,32 @@ from .grassmann import (
     graded_commutator,
     to_super_text,
 )
+from .records import Record
 from .scalars import ScalarExpr, normalize
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(Record):
     """Infinitesimal generators of a group action on an (m, n) chart."""
 
-    params: Tuple[str, ...]
-    chart: SuperChart
-    T: tuple
-    U: Optional[tuple] = None
+    __slots__ = ("params", "chart", "T", "U")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        T = tuple(tuple(sc.as_expr(e) for e in row) for row in self.T)
-        if len(T) != len(self.params) or any(len(row) != self.chart.m for row in T):
-            raise ShapeMismatch(
-                "T must be %d x %d" % (len(self.params), self.chart.m)
-            )
-        object.__setattr__(self, "T", T)
-        if self.U is not None:
-            U = tuple(
-                tuple(tuple(sc.as_expr(e) for e in row) for row in block) for block in self.U
-            )
-            n = self.chart.n
-            if len(U) != len(self.params) or any(
+    def __init__(self, params: Tuple[str, ...], chart: SuperChart, T: tuple,
+                 U: Optional[tuple] = None) -> None:
+        params = tuple(params)
+        T = tuple(tuple(sc.as_expr(e) for e in row) for row in T)
+        if len(T) != len(params) or any(len(row) != chart.m for row in T):
+            raise ShapeMismatch("T must be %d x %d" % (len(params), chart.m))
+        if U is not None:
+            U = tuple(tuple(tuple(sc.as_expr(e) for e in row) for row in block) for block in U)
+            n = chart.n
+            if len(U) != len(params) or any(
                 len(block) != n or any(len(row) != n for row in block) for block in U
             ):
-                raise ShapeMismatch(
-                    "U must be %d x %d x %d" % (len(self.params), n, n)
-                )
-            object.__setattr__(self, "U", U)
+                raise ShapeMismatch("U must be %d x %d x %d" % (len(params), n, n))
+        self.params = params
+        self.chart = chart
+        self.T = T
+        self.U = U
 
 
 def fundamental_field(spec: ActionSpec) -> SuperVectorField:

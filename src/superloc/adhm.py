@@ -21,7 +21,6 @@ symbol map, and its square is the lifted even field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
@@ -48,6 +47,7 @@ from .linalg import (
     mat_sub,
     transpose,
 )
+from .records import Record
 
 
 # How each sector transforms under U(k) x U(N) x T^2: (left group, right
@@ -73,8 +73,7 @@ MATTER_SECTORS = ("B1", "B2", "I", "J")
 # flattened super chart
 
 
-@dataclass(frozen=True)
-class ADHMSuperChart:
+class ADHMSuperChart(Record):
     """Real chart for the matrix data with positional odd partners.
 
     Sector blocks appear in a fixed order; each complex entry (i, j)
@@ -83,12 +82,16 @@ class ADHMSuperChart:
     `params` names the Cartan symbols of the symmetry group.
     """
 
-    k: int
-    N: int
-    full: bool
-    chart: SuperChart
-    sectors: Tuple[Tuple[str, int, int], ...]
-    params: Tuple[str, ...]
+    __slots__ = ("k", "N", "full", "chart", "sectors", "params")
+
+    def __init__(self, k: int, N: int, full: bool, chart: SuperChart,
+                 sectors: Tuple[Tuple[str, int, int], ...], params: Tuple[str, ...]) -> None:
+        self.k = k
+        self.N = N
+        self.full = full
+        self.chart = chart
+        self.sectors = sectors
+        self.params = params
 
     def offset(self, sector: str) -> int:
         pos = 0
@@ -465,8 +468,7 @@ def check_stabilizer(lay: ADHMSuperChart, binding) -> None:
         raise StabilizerNotTrivial("data with I = J = 0 sit on a singular stratum")
 
 
-@dataclass(frozen=True)
-class ADHMFixedPoint:
+class ADHMFixedPoint(Record):
     """Torus-fixed datum at instanton number one.
 
     `binding` binds the datum's matter coordinates, `phi` is the
@@ -474,10 +476,14 @@ class ADHMFixedPoint:
     reduced tangent directions.
     """
 
-    r: int
-    binding: dict
-    phi: sc.ScalarExpr
-    weights: Tuple[sc.ScalarExpr, ...]
+    __slots__ = ("r", "binding", "phi", "weights")
+
+    def __init__(self, r: int, binding: dict, phi: sc.ScalarExpr,
+                 weights: Tuple[sc.ScalarExpr, ...]) -> None:
+        self.r = r
+        self.binding = binding
+        self.phi = phi
+        self.weights = weights
 
 
 def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:

@@ -12,7 +12,6 @@ scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -22,6 +21,7 @@ from .grassmann import SuperChart, SuperFunction
 from .linalg import identity
 from .localize import find_fixed_points
 from .oracle import OraclePatch
+from .records import Record
 from .scalars import ScalarExpr
 
 X = sc.sym("x")
@@ -33,8 +33,7 @@ PLANE_CHART = SuperChart(("x", "y"), 2)
 PLANE_ROTATION = ActionSpec(("t",), PLANE_CHART, ((sc.ZERO - Y, X),))
 
 
-@dataclass(frozen=True)
-class AtlasChart:
+class AtlasChart(Record):
     """One chart of an atlas: its action, metric h and orientation, with the
     fixed point at its origin.
 
@@ -46,12 +45,16 @@ class AtlasChart:
     sign.
     """
 
-    name: str
-    spec: ActionSpec
-    h: tuple
-    orientation: int = 1
-    z: Optional[ScalarExpr] = None
-    omega_coeff: Optional[ScalarExpr] = None
+    __slots__ = ("name", "spec", "h", "orientation", "z", "omega_coeff")
+
+    def __init__(self, name: str, spec: ActionSpec, h: tuple, orientation: int = 1,
+                 z: Optional[ScalarExpr] = None, omega_coeff: Optional[ScalarExpr] = None) -> None:
+        self.name = name
+        self.spec = spec
+        self.h = h
+        self.orientation = orientation
+        self.z = z
+        self.omega_coeff = omega_coeff
 
 
 def sphere_chart(name: str) -> AtlasChart:
@@ -155,15 +158,17 @@ def gaussian_oracle_patch() -> OraclePatch:
     return OraclePatch(("x", "y"), ((-w, w), (-w, w)), sc.normalize(sc.ZERO - body))
 
 
-@dataclass(frozen=True)
-class DomainData:
+class DomainData(Record):
     """A coordinate box with metric and action data for boundary checks;
     the chart is the action's."""
 
-    spec: ActionSpec
-    h: tuple
-    box: tuple
-    faces: Optional[tuple]
+    __slots__ = ("spec", "h", "box", "faces")
+
+    def __init__(self, spec: ActionSpec, h: tuple, box: tuple, faces: Optional[tuple]) -> None:
+        self.spec = spec
+        self.h = h
+        self.box = box
+        self.faces = faces
 
 
 def flat_box_domain() -> DomainData:

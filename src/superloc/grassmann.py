@@ -10,11 +10,11 @@ of real ones on the same chart.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import scalars as sc
 from .errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
+from .records import FrozenRecord, Record
 from .scalars import Binding, ScalarExpr, normalize
 
 Index = Tuple[int, ...]
@@ -23,16 +23,15 @@ Index = Tuple[int, ...]
 _MERGE_SIGN_CACHE = 1 << 14
 
 
-@dataclass(frozen=True)
-class SuperChart:
+class SuperChart(FrozenRecord):
     """Even coordinate names plus the number of odd generators, which are
     named th1..thn."""
 
-    coords: Tuple[str, ...]
-    n: int
+    __slots__ = ("coords", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords: Tuple[str, ...], n: int) -> None:
+        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "n", n)
 
     @property
     def m(self) -> int:
@@ -212,8 +211,7 @@ def _coerce(chart: SuperChart, value):
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class CSuper:
+class CSuper(Record):
     """Complex superfunction re + i*im.
 
     Superfunctions, scalars and numbers combine with it as real values, so
@@ -221,12 +219,13 @@ class CSuper:
     and goes through the same apply and bracket code as a real one.
     """
 
-    re: SuperFunction
-    im: SuperFunction
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if self.re.chart is not self.im.chart and self.re.chart != self.im.chart:
+    def __init__(self, re: SuperFunction, im: SuperFunction) -> None:
+        if re.chart is not im.chart and re.chart != im.chart:
             raise DimensionMismatch("real and imaginary parts on different charts")
+        self.re = re
+        self.im = im
 
     @property
     def chart(self) -> SuperChart:
@@ -348,26 +347,24 @@ def even_partial(f, index: int):
     )
 
 
-@dataclass(frozen=True)
-class SuperVectorField:
+class SuperVectorField(FrozenRecord):
     """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity.
 
     Components are SuperFunctions, or CSuper for a complex derivation;
     apply, graded_commutator and field_is_zero take both.
     """
 
-    chart: SuperChart
-    parity: int
-    a: Tuple[SuperFunction, ...]
-    b: Tuple[SuperFunction, ...]
+    __slots__ = ("chart", "parity", "a", "b")
 
-    def __post_init__(self) -> None:
-        if len(self.a) != self.chart.m or len(self.b) != self.chart.n:
+    def __init__(self, chart: SuperChart, parity: int, a: Sequence, b: Sequence) -> None:
+        if len(a) != chart.m or len(b) != chart.n:
             raise DimensionMismatch(
-                "field needs %d even and %d odd components" % (self.chart.m, self.chart.n)
+                "field needs %d even and %d odd components" % (chart.m, chart.n)
             )
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "a", tuple(a))
+        object.__setattr__(self, "b", tuple(b))
 
     def apply(self, f):
         """Sum of a^i d_i f + b^A d_A f over the coordinates and generators

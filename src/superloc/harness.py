@@ -161,10 +161,16 @@ def _validate(scenario: dict) -> None:
         values = _require(scenario, "values", list)
         if not values:
             raise SchemaError("values must be non-empty")
+        seen = set()
         for v in values:
+            t = _as_fraction(v)
             # t = 0 switches the action off, so no fixed point is isolated
-            if _as_fraction(v) == 0:
+            if t == 0:
                 raise SchemaError("a value of t must be nonzero, got %r" % (v,))
+            # each value names its records, so a repeat would repeat a name
+            if t in seen:
+                raise SchemaError("a value of t is repeated, got %r" % (v,))
+            seen.add(t)
         if "reference" in scenario:
             reference = scenario["reference"]
             if not isinstance(reference, str) or reference not in _REFERENCES:

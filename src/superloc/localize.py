@@ -8,7 +8,6 @@ the inputs allow it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Mapping, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ from .errors import (
     float_errors,
 )
 from .grassmann import SuperFunction, SuperVectorField, invert_even
+from .records import FrozenRecord, Record
 from .scalars import ScalarExpr
 
 
@@ -47,12 +47,14 @@ def sqrt_exact(value):
     return math.sqrt(value)
 
 
-@dataclass(frozen=True)
-class PiScaled:
+class PiScaled(FrozenRecord):
     """A number of the form coeff * pi^pi_power, exact when coeff is rational."""
 
-    coeff: object
-    pi_power: int
+    __slots__ = ("coeff", "pi_power")
+
+    def __init__(self, coeff: object, pi_power: int) -> None:
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "pi_power", pi_power)
 
     def value(self) -> float:
         return float(self.coeff) * math.pi**self.pi_power
@@ -92,17 +94,20 @@ def _num(value):
     return value if isinstance(value, ScalarExpr) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(Record):
     """Linearization data of the fundamental field at an isolated zero."""
 
-    chart_id: str
-    coords: Tuple[str, ...]
-    point: tuple
-    L: tuple
-    fiber: Optional[tuple]
-    h: tuple
-    orientation: int = 1
+    __slots__ = ("chart_id", "coords", "point", "L", "fiber", "h", "orientation")
+
+    def __init__(self, chart_id: str, coords: Tuple[str, ...], point: tuple, L: tuple,
+                 fiber: Optional[tuple], h: tuple, orientation: int = 1) -> None:
+        self.chart_id = chart_id
+        self.coords = coords
+        self.point = point
+        self.L = L
+        self.fiber = fiber
+        self.h = h
+        self.orientation = orientation
 
     def binding(self) -> dict:
         return dict(zip(self.coords, self.point))

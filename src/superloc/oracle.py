@@ -7,7 +7,6 @@ are computed from plain densities so the two paths can be compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Tuple
@@ -16,6 +15,7 @@ from . import scalars as sc
 from .actions import check_sigma_parallel, sigma_from_Q
 from .errors import AssumptionViolated, NoConvergence, WrongGrade, float_errors
 from .grassmann import SuperFunction, SuperVectorField
+from .records import Record
 from .scalars import ScalarExpr
 
 # A cell refines at most this many levels deep, and one quadrature call
@@ -127,13 +127,15 @@ def quadrature(
         return math.fsum(_adaptive(refine, cell, child_tol, 1) for cell in cells)
 
 
-@dataclass(frozen=True)
-class OraclePatch:
+class OraclePatch(Record):
     """One coordinate box with a fully reduced scalar density to integrate."""
 
-    coords: Tuple[str, ...]
-    box: tuple
-    integrand: ScalarExpr
+    __slots__ = ("coords", "box", "integrand")
+
+    def __init__(self, coords: Tuple[str, ...], box: tuple, integrand: ScalarExpr) -> None:
+        self.coords = coords
+        self.box = box
+        self.integrand = integrand
 
 
 def global_berezin(patches: Sequence[OraclePatch], binding=None, tol: float = 1e-8):

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ComputationError, UnboundSymbol
+from .records import FrozenRecord
 
 BindingValue = Union[int, float, Fraction]
 Binding = Mapping[str, BindingValue]
@@ -35,10 +35,16 @@ Binding = Mapping[str, BindingValue]
 _FUNCTIONS = ("exp", "sin", "cos")
 
 
-class ScalarExpr:
-    """Base class for expression nodes. All nodes are frozen dataclasses."""
+class ScalarExpr(FrozenRecord):
+    """Base class for expression nodes.
 
-    __slots__ = ()
+    Every node is a FrozenRecord with its own class-exact __eq__. It stores
+    its hash in the slot `_h` at construction, so hashing a tree costs one
+    tuple hash per node, not a walk of the subtree.
+    """
+
+    # the hash slot sits here, so the __slots__ of a node name only its fields
+    __slots__ = ("_h",)
 
     def __add__(self, other: object) -> "ScalarExpr":
         other = _coerce(other)
@@ -127,77 +133,99 @@ def as_expr(value: object) -> ScalarExpr:
 
 
 def _cached_hash(node: ScalarExpr) -> int:
-    """Every node stores its hash in the slot `_h` at construction, so
-    hashing a tree costs one tuple hash per node, not a walk of the subtree."""
     return node._h
 
 
-@dataclass(frozen=True, slots=True)
 class Rat(ScalarExpr):
-    value: Fraction
-    _h: int = field(init=False, compare=False, repr=False)
+    __slots__ = __match_args__ = ("value",)
     __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "_h", hash((Rat, self.value)))
+    def __init__(self, value: Fraction) -> None:
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_h", hash((Rat, value)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Rat:
+            return NotImplemented
+        return self.value == other.value
 
 
-@dataclass(frozen=True, slots=True)
 class Sym(ScalarExpr):
-    name: str
-    _h: int = field(init=False, compare=False, repr=False)
+    __slots__ = __match_args__ = ("name",)
     __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((Sym, self.name)))
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_h", hash((Sym, name)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Sym:
+            return NotImplemented
+        return self.name == other.name
 
 
-@dataclass(frozen=True, slots=True)
 class Add(ScalarExpr):
-    args: tuple
-    _h: int = field(init=False, compare=False, repr=False)
+    __slots__ = __match_args__ = ("args",)
     __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((Add, self.args)))
+    def __init__(self, args: tuple) -> None:
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_h", hash((Add, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Add:
+            return NotImplemented
+        return self.args == other.args
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(ScalarExpr):
-    args: tuple
-    _h: int = field(init=False, compare=False, repr=False)
+    __slots__ = __match_args__ = ("args",)
     __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((Mul, self.args)))
+    def __init__(self, args: tuple) -> None:
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_h", hash((Mul, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Mul:
+            return NotImplemented
+        return self.args == other.args
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
-    _h: int = field(init=False, compare=False, repr=False)
+    __slots__ = __match_args__ = ("base", "exponent")
     __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+    def __init__(self, base: ScalarExpr, exponent: int) -> None:
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("Pow exponent must be an int")
-        object.__setattr__(self, "_h", hash((Pow, self.base, self.exponent)))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "_h", hash((Pow, base, exponent)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Pow:
+            return NotImplemented
+        return self.base == other.base and self.exponent == other.exponent
 
 
-@dataclass(frozen=True, slots=True)
 class Func(ScalarExpr):
-    kind: str
-    arg: ScalarExpr
-    _h: int = field(init=False, compare=False, repr=False)
+    __slots__ = __match_args__ = ("kind", "arg")
     __hash__ = _cached_hash
 
-    def __post_init__(self) -> None:
-        if self.kind not in _FUNCTIONS:
-            raise ValueError("unknown function kind %r" % (self.kind,))
-        object.__setattr__(self, "_h", hash((Func, self.kind, self.arg)))
+    def __init__(self, kind: str, arg: ScalarExpr) -> None:
+        if kind not in _FUNCTIONS:
+            raise ValueError("unknown function kind %r" % (kind,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_h", hash((Func, kind, arg)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Func:
+            return NotImplemented
+        return self.kind == other.kind and self.arg == other.arg
 
 
 # normalize returns this object itself for every zero result, so a zero

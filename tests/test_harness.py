@@ -69,6 +69,9 @@ def test_schema_rejections(tmp_path):
             "reference": "height_closed_form",
             "checks": ["oracle_vs_reference"],
         },
+        # a repeated value would give two records of the same name
+        {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"},
+         "values": ["1", "2/2"]},
         {"name": "x", "kind": "sphere", "form": {"type": "spline"}, "values": ["1"]},
         {"name": "x", "kind": "sphere", "form": {"type": "closed_polynomial"}, "values": ["1"]},
         {
@@ -168,6 +171,8 @@ def test_schema_rejections(tmp_path):
             load_scenario(_write(tmp_path, obj))
     with pytest.raises(SchemaError, match="names s, not a coordinate of flat_box"):
         load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "s*x*y*th2"}])))
+    with pytest.raises(SchemaError, match="a value of t is repeated, got '2/2'"):
+        load_scenario(_write(tmp_path, dict(sphere, values=["1", "2/2"])))
     with pytest.raises(SchemaError, match="unknown scenario kind 'line_dilation'"):
         load_scenario(_write(tmp_path, {"name": "x", "kind": "line_dilation", "values": ["1"]}))
     with pytest.raises(SchemaError, match="value of t must be nonzero"):
@@ -391,6 +396,20 @@ def test_cli_runs_without_numpy():
         "assert main(['oracle', '--scenario', 'sphere_dh', '--quiet']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
+    _run_fresh(code)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # start-up: the records are plain slotted classes, and dataclasses with
+    # what it imports (inspect, ast, dis, tokenize) would cost every run
+    _run_fresh(
+        "import sys, superloc.cli\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+    )
+
+
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports superloc from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
