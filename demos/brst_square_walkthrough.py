@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from superloc import scalars as sc
 from superloc.actions import (
-    ActionSpec,
     action_lift,
     kahler_Q,
     kahler_lift,
@@ -29,8 +28,8 @@ from superloc.adhm import (
     adhm_lifted_field,
     adhm_super_chart,
 )
-from superloc.geometry import PLANE_ROTATION
-from superloc.grassmann import SuperChart, field_is_zero, to_super_text
+from superloc.geometry import C2_TORUS, PLANE_ROTATION
+from superloc.grassmann import field_is_zero, to_super_text
 
 
 def closes(Q, lift) -> bool:
@@ -48,17 +47,8 @@ def main() -> None:
     print("  squares to lifted flow:", closes(Q, lift))
     print()
 
-    chart4 = SuperChart(("x1", "y1", "x2", "y2"), 2)
-    torus = ActionSpec(
-        ("e1", "e2"),
-        chart4,
-        (
-            (sc.ZERO - sc.sym("y1"), sc.sym("x1"), sc.ZERO, sc.ZERO),
-            (sc.ZERO, sc.ZERO, sc.ZERO - sc.sym("y2"), sc.sym("x2")),
-        ),
-    )
     print("torus action on C^2, complex-structure operator:")
-    report = verify_brst(kahler_Q(torus), kahler_lift(torus), torus.params)
+    report = verify_brst(kahler_Q(C2_TORUS), kahler_lift(C2_TORUS), C2_TORUS.params)
     for cond in report["conditions"]:
         print("  %-28s %s" % (cond["name"], cond["status"]))
     print("  all conditions hold:", report["passed"])

@@ -23,7 +23,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .grassmann import (
-    CSuper,
     SuperChart,
     SuperFunction,
     SuperVectorField,
@@ -127,8 +126,9 @@ def tautological_Q(spec: ActionSpec) -> SuperVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _complex_pairs(chart: SuperChart) -> tuple:
-    """Index pairs (x_j, y_j) of z_j = x_j + i y_j: consecutive coordinates."""
+def _holomorphic_indices(chart: SuperChart) -> tuple:
+    """0-based indices of the z_j on a chart whose coordinates pair
+    consecutively into (z_j, zb_j)."""
     if chart.m % 2:
         raise ShapeMismatch("complex pairing needs an even number of coordinates")
     mc = chart.m // 2
@@ -138,70 +138,42 @@ def _complex_pairs(chart: SuperChart) -> tuple:
         )
     if mc % 2:
         raise OddComplexDimension("complex dimension %d is odd" % (mc,))
-    return tuple((2 * j + 1, 2 * j + 2) for j in range(mc))
+    return tuple(range(0, chart.m, 2))
 
 
 def kahler_Q(spec: ActionSpec) -> SuperVectorField:
-    """Holomorphic-side BRST operator on a complex-paired chart.
+    """Holomorphic-side BRST operator on a holomorphic chart.
 
-    Coordinates pair into z_j = x_j + i y_j; the j-th odd generator is the
-    partner of dz_j. Components: Q(x_j) = theta^j/2, Q(y_j) = -i theta^j/2,
-    Q(theta^j) = p*(z_j). The components are CSuper.
+    Coordinates pair into (z_j, zb_j); the j-th odd generator is the
+    partner of dz_j. Components: Q(z_j) = theta^j, Q(zb_j) = 0,
+    Q(theta^j) = the flow's z_j component.
     """
-    pairs = _complex_pairs(spec.chart)
-    flow = fundamental_field(spec).a
     chart = spec.chart
-    half = Fraction(1, 2)
-    a = [CSuper.zero(chart) for _ in range(chart.m)]
-    b = []
-    for j, (ix, iy) in enumerate(pairs, start=1):
-        th = SuperFunction.generator(chart, j)
-        a[ix - 1] = CSuper(half * th, SuperFunction.zero(chart))
-        a[iy - 1] = CSuper(SuperFunction.zero(chart), -half * th)
-        b.append(CSuper(flow[ix - 1], flow[iy - 1]))
-    return SuperVectorField(chart, 1, tuple(a), tuple(b))
+    zs = _holomorphic_indices(chart)
+    flow = fundamental_field(spec).a
+    a = [SuperFunction.zero(chart)] * chart.m
+    for j, i in enumerate(zs, start=1):
+        a[i] = SuperFunction.generator(chart, j)
+    return SuperVectorField(chart, 1, tuple(a), tuple(flow[i] for i in zs))
 
 
 def kahler_lift(spec: ActionSpec) -> SuperVectorField:
-    """Holomorphic part of the lifted action on the complex-paired chart."""
-    pairs = _complex_pairs(spec.chart)
-    flow = fundamental_field(spec).a
+    """Holomorphic part of the lifted action: the flow on the z_j, zero on
+    the zb_j, and theta^k d(flow_j)/dz_k d/dtheta^j on the fiber."""
     chart = spec.chart
-    coords = chart.coords
-    half = Fraction(1, 2)
-    comp_x = [flow[ix - 1].body() for ix, _ in pairs]
-    comp_y = [flow[iy - 1].body() for _, iy in pairs]
-    a = [CSuper.zero(chart) for _ in range(chart.m)]
-    for j, (ix, iy) in enumerate(pairs):
-        # (1,0) part: half*Z_j on d/dx, -i*half*Z_j on d/dy with Z_j = vx + i vy
-        a[ix - 1] = CSuper(
-            SuperFunction.from_scalar(chart, half * comp_x[j]),
-            SuperFunction.from_scalar(chart, half * comp_y[j]),
-        )
-        a[iy - 1] = CSuper(
-            SuperFunction.from_scalar(chart, half * comp_y[j]),
-            SuperFunction.from_scalar(chart, -half * comp_x[j]),
-        )
-    b = []
-    for j in range(len(pairs)):
-        re_terms = {}
-        im_terms = {}
-        for k, (kx, ky) in enumerate(pairs):
-            # dZ_j/dz_k with d/dz = (d/dx - i d/dy)/2
-            re_part = half * (
-                sc.differentiate(comp_x[j], coords[kx - 1])
-                + sc.differentiate(comp_y[j], coords[ky - 1])
-            )
-            im_part = half * (
-                sc.differentiate(comp_y[j], coords[kx - 1])
-                - sc.differentiate(comp_x[j], coords[ky - 1])
-            )
-            if not sc.is_zero(re_part):
-                re_terms[(k + 1,)] = re_part
-            if not sc.is_zero(im_part):
-                im_terms[(k + 1,)] = im_part
-        b.append(CSuper(SuperFunction(chart, re_terms), SuperFunction(chart, im_terms)))
-    return SuperVectorField(chart, 0, tuple(a), tuple(b))
+    zs = _holomorphic_indices(chart)
+    flow = fundamental_field(spec).a
+    a = [SuperFunction.zero(chart)] * chart.m
+    for i in zs:
+        a[i] = flow[i]
+    b = tuple(
+        SuperFunction(chart, {
+            (k,): sc.differentiate(flow[i].body(), chart.coords[iz])
+            for k, iz in enumerate(zs, start=1)
+        })
+        for i in zs
+    )
+    return SuperVectorField(chart, 0, tuple(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +230,7 @@ def certified_rank(rows, n) -> bool:
 
     A sample where an entry divides by zero or gives a float certifies
     nothing, so False means no sample certified rank n.
-
-    A complex matrix A + iB, given as (re, im) entries, goes through its
-    real form [[A, -B], [B, A]], whose rank is twice the complex rank.
     """
-    if any(isinstance(e, tuple) for row in rows for e in row):
-        re = [[e[0] if isinstance(e, tuple) else e for e in row] for row in rows]
-        im = [[e[1] if isinstance(e, tuple) else sc.ZERO for e in row] for row in rows]
-        rows = [a + [-v for v in b] for a, b in zip(re, im)] + [b + a for a, b in zip(re, im)]
-        n *= 2
     for binding in sample_bindings(e for row in rows for e in row):
         values = _rational_values(rows, binding)
         if values is not None and linalg.rank(values) == n:
@@ -275,10 +239,9 @@ def certified_rank(rows, n) -> bool:
 
 
 def sigma_from_Q(Q):
-    """Extract sigma^i_A from a^i = sigma^i_A theta^A.
+    """Extract sigma^i_A, a matrix of scalars, from a^i = sigma^i_A theta^A.
 
-    Real fields give a matrix of scalars; complex fields give (re, im)
-    pairs. Injectivity is certified exactly: at some sample point every
+    Injectivity is certified exactly: at some sample point every
     entry evaluates to a Fraction and the values have rank n over the
     rationals. A point that divides by zero, or gives a float, certifies
     nothing; NotInjective means no sample certified full rank.
@@ -476,8 +439,6 @@ def _parameter_partial(X: SuperVectorField, name: str) -> SuperVectorField:
     parameters, the field at the unit parameter `name`."""
 
     def d(f):
-        if isinstance(f, CSuper):
-            return CSuper(d(f.re), d(f.im))
         return SuperFunction(f.chart, {i: sc.differentiate(c, name) for i, c in f.terms.items()})
 
     return SuperVectorField(X.chart, X.parity, tuple(map(d, X.a)), tuple(map(d, X.b)))
@@ -514,7 +475,6 @@ def verify_brst(Q, lift: SuperVectorField, params):
     The square condition then holds for every parameter value at once.
     Returns a report dict; failures are entries, not exceptions.
     """
-    holomorphic = any(isinstance(comp, CSuper) for comp in Q.a + Q.b)
     conditions = []
 
     failing = field_residual_text(square_residual(Q, lift))
@@ -544,10 +504,7 @@ def verify_brst(Q, lift: SuperVectorField, params):
         sigma_error = None
     except (NotLinearInTheta, NotInjective) as exc:
         sigma_error = str(exc)
-    if holomorphic:
-        fin = {"status": "skipped(complex field: infinitesimal check only)", "residual": None}
-    else:
-        fin = _finite_equivariance(Q, lift, sigma_error is None, inf_fail)
+    fin = _finite_equivariance(Q, lift, sigma_error is None, inf_fail)
     conditions.append({"name": "equivariance_finite", **fin})
     conditions.append(
         {

@@ -32,6 +32,20 @@ U = sc.sym("u")
 PLANE_CHART = SuperChart(("x", "y"), 2)
 PLANE_ROTATION = ActionSpec(("t",), PLANE_CHART, ((sc.ZERO - Y, X),))
 
+# The torus on C^2 in holomorphic coordinates z_j = x_j + i y_j and
+# zb_j = x_j - i y_j. Turning the j-th plane at real speed e_j moves z_j by
+# epsilon_j z_j and zb_j by -epsilon_j zb_j, with epsilon_j = i e_j; the
+# parameters "e1" and "e2" name epsilon_1 and epsilon_2, so every
+# coefficient is rational.
+C2_TORUS = ActionSpec(
+    ("e1", "e2"),
+    SuperChart(("z1", "zb1", "z2", "zb2"), 2),
+    (
+        (sc.sym("z1"), -sc.sym("zb1"), sc.ZERO, sc.ZERO),
+        (sc.ZERO, sc.ZERO, sc.sym("z2"), -sc.sym("zb2")),
+    ),
+)
+
 
 class AtlasChart(Record):
     """One chart of an atlas: its action, metric h and orientation, with the

@@ -1,10 +1,9 @@
-"""Sparse Grassmann algebra over the scalar kernel, real and complex.
+"""Sparse Grassmann algebra over the scalar kernel.
 
 A superfunction on an (m, n) chart is a map from strictly increasing odd
 multi-indices to scalar coefficients; missing keys mean zero and the empty
 key is the body. Odd derivatives follow the left-derivative convention, so
-``d/dth2 (th1*th2) = -th1``. A complex superfunction (`CSuper`) is a pair
-of real ones on the same chart.
+``d/dth2 (th1*th2) = -th1``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import scalars as sc
 from .errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
-from .records import FrozenRecord, Record
+from .records import FrozenRecord
 from .scalars import Binding, ScalarExpr, normalize
 
 Index = Tuple[int, ...]
@@ -211,116 +210,13 @@ def _coerce(chart: SuperChart, value):
     return NotImplemented
 
 
-class CSuper(Record):
-    """Complex superfunction re + i*im.
-
-    Superfunctions, scalars and numbers combine with it as real values, so
-    a SuperVectorField whose components are CSuper is a complex derivation
-    and goes through the same apply and bracket code as a real one.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: SuperFunction, im: SuperFunction) -> None:
-        if re.chart is not im.chart and re.chart != im.chart:
-            raise DimensionMismatch("real and imaginary parts on different charts")
-        self.re = re
-        self.im = im
-
-    @property
-    def chart(self) -> SuperChart:
-        return self.re.chart
-
-    @staticmethod
-    def real(f: SuperFunction) -> "CSuper":
-        return CSuper(f, SuperFunction.zero(f.chart))
-
-    @staticmethod
-    def imag(f: SuperFunction) -> "CSuper":
-        return CSuper(SuperFunction.zero(f.chart), f)
-
-    @staticmethod
-    def zero(chart: SuperChart) -> "CSuper":
-        z = SuperFunction.zero(chart)
-        return CSuper(z, z)
-
-    @staticmethod
-    def one(chart: SuperChart) -> "CSuper":
-        return CSuper(SuperFunction.one(chart), SuperFunction.zero(chart))
-
-    def _lift(self, other):
-        if isinstance(other, CSuper):
-            return other
-        other = _coerce(self.chart, other)
-        return other if other is NotImplemented else CSuper.real(other)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CSuper(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CSuper(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return CSuper(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CSuper(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __rmul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def parity(self):
-        ps = {p for p in (self.re.parity(), self.im.parity()) if p is not None}
-        if len(ps) == 1:
-            return ps.pop()
-        return None
-
-    def grades(self) -> Tuple[int, ...]:
-        return tuple(sorted(set(self.re.grades()) | set(self.im.grades())))
-
-    def coefficient(self, idx: Sequence[int]) -> Tuple[ScalarExpr, ScalarExpr]:
-        """The (re, im) pair of coefficients of one odd monomial."""
-        return (self.re.coefficient(idx), self.im.coefficient(idx))
-
-    def free_symbols(self) -> frozenset:
-        return self.re.free_symbols() | self.im.free_symbols()
-
-
 # ---------------------------------------------------------------------------
 # Derivations.
 # ---------------------------------------------------------------------------
 
 
-def odd_partial(f, index: int):
-    """Left derivative with respect to the odd generator; part-wise on a CSuper."""
-    if isinstance(f, CSuper):
-        return CSuper(odd_partial(f.re, index), odd_partial(f.im, index))
+def odd_partial(f: SuperFunction, index: int) -> SuperFunction:
+    """Left derivative with respect to the odd generator."""
     if not (1 <= index <= f.chart.n):
         raise IndexOutOfRange("no odd generator %d on this chart" % (index,))
     out = {}
@@ -334,11 +230,9 @@ def odd_partial(f, index: int):
     return SuperFunction._result(f.chart, out)
 
 
-def even_partial(f, index: int):
+def even_partial(f: SuperFunction, index: int) -> SuperFunction:
     """Coefficient-wise derivative with respect to coordinate number index
-    (1-based); part-wise on a CSuper."""
-    if isinstance(f, CSuper):
-        return CSuper(even_partial(f.re, index), even_partial(f.im, index))
+    (1-based)."""
     if not (1 <= index <= f.chart.m):
         raise IndexOutOfRange("no coordinate %d on this chart" % (index,))
     name = f.chart.coords[index - 1]
@@ -348,11 +242,7 @@ def even_partial(f, index: int):
 
 
 class SuperVectorField(FrozenRecord):
-    """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity.
-
-    Components are SuperFunctions, or CSuper for a complex derivation;
-    apply, graded_commutator and field_is_zero take both.
-    """
+    """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity."""
 
     __slots__ = ("chart", "parity", "a", "b")
 
@@ -366,14 +256,13 @@ class SuperVectorField(FrozenRecord):
         object.__setattr__(self, "a", tuple(a))
         object.__setattr__(self, "b", tuple(b))
 
-    def apply(self, f):
+    def apply(self, f: SuperFunction) -> SuperFunction:
         """Sum of a^i d_i f + b^A d_A f over the coordinates and generators
         that occur in f; every other partial is zero."""
         if f.chart is not self.chart and f.chart != self.chart:
             raise DimensionMismatch("field and function live on different charts")
         names = f.free_symbols()
-        parts = (f.re, f.im) if isinstance(f, CSuper) else (f,)
-        gens = {A for part in parts for idx in part.terms for A in idx}
+        gens = {A for idx in f.terms for A in idx}
         out = SuperFunction.zero(self.chart)
         for i, comp in enumerate(self.a, start=1):
             if self.chart.coords[i - 1] in names and not comp.is_zero():
@@ -446,12 +335,7 @@ def invert_even(f: SuperFunction, samples: Iterable[Binding] = ()) -> SuperFunct
 
 
 def to_super_text(f: SuperFunction) -> str:
-    """Render like ``(x^2)*th1*th2 + 3*th1``; parse_super round-trips.
-
-    A CSuper renders as ``(re) + i(im)``.
-    """
-    if isinstance(f, CSuper):
-        return "(%s) + i(%s)" % (to_super_text(f.re), to_super_text(f.im))
+    """Render like ``(x^2)*th1*th2 + 3*th1``; parse_super round-trips."""
     if not f.terms:
         return "0"
     names = f.chart.odd_names

@@ -34,7 +34,6 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import scalars as sc
 from .actions import (
-    ActionSpec,
     action_lift,
     check_sigma_parallel,
     field_residual_text,
@@ -56,6 +55,7 @@ from .adhm import (
 )
 from .errors import AssumptionViolated, NotQClosed, SchemaError, float_errors
 from .geometry import (
+    C2_TORUS,
     annulus_domain,
     atlas_fixed_points,
     closed_polynomial,
@@ -68,7 +68,7 @@ from .geometry import (
     sphere_oracle_patch,
     sphere_polynomial_patch,
 )
-from .grassmann import SuperChart, parse_super
+from .grassmann import parse_super
 from .localize import classical_localize, super_localize
 from .oracle import global_berezin, super_stokes_check
 
@@ -303,16 +303,6 @@ def _geometry_case(scenario: dict, atlas) -> _GeometryCase:
     )
 
 
-_TORUS_SPEC = ActionSpec(
-    ("e1", "e2"),
-    SuperChart(("x1", "y1", "x2", "y2"), 2),
-    (
-        (sc.ZERO - sc.sym("y1"), sc.sym("x1"), sc.ZERO, sc.ZERO),
-        (sc.ZERO, sc.ZERO, sc.ZERO - sc.sym("y2"), sc.sym("x2")),
-    ),
-)
-
-
 # ---------------------------------------------------------------------------
 # the executor
 
@@ -542,8 +532,7 @@ def _sigma_parallel(run: _Run, patch) -> dict:
 
 
 def _verify_kahler(run: _Run, item: dict) -> dict:
-    spec = _TORUS_SPEC
-    return _verified(verify_brst(kahler_Q(spec), kahler_lift(spec), spec.params))
+    return _verified(verify_brst(kahler_Q(C2_TORUS), kahler_lift(C2_TORUS), C2_TORUS.params))
 
 
 def _adhm_chart(run: _Run, item: dict, full: bool):

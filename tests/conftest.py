@@ -8,7 +8,7 @@ import pytest
 from superloc import oracle
 from superloc import scalars as sc
 from superloc.adhm import adhm_constraint_scalars
-from superloc.grassmann import CSuper, SuperFunction, SuperVectorField, graded_commutator
+from superloc.grassmann import SuperFunction, SuperVectorField, graded_commutator
 from superloc.linalg import mat_add, mat_commutator, mat_mul, mat_scale, mat_sub
 
 
@@ -79,6 +79,43 @@ def constraint_norms():
     return adhm_constraint_norms
 
 
+class ComplexPair:
+    """re + i*im over any ring with + - *, such as superfunctions: the
+    entries of the dense reference below.  A factor that is not a pair is
+    real, and every product keeps its factors in order, so odd parts
+    anticommute as they should."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return ComplexPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return ComplexPair(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return ComplexPair(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if not isinstance(other, ComplexPair):
+            return ComplexPair(self.re * other, self.im * other)
+        return ComplexPair(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def is_zero(self) -> bool:
+        return self.re.is_zero() and self.im.is_zero()
+
+
+@pytest.fixture
+def complex_pair():
+    return ComplexPair
+
+
 # An independent statement of the ADHM flow as dense matrix products: each
 # sector's matrix X of complex bosons, or of their odd partners, moves by
 # L X - X R + (n1 e1 + n2 e2) X, where L and R are i diag(phi_1, .., phi_k)
@@ -96,18 +133,19 @@ _DENSE_CHARGES = {
 
 
 def adhm_cartan_matrices(lay) -> dict:
-    """i diag(phi), the traceless i diag(a) and i e1, i e2 as CSuper."""
+    """i diag(phi), the traceless i diag(a) and i e1, i e2 as complex pairs."""
     chart = lay.chart
+    zero = SuperFunction.zero(chart)
 
-    def imag(e) -> CSuper:
-        return CSuper.imag(SuperFunction.from_scalar(chart, e))
+    def imag(e) -> ComplexPair:
+        return ComplexPair(zero, SuperFunction.from_scalar(chart, e))
 
     a = [sc.sym("a%d" % (r + 1,)) for r in range(lay.N - 1)]
     a.append(sc.ZERO - sum(a, sc.ZERO))
     diagonals = {"phi": [sc.sym("phi%d" % (p + 1,)) for p in range(lay.k)], "a": a}
-    zero = CSuper.zero(chart)
+    nought = ComplexPair(zero, zero)
     out = {
-        name: [[imag(d[i]) if i == j else zero for j in range(len(d))] for i in range(len(d))]
+        name: [[imag(d[i]) if i == j else nought for j in range(len(d))] for i in range(len(d))]
         for name, d in diagonals.items()
     }
     out["e1"], out["e2"] = imag(sc.sym("e1")), imag(sc.sym("e2"))
@@ -119,9 +157,11 @@ def adhm_boson_matrix(lay, sector) -> list:
     are the real and imaginary part of one entry."""
     chart, (rows, cols) = lay.chart, lay.shape(sector)
 
-    def entry(i, j) -> CSuper:
+    def entry(i, j) -> ComplexPair:
         q = lay.coord_index(sector, i, j)
-        return CSuper(*(SuperFunction.from_scalar(chart, sc.sym(x)) for x in chart.coords[q:q + 2]))
+        return ComplexPair(
+            *(SuperFunction.from_scalar(chart, sc.sym(x)) for x in chart.coords[q:q + 2])
+        )
 
     return [[entry(i, j) for j in range(cols)] for i in range(rows)]
 
@@ -131,9 +171,9 @@ def adhm_fermion_matrix(lay, sector) -> list:
     pair with the real coordinates q and q + 1."""
     rows, cols = lay.shape(sector)
 
-    def entry(i, j) -> CSuper:
+    def entry(i, j) -> ComplexPair:
         q = lay.coord_index(sector, i, j)
-        return CSuper(
+        return ComplexPair(
             SuperFunction.generator(lay.chart, q + 1), SuperFunction.generator(lay.chart, q + 2)
         )
 
@@ -178,7 +218,7 @@ def dense_adhm_fields(lay) -> dict:
 
 def _dagger(M) -> list:
     """The conjugate transpose of a matrix of complex entries."""
-    return [[CSuper(z.re, -z.im) for z in column] for column in zip(*M)]
+    return [[ComplexPair(z.re, -z.im) for z in column] for column in zip(*M)]
 
 
 def dense_adhm_constraints(lay) -> list:

@@ -114,13 +114,14 @@ def test_03_operator_squares_to_flow_all_families(square_reference):
     for patch in sphere_atlas():
         spec = patch.spec
         assert verify_brst(tautological_Q(spec), action_lift(spec), spec.params)["passed"]
-    chart4 = SuperChart(("x1", "y1", "x2", "y2"), 2)
+    # the torus on C^2 in holomorphic coordinates, with weights e_j on z_j
+    chart4 = SuperChart(("z1", "zb1", "z2", "zb2"), 2)
     torus = ActionSpec(
         ("e1", "e2"),
         chart4,
         (
-            (sc.ZERO - sc.sym("y1"), sc.sym("x1"), sc.ZERO, sc.ZERO),
-            (sc.ZERO, sc.ZERO, sc.ZERO - sc.sym("y2"), sc.sym("x2")),
+            (sc.sym("z1"), -sc.sym("zb1"), sc.ZERO, sc.ZERO),
+            (sc.ZERO, sc.ZERO, sc.sym("z2"), -sc.sym("zb2")),
         ),
     )
     assert verify_brst(kahler_Q(torus), kahler_lift(torus), torus.params)["passed"]

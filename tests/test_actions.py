@@ -46,7 +46,6 @@ from superloc.errors import (
 from superloc.actions import _coordinate_free, _is_affine
 from superloc.geometry import PLANE_ROTATION
 from superloc.grassmann import (
-    CSuper,
     SuperChart,
     SuperFunction,
     SuperVectorField,
@@ -64,13 +63,14 @@ CHART = SuperChart(("x", "y"), 2)
 ROTATION = ActionSpec(("t",), CHART, ((sc.ZERO - Y, X),))
 DILATION = ActionSpec(("t",), CHART, ((X, Y),))
 
-CHART4 = SuperChart(("x1", "y1", "x2", "y2"), 2)
+# the torus on C^2 in holomorphic coordinates, with weights e_j on z_j
+CHART4 = SuperChart(("z1", "zb1", "z2", "zb2"), 2)
 TORUS = ActionSpec(
     ("e1", "e2"),
     CHART4,
     (
-        (sc.ZERO - sc.sym("y1"), sc.sym("x1"), sc.ZERO, sc.ZERO),
-        (sc.ZERO, sc.ZERO, sc.ZERO - sc.sym("y2"), sc.sym("x2")),
+        (sc.sym("z1"), -sc.sym("zb1"), sc.ZERO, sc.ZERO),
+        (sc.ZERO, sc.ZERO, sc.sym("z2"), -sc.sym("zb2")),
     ),
 )
 
@@ -335,9 +335,10 @@ def test_sigma_rank_is_exact_not_a_float_tolerance():
     tiny = Fraction(1, 10**12)
     sigma = sigma_from_Q(SuperVectorField(CHART, 1, (th1, th1 + tiny * th2), (zero, zero)))
     assert sc.evaluate(sigma[1][1], {}) == tiny
-    # the complex symbol of kahler_Q with its second direction scaled by 1e-12
+    # the symbol of kahler_Q with its second direction scaled by 1e-12
     rows = sigma_from_Q(_kahler_with_scaled_second_direction(tiny))
-    assert sc.evaluate(rows[2][1][0], {}) == tiny / 2
+    values = [[sc.evaluate(e, {}) for e in row] for row in rows]
+    assert values == [[1, 0], [0, 0], [0, tiny], [0, 0]]
 
 
 def test_sigma_of_lower_rank_is_not_injective():
@@ -350,45 +351,24 @@ def test_sigma_of_lower_rank_is_not_injective():
         sigma_from_Q(
             SuperVectorField(CHART, 1, (th1 + x * th2, 2 * th1 + 2 * x * th2), (zero, zero))
         )
-    # rows (1, i) and (i, -1) = i (1, i): complex rank 1, although the real
-    # and the imaginary parts each have rank 2
-    Q = SuperVectorField(
-        CHART, 1, (CSuper(th1, th2), CSuper(-th2, th1)), (CSuper.zero(CHART), CSuper.zero(CHART))
-    )
-    with pytest.raises(NotInjective):
-        sigma_from_Q(Q)
     with pytest.raises(NotInjective):
         sigma_from_Q(_kahler_with_scaled_second_direction(Fraction(0)))
 
 
 def test_kahler_Q_components():
+    # Q(z_j) = theta^j, Q(zb_j) = 0 and Q(theta^j) = e_j z_j
     Q = kahler_Q(TORUS)
-    th1 = SuperFunction.generator(CHART4, 1)
-    half = Fraction(1, 2)
-    assert (Q.a[0].re - half * th1).is_zero() and Q.a[0].im.is_zero()
-    assert Q.a[1].re.is_zero() and (Q.a[1].im + half * th1).is_zero()
-    e1 = sc.sym("e1")
-    y1 = sc.sym("y1")
-    x1 = sc.sym("x1")
-    assert (Q.b[0].re - SuperFunction.from_scalar(CHART4, sc.ZERO - e1 * y1)).is_zero()
-    assert (Q.b[0].im - SuperFunction.from_scalar(CHART4, e1 * x1)).is_zero()
+    assert Q.parity == 1
+    assert [to_super_text(c) for c in Q.a] == ["th1", "0", "th2", "0"]
+    assert Q.b == (parse_super(CHART4, "e1*z1"), parse_super(CHART4, "e2*z2"))
 
 
 def test_kahler_lift_rotation_weights():
+    # the flow on z_j, nothing on zb_j, and theta^j turns with the weight of z_j
     lift = kahler_lift(TORUS)
-    e1 = sc.sym("e1")
-    th1 = SuperFunction.generator(CHART4, 1)
-    # odd part rotates with the same weight as z1
-    assert lift.b[0].re.is_zero()
-    assert (lift.b[0].im - SuperFunction.from_scalar(CHART4, e1) * th1).is_zero()
-    half = Fraction(1, 2)
-    x1 = SuperFunction.from_scalar(CHART4, sc.sym("x1"))
-    y1 = SuperFunction.from_scalar(CHART4, sc.sym("y1"))
-    e1s = SuperFunction.from_scalar(CHART4, e1)
-    assert (lift.a[0].re + half * e1s * y1).is_zero()
-    assert (lift.a[0].im - half * e1s * x1).is_zero()
-    assert (lift.a[1].re - half * e1s * x1).is_zero()
-    assert (lift.a[1].im - half * e1s * y1).is_zero()
+    assert lift.parity == 0
+    assert lift.a == tuple(parse_super(CHART4, t) for t in ("e1*z1", "0", "e2*z2", "0"))
+    assert lift.b == (parse_super(CHART4, "e1*th1"), parse_super(CHART4, "e2*th2"))
 
 
 def test_kahler_square_closes(square_reference):
@@ -397,10 +377,10 @@ def test_kahler_square_closes(square_reference):
 
 
 def test_square_residual_matches_the_reference_on_complex_and_adhm_fields(square_reference):
-    # complex (CSuper) components on the Kahler chart, with the true lift and
-    # one that leaves a residual, and the real ADHM operators at k = 1
+    # the holomorphic operator on C^2, with the true lift and one that
+    # leaves a residual, and the real ADHM operators at k = 1
     lift = kahler_lift(TORUS)
-    perturbed = SuperVectorField(CHART4, 0, (lift.a[0] + sc.sym("x2"), *lift.a[1:]), lift.b)
+    perturbed = SuperVectorField(CHART4, 0, (lift.a[0] + sc.sym("zb2"), *lift.a[1:]), lift.b)
     cases = [(kahler_Q(TORUS), lift), (kahler_Q(TORUS), perturbed)]
     for full in (False, True):
         lay = adhm_super_chart(1, 2, full=full)
@@ -421,19 +401,35 @@ def test_verify_brst_kahler():
     by_name = {c["name"]: c["status"] for c in report["conditions"]}
     assert by_name["square_equals_lift"] == "pass"
     assert by_name["equivariance_infinitesimal"] == "pass"
-    assert by_name["equivariance_finite"].startswith("skipped")
+    # an affine base action, a linear fiber action and an injective symbol
+    assert by_name["equivariance_finite"] == "pass"
+    assert by_name["sigma_injective"] == "pass"
+
+
+def test_kahler_lift_with_a_wrong_fiber_weight_fails_all_three_conditions():
+    # theta^2 turning with e1 in place of e2
+    lift = kahler_lift(TORUS)
+    wrong = SuperVectorField(CHART4, 0, lift.a, (lift.b[0], parse_super(CHART4, "e1*th2")))
+    report = verify_brst(kahler_Q(TORUS), wrong, TORUS.params)
+    by_name = {c["name"]: c for c in report["conditions"]}
+    assert not report["passed"]
+    assert by_name["square_equals_lift"]["residual"] == ["b[2] = (-e1 + e2)*th2"]
+    for name in ("equivariance_infinitesimal", "equivariance_finite"):
+        assert by_name[name]["status"] == "fail"
+        assert by_name[name]["residual"] == ["e1", "e2"]
+    assert by_name["sigma_injective"]["status"] == "pass"
 
 
 def test_kahler_guards():
-    two = SuperChart(("x1", "y1"), 1)
-    spec = ActionSpec(("t",), two, ((sc.ZERO - sc.sym("y1"), sc.sym("x1")),))
+    two = SuperChart(("z1", "zb1"), 1)
+    spec = ActionSpec(("t",), two, ((sc.sym("z1"), -sc.sym("zb1")),))
     with pytest.raises(OddComplexDimension):
         kahler_Q(spec)
-    odd_m = SuperChart(("x1", "y1", "x2"), 1)
+    odd_m = SuperChart(("z1", "zb1", "z2"), 1)
     spec3 = ActionSpec(("t",), odd_m, ((sc.ZERO, sc.ZERO, sc.ZERO),))
     with pytest.raises(ShapeMismatch):
         kahler_Q(spec3)
-    wrong_n = SuperChart(("x1", "y1", "x2", "y2"), 3)
+    wrong_n = SuperChart(("z1", "zb1", "z2", "zb2"), 3)
     spec_n = ActionSpec(("t",), wrong_n, ((sc.ZERO, sc.ZERO, sc.ZERO, sc.ZERO),))
     with pytest.raises(DimensionMismatch):
         kahler_Q(spec_n)

@@ -25,7 +25,6 @@ from superloc.actions import (
 from superloc.adhm import adhm_lifted_field, adhm_super_chart
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
-    CSuper,
     SuperChart,
     SuperFunction,
     SuperVectorField,
@@ -462,65 +461,6 @@ def test_parse_super_rejects():
         parse_super(CHART, "th1 ^ -1")
 
 
-# ---------------------------------------------------------------------------
-# Complex superfunctions and complex fields.
-
-
-def _rand_csuper(rng) -> CSuper:
-    def part():
-        terms = {}
-        for idx in ((), (1,), (2,), (1, 2)):
-            if rng.random() < 0.6:
-                terms[idx] = sc.rational(rng.randint(-4, 4))
-        return SuperFunction(CHART, terms)
-
-    return CSuper(part(), part())
-
-
-def test_complex_product_components():
-    rng = random.Random(71)
-    for _ in range(30):
-        u, v = _rand_csuper(rng), _rand_csuper(rng)
-        w = u * v
-        assert (w.re - (u.re * v.re - u.im * v.im)).is_zero()
-        assert (w.im - (u.re * v.im + u.im * v.re)).is_zero()
-    # a real factor on the left keeps its place in the product
-    th1 = SuperFunction.generator(CHART, 1)
-    th2 = SuperFunction.generator(CHART, 2)
-    assert (th1 * CSuper.real(th2) - CSuper.real(th1 * th2)).is_zero()
-
-
-def test_complex_i_squared():
-    one = CSuper.one(CHART)
-    i_unit = CSuper.imag(SuperFunction.one(CHART))
-    assert (i_unit * i_unit + one).is_zero()
-
-
-def test_complex_chart_mismatch_guard():
-    other = SuperChart(("z", "w"), 2)
-    with pytest.raises(DimensionMismatch):
-        CSuper.one(CHART) + CSuper.one(other)
-    with pytest.raises(DimensionMismatch):
-        CSuper(SuperFunction.one(CHART), SuperFunction.one(other))
-
-
-def test_complex_field_commutator_against_composition():
-    th1 = SuperFunction.generator(CHART, 1)
-    # for an odd field, [Q, Q] acts as twice the composition
-    Q = SuperVectorField(
-        CHART,
-        1,
-        (CSuper.real(th1), CSuper.imag(th1)),
-        (CSuper.real(parse_super(CHART, "x")), CSuper.imag(parse_super(CHART, "y"))),
-    )
-    sq = graded_commutator(Q, Q)
-    f = CSuper(parse_super(CHART, "x*y + x*th1*th2"), parse_super(CHART, "y^2*th1"))
-    direct = Q.apply(Q.apply(f))
-    lhs = sq.apply(f)
-    assert (lhs.re - (direct.re + direct.re)).is_zero()
-    assert (lhs.im - (direct.im + direct.im)).is_zero()
-
-
 CHART3 = SuperChart(coords=("x", "y", "z"), n=3)
 
 
@@ -544,38 +484,25 @@ def _sparse_sf(rng, parity=None):
     return SuperFunction(CHART3, terms)
 
 
-def _sparse_component(rng, parity, complex_):
-    if complex_:
-        return CSuper(_sparse_sf(rng, parity), _sparse_sf(rng, parity))
-    return _sparse_sf(rng, parity)
-
-
-def _pair(value):
-    if isinstance(value, CSuper):
-        return value.re, value.im
-    return value, SuperFunction.zero(value.chart)
-
-
 def test_sparse_apply_matches_definition():
     # apply skips the partials along coordinates and generators that do not
     # occur in f; the dense sum over every component is the definition.
     rng = random.Random(6101)
     for _ in range(150):
         parity = rng.randint(0, 1)
-        cfield, cf = rng.random() < 0.3, rng.random() < 0.3
         X = SuperVectorField(
             CHART3,
             parity,
-            tuple(_sparse_component(rng, parity, cfield) for _ in range(3)),
-            tuple(_sparse_component(rng, 1 - parity, cfield) for _ in range(3)),
+            tuple(_sparse_sf(rng, parity) for _ in range(3)),
+            tuple(_sparse_sf(rng, 1 - parity) for _ in range(3)),
         )
-        f = _sparse_component(rng, None, cf)
+        f = _sparse_sf(rng)
         dense = SuperFunction.zero(CHART3)
         for i, comp in enumerate(X.a, start=1):
             dense = dense + comp * even_partial(f, i)
         for A, comp in enumerate(X.b, start=1):
             dense = dense + comp * odd_partial(f, A)
-        assert _pair(X.apply(f)) == _pair(dense)
+        assert X.apply(f) == dense
 
 
 def test_lifted_field_matches_dense_sum_on_adhm_k2():

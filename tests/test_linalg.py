@@ -14,7 +14,7 @@ import pytest
 
 from superloc import scalars as sc
 from superloc.errors import NotSkew, OddSize, ShapeMismatch
-from superloc.grassmann import CSuper, SuperChart, SuperFunction, parse_super
+from superloc.grassmann import SuperChart, SuperFunction, parse_super
 from superloc.linalg import (
     check_skew,
     det,
@@ -242,12 +242,14 @@ def test_transpose_reverses_products():
             assert mat_equal(lhs, rhs)
 
 
-def test_mat_commutator_is_traceless():
+def test_mat_commutator_is_traceless(complex_pair):
     x = parse_super(CCHART, "x")
     y = parse_super(CCHART, "y")
     one = SuperFunction.one(CCHART)
-    A = [[CSuper(x, one), CSuper.real(y)], [CSuper.imag(one), CSuper.real(x * y)]]
-    B = [[CSuper.real(one), CSuper(y, x)], [CSuper.real(x), CSuper.imag(y)]]
+    zero = SuperFunction.zero(CCHART)
+    P = complex_pair
+    A = [[P(x, one), P(y, zero)], [P(zero, one), P(x * y, zero)]]
+    B = [[P(one, zero), P(y, x)], [P(x, zero), P(zero, y)]]
     C = mat_commutator(A, B)
     assert (C[0][0] + C[1][1]).is_zero()
     assert not mat_equal(C, mat_sub(C, C))
