@@ -1,16 +1,18 @@
 """Group actions, equivariant differential, and BRST operators.
 
 An action is stored through its infinitesimal generators: base components
-T[alpha][i] and optional fiber components U[alpha][B][A], where
-U[alpha][B][A] is the coefficient of theta^B in the d/dtheta^A part of the
-lifted field of generator alpha.
+T[alpha][i] on the chart's even coordinates. Every consumer reads the
+action through its lifted field, the fundamental field plus a rotation of
+the odd generators; the operators here build it, and the odd operator
+whose square it is, by pairing each odd generator with a partner
+coordinate.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import linalg
 from . import scalars as sc
@@ -37,25 +39,16 @@ from .scalars import ScalarExpr, normalize
 class ActionSpec(Record):
     """Infinitesimal generators of a group action on an (m, n) chart."""
 
-    __slots__ = ("params", "chart", "T", "U")
+    __slots__ = ("params", "chart", "T")
 
-    def __init__(self, params: Tuple[str, ...], chart: SuperChart, T: tuple,
-                 U: Optional[tuple] = None) -> None:
+    def __init__(self, params: Tuple[str, ...], chart: SuperChart, T: tuple) -> None:
         params = tuple(params)
         T = tuple(tuple(sc.as_expr(e) for e in row) for row in T)
         if len(T) != len(params) or any(len(row) != chart.m for row in T):
             raise ShapeMismatch("T must be %d x %d" % (len(params), chart.m))
-        if U is not None:
-            U = tuple(tuple(tuple(sc.as_expr(e) for e in row) for row in block) for block in U)
-            n = chart.n
-            if len(U) != len(params) or any(
-                len(block) != n or any(len(row) != n for row in block) for block in U
-            ):
-                raise ShapeMismatch("U must be %d x %d x %d" % (len(params), n, n))
         self.params = params
         self.chart = chart
         self.T = T
-        self.U = U
 
 
 def fundamental_field(spec: ActionSpec) -> SuperVectorField:
@@ -71,54 +64,54 @@ def fundamental_field(spec: ActionSpec) -> SuperVectorField:
     return SuperVectorField(spec.chart, 0, tuple(a), tuple(zero for _ in range(spec.chart.n)))
 
 
-def lifted_field(spec: ActionSpec) -> SuperVectorField:
-    """Even field with the fiber rotation theta^B U[alpha][B][A] d/dtheta^A added."""
-    base = fundamental_field(spec)
-    if spec.U is None:
-        return base
-    b = []
-    for A in range(spec.chart.n):
-        terms = {}
-        for B in range(spec.chart.n):
-            comp = sc.ZERO
-            for alpha, name in enumerate(spec.params):
-                if spec.U[alpha][B][A] != sc.ZERO:
-                    comp = comp + sc.sym(name) * spec.U[alpha][B][A]
-            if comp is not sc.ZERO and not sc.is_zero(comp):
-                terms[(B + 1,)] = comp
-        b.append(SuperFunction(spec.chart, terms))
-    return SuperVectorField(spec.chart, 0, base.a, tuple(b))
+# ---------------------------------------------------------------------------
+# The pairing rule: theta^A is the partner of the coordinate x_{p(A)}.
+# ---------------------------------------------------------------------------
 
 
-def tautological_lift(spec: ActionSpec) -> ActionSpec:
-    """Spec with U[alpha][B][A] = dT[alpha][A]/dx^B, the action on 1-forms."""
-    if spec.chart.n != spec.chart.m:
-        raise NotTautological("tautological lift needs n = m")
-    coords = spec.chart.coords
-    U = tuple(
-        tuple(
-            tuple(sc.differentiate(spec.T[alpha][A], coords[B]) for A in range(spec.chart.n))
-            for B in range(spec.chart.n)
-        )
-        for alpha in range(len(spec.params))
+def _paired_Q(spec: ActionSpec, partners) -> SuperVectorField:
+    """Odd field Q(x_{p(A)}) = theta^A, zero on unpaired coordinates, and
+    Q(theta^A) = the flow's x_{p(A)} component."""
+    chart = spec.chart
+    flow = fundamental_field(spec).a
+    a = [SuperFunction.zero(chart)] * chart.m
+    for A, i in enumerate(partners, start=1):
+        a[i] = SuperFunction.generator(chart, A)
+    return SuperVectorField(chart, 1, tuple(a), tuple(flow[i] for i in partners))
+
+
+def _paired_lift(spec: ActionSpec, partners) -> SuperVectorField:
+    """The square of `_paired_Q`: the flow on the partner coordinates, zero
+    on the others, and theta^B d(flow_{p(A)})/dx_{p(B)} d/dtheta^A on the
+    fiber."""
+    chart = spec.chart
+    flow = fundamental_field(spec).a
+    a = [SuperFunction.zero(chart)] * chart.m
+    for i in partners:
+        a[i] = flow[i]
+    b = tuple(
+        SuperFunction(chart, {
+            (B,): sc.differentiate(flow[i].body(), chart.coords[j])
+            for B, j in enumerate(partners, start=1)
+        })
+        for i in partners
     )
-    return ActionSpec(spec.params, spec.chart, spec.T, U)
+    return SuperVectorField(chart, 0, tuple(a), b)
 
 
 def action_lift(spec: ActionSpec) -> SuperVectorField:
-    """The lifted field of a spec: its own U when it has one, the
-    tautological lift on a square chart, the fundamental field otherwise."""
-    if spec.U is None and spec.chart.n == spec.chart.m:
-        spec = tautological_lift(spec)
-    return lifted_field(spec)
+    """The lifted field of a spec: on a square chart the tautological lift
+    (the action on 1-forms), otherwise the fundamental field."""
+    if spec.chart.n != spec.chart.m:
+        return fundamental_field(spec)
+    return _paired_lift(spec, range(spec.chart.m))
 
 
 def tautological_Q(spec: ActionSpec) -> SuperVectorField:
     """Odd field Q(x^i) = theta^i, Q(theta^A) = p^alpha T_alpha^A."""
     if spec.chart.n != spec.chart.m:
         raise NotTautological("tautological operator needs n = m")
-    a = tuple(SuperFunction.generator(spec.chart, i + 1) for i in range(spec.chart.m))
-    return SuperVectorField(spec.chart, 1, a, fundamental_field(spec).a)
+    return _paired_Q(spec, range(spec.chart.m))
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +141,13 @@ def kahler_Q(spec: ActionSpec) -> SuperVectorField:
     partner of dz_j. Components: Q(z_j) = theta^j, Q(zb_j) = 0,
     Q(theta^j) = the flow's z_j component.
     """
-    chart = spec.chart
-    zs = _holomorphic_indices(chart)
-    flow = fundamental_field(spec).a
-    a = [SuperFunction.zero(chart)] * chart.m
-    for j, i in enumerate(zs, start=1):
-        a[i] = SuperFunction.generator(chart, j)
-    return SuperVectorField(chart, 1, tuple(a), tuple(flow[i] for i in zs))
+    return _paired_Q(spec, _holomorphic_indices(spec.chart))
 
 
 def kahler_lift(spec: ActionSpec) -> SuperVectorField:
     """Holomorphic part of the lifted action: the flow on the z_j, zero on
     the zb_j, and theta^k d(flow_j)/dz_k d/dtheta^j on the fiber."""
-    chart = spec.chart
-    zs = _holomorphic_indices(chart)
-    flow = fundamental_field(spec).a
-    a = [SuperFunction.zero(chart)] * chart.m
-    for i in zs:
-        a[i] = flow[i]
-    b = tuple(
-        SuperFunction(chart, {
-            (k,): sc.differentiate(flow[i].body(), chart.coords[iz])
-            for k, iz in enumerate(zs, start=1)
-        })
-        for i in zs
-    )
-    return SuperVectorField(chart, 0, tuple(a), b)
+    return _paired_lift(spec, _holomorphic_indices(spec.chart))
 
 
 # ---------------------------------------------------------------------------

@@ -452,13 +452,14 @@ def sector_completion(lay: ADHMSuperChart, lifted: SuperVectorField, V: Sequence
 
 
 def rank_bookkeeping(k: int, N: int, susy: int) -> int:
-    """Rank of the relevant bundle over the instanton moduli space."""
-    if k < 1 or N < 1:
-        raise ShapeMismatch("need k >= 1 and N >= 1")
-    ranks = {1: 2 * k * N, 2: 4 * k * N, 4: 8 * k * N}
-    if susy not in ranks:
+    """Rank of the relevant bundle over the instanton moduli space: susy/2
+    times the space's real dimension 4kN, which is the 4k^2 + 4kN
+    coordinates of the matter chart less k^2 gauge directions and the k^2
+    real and 2k^2 complex moment-map equations."""
+    dim = adhm_super_chart(k, N).chart.m - 4 * k * k
+    if susy not in (1, 2, 4):
         raise BadSusy("supersymmetry multiplicity must be 1, 2, or 4")
-    return ranks[susy]
+    return dim * susy // 2
 
 
 def check_stabilizer(lay: ADHMSuperChart, binding) -> None:

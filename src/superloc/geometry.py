@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import scalars as sc
-from .actions import ActionSpec
+from .actions import ActionSpec, action_lift
 from .grassmann import SuperChart, SuperFunction
 from .linalg import identity
 from .localize import find_fixed_points
@@ -95,7 +95,7 @@ def atlas_fixed_points(atlas):
     """The fixed point at each chart's origin, in atlas order."""
     return [
         find_fixed_points(
-            chart.spec,
+            action_lift(chart.spec),
             declared=[(0,) * chart.spec.chart.m],
             h=chart.h,
             chart_id=chart.name,

@@ -1,4 +1,4 @@
-"""Fixed points of the fundamental field and exact localization sums.
+"""Fixed points of a lifted field and exact localization sums.
 
 All point data is kept rational (floats are converted exactly), so the
 Pfaffian square roots and prefactors stay in Fraction arithmetic whenever
@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from . import linalg
 from . import scalars as sc
-from .actions import ActionSpec, action_lift, fundamental_field
 from .errors import (
     ComputationError,
     DegenerateField,
@@ -95,12 +94,13 @@ def _num(value):
 
 
 class FixedPointData(Record):
-    """Linearization data of the fundamental field at an isolated zero."""
+    """Linearization data of a lifted field at an isolated zero: the base
+    block L and the fiber block, an n x n matrix."""
 
     __slots__ = ("chart_id", "coords", "point", "L", "fiber", "h", "orientation")
 
     def __init__(self, chart_id: str, coords: Tuple[str, ...], point: tuple, L: tuple,
-                 fiber: Optional[tuple], h: tuple, orientation: int = 1) -> None:
+                 fiber: tuple, h: tuple, orientation: int = 1) -> None:
         self.chart_id = chart_id
         self.coords = coords
         self.point = point
@@ -123,29 +123,20 @@ def _eval_entry(e, binding):
     return _num(sc.evaluate(e2, {}))
 
 
-def linearize_base(spec: ActionSpec, binding):
-    """Matrix L = -Jacobian of the fundamental field at the given point."""
-    comps = [comp.body() for comp in fundamental_field(spec).a]
-    coords = spec.chart.coords
-    return tuple(
-        tuple(_eval_entry(sc.ZERO - sc.differentiate(comp, c), binding) for c in coords)
-        for comp in comps
+def linearize(lift: SuperVectorField, binding):
+    """(L, fiber) at the point: L is minus the Jacobian of the lift's even
+    components, and fiber[A][B] is minus the coefficient of theta^B in its
+    d/dtheta^A component."""
+    coords, n = lift.chart.coords, lift.chart.n
+    L = tuple(
+        tuple(_eval_entry(sc.ZERO - sc.differentiate(comp.body(), c), binding) for c in coords)
+        for comp in lift.a
     )
-
-
-def linearize_fiber(spec: ActionSpec, binding):
-    """Negated theta-flow generator of the lifted field at the point.
-
-    Returns None when no fiber action is available.
-    """
-    if spec.U is None and spec.chart.n != spec.chart.m:
-        return None
-    b = action_lift(spec).b
-    n = spec.chart.n
-    return tuple(
-        tuple(_eval_entry(sc.ZERO - b[A].coefficient((B + 1,)), binding) for B in range(n))
-        for A in range(n)
+    fiber = tuple(
+        tuple(_eval_entry(sc.ZERO - comp.coefficient((B,)), binding) for B in range(1, n + 1))
+        for comp in lift.b
     )
+    return L, fiber
 
 
 def _eval_matrix(mat, binding):
@@ -165,30 +156,16 @@ def _check_declared(comps, binding):
             raise NotAZero("field does not vanish at declared point: %s" % (res,))
 
 
-def _assemble(spec, binding, chart_id, h, orientation):
-    coords = spec.chart.coords
-    L = linearize_base(spec, binding)
-    if sc.is_zero(sc.as_expr(linalg.det(L))):
-        raise NonIsolatedZero("zero of the field is not isolated at linear order")
-    fiber = linearize_fiber(spec, binding)
-    if h is None:
-        h_p = tuple(map(tuple, linalg.identity(spec.chart.m)))
-    else:
-        h_p = _eval_matrix(h, binding)
-    point = tuple(_num(binding[c]) for c in coords)
-    return FixedPointData(chart_id, coords, point, L, fiber, h_p, orientation)
-
-
 def find_fixed_points(
-    spec: ActionSpec,
+    lift: SuperVectorField,
     *,
     declared,
     h=None,
     chart_id: str = "chart",
     orientation: int = 1,
 ):
-    """Check the declared isolated zeros of the fundamental field and
-    linearize there.
+    """Check the declared isolated zeros of the lifted field and linearize
+    there.
 
     A declared point must be an exact zero: the field is evaluated there in
     exact arithmetic, so (sin x, y) at (math.pi, 0) raises NotAZero; det(L)
@@ -198,13 +175,20 @@ def find_fixed_points(
     """
     if not declared:
         raise ValueError("no fixed points declared")
-    comps = [comp.body() for comp in fundamental_field(spec).a]
-    coords = spec.chart.coords
+    coords = lift.chart.coords
+    comps = [comp.body() for comp in lift.a]
+    if h is None:
+        h = linalg.identity(lift.chart.m)
     out = []
     for pt in declared:
         binding = {c: _num(v) for c, v in (pt.items() if isinstance(pt, Mapping) else zip(coords, pt))}
         _check_declared(comps, binding)
-        out.append(_assemble(spec, binding, chart_id, h, orientation))
+        L, fiber = linearize(lift, binding)
+        if sc.is_zero(sc.as_expr(linalg.det(L))):
+            raise NonIsolatedZero("zero of the field is not isolated at linear order")
+        point = tuple(_num(binding[c]) for c in coords)
+        h_p = _eval_matrix(h, binding)
+        out.append(FixedPointData(chart_id, coords, point, L, fiber, h_p, orientation))
     return out
 
 
@@ -243,8 +227,10 @@ def sqrt_sdet_via_pfaffian(fp: FixedPointData, binding=None):
 
     The fiber metric is h_p, so the chart must be square.
     """
-    if fp.fiber is None or len(fp.fiber) != len(fp.coords):
-        raise DimensionMismatch("fixed point carries no fiber data")
+    if len(fp.fiber) != len(fp.coords):
+        raise DimensionMismatch(
+            "the super formula needs a square chart, got (%d, %d)" % (len(fp.coords), len(fp.fiber))
+        )
     pf, root = _pfaffian_pair(fp, "fiber", fp.fiber, binding)
     return root / pf
 
@@ -331,7 +317,7 @@ def super_localize(fields, fps: Sequence[FixedPointData], binding=None):
 # ---------------------------------------------------------------------------
 
 
-def build_lambda_beta(spec: ActionSpec, center):
+def build_lambda_beta(lift: SuperVectorField, center):
     """Invariant 1-form lambda with lambda(xi*) = squared distance, and its
     image beta under the symbol map.
 
@@ -339,8 +325,8 @@ def build_lambda_beta(spec: ActionSpec, center):
     symbol map is the identity. Returns (lambda components, beta
     superfunction).
     """
-    chart = spec.chart
-    comps = [comp.body() for comp in fundamental_field(spec).a]
+    chart = lift.chart
+    comps = [comp.body() for comp in lift.a]
     dist2 = sc.ZERO
     for c, v in zip(chart.coords, center):
         delta = sc.sym(c) - sc.as_expr(v)

@@ -279,7 +279,6 @@ _NORMALIZE_CACHE = 1 << 16
 _DIFFERENTIATE_CACHE = 1 << 16
 _ATOM_KEY_CACHE = 1 << 12
 _POLY_CACHE = 1 << 16
-_COMPILED_CACHE = 1 << 10
 _RAT_CACHE = 1 << 12
 
 # Normal form (or inverse-atom base) -> its polynomial. Polys are never
@@ -752,9 +751,6 @@ def _subst(e: ScalarExpr, mapping: Mapping[str, ScalarExpr]) -> ScalarExpr:
     raise TypeError("not a ScalarExpr: %r" % (e,))
 
 
-_COMPILED: dict = {}
-
-
 def compile_numeric(
     e: ScalarExpr, names: Sequence[str], binding: Optional[Binding] = None
 ) -> Callable[[tuple], float]:
@@ -796,23 +792,16 @@ def _compile(e: ScalarExpr, names: Sequence[str], binding: Optional[Binding], we
         if name not in binding:
             raise UnboundSymbol("symbol %r has no value in binding" % (name,))
         bound[name] = float(binding[name])
-    # float.hex tells -0.0 from 0.0, which bind to different results
-    key = (nf, names, tuple((k, v.hex()) for k, v in bound.items()), weights)
-    fn = _COMPILED.get(key)
-    if fn is None:
-        refs = {}
-        scope = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_W": weights}
-        for i, (name, v) in enumerate(bound.items()):
-            refs[name] = "_b%d" % i
-            scope[refs[name]] = v
-        if weights is None:
-            refs.update((n, "p[%d]" % i) for i, n in enumerate(names))
-            fn = eval("lambda p: " + _codegen(nf, refs), scope)
-        else:
-            exec(_rule_source(nf, names, refs), scope)
-            fn = scope["_rule"]
-        _put(_COMPILED, _COMPILED_CACHE, key, fn)
-    return fn
+    refs = {}
+    scope = {"_exp": math.exp, "_sin": math.sin, "_cos": math.cos, "_W": weights}
+    for i, (name, v) in enumerate(bound.items()):
+        refs[name] = "_b%d" % i
+        scope[refs[name]] = v
+    if weights is None:
+        refs.update((n, "p[%d]" % i) for i, n in enumerate(names))
+        return eval("lambda p: " + _codegen(nf, refs), scope)
+    exec(_rule_source(nf, names, refs), scope)
+    return scope["_rule"]
 
 
 def _rule_source(nf: ScalarExpr, names: tuple, refs: Mapping[str, str]) -> str:

@@ -18,7 +18,6 @@ from superloc.actions import (
     fundamental_field,
     kahler_Q,
     kahler_lift,
-    lifted_field,
     metric_invariance_report,
     positive_definite_report,
     residual_verdict,
@@ -26,7 +25,6 @@ from superloc.actions import (
     sigma_from_Q,
     square_residual,
     tautological_Q,
-    tautological_lift,
     verify_brst,
 )
 from superloc.adhm import (
@@ -153,8 +151,7 @@ def test_fundamental_field_rotation():
 
 
 def test_lifted_field_annihilates_invariants():
-    spec = tautological_lift(ROTATION)
-    field = lifted_field(spec)
+    field = action_lift(ROTATION)
     r2 = parse_super(CHART, "x^2 + y^2")
     vol = parse_super(CHART, "th1*th2")
     ang = parse_super(CHART, "x*th2 - y*th1")
@@ -163,16 +160,17 @@ def test_lifted_field_annihilates_invariants():
 
 
 def test_action_lift_picks_the_spec_lift():
-    # its own U, else the tautological lift on a square chart, else no fiber part
-    assert action_lift(ROTATION) == lifted_field(tautological_lift(ROTATION))
-    weighted = ActionSpec(TORUS.params, CHART4, TORUS.T, (((0, 1), (-1, 0)), ((0, 0), (0, 0))))
-    assert action_lift(weighted) == lifted_field(weighted)
+    # the tautological lift on a square chart: theta^B d(flow_A)/dx^B
+    # d/dtheta^A, one derivative of the flow per (A, B); else no fiber part
+    assert action_lift(ROTATION) == SuperVectorField(
+        CHART, 0, fundamental_field(ROTATION).a,
+        (parse_super(CHART, "-t*th2"), parse_super(CHART, "t*th1")),
+    )
+    assert action_lift(DILATION).b == (parse_super(CHART, "t*th1"), parse_super(CHART, "t*th2"))
     assert action_lift(TORUS) == fundamental_field(TORUS)
 
 
-def test_tautological_lift_requires_square_chart():
-    with pytest.raises(NotTautological):
-        tautological_lift(TORUS)
+def test_tautological_Q_requires_square_chart():
     with pytest.raises(NotTautological):
         tautological_Q(TORUS)
 
@@ -195,7 +193,7 @@ def test_differential_extends_exterior_plus_contraction():
 def test_square_is_lie_derivative():
     for spec in (ROTATION, DILATION):
         Q = tautological_Q(spec)
-        lift = lifted_field(tautological_lift(spec))
+        lift = action_lift(spec)
         for f in _random_forms(spec.chart, 10, seed=402):
             assert (Q.apply(Q.apply(f)) - _cartan_lie(f, spec)).is_zero()
             assert (lift.apply(f) - _cartan_lie(f, spec)).is_zero()
@@ -203,8 +201,7 @@ def test_square_is_lie_derivative():
 
 def test_square_as_fields(square_reference):
     Q = tautological_Q(ROTATION)
-    lift = lifted_field(tautological_lift(ROTATION))
-    assert field_is_zero(square_reference(Q, lift))
+    assert field_is_zero(square_reference(Q, action_lift(ROTATION)))
 
 
 def test_verify_brst_rotation_passes():
@@ -292,29 +289,30 @@ def test_sigma_from_Q_guards():
         sigma_from_Q(SuperVectorField(CHART, 1, (th1, 2 * th1), (zero, zero)))
 
 
-def _broken_b(Q, spec):
-    b = (Q.b[0] + parse_super(spec.chart, "x"),) + Q.b[1:]
-    return SuperVectorField(spec.chart, 1, Q.a, b), spec
+def _broken_b(Q, lift):
+    b = (Q.b[0] + parse_super(Q.chart, "x"),) + Q.b[1:]
+    return SuperVectorField(Q.chart, 1, Q.a, b), lift
 
 
-def _broken_sigma(Q, spec):
-    return SuperVectorField(spec.chart, 1, (2 * Q.a[0],) + Q.a[1:], Q.b), spec
+def _broken_sigma(Q, lift):
+    return SuperVectorField(Q.chart, 1, (2 * Q.a[0],) + Q.a[1:], Q.b), lift
 
 
-def _broken_fiber_weight(Q, spec):
-    U = [[list(row) for row in block] for block in tautological_lift(spec).U]
-    U[0][0][0] = U[0][0][0] + sc.ONE
-    return Q, ActionSpec(spec.params, spec.chart, spec.T, U)
+def _broken_fiber_weight(Q, lift):
+    b = (lift.b[0] + parse_super(lift.chart, "t*th1"),) + lift.b[1:]
+    return Q, SuperVectorField(lift.chart, 0, lift.a, b)
 
 
 @pytest.mark.parametrize(
-    "breakage", [_broken_b, _broken_sigma, _broken_fiber_weight], ids=["b1", "a1", "U000"]
+    "breakage", [_broken_b, _broken_sigma, _broken_fiber_weight], ids=["b1", "a1", "fiber"]
 )
 def test_broken_Q_fails_equivariance_finite(breakage):
-    # b[1] + x, a[1] doubled and U[0][0][0] + 1 each break the flow identity;
-    # the exact commutator names the generator whose flow breaks it
-    Q, spec = breakage(tautological_Q(PLANE_ROTATION), PLANE_ROTATION)
-    report = verify_brst(Q, action_lift(spec), spec.params)
+    # b[1] + x, a[1] doubled and t*th1 added to the lift's b[1] each break
+    # the flow identity; the exact commutator names the generator whose
+    # flow breaks it
+    spec = PLANE_ROTATION
+    Q, lift = breakage(tautological_Q(spec), action_lift(spec))
+    report = verify_brst(Q, lift, spec.params)
     by_name = {c["name"]: c for c in report["conditions"]}
     assert not report["passed"]
     assert by_name["equivariance_finite"]["status"] == "fail"

@@ -181,3 +181,21 @@ def test_every_module_level_import_is_read():
                 read.update(_names(node))
         unread += ["%s imports %s" % (path.stem, name) for name in bound if not read[name]]
     assert unread == []
+
+
+def test_localize_reads_an_action_only_through_its_lift():
+    """``localize`` takes a lifted field and imports nothing from ``actions``,
+    so an action on a fiber that is not the tangent bundle needs no spec."""
+    tree = ast.parse((PACKAGE / "localize.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imported += [
+                alias.name
+                for alias in node.names
+                if module[-1] == "actions" or "actions" in (alias.name, alias.asname)
+            ]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[-1] == "actions"]
+    assert imported == []

@@ -15,13 +15,7 @@ import pytest
 
 from superloc import grassmann
 from superloc import scalars as sc
-from superloc.actions import (
-    ActionSpec,
-    fundamental_field,
-    lifted_field,
-    square_residual,
-    tautological_lift,
-)
+from superloc.actions import ActionSpec, action_lift, fundamental_field, square_residual
 from superloc.adhm import adhm_lifted_field, adhm_super_chart
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.grassmann import (
@@ -506,28 +500,29 @@ def test_sparse_apply_matches_definition():
 
 
 def test_lifted_field_matches_dense_sum_on_adhm_k2():
-    # The k=2 ADHM lift skips zero entries of U; the dense sum keeps them.
+    # The tautological lift takes one derivative of the flow per (A, B);
+    # the reference sums p_alpha dT_alpha^A/dx^B over the generators.
     # T is the derivative of the ADHM flow along each Cartan symbol.
     lay = adhm_super_chart(2, 2)
     adhm_lift = adhm_lifted_field(lay)
     bodies = [comp.body() for comp in adhm_lift.a]
     T = [[sc.normalize(sc.differentiate(body, p)) for body in bodies] for p in lay.params]
-    spec = tautological_lift(ActionSpec(lay.params, lay.chart, T))
-    chart, n = spec.chart, spec.chart.n
+    spec = ActionSpec(lay.params, lay.chart, T)
+    chart, coords = spec.chart, spec.chart.coords
     coeffs = [sc.sym(p) for p in spec.params]
     dense = tuple(
         SuperFunction(
             chart,
             {
                 (B + 1,): sum(
-                    (c * spec.U[alpha][B][A] for alpha, c in enumerate(coeffs)), sc.ZERO
+                    (c * sc.differentiate(row[A], x) for row, c in zip(T, coeffs)), sc.ZERO
                 )
-                for B in range(n)
+                for B, x in enumerate(coords)
             },
         )
-        for A in range(n)
+        for A in range(chart.n)
     )
-    lift = lifted_field(spec)
+    lift = action_lift(spec)
     assert lift.b == dense
     assert lift.a == fundamental_field(spec).a
     assert any(not comp.is_zero() for comp in lift.b)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from superloc import scalars as sc
-from superloc.actions import ActionSpec, lifted_field, tautological_Q, tautological_lift
+from superloc.actions import ActionSpec, action_lift, fundamental_field, tautological_Q
 from superloc.errors import (
     DimensionMismatch,
     NonInvertibleQBeta,
@@ -19,7 +19,7 @@ from superloc.errors import (
     SingularFiberBlock,
     SingularLinearization,
 )
-from superloc.grassmann import SuperChart, SuperFunction, parse_super
+from superloc.grassmann import SuperChart, SuperFunction, SuperVectorField, parse_super
 from superloc.localize import (
     FixedPointData,
     PiScaled,
@@ -28,8 +28,7 @@ from superloc.localize import (
     classical_prefactor,
     exactness_witness,
     find_fixed_points,
-    linearize_base,
-    linearize_fiber,
+    linearize,
     sqrt_det_base,
     sqrt_exact,
     sqrt_sdet_via_pfaffian,
@@ -42,6 +41,7 @@ X = sc.sym("x")
 Y = sc.sym("y")
 CHART = SuperChart(("x", "y"), 2)
 ROTATION = ActionSpec(("t",), CHART, ((sc.ZERO - Y, X),))
+LIFT = action_lift(ROTATION)
 
 
 def test_sqrt_exact():
@@ -79,33 +79,32 @@ def test_prefactors():
 
 
 def test_linearize_rotation():
-    L = linearize_base(ROTATION, {"x": 0, "y": 0, "t": 2})
+    L, fiber = linearize(LIFT, {"x": 0, "y": 0, "t": 2})
     assert L == ((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)))
-    fiber = linearize_fiber(ROTATION, {"x": 0, "y": 0, "t": 2})
     assert fiber == L
 
 
 def test_find_fixed_points_declared():
-    pts = find_fixed_points(ROTATION, declared=[{"x": 0, "y": 0, "t": 1}])
+    pts = find_fixed_points(LIFT, declared=[{"x": 0, "y": 0, "t": 1}])
     assert len(pts) == 1
     fp = pts[0]
     assert fp.point == (Fraction(0), Fraction(0))
     assert fp.L == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     # at symbolic t the linearization stays symbolic
-    (fp,) = find_fixed_points(ROTATION, declared=[(0, 0)])
+    (fp,) = find_fixed_points(LIFT, declared=[(0, 0)])
     assert sc.is_zero(fp.L[0][1] - sc.sym("t"))
     with pytest.raises(NotAZero):
-        find_fixed_points(ROTATION, declared=[(1, 0)])
+        find_fixed_points(LIFT, declared=[(1, 0)])
     # the zero action fixes every point, so none is isolated
     flat = ActionSpec(("t",), CHART, ((sc.ZERO, sc.ZERO),))
     with pytest.raises(NonIsolatedZero):
-        find_fixed_points(flat, declared=[(0, 0)])
+        find_fixed_points(action_lift(flat), declared=[(0, 0)])
 
 
 def test_non_isolated_zero_is_caught_at_symbolic_t():
     # the shear t*y d/dx vanishes on the whole line y = 0: L = ((0, -t), (0, 0))
     # has det 0 as a polynomial in t, so no value of t needs to be bound
-    shear = ActionSpec(("t",), CHART, ((Y, sc.ZERO),))
+    shear = action_lift(ActionSpec(("t",), CHART, ((Y, sc.ZERO),)))
     with pytest.raises(NonIsolatedZero):
         find_fixed_points(shear, declared=[(0, 0)])
     with pytest.raises(NonIsolatedZero):
@@ -113,12 +112,12 @@ def test_non_isolated_zero_is_caught_at_symbolic_t():
 
 
 def test_declared_points_are_checked_exactly():
-    spec = ActionSpec(("t",), CHART, ((sc.sin(X), Y),))
-    (fp,) = find_fixed_points(spec, declared=[(0, 0)])
+    lift = action_lift(ActionSpec(("t",), CHART, ((sc.sin(X), Y),)))
+    (fp,) = find_fixed_points(lift, declared=[(0, 0)])
     assert fp.point == (Fraction(0), Fraction(0))
     # the float pi is not a zero of sin: the residual 1.2e-16 is not forgiven
     with pytest.raises(NotAZero):
-        find_fixed_points(spec, declared=[(math.pi, 0)])
+        find_fixed_points(lift, declared=[(math.pi, 0)])
 
 
 def test_superdeterminant_values():
@@ -150,10 +149,10 @@ def test_superdeterminant_multiplicative():
         assert lhs == rhs
 
 
-def _rotation_fp(t, orientation=1, scale=1):
+def _rotation_fp(t, orientation=1, scale=1, lift=LIFT):
     h = ((sc.rational(scale), sc.ZERO), (sc.ZERO, sc.rational(scale)))
     return find_fixed_points(
-        ROTATION, declared=[{"x": 0, "y": 0, "t": t}], h=h, orientation=orientation
+        lift, declared=[{"x": 0, "y": 0, "t": t}], h=h, orientation=orientation
     )[0]
 
 
@@ -195,13 +194,16 @@ def test_sqrt_det_detects_singular_linearization():
 def test_fiber_square_roots_need_a_square_chart():
     chart = SuperChart(("x1", "y1", "x2", "y2"), 2)
     x1, y1, x2, y2 = (sc.sym(c) for c in chart.coords)
-    T = ((sc.ZERO - y1, x1, sc.ZERO - y2, x2),)
-    U = (((sc.ZERO, sc.ONE), (sc.ZERO - sc.ONE, sc.ZERO)),)
+    flow = fundamental_field(ActionSpec(("t",), chart, ((sc.ZERO - y1, x1, sc.ZERO - y2, x2),)))
+    turning = SuperVectorField(
+        chart, 0, flow.a, (parse_super(chart, "-t*th2"), parse_super(chart, "t*th1"))
+    )
     F = SuperFunction.one(chart)
-    # without U there is no fiber operator; with U there is one, but no fiber metric
-    for spec in (ActionSpec(("t",), chart, T), ActionSpec(("t",), chart, T, U)):
-        (fp,) = find_fixed_points(spec, declared=[(0, 0, 0, 0)])
-        assert (fp.fiber is None) == (spec.U is None)
+    # the fundamental field has a zero fiber block, the turning lift an
+    # invertible one; neither has a fiber metric on this chart
+    for lift, pf in ((flow, 0), (turning, 1)):
+        (fp,) = find_fixed_points(lift, declared=[(0, 0, 0, 0)])
+        assert len(fp.fiber) == 2 and sc.evaluate(sc.as_expr(fp.fiber[0][1]), {"t": 1}) == pf
         with pytest.raises(DimensionMismatch):
             sqrt_sdet_via_pfaffian(fp)
         with pytest.raises(DimensionMismatch):
@@ -243,6 +245,28 @@ def test_localize_random_closed_forms_match():
         assert isinstance(sup["coefficient"], Fraction)
 
 
+def test_a_fiber_that_is_not_the_tangent_bundle():
+    # the plane's flow with its odd generators turning at 2t, not at the
+    # base weight t: Pf of the fiber block doubles, so the super sum halves,
+    # and the base block, which alone enters the classical sum, is the same
+    doubled = SuperVectorField(
+        CHART, 0, LIFT.a, (parse_super(CHART, "-2*t*th2"), parse_super(CHART, "2*t*th1"))
+    )
+    rng = random.Random(1108)
+    for _ in range(5):
+        t = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        F = {"chart": _gaussian_closed_form([rng.randint(1, 5) for _ in range(3)])}
+        taut, turned = _rotation_fp(t), _rotation_fp(t, lift=doubled)
+        assert turned.L == taut.L and turned.fiber != taut.fiber
+        half = super_localize(F, [turned], binding={"t": t})["coefficient"]
+        assert half == super_localize(F, [taut], binding={"t": t})["coefficient"] / 2
+        assert isinstance(half, Fraction) and half != 0
+        assert (
+            classical_localize(F, [turned], binding={"t": t})
+            == classical_localize(F, [taut], binding={"t": t})
+        )
+
+
 def test_closed_forms_are_closed():
     rng = random.Random(1106)
     for _ in range(5):
@@ -252,7 +276,7 @@ def test_closed_forms_are_closed():
 
 
 def test_build_lambda_beta_flat_rotation():
-    lam, beta = build_lambda_beta(ROTATION, (0, 0))
+    lam, beta = build_lambda_beta(LIFT, (0, 0))
     rng = random.Random(1107)
     comps = (sc.ZERO - sc.sym("t") * Y, sc.sym("t") * X)
     for _ in range(5):
@@ -268,8 +292,7 @@ def test_build_lambda_beta_flat_rotation():
         r2 = float(binding["x"] ** 2 + binding["y"] ** 2)
         assert abs(pairing - r2) < 1e-12
     # invariance: the lifted field annihilates beta
-    lifted = lifted_field(tautological_lift(ROTATION))
-    residual = lifted.apply(beta)
+    residual = LIFT.apply(beta)
     for coeff in residual.terms.values():
         for _ in range(3):
             binding = {
@@ -282,7 +305,7 @@ def test_build_lambda_beta_flat_rotation():
 
 def test_exactness_witness_reproduces_form():
     Q = tautological_Q(ROTATION)
-    _, beta = build_lambda_beta(ROTATION, (0, 0))
+    _, beta = build_lambda_beta(LIFT, (0, 0))
     F = parse_super(CHART, "1 + th1*th2 + (1/2)*t*(x^2 + y^2)")
     nu = exactness_witness(F, beta, Q, samples=({"x": 1, "y": 0},))
     assert (Q.apply(nu) - F).is_zero()

@@ -315,7 +315,6 @@ def test_rule_computes_each_one_axis_subtree_once_per_node(monkeypatch):
 
     for kind in calls:
         monkeypatch.setattr(math, kind, counting(kind, getattr(math, kind)))
-    monkeypatch.setattr(sc, "_COMPILED", {})
     rng = random.Random(5)
     cases = [
         # one-axis subtrees: 12 per axis per cell, not 12^d

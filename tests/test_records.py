@@ -97,8 +97,8 @@ def test_assigning_to_a_hashed_field_raises(obj, field):
         (sc.Rat(Fraction(1, 2)), "Rat(value=Fraction(1, 2))"),
         (SuperChart(("x", "y"), 2), "SuperChart(coords=('x', 'y'), n=2)"),
         (
-            FixedPointData("a", ("x",), (1,), ((1,),), None, ((1,),)),
-            "FixedPointData(chart_id='a', coords=('x',), point=(1,), L=((1,),), fiber=None, "
+            FixedPointData("a", ("x",), (1,), ((1,),), ((2,),), ((1,),)),
+            "FixedPointData(chart_id='a', coords=('x',), point=(1,), L=((1,),), fiber=((2,),), "
             "h=((1,),), orientation=1)",
         ),
     ],
@@ -110,12 +110,11 @@ def test_repr_lists_the_fields(obj, text):
 
 def test_keyword_construction_with_defaults():
     T = ((sc.ZERO - Y, X),)
-    spec = ActionSpec(params=["t"], chart=PLANE_CHART, T=T, U=None)
-    assert spec.params == ("t",) and spec.U is None
-    assert ActionSpec(("t",), PLANE_CHART, T).U is None
+    spec = ActionSpec(params=["t"], chart=PLANE_CHART, T=T)
+    assert spec.params == ("t",) and spec.chart == PLANE_CHART
     assert ActionSpec(("t",), PLANE_CHART, T).T == spec.T
     kwargs = dict(chart_id="plane", coords=("x", "y"), point=(0, 0), L=((0, 1), (-1, 0)),
-                  fiber=None, h=((1, 0), (0, 1)))
+                  fiber=((0, 1), (-1, 0)), h=((1, 0), (0, 1)))
     assert FixedPointData(**kwargs, orientation=1).orientation == 1
     assert FixedPointData(**kwargs).orientation == 1
     assert FixedPointData(**kwargs, orientation=-1).orientation == -1

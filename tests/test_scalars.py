@@ -357,15 +357,13 @@ def test_poly_memo_matches_a_fresh_walk(monkeypatch):
 
 def test_kernel_caches_are_bounded(monkeypatch):
     monkeypatch.setattr(sc, "_POLY_CACHE", 3)
-    monkeypatch.setattr(sc, "_COMPILED_CACHE", 2)
     monkeypatch.setattr(sc, "_RAT_CACHE", 2)
     monkeypatch.setattr(sc, "_RAT", {})
     sc._POLY.clear()
-    sc._COMPILED.clear()
     normalize.cache_clear()
     for k in range(6):
         compile_numeric(normalize(X**k + Y), ("x", "y"))
-    assert len(sc._POLY) == 3 and len(sc._COMPILED) == 2
+    assert len(sc._POLY) == 3
     assert compile_numeric(X**5 + Y, ("x", "y"))((2.0, 1.0)) == 33.0
     for k in range(2, 6):
         assert to_text(normalize(k * X + Fraction(1, k))) == "%d*x + 1/%d" % (k, k)
