@@ -9,6 +9,7 @@ key is the body. Odd derivatives follow the left-derivative convention, so
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import scalars as sc
@@ -188,13 +189,6 @@ class SuperFunction:
     def coefficient(self, idx: Sequence[int]) -> ScalarExpr:
         return self.terms.get(tuple(idx), sc.ZERO)
 
-    def parity(self):
-        """0 for even, 1 for odd, None for mixed or zero."""
-        pars = {len(i) % 2 for i in self.terms}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -362,63 +356,37 @@ def to_super_text(f: SuperFunction) -> str:
     return out
 
 
-class _SuperParser(sc.Parser):
-    def __init__(self, chart: SuperChart, text: str):
-        super().__init__(text)
-        self.chart = chart
-        self.gen_index = {name: k for k, name in enumerate(chart.odd_names, start=1)}
+def parse_super(chart: SuperChart, text: str) -> SuperFunction:
+    """Parse the superfunction text form on the given chart.
 
-    def term(self):
-        e = self.unary()
-        while self.peek() in "*/":
-            op = self.take()[0]
-            rhs = self.unary()
-            if op == "*":
-                e = e * rhs
-            else:
-                if isinstance(rhs, SuperFunction):
-                    if rhs.grades() not in ((), (0,)):
-                        raise ValueError("cannot divide by an odd expression")
-                    rhs = rhs.body()
-                e = e * normalize(sc.Pow(rhs, -1))
-        return e
+    The scalar parser reads the text. A subtree that names no generator
+    th1..thn stays a scalar; every other one is rebuilt as a superfunction
+    with the operator the parser built it with, left to right, so the
+    Grassmann order holds. A quotient is a negative power, which only a
+    pure body takes.
+    """
+    gens = {name: k for k, name in enumerate(chart.odd_names, start=1)}
 
-    def power(self):
-        e = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            tok = self.take("num")
-            k = sign * int(tok[1])
-            if isinstance(e, SuperFunction):
-                if k < 0:
-                    raise ValueError("negative powers of odd expressions are not defined")
-                out = SuperFunction.one(self.chart)
-                for _ in range(k):
-                    out = out * e
-                return out
-            return sc.Pow(e, k)
-        return e
-
-    def atom(self):
-        kind = self.peek()
-        if kind == "name":
-            name = self.tokens[self.pos][1]
-            if name in self.gen_index and self.tokens[self.pos + 1][0] != "(":
-                self.take()
-                return SuperFunction.generator(self.chart, self.gen_index[name])
-        node = super().atom()
-        if isinstance(node, sc.Func) and isinstance(node.arg, SuperFunction):
-            raise ValueError("%s() takes a scalar argument" % (node.kind,))
+    def lift(node):
+        if isinstance(node, sc.Sym):
+            return SuperFunction.generator(chart, gens[node.name]) if node.name in gens else node
+        if isinstance(node, (sc.Add, sc.Mul)):
+            op = operator.add if isinstance(node, sc.Add) else operator.mul
+            return functools.reduce(op, map(lift, node.args))
+        if isinstance(node, sc.Pow):
+            base, k = lift(node.base), node.exponent
+            if isinstance(base, SuperFunction) and k < 0:
+                if base.grades() not in ((), (0,)):
+                    raise ValueError("an odd expression has no negative power or quotient")
+                base = base.body()
+            if not isinstance(base, SuperFunction):
+                return sc.Pow(base, k)
+            return functools.reduce(operator.mul, [base] * k, SuperFunction.one(chart))
+        if isinstance(node, sc.Func):
+            arg = lift(node.arg)
+            if isinstance(arg, SuperFunction):
+                raise ValueError("%s() takes a scalar argument" % (node.kind,))
+            return sc.Func(node.kind, arg)
         return node
 
-
-def parse_super(chart: SuperChart, text: str) -> SuperFunction:
-    """Parse the superfunction text form on the given chart."""
-    value = _SuperParser(chart, text).parse()
-    if isinstance(value, SuperFunction):
-        return value
-    return SuperFunction.from_scalar(chart, value)
+    return _coerce(chart, lift(sc.parse_scalar(text)))

@@ -2,9 +2,10 @@
 
 A scenario is a JSON object with a `kind` selecting one of the built-in
 setups (the sphere and plane-rotation geometries, the complex two-torus
-operator, or the matrix-model suites).  A geometry kind names an atlas in
-`_ATLASES`, and every geometry check reads its charts, fixed points and
-fields through that one table.  `_REGISTRY` maps each
+operator, or the matrix-model suites).  `_GEOMETRIES` gives each geometry
+kind its atlas and, for each form type, the builders of the integrand and
+the oracle patch; every geometry check reads its charts, fixed points,
+fields and patch through that one table.  `_REGISTRY` maps each
 kind and command to ordered stages.  A stage pairs an item source (the
 scenario's `values`, its `stokes` entries, the geometry patches, or one
 single item) with ordered checks; a check gives its base name, the
@@ -73,10 +74,24 @@ from .localize import classical_localize, super_localize
 from .oracle import global_berezin, super_stokes_check
 
 
-KINDS = ("sphere", "plane_rotation", "kahler_torus", "adhm")
-
-# geometry kind -> its atlas, one fixed point at each chart's origin
-_ATLASES = {"sphere": sphere_atlas, "plane_rotation": plane_atlas}
+# geometry kind -> (its atlas, with one fixed point at each chart's origin,
+# form type -> (chart, form -> integrand; form -> oracle patch))
+_GEOMETRIES = {
+    "sphere": (sphere_atlas, {
+        "height_exponential": (
+            lambda chart, form: height_exponential(chart), lambda form: sphere_oracle_patch()
+        ),
+        "closed_polynomial": (
+            lambda chart, form: closed_polynomial(chart, _coeffs(form)),
+            lambda form: sphere_polynomial_patch(_coeffs(form)),
+        ),
+    }),
+    "plane_rotation": (plane_atlas, {
+        "gaussian_rotation": (
+            lambda chart, form: gaussian_rotation_form(), lambda form: gaussian_oracle_patch()
+        ),
+    }),
+}
 
 _REFERENCES: Mapping[str, Callable[[float], float]] = {
     "height_closed_form": lambda t: 2 * math.pi * (math.exp(t) - math.exp(-t)) / t,
@@ -128,7 +143,7 @@ def _require(scenario: dict, key: str, types) -> object:
 def _validate(scenario: dict) -> None:
     _require(scenario, "name", str)
     kind = _require(scenario, "kind", str)
-    if kind not in KINDS:
+    if kind not in _REGISTRY:
         raise SchemaError("unknown scenario kind %r" % (kind,))
     if "tol" in scenario:
         _tolerance(scenario["tol"], "scenario tol")
@@ -145,19 +160,17 @@ def _validate(scenario: dict) -> None:
         for c in checks:
             if c not in allowed:
                 raise SchemaError("check %r is not available for kind %r" % (c, kind))
-    if kind in _ATLASES:
+    if kind in _GEOMETRIES:
         form = _require(scenario, "form", dict)
         ftype = form.get("type")
-        if kind == "sphere" and ftype not in ("height_exponential", "closed_polynomial"):
-            raise SchemaError("unsupported sphere form %r" % (ftype,))
+        if not isinstance(ftype, str) or ftype not in _GEOMETRIES[kind][1]:
+            raise SchemaError("unsupported %s form %r" % (kind, ftype))
         if ftype == "closed_polynomial":
             coeffs = form.get("coeffs")
             if not isinstance(coeffs, list) or not coeffs:
                 raise SchemaError("closed_polynomial needs a coefficient list")
             for c in coeffs:
                 _as_fraction(c)
-        if kind == "plane_rotation" and ftype != "gaussian_rotation":
-            raise SchemaError("unsupported plane form %r" % (ftype,))
         values = _require(scenario, "values", list)
         if not values:
             raise SchemaError("values must be non-empty")
@@ -223,6 +236,10 @@ def _as_fraction(text) -> Fraction:
         raise SchemaError("bad exact number %r: %s" % (text, exc))
 
 
+def _coeffs(form: dict) -> list:
+    return [_as_fraction(c) for c in form["coeffs"]]
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -272,44 +289,13 @@ def serialize_report(report: dict, timestamp: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# geometry cases
-
-
-class _GeometryCase(NamedTuple):
-    """Everything a geometry check needs: fields by chart id, the fixed
-    points, oracle patches."""
-
-    fields: dict
-    fps: list
-    patches: list
-
-
-def _form(form: dict):
-    """(chart -> integrand, oracle patch) of a geometry form."""
-    if form["type"] == "height_exponential":
-        return height_exponential, sphere_oracle_patch()
-    if form["type"] == "closed_polynomial":
-        coeffs = [_as_fraction(c) for c in form["coeffs"]]
-        return (lambda chart: closed_polynomial(chart, coeffs)), sphere_polynomial_patch(coeffs)
-    return (lambda chart: gaussian_rotation_form()), gaussian_oracle_patch()
-
-
-def _geometry_case(scenario: dict, atlas) -> _GeometryCase:
-    integrand, patch = _form(scenario["form"])
-    return _GeometryCase(
-        {chart.name: integrand(chart) for chart in atlas},
-        atlas_fixed_points(atlas),
-        [patch],
-    )
-
-
-# ---------------------------------------------------------------------------
 # the executor
 
 
 class _Run:
     """One runner call: the scenario, its tolerance, and the lazily built
-    atlas and case of a geometry kind, and whether the case is closed."""
+    atlas, integrands by chart name, fixed points and oracle patch of a
+    geometry kind, and whether the integrands are closed."""
 
     def __init__(self, scenario: dict, tol: float):
         self.scenario = scenario
@@ -317,16 +303,30 @@ class _Run:
 
     @cached_property
     def atlas(self) -> tuple:
-        return _ATLASES[self.scenario["kind"]]()
+        return _GEOMETRIES[self.scenario["kind"]][0]()
 
     @cached_property
-    def case(self) -> _GeometryCase:
-        return _geometry_case(self.scenario, self.atlas)
+    def builders(self) -> tuple:
+        """(integrand, oracle patch) builders of the scenario's form."""
+        return _GEOMETRIES[self.scenario["kind"]][1][self.scenario["form"]["type"]]
+
+    @cached_property
+    def fields(self) -> dict:
+        integrand = self.builders[0]
+        return {chart.name: integrand(chart, self.scenario["form"]) for chart in self.atlas}
+
+    @cached_property
+    def fps(self) -> list:
+        return atlas_fixed_points(self.atlas)
+
+    @cached_property
+    def patch(self):
+        return self.builders[1](self.scenario["form"])
 
     @cached_property
     def unclosed(self) -> Optional[str]:
         """The first chart whose integrand its Q does not annihilate, or None."""
-        fields = self.case.fields
+        fields = self.fields
         return next(
             (c.name for c in self.atlas if not tautological_Q(c.spec).apply(fields[c.name]).is_zero()),
             None,
@@ -408,14 +408,14 @@ def _local(run: _Run, item: dict) -> dict:
     def build():
         if run.unclosed is not None:
             raise NotQClosed("integrand on chart %r is not closed" % (run.unclosed,))
-        return super_localize(run.case.fields, run.case.fps, binding={"t": item["t"]})
+        return super_localize(run.fields, run.fps, binding={"t": item["t"]})
 
     return _memo(item, "local", build)
 
 
 def _oracle(run: _Run, item: dict) -> float:
     return _memo(item, "oracle", lambda: global_berezin(
-        run.case.patches, binding={"t": item["t"]}, tol=min(run.tol * 1e-2, 1e-8)
+        [run.patch], binding={"t": item["t"]}, tol=min(run.tol * 1e-2, 1e-8)
     ))
 
 
@@ -436,7 +436,7 @@ def _super_localize(run: _Run, item: dict) -> dict:
 
 
 def _classical_localize(run: _Run, item: dict) -> dict:
-    result = classical_localize(run.case.fields, run.case.fps, binding={"t": item["t"]})
+    result = classical_localize(run.fields, run.fps, binding={"t": item["t"]})
     return {
         "status": "pass",
         "lhs": result["value"],

@@ -646,11 +646,12 @@ def _poly_derive(p: Poly, field: Mapping[str, Poly]) -> Poly:
     where a symbol's a' is its polynomial in `field`, or 0 if it has none."""
     out: Poly = {}
     for m, c in p.items():
-        for atom, k in m:
+        for i, (atom, k) in enumerate(m):
             da = _atom_derive(atom, field)
             if not da:
                 continue
-            rest = _mono_mul(m, ((atom, -1),))
+            # m / atom: m is stored sorted, so lowering one exponent keeps it so
+            rest = m[:i] + ((atom, k - 1),) + m[i + 1:] if k != 1 else m[:i] + m[i + 1:]
             for m2, c2 in da.items():
                 key = _mono_mul(rest, m2)
                 prev = out.get(key)
@@ -941,9 +942,8 @@ def _term_text(e: ScalarExpr):
     return 1, t
 
 
-class Parser:
-    """Recursive-descent parser of the scalar expression syntax; the
-    superfunction parser extends it with odd generators."""
+class _Parser:
+    """Recursive-descent parser of the scalar expression syntax."""
 
     def __init__(self, text: str):
         self.tokens = self._lex(text)
@@ -1057,4 +1057,4 @@ class Parser:
 
 def parse_scalar(text: str) -> ScalarExpr:
     """Parse the ASCII grammar into a raw expression tree."""
-    return Parser(text).parse()
+    return _Parser(text).parse()

@@ -4,9 +4,12 @@ module-level import is read by its module.
 
 A definition in ``src/superloc`` counts as used when its name occurs in the
 package outside the definition itself (in its own module or another one),
-in ``superloc.__all__``, or in a demo.  A name that only tests use is dead
-code.  Dunder methods are exempt: the language calls them.  The scan reads
-the source with ``ast`` and imports nothing.
+in ``superloc.__all__``, or in a demo.  A plain method (not a property)
+counts as used only when such code calls ``.name(`` or reads
+``Class.name``: a field or a local variable of the same name is no use of
+it.  A name that only tests use is dead code.  Dunder methods are exempt:
+the language calls them.  The scan reads the source with ``ast`` and
+imports nothing.
 """
 
 from __future__ import annotations
@@ -43,6 +46,23 @@ def _names(tree: ast.AST) -> Counter:
     return out
 
 
+def _uses(tree: ast.AST, classes: set) -> Counter:
+    """(kind, name) occurrences in tree: ("name", n) for each occurrence that
+    _names counts, ("call", n) for each ``.n(`` call or ``Class.n`` read,
+    the only uses of a plain method."""
+    out = Counter({("name", name): count for name, count in _names(tree).items()})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            out["call", node.func.attr] += 1
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in classes
+        ):
+            out["call", node.attr] += 1
+    return out
+
+
 def _exported(tree: ast.Module) -> set:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -72,11 +92,16 @@ def _defined(node: ast.stmt) -> list:
 
 
 def _methods(node: ast.stmt) -> list:
-    """(name, node) for each method of a top-level class, dunders excepted."""
+    """(name, node, use kind) for each method of a top-level class, dunders
+    excepted: "name" for a property or a cached property, "call" for a
+    plain method."""
     if not isinstance(node, ast.ClassDef):
         return []
     return [
-        (item.name, item)
+        (item.name, item, "name" if any(
+            isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+            for d in item.decorator_list
+        ) else "call")
         for item in node.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
     ]
@@ -84,14 +109,17 @@ def _methods(node: ast.stmt) -> list:
 
 def _unused() -> list:
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
-    used = _exported(modules["__init__"])
+    classes = {node.name for tree in modules.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    used = {("name", name) for name in _exported(modules["__init__"])}
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        used |= set(_names(ast.parse(demo.read_text())))
+        used |= set(_uses(ast.parse(demo.read_text()), classes))
     # each module is walked once, one top-level statement at a time; a name
     # occurs in its module outside a definition when the module's count
     # exceeds the count inside that definition
     statements = {
-        stem: [(node, _names(node)) for node in tree.body] for stem, tree in modules.items()
+        stem: [(node, _uses(node, classes)) for node in tree.body]
+        for stem, tree in modules.items()
     }
     totals = {}
     homes = defaultdict(set)
@@ -104,13 +132,13 @@ def _unused() -> list:
     out = []
     for stem, parts in statements.items():
         for node, inside in parts:
-            defined = [(name, inside) for name in _defined(node)]
+            defined = [(name, ("name", name), inside) for name in _defined(node)]
             defined += [
-                ("%s.%s" % (node.name, name), _names(method)) for name, method in _methods(node)
+                ("%s.%s" % (node.name, name), (kind, name), _uses(method, classes))
+                for name, method, kind in _methods(node)
             ]
-            for qualified, counts in defined:
-                name = qualified.rsplit(".", 1)[-1]
-                if name in used or homes[name] - {stem} or totals[stem][name] > counts[name]:
+            for qualified, key, counts in defined:
+                if key in used or homes[key] - {stem} or totals[stem][key] > counts[key]:
                     continue
                 out.append("%s.%s" % (stem, qualified))
     return out

@@ -47,6 +47,14 @@ def _sign_of_sort(seq):
     return sign
 
 
+def _parity(f):
+    """0 for even, 1 for odd, None for mixed or zero."""
+    pars = {len(i) % 2 for i in f.terms}
+    if len(pars) == 1:
+        return pars.pop()
+    return None
+
+
 def _oracle_mul(f, g):
     """Product via raw concatenation and explicit sorting signs."""
     out = {}
@@ -112,7 +120,7 @@ def test_graded_commutativity():
     for _ in range(80):
         f = _random_sf(rng, CHART4, max_terms=2)
         g = _random_sf(rng, CHART4, max_terms=2)
-        pf, pg = f.parity(), g.parity()
+        pf, pg = _parity(f), _parity(g)
         if pf is None or pg is None:
             continue
         sign = (-1) ** (pf * pg)
@@ -172,9 +180,9 @@ def test_odd_partial_graded_leibniz():
     for _ in range(60):
         f = _random_sf(rng, CHART4, max_terms=2)
         g = _random_sf(rng, CHART4, max_terms=2)
-        if f.parity() is None:
+        if _parity(f) is None:
             continue
-        sign = (-1) ** f.parity()
+        sign = (-1) ** _parity(f)
         for a in (1, 3):
             lhs = odd_partial(f * g, a)
             rhs = odd_partial(f, a) * g + (
@@ -275,9 +283,9 @@ def test_grade_projections():
     f = 5 + x * th1 + th1 * th3
     assert f.grades() == (0, 1, 2)
     assert f.grade(1) == x * th1
-    assert f.parity() is None
-    assert (x * th1).parity() == 1
-    assert (1 + th1 * th3).parity() == 0
+    assert _parity(f) is None
+    assert _parity(x * th1) == 1
+    assert _parity(1 + th1 * th3) == 0
 
 
 def test_top_component_convolution_oracle():
@@ -446,13 +454,75 @@ def test_text_round_trip_random():
         assert parse_super(CHART4, to_super_text(f)) == f
 
 
+ANNULUS = SuperChart(coords=("r", "phi"), n=2)
+HOLOMORPHIC = SuperChart(coords=("z1", "zb1", "z2", "zb2"), n=2)
+
+# (chart, text, to_super_text of its parse): the Stokes forms of the bundled
+# scenarios, the texts the tests parse, and a few edges of the grammar
+PARSED_TEXTS = (
+    (CHART, "x*y*th2", "(x*y)*th2"),
+    (ANNULUS, "r^3*cos(phi)*th1 + (r^2 - 3*r)*th2", "(r^3*cos(phi))*th1 + (r^2 - 3*r)*th2"),
+    (ANNULUS, "r^3*th1 + (r^2 - 3*r)*th2", "(r^3)*th1 + (r^2 - 3*r)*th2"),
+    (ANNULUS, "r*th1 + 1", "1 + r*th1"),
+    (CHART, "x*th1 + y*th2", "x*th1 + y*th2"),
+    (CHART, "th1*th2", "th1*th2"),
+    (CHART, "x*th1 + th1*th2", "x*th1 + th1*th2"),
+    (CHART, "x*y*th2 + x^2*th1", "(x^2)*th1 + (x*y)*th2"),
+    (CHART, "x^3 - 2*x", "x^3 - 2*x"),
+    (CHART, "s*x*y*th2", "(s*x*y)*th2"),
+    (CHART, "-t*th2", "(-t)*th2"),
+    (CHART, "-2*t*th2", "(-2*t)*th2"),
+    (CHART, "th1*th2 + (1/2)*t*(x^2 + y^2)", "1/2*t*x^2 + 1/2*t*y^2 + th1*th2"),
+    (CHART, "1 + th1*th2 + (1/2)*t*(x^2 + y^2)", "1/2*t*x^2 + 1/2*t*y^2 + 1 + th1*th2"),
+    (CHART, "x*th2 - y*th1", "(-y)*th1 + x*th2"),
+    (CHART, "2*th1*th2 + t*(x^2 + y^2)", "t*x^2 + t*y^2 + 2*th1*th2"),
+    (CHART, "3*th1 + (x^2)*th1*th2", "3*th1 + (x^2)*th1*th2"),
+    (CHART, "th2*th1", "-1*th1*th2"),
+    (CHART, "exp(-t*x)", "exp(-t*x)"),
+    (CHART, "exp(-1*x^-1)*th2", "exp(-x^-1)*th2"),
+    (CHART, "x^-1*y*th2", "(x^-1*y)*th2"),
+    (CHART, "0", "0"),
+    (HOLOMORPHIC, "e1*z1", "e1*z1"),
+    (HOLOMORPHIC, "e2*th2", "e2*th2"),
+    (CHART, "--th1", "th1"),
+    (CHART, "(x*th1)^0", "1"),
+    (CHART, "x/2/y*th2", "(1/2*x*y^-1)*th2"),
+    (CHART, "x / (y + 0*th1)", "x*y^-1"),
+)
+
+REJECTED_TEXTS = (
+    ("exp(th1)", ValueError),
+    ("th1(x)", ValueError),
+    ("x / th1", ValueError),
+    ("th1 ^ -1", ValueError),
+    ("x/(th1*th2)", ValueError),
+    ("x^2^3", ValueError),
+    ("x ** 2", ValueError),
+    ("", ValueError),
+    ("x/(th2*th2)", ZeroDivisionError),
+)
+
+
+@pytest.mark.parametrize("chart, text, want", PARSED_TEXTS, ids=[t for _, t, _ in PARSED_TEXTS])
+def test_parse_super_grammar_accepts(chart, text, want):
+    assert to_super_text(parse_super(chart, text)) == want
+
+
 def test_parse_super_rejects():
-    with pytest.raises(ValueError):
-        parse_super(CHART, "exp(th1)")
-    with pytest.raises(ValueError):
-        parse_super(CHART, "x / th1")
-    with pytest.raises(ValueError):
-        parse_super(CHART, "th1 ^ -1")
+    for text, error in REJECTED_TEXTS:
+        with pytest.raises(error):
+            parse_super(CHART, text)
+
+
+def test_parse_super_negative_power_of_a_pure_body():
+    th1 = SuperFunction.generator(CHART, 1)
+    # a quotient is a negative power, and only a pure body takes one: once
+    # the generators cancel, the body's own power is what is left
+    assert parse_super(CHART, "(y + 0*th1)^-1") == parse_super(CHART, "y^-1")
+    with pytest.raises(ZeroDivisionError):
+        parse_super(CHART, "(th2*th2)^-1")
+    # x/0 and x*0^-1 are one node; the kernel reads any zeroth power as 1
+    assert parse_super(CHART, "(x/0)^0*th1") == parse_super(CHART, "(x*0^-1)^0*th1") == th1
 
 
 CHART3 = SuperChart(coords=("x", "y", "z"), n=3)

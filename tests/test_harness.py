@@ -73,6 +73,11 @@ def test_schema_rejections(tmp_path):
         {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"},
          "values": ["1", "2/2"]},
         {"name": "x", "kind": "sphere", "form": {"type": "spline"}, "values": ["1"]},
+        # a form type of another kind, or one that is not a string
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "height_exponential"},
+         "values": ["1"]},
+        {"name": "x", "kind": "sphere", "form": {"type": ["height_exponential"]}, "values": ["1"]},
+        {"name": "x", "kind": "plane_rotation", "form": {"type": {"a": 1}}, "values": ["1"]},
         {"name": "x", "kind": "sphere", "form": {"type": "closed_polynomial"}, "values": ["1"]},
         {
             "name": "x",
@@ -179,6 +184,8 @@ def test_schema_rejections(tmp_path):
         load_scenario(_write(tmp_path, dict(sphere, values=["1", "0/3"])))
     with pytest.raises(SchemaError, match="not of degree 1 in the odd generators"):
         load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "th1*th2"}])))
+    with pytest.raises(SchemaError, match="unsupported plane_rotation form 'closed_polynomial'"):
+        load_scenario(_write(tmp_path, dict(plane, form={"type": "closed_polynomial"})))
 
 
 def test_sphere_compare_matches_reference():
