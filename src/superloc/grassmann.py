@@ -76,12 +76,14 @@ class SuperFunction:
         self.terms = {k: v for k, v in clean.items() if v is not sc.ZERO}
 
     @classmethod
-    def _result(cls, chart: SuperChart, terms: dict) -> "SuperFunction":
+    def _result(cls, chart: SuperChart, terms: dict, form=None) -> "SuperFunction":
         """An arithmetic result, whose keys are valid by construction: only
-        the coefficients are normalized and the zero ones dropped."""
+        the coefficients are brought to normal form, by form or else by
+        normalize as bound when called, and the zero ones dropped."""
+        form = form or normalize
         self = object.__new__(cls)
         self.chart = chart
-        self.terms = {k: c for k, v in terms.items() if (c := normalize(v)) is not sc.ZERO}
+        self.terms = {k: c for k, v in terms.items() if (c := form(v)) is not sc.ZERO}
         return self
 
     # -- constructors ------------------------------------------------------
@@ -209,32 +211,6 @@ def _coerce(chart: SuperChart, value):
 # ---------------------------------------------------------------------------
 
 
-def odd_partial(f: SuperFunction, index: int) -> SuperFunction:
-    """Left derivative with respect to the odd generator."""
-    if not (1 <= index <= f.chart.n):
-        raise IndexOutOfRange("no odd generator %d on this chart" % (index,))
-    out = {}
-    for idx, c in f.terms.items():
-        if index not in idx:
-            continue
-        pos = idx.index(index)
-        rest = idx[:pos] + idx[pos + 1:]
-        term = c if pos % 2 == 0 else -c
-        out[rest] = out[rest] + term if rest in out else term
-    return SuperFunction._result(f.chart, out)
-
-
-def even_partial(f: SuperFunction, index: int) -> SuperFunction:
-    """Coefficient-wise derivative with respect to coordinate number index
-    (1-based)."""
-    if not (1 <= index <= f.chart.m):
-        raise IndexOutOfRange("no coordinate %d on this chart" % (index,))
-    name = f.chart.coords[index - 1]
-    return SuperFunction._result(
-        f.chart, {idx: sc.differentiate(c, name) for idx, c in f.terms.items()}
-    )
-
-
 class SuperVectorField(FrozenRecord):
     """Derivation a^i d/dx^i + b^A d/dth^A with a declared parity."""
 
@@ -251,20 +227,33 @@ class SuperVectorField(FrozenRecord):
         object.__setattr__(self, "b", tuple(b))
 
     def apply(self, f: SuperFunction) -> SuperFunction:
-        """Sum of a^i d_i f + b^A d_A f over the coordinates and generators
-        that occur in f; every other partial is zero."""
+        """Sum of a^i d_i f + b^A d_A f, each coefficient one normal form.
+
+        For each odd index il, the a^i[il] of the coordinates that occur in
+        f form one field, along which each coefficient of f is derived in
+        one walk; the odd part is the products b^A[il] * (d_A f)[ir]."""
         if f.chart is not self.chart and f.chart != self.chart:
             raise DimensionMismatch("field and function live on different charts")
         names = f.free_symbols()
-        gens = {A for idx in f.terms for A in idx}
-        out = SuperFunction.zero(self.chart)
-        for i, comp in enumerate(self.a, start=1):
-            if self.chart.coords[i - 1] in names and not comp.is_zero():
-                out = out + comp * even_partial(f, i)
-        for A, comp in enumerate(self.b, start=1):
-            if A in gens and not comp.is_zero():
-                out = out + comp * odd_partial(f, A)
-        return out
+        fields: dict = {}
+        for name, comp in zip(self.chart.coords, self.a):
+            if name in names:
+                for il, c in comp.terms.items():
+                    fields.setdefault(il, {})[name] = c
+        parts: dict = {}
+        for il, field in fields.items():
+            for ir, c in f.terms.items():
+                merged, sign = _merge_sign(il, ir)
+                if merged is not None:
+                    parts.setdefault(merged, []).append((sign, c, field))
+        for ir, c in f.terms.items():
+            for pos, A in enumerate(ir):
+                rest = ir[:pos] + ir[pos + 1:]
+                for il, cl in self.b[A - 1].terms.items():
+                    merged, sign = _merge_sign(il, rest)
+                    if merged is not None:
+                        parts.setdefault(merged, []).append((-sign if pos % 2 else sign, cl, c))
+        return SuperFunction._result(self.chart, parts, sc.combine)
 
 
 def graded_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:

@@ -5,7 +5,7 @@ atoms are named symbols, transcendental calls (exp, sin, cos) with
 normalized arguments, and inverses of composite polynomials. Two
 expressions that are equal as polynomials in those atoms normalize to
 structurally identical trees. Rational arithmetic is exact throughout;
-normalize, differentiate and derive touch no floating point.
+normalize, differentiate, derive and combine touch no floating point.
 
 Text grammar (ASCII, explicit operators):
 
@@ -551,9 +551,10 @@ def _expr_to_poly(e: ScalarExpr) -> Poly:
             out = _poly_mul(out, _expr_to_poly(a))
         return out
     if isinstance(e, Pow):
+        # the base first, so that the zeroth power of x/0 divides by zero too
+        base = _expr_to_poly(e.base)
         if e.exponent == 0:
             return {(): 1}
-        base = _expr_to_poly(e.base)
         if e.exponent > 0:
             return _poly_pow(base, e.exponent)
         # reduce first, so that a g * g^-1 inside the base cancels before inversion
@@ -635,8 +636,27 @@ def _differentiate(n: ScalarExpr, name: str) -> ScalarExpr:
 def derive(e: ScalarExpr, field: Mapping[str, ScalarExpr]) -> ScalarExpr:
     """The derivative of e along a field: the sum over its names of
     field[name] * de/dname, in one product-rule walk and one normal form."""
-    velocity = {name: _expr_to_poly(normalize(v)) for name, v in field.items()}
-    p = _poly_derive(_expr_to_poly(normalize(e)), velocity)
+    return combine([(1, normalize(e), {name: normalize(v) for name, v in field.items()})])
+
+
+def combine(terms: Sequence[tuple]) -> ScalarExpr:
+    """The normal form of a sum of signed terms, in one normal form.
+
+    A term (sign, e, field), field a mapping, stands for sign times the
+    derivative of e along field; a term (sign, a, b), b an expression, for
+    sign * a * b. Expressions are read as the polynomials they spell, so
+    pass normal forms. A lone product goes through normalize and its memo.
+    """
+    if len(terms) == 1 and isinstance(terms[0][2], ScalarExpr):
+        sign, a, b = terms[0]
+        return normalize(a * b if sign > 0 else -(a * b))
+    p: Poly = {}
+    for sign, e, x in terms:
+        if isinstance(x, ScalarExpr):
+            q = _poly_mul(_expr_to_poly(e), _expr_to_poly(x))
+        else:
+            q = _poly_derive(_expr_to_poly(e), {n: _expr_to_poly(v) for n, v in x.items()})
+        p = _poly_add(p, q if sign > 0 else _poly_scale(q, -1))
     return _normal_form(p) if p else ZERO
 
 

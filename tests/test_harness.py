@@ -186,6 +186,10 @@ def test_schema_rejections(tmp_path):
         load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "th1*th2"}])))
     with pytest.raises(SchemaError, match="unsupported plane_rotation form 'closed_polynomial'"):
         load_scenario(_write(tmp_path, dict(plane, form={"type": "closed_polynomial"})))
+    # a zeroth power divides by zero when its base does
+    for text in ("x/0*th2", "(x/0)^0*th2"):
+        with pytest.raises(SchemaError, match="stokes form does not parse: inverse of zero expression"):
+            load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": text}])))
 
 
 def test_sphere_compare_matches_reference():
@@ -653,3 +657,23 @@ def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
     report = run_brst_check(load_scenario(BUNDLED % "adhm_k2_n2_brst"))
     assert report["checks"] and all(rec["status"] != "fail" for rec in report["checks"])
     assert len(built) <= 1200
+
+
+def test_sphere_poly_localize_divides_at_most_120_times(monkeypatch):
+    # From cold kernel caches. The closure check applies Q to the form with
+    # one normal form per coefficient; with one per partial, product and
+    # running sum, this run divides 214 times.
+    divisions = []
+    divmod_ = sc._poly_divmod
+
+    def counted(c, g):
+        divisions.append(g)
+        return divmod_(c, g)
+
+    sc.normalize.cache_clear()
+    sc._differentiate.cache_clear()
+    sc._POLY.clear()
+    monkeypatch.setattr(sc, "_poly_divmod", counted)
+    report = run_localize(load_scenario(BUNDLED % "sphere_poly"))
+    assert report["checks"] and all(rec["status"] == "pass" for rec in report["checks"])
+    assert len(divisions) <= 120

@@ -326,6 +326,15 @@ def test_inverse_base_is_reduced_before_inversion():
         normalize(parse_scalar("((y^2+1)*(y^2+1)^-1 - 1)^-1"))
 
 
+def test_zeroth_power_reduces_its_base():
+    # the base of a zeroth power is read, so a division by zero in it raises
+    for text in ("(x/0)^0", "(x*0^-1)^0", "(((y^2+1)*(y^2+1)^-1 - 1)^-1)^0"):
+        with pytest.raises(ZeroDivisionError):
+            normalize(parse_scalar(text))
+    assert normalize(parse_scalar("(x^2 + (x+1)^-1)^0")) is sc.ONE
+    assert normalize(parse_scalar("0^0")) is sc.ONE
+
+
 def test_inverse_atom_base_has_no_monomial_content():
     # clearing (y + 1)*(t + 1)^-1 leaves t*y + t, whose content t is split off
     n = normalize(parse_scalar("(y + 1 - (y + 1)*(t + 1)^-1)^-1"))
