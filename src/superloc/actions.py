@@ -244,14 +244,15 @@ def metric_invariance_report(h, spec: ActionSpec):
     field = fundamental_field(spec)
     comp = [field.a[i].body() for i in range(m)]
     flow = dict(zip(coords, comp))
-    residuals = []
-    for i in range(m):
-        for j in range(m):
-            r = sc.derive(sc.as_expr(h[i][j]), flow)
-            for k in range(m):
-                r = r + sc.as_expr(h[k][j]) * sc.differentiate(comp[k], coords[i])
-                r = r + sc.as_expr(h[i][k]) * sc.differentiate(comp[k], coords[j])
-            residuals.append(normalize(r))
+    h = [[normalize(sc.as_expr(e)) for e in row] for row in h]
+    # (L_X h)_ij = X(h_ij) + h_kj d_i X^k + h_ik d_j X^k; h_kj d_i X^k is X^k along h_kj d/dx^i
+    residuals = [
+        sc.combine([(1, h[i][j], flow)]
+                   + [(1, comp[k], {coords[i]: h[k][j]}) for k in range(m)]
+                   + [(1, comp[k], {coords[j]: h[i][k]}) for k in range(m)])
+        for i in range(m)
+        for j in range(m)
+    ]
     return residual_verdict(residuals)
 
 
@@ -275,6 +276,7 @@ def positive_definite_report(h, samples):
 
 def christoffel(h, coords) -> list:
     """Levi-Civita symbols Gamma[i][k][j] for the metric h in these coordinates."""
+    # summed per entry: one combine per entry divides 55 times, not 33, in a sphere_dh brst-check
     m = len(coords)
     hinv = linalg.inverse_symbolic([[sc.as_expr(e) for e in row] for row in h])
     out = []
@@ -306,18 +308,18 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, samples=None, tol=1e-8):
     m, n = chart.m, chart.n
     if n != m:
         raise DimensionMismatch("sigma check needs a square chart, got (%d, %d)" % (m, n))
-    sigma = [[sc.as_expr(e) for e in row] for row in sigma]
+    sigma = [[normalize(sc.as_expr(e)) for e in row] for row in sigma]
     gamma = christoffel(h, coords)
-    residuals = []
-    for i in range(m):
-        for k in range(m):
-            for A in range(n):
-                r = sc.differentiate(sigma[i][A], coords[k])
-                for j in range(m):
-                    r = r + gamma[i][k][j] * sigma[j][A]
-                for B in range(n):
-                    r = r - sigma[i][B] * gamma[B][k][A]
-                residuals.append(normalize(r))
+    residuals = [
+        sc.combine(
+            [(1, sigma[i][A], {coords[k]: sc.ONE})]
+            + [(1, gamma[i][k][j], sigma[j][A]) for j in range(m)]
+            + [(-1, sigma[i][B], gamma[B][k][A]) for B in range(n)]
+        )
+        for i in range(m)
+        for k in range(m)
+        for A in range(n)
+    ]
     return residual_verdict(residuals, samples, tol)
 
 
@@ -328,16 +330,16 @@ def closure_check(spec: ActionSpec):
     coords = chart.coords
     m = chart.m
     dim_g = len(spec.params)
-    fields = [dict(zip(coords, row)) for row in spec.T]
-    brackets = []
-    for alpha in range(dim_g):
-        for beta in range(alpha + 1, dim_g):
-            comp = [
-                normalize(sc.derive(spec.T[beta][i], fields[alpha])
-                          - sc.derive(spec.T[alpha][i], fields[beta]))
-                for i in range(m)
-            ]
-            brackets.append(((alpha, beta), comp))
+    T = [[normalize(e) for e in row] for row in spec.T]
+    fields = [dict(zip(coords, row)) for row in T]
+    brackets = [
+        ((alpha, beta), [
+            sc.combine([(1, T[beta][i], fields[alpha]), (-1, T[alpha][i], fields[beta])])
+            for i in range(m)
+        ])
+        for alpha in range(dim_g)
+        for beta in range(alpha + 1, dim_g)
+    ]
     if not brackets:
         return {"status": "pass", "residual": None, "pairs": 0}
     # a bracket names no symbol that the generators do not

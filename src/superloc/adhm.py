@@ -412,13 +412,11 @@ def multiplier_completion(
                     "multiplier component %d is not linear in the multipliers" % (a,)
                 )
 
-    residuals = []
-    for b in range(r):
-        e = sc.derive(V[b], T)
-        for a in range(r):
-            if N[a][b] is not sc.ZERO:
-                e = e + N[a][b] * V[a]
-        residuals.append(sc.normalize(e))
+    residuals = [
+        sc.combine([(1, V[b], T)]
+                   + [(1, N[a][b], V[a]) for a in range(r) if N[a][b] is not sc.ZERO])
+        for b in range(r)
+    ]
     pairing = residual_verdict(residuals)
     report = {
         "size": r,
@@ -516,7 +514,7 @@ def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
         phi = sc.normalize(a_diag[r])
 
         def at_phi(sector, i, j):
-            return sc.normalize(sc.substitute(_charge_weight(lay, sector, i, j), {"phi1": phi}))
+            return sc.substitute(_charge_weight(lay, sector, i, j), {"phi1": phi})
 
         weights = [
             at_phi(name, i, j)

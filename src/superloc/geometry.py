@@ -109,31 +109,26 @@ def height_exponential(patch: AtlasChart) -> SuperFunction:
     """exp(-t z) (1 + omega): the closed integrand whose localized value
     has the closed form 2 pi (e^t - e^{-t}) / t."""
     body = sc.exp(sc.ZERO - T * patch.z)
-    return SuperFunction(
-        patch.spec.chart,
-        {(): body, (1, 2): sc.normalize(body * patch.omega_coeff)},
-    )
+    return SuperFunction(patch.spec.chart, {(): body, (1, 2): body * patch.omega_coeff})
 
 
-def horner(base: ScalarExpr, coeffs) -> ScalarExpr:
-    """Normal form of sum_k coeffs[k] base^k (base normalized), one normalize per degree."""
-    out = sc.ZERO
-    for c in reversed(coeffs):
-        out = sc.normalize(out * base + sc.as_expr(c))
-    return out
+def _polynomial(base: ScalarExpr, coeffs) -> ScalarExpr:
+    """sum_k coeffs[k] base^k as one sum, left for a single normalize."""
+    return sc.Add(tuple(Fraction(c) * base ** k for k, c in enumerate(coeffs) if c))
 
 
-def _slope(base: ScalarExpr, coeffs) -> ScalarExpr:
-    """p'(base) for p = sum_k coeffs[k] s^k, by Horner's rule."""
-    return horner(base, [k * Fraction(c) for k, c in enumerate(coeffs)][1:])
+def _derivative(coeffs) -> list:
+    """The coefficients of p' for p = sum_k coeffs[k] s^k."""
+    return [k * Fraction(c) for k, c in enumerate(coeffs)][1:]
 
 
 def closed_polynomial(patch: AtlasChart, coeffs) -> SuperFunction:
-    """sum_k coeffs[k] (omega - t z)^k by Horner's rule: its body is p(-t z)
-    and its theta^1 theta^2 coefficient p'(-t z) omega, p = sum_k coeffs[k] s^k."""
+    """sum_k coeffs[k] (omega - t z)^k: its body is p(-t z) and its
+    theta^1 theta^2 coefficient p'(-t z) omega, p = sum_k coeffs[k] s^k,
+    each reduced once by SuperFunction."""
     base = sc.normalize(sc.ZERO - T * patch.z)
-    top = sc.normalize(_slope(base, coeffs) * patch.omega_coeff)
-    return SuperFunction(patch.spec.chart, {(): horner(base, coeffs), (1, 2): top})
+    top = _polynomial(base, _derivative(coeffs)) * patch.omega_coeff
+    return SuperFunction(patch.spec.chart, {(): _polynomial(base, coeffs), (1, 2): top})
 
 
 def _angle_patch(integrand: ScalarExpr) -> OraclePatch:
@@ -149,16 +144,14 @@ def sphere_oracle_patch() -> OraclePatch:
 def sphere_polynomial_patch(coeffs) -> OraclePatch:
     """closed_polynomial's top component in angle coordinates, p'(-t cos u) sin u."""
     height = sc.normalize(sc.ZERO - T * sc.cos(U))
-    return _angle_patch(sc.normalize(_slope(height, coeffs) * sc.sin(U)))
+    return _angle_patch(sc.normalize(_polynomial(height, _derivative(coeffs)) * sc.sin(U)))
 
 
 def gaussian_rotation_form() -> SuperFunction:
     """(1 - theta^1 theta^2) exp(-(t/2) r^2) on the flat plane, closed for
     the rotation field and integrable at infinity for t > 0."""
     body = sc.exp(sc.rational(-1, 2) * T * (X * X + Y * Y))
-    return SuperFunction(
-        PLANE_CHART, {(): body, (1, 2): sc.normalize(sc.ZERO - body)}
-    )
+    return SuperFunction(PLANE_CHART, {(): body, (1, 2): sc.ZERO - body})
 
 
 GAUSSIAN_HALF_WIDTH = 14.0  # the Gaussian's tail beyond it is far below the tolerances used

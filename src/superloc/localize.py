@@ -117,7 +117,7 @@ def _eval_entry(e, binding):
     """Close over the binding; leftover symbols keep the entry symbolic."""
     e = sc.as_expr(e)
     sub = {k: sc.as_expr(v) for k, v in binding.items() if not isinstance(v, ScalarExpr)}
-    e2 = sc.normalize(sc.substitute(e, sub))
+    e2 = sc.substitute(e, sub)
     if sc.free_symbols(e2):
         return e2
     return _num(sc.evaluate(e2, {}))

@@ -42,7 +42,7 @@ from superloc.errors import (
     ShapeMismatch,
 )
 from superloc.actions import _coordinate_free, _is_affine
-from superloc.geometry import PLANE_ROTATION
+from superloc.geometry import PLANE_ROTATION, sphere_chart
 from superloc.grassmann import (
     SuperChart,
     SuperFunction,
@@ -510,6 +510,19 @@ def test_sigma_parallel_builds_one_christoffel_table(monkeypatch):
     sigma = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))
     assert check_sigma_parallel(sigma, h, CHART)["status"] == "pass"
     assert calls == [("x", "y")]
+
+
+def test_sigma_parallel_on_the_sphere_metric():
+    # the conformal metric's Christoffel symbols carry the composite
+    # inverse atom (1 + x^2 + y^2)^-1; rotation by a right angle is its
+    # complex structure, so it is parallel like the identity
+    north = sphere_chart("north")
+    for sigma in (((1, 0), (0, 1)), ((0, 1), (-1, 0))):
+        report = check_sigma_parallel(sigma, north.h, north.spec.chart)
+        assert report == {"status": "pass", "max_residual": 0.0, "symbolic": True}
+    inv = (sc.ONE + X * X + Y * Y) ** -1
+    report = check_sigma_parallel(((inv, sc.ZERO), (sc.ZERO, inv)), north.h, north.spec.chart)
+    assert report == {"status": "fail", "max_residual": 0.4487534626038781, "symbolic": False}
 
 
 def test_sigma_parallel_shear_fails():

@@ -15,6 +15,7 @@ imports nothing.
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -227,3 +228,25 @@ def test_localize_reads_an_action_only_through_its_lift():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names if a.name.split(".")[-1] == "actions"]
     assert imported == []
+
+
+def test_every_benchmark_span_target_resolves():
+    """Each (module, attribute path) that the benchmark's tracer wraps names
+    a function of the package. The tracer only lists a name it cannot find,
+    so without this a deleted or renamed target goes unnoticed until a
+    benchmark run."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    missing = []
+    for name, module, path in targets:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert targets and missing == []

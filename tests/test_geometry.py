@@ -84,8 +84,8 @@ def test_closed_powers_are_closed():
 
 def _power_sum(patch, coeffs) -> SuperFunction:
     """sum_k c_k (omega - t z)^k with each power normalized on its own and
-    the sum taken through SuperFunction, the construction that Horner's
-    rule replaced."""
+    the sum taken through SuperFunction, one reduction per power where
+    closed_polynomial reduces each coefficient once."""
     base = sc.ZERO - sc.sym("t") * patch.z
     total = SuperFunction.zero(patch.spec.chart)
     for k, c in enumerate(coeffs):
@@ -122,6 +122,30 @@ def test_horner_matches_the_power_sum():
         for patch in sphere_atlas():
             assert closed_polynomial(patch, coeffs).terms == _power_sum(patch, coeffs).terms
         assert sphere_polynomial_patch(coeffs).integrand == _power_sum_integrand(coeffs)
+
+
+def test_closed_polynomial_builds_three_normal_forms_per_chart(monkeypatch):
+    # From cold kernel caches: the base -t z, the body and the theta^1
+    # theta^2 coefficient. One normal form per degree for the body and again
+    # for the slope builds 15 at 6 coefficients and 21 at 9.
+    built = []
+    normal_form = sc._normal_form
+
+    def counted(p):
+        built.append(p)
+        return normal_form(p)
+
+    monkeypatch.setattr(sc, "_normal_form", counted)
+    lists = ([1, -2, 0, Fraction(3, 2), 5, -1], [2, 0, -1, 1, 3, Fraction(-2, 7), 0, 1, 4])
+    for coeffs in lists:
+        builds = [lambda patch=patch: closed_polynomial(patch, coeffs) for patch in sphere_atlas()]
+        for build in builds + [lambda: sphere_polynomial_patch(coeffs)]:
+            sc.normalize.cache_clear()
+            sc._differentiate.cache_clear()
+            sc._POLY.clear()
+            built.clear()
+            build()
+            assert 0 < len(built) <= 3
 
 
 @pytest.mark.parametrize(

@@ -641,8 +641,9 @@ def test_cli_t_outside_float_range_exit_code(tmp_path, capsys, kind, form, comma
 
 def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
     # From cold kernel caches. Each pairing residual of the multiplier
-    # completion is one derivation pass, and a derivative that is zero
-    # builds no normal form; without either, this run builds 2,464.
+    # completion is one combine of its derivation pass and its products,
+    # and a derivative that is zero builds no normal form; this run builds
+    # 1,023, and 2,464 with a normal form per derivative and per sum.
     built = []
     normal_form = sc._normal_form
 
