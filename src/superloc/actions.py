@@ -278,7 +278,7 @@ def christoffel(h, coords) -> list:
     """Levi-Civita symbols Gamma[i][k][j] for the metric h in these coordinates."""
     # summed per entry: one combine per entry divides 55 times, not 33, in a sphere_dh brst-check
     m = len(coords)
-    hinv = linalg.inverse_symbolic([[sc.as_expr(e) for e in row] for row in h])
+    hinv = linalg.inverse([[sc.as_expr(e) for e in row] for row in h])
     out = []
     for i in range(m):
         plane = []
@@ -321,52 +321,6 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, samples=None, tol=1e-8):
         for A in range(n)
     ]
     return residual_verdict(residuals, samples, tol)
-
-
-def closure_check(spec: ActionSpec):
-    """Exact check, at rational samples, that brackets of basis generators
-    stay in their span with constant coefficients."""
-    chart = spec.chart
-    coords = chart.coords
-    m = chart.m
-    dim_g = len(spec.params)
-    T = [[normalize(e) for e in row] for row in spec.T]
-    fields = [dict(zip(coords, row)) for row in T]
-    brackets = [
-        ((alpha, beta), [
-            sc.combine([(1, T[beta][i], fields[alpha]), (-1, T[alpha][i], fields[beta])])
-            for i in range(m)
-        ])
-        for alpha in range(dim_g)
-        for beta in range(alpha + 1, dim_g)
-    ]
-    if not brackets:
-        return {"status": "pass", "residual": None, "pairs": 0}
-    # a bracket names no symbol that the generators do not
-    samples = sample_bindings(e for row in spec.T for e in row)
-    columns = [[spec.T[g][i] for g in range(dim_g)] for i in range(m)]
-    outside = []
-    for pair, comp in brackets:
-        # stacked over the samples, the bracket lies in the span of the
-        # generators exactly when appending it as a column keeps the rank
-        stacked = []
-        for binding in samples:
-            rows = _rational_values([row + [c] for row, c in zip(columns, comp)], binding)
-            if rows is not None:
-                stacked.extend(rows)
-        if not stacked:
-            return {
-                "status": "skipped(no rational sample)",
-                "residual": None,
-                "pairs": len(brackets),
-            }
-        if linalg.rank([row[:-1] for row in stacked]) != linalg.rank(stacked):
-            outside.append(pair)
-    return {
-        "status": "fail" if outside else "pass",
-        "residual": outside or None,
-        "pairs": len(brackets),
-    }
 
 
 # ---------------------------------------------------------------------------

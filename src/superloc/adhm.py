@@ -29,7 +29,6 @@ from .actions import certified_rank, residual_verdict
 from .errors import (
     BadSusy,
     ComputationError,
-    DimensionMismatch,
     NonlinearTtilde,
     NotUnitary,
     ShapeMismatch,
@@ -357,26 +356,6 @@ def adhm_constraint_scalars(lay: ADHMSuperChart):
             for q in range(k):
                 out.append(sc.normalize(block[p][q]))
                 out.append(sc.normalize(block[k + p][q]))
-    return out
-
-
-def fermionic_constraints(chart: SuperChart, V: Sequence) -> list:
-    """First-order odd shadows W_a = dV_a/dx^k theta^k.
-
-    Needs the tautological pairing of odd generators with coordinates,
-    so the chart must have one generator per coordinate.
-    """
-    if chart.n < chart.m:
-        raise DimensionMismatch("need one odd generator per coordinate")
-    out = []
-    for v in V:
-        expr = sc.as_expr(v)
-        terms = {}
-        for idx, name in enumerate(chart.coords, start=1):
-            d = sc.differentiate(expr, name)
-            if not sc.is_zero(d):
-                terms[(idx,)] = d
-        out.append(SuperFunction(chart, terms))
     return out
 
 

@@ -121,7 +121,7 @@ def load_scenario(path) -> dict:
         raise SchemaError("cannot read scenario: %s" % (exc,))
     try:
         scenario = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("scenario is not valid JSON: %s" % (exc,))
     if not isinstance(scenario, dict):
         raise SchemaError("scenario must be a JSON object")
@@ -191,12 +191,17 @@ def _validate(scenario: dict) -> None:
         stokes = scenario.get("stokes", [])
         if not isinstance(stokes, list):
             raise SchemaError("stokes must be a list of entries")
+        domains = set()
         for entry in stokes:
             if not isinstance(entry, dict):
                 raise SchemaError("stokes entries must be objects")
             domain = entry.get("domain")
             if not isinstance(domain, str) or domain not in _STOKES_DOMAINS:
                 raise SchemaError("unknown boundary domain %r" % (domain,))
+            # each domain names its record, as each value of t does
+            if domain in domains:
+                raise SchemaError("stokes domain %r is repeated" % (domain,))
+            domains.add(domain)
             text = entry.get("form")
             if not isinstance(text, str):
                 raise SchemaError("stokes entry lacks a form text")

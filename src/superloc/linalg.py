@@ -226,33 +226,8 @@ def pfaffian(M):
 
 
 # ---------------------------------------------------------------------------
-# Inverses.
+# Inverse.
 # ---------------------------------------------------------------------------
-
-
-def _eliminate(rows, right) -> list:
-    """Gauss-Jordan on [rows | right] over the Fractions; returns the
-    reduced right block."""
-    n = len(rows)
-    aug = [[Fraction(e) for e in list(row) + list(extra)] for row, extra in zip(rows, right)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [e / p for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * aug[col][c] for c, e in enumerate(aug[r])]
-    return [row[n:] for row in aug]
-
-
-def inverse(A) -> list:
-    """Exact inverse of a matrix of ints and Fractions."""
-    rows = _square(A)
-    return _eliminate(rows, identity(len(rows)))
 
 
 def minor(M, drop_row: int, drop_col: int) -> list:
@@ -264,8 +239,9 @@ def minor(M, drop_row: int, drop_col: int) -> list:
     ]
 
 
-def inverse_symbolic(M) -> list:
-    """Adjugate inverse for symbolic matrices; entries carry a det factor."""
+def inverse(M) -> list:
+    """Exact inverse by the adjugate: Fractions for a matrix of ints and
+    Fractions, normal forms for one of expressions."""
     rows = _square(M)
     n = len(rows)
     d = det(rows)

@@ -272,6 +272,9 @@ Monomial = tuple
 Poly = dict
 _DIVMOD_STEPS = 10000
 _REDUCE_ROUNDS = 100
+# Term products in one polynomial product; a product past it, such as an
+# expanded high power of a sum, raises ComputationError instead of stalling.
+_MUL_TERMS = 100000
 
 # Kernel cache bounds, in entries. Evicting an entry only costs its
 # recomputation.
@@ -369,6 +372,10 @@ def _poly_scale(p: Poly, c) -> Poly:
 
 
 def _poly_mul(p1: Poly, p2: Poly) -> Poly:
+    if len(p1) * len(p2) > _MUL_TERMS:
+        raise ComputationError(
+            "a product of %d by %d terms exceeds %d term products" % (len(p1), len(p2), _MUL_TERMS)
+        )
     out: Poly = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
@@ -818,10 +825,14 @@ def _compile(e: ScalarExpr, names: Sequence[str], binding: Optional[Binding], we
     for i, (name, v) in enumerate(bound.items()):
         refs[name] = "_b%d" % i
         scope[refs[name]] = v
-    if weights is None:
-        refs.update((n, "p[%d]" % i) for i, n in enumerate(names))
-        return eval("lambda p: " + _codegen(nf, refs), scope)
-    exec(_rule_source(nf, names, refs), scope)
+    try:
+        if weights is None:
+            refs.update((n, "p[%d]" % i) for i, n in enumerate(names))
+            return eval("lambda p: " + _codegen(nf, refs), scope)
+        exec(_rule_source(nf, names, refs), scope)
+    except RecursionError:
+        # the compiler nests a sum of a few thousand terms too deeply
+        raise ComputationError("expression is nested too deeply to compile")
     return scope["_rule"]
 
 

@@ -25,7 +25,6 @@ from superloc.adhm import (
     adhm_constraint_scalars,
     adhm_lifted_field,
     adhm_super_chart,
-    fermionic_constraints,
     group_act,
     random_datum,
     random_unitary,
@@ -44,6 +43,7 @@ from superloc.geometry import (
 )
 from superloc.grassmann import (
     SuperChart,
+    SuperFunction,
     field_is_zero,
     parse_super,
 )
@@ -199,12 +199,15 @@ def test_06_adhm_constraints_and_multiplier_structure(constraint_norms):
         moved = group_act(lay, d, U, V, unit_phase(rng), unit_phase(rng))
         assert constraint_norms(lay, moved) == constraint_norms(lay, d)
 
+    # the odd shadow of each constraint V is Q(V), first order in theta
     lay = adhm_super_chart(1, 2)
     V = adhm_constraint_scalars(lay)
-    ferm = fermionic_constraints(lay.chart, V)
+    Q = adhm_Q_unconstrained(lay)
+    ferm = [Q.apply(SuperFunction.from_scalar(lay.chart, v)) for v in V]
     point = {name: rng.uniform(-1.0, 1.0) for name in lay.chart.coords}
     step = 1e-6
     for b, f in enumerate(ferm):
+        assert all(len(idx) == 1 for idx in f.terms)
         for idx, name in enumerate(lay.chart.coords):
             coeff = f.terms.get((idx + 1,))
             exact = float(sc.evaluate(coeff, point)) if coeff is not None else 0.0

@@ -14,7 +14,6 @@ from superloc.actions import (
     action_lift,
     check_sigma_parallel,
     christoffel,
-    closure_check,
     fundamental_field,
     kahler_Q,
     kahler_lift,
@@ -622,15 +621,3 @@ def test_affine_and_coordinate_free_match_their_definitions():
             seen["free"].add(free)
             seen["affine"].add(affine)
     assert seen == {"affine": {True, False}, "free": {True, False}}
-
-
-def test_closure_check():
-    assert closure_check(ROTATION)["status"] == "pass"
-    torus = closure_check(TORUS)
-    assert torus["status"] == "pass" and torus["pairs"] == 1
-    bad = ActionSpec(
-        ("s", "t"),
-        CHART,
-        ((sc.ONE, sc.ZERO), (sc.ZERO, X)),
-    )
-    assert closure_check(bad) == {"status": "fail", "residual": [(0, 1)], "pairs": 1}

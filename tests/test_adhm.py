@@ -20,7 +20,6 @@ from superloc.adhm import (
     cayley_unitary,
     check_stabilizer,
     entry_weight,
-    fermionic_constraints,
     group_act,
     multiplier_completion,
     random_datum,
@@ -505,20 +504,25 @@ def test_Q_full_squares_numerically_k2():
 
 
 # ---------------------------------------------------------------------------
-# fermionic constraints
+# fermionic constraints: the odd shadow Q(V) of each constraint V
+
+
+def _odd_shadows(lay, V):
+    Q = adhm_Q_unconstrained(lay)
+    return [Q.apply(SuperFunction.from_scalar(lay.chart, v)) for v in V]
 
 
 def test_fermionic_constraints_toy():
     chart = SuperChart(("x",), 1)
     x = sc.sym("x")
-    (w,) = fermionic_constraints(chart, [x * x])
+    Q = SuperVectorField(chart, 1, [SuperFunction.generator(chart, 1)], [SuperFunction.zero(chart)])
+    w = Q.apply(SuperFunction.from_scalar(chart, x * x))
     assert w.terms == {(1,): sc.normalize(sc.rational(2) * x)}
 
 
 def test_fermionic_constraints_k1_complex_block(boson_matrix, fermion_matrix):
     lay = adhm_super_chart(1, 2)
-    V = adhm_constraint_scalars(lay)
-    W = fermionic_constraints(lay.chart, V)
+    W = _odd_shadows(lay, adhm_constraint_scalars(lay))
     muI = fermion_matrix(lay, "I")
     muJ = fermion_matrix(lay, "J")
     I = boson_matrix(lay, "I")
@@ -528,23 +532,17 @@ def test_fermionic_constraints_k1_complex_block(boson_matrix, fermion_matrix):
     assert (W[-1] - want.im).is_zero()
 
 
-def test_fermionic_constraints_match_Q_grade_one():
-    lay = adhm_super_chart(1, 2)
-    Q = adhm_Q_unconstrained(lay)
-    V = adhm_constraint_scalars(lay)
-    for v, w in zip(V, fermionic_constraints(lay.chart, V)):
-        assert (Q.apply(SuperFunction.from_scalar(lay.chart, v)) - w).is_zero()
-
-
 def test_fermionic_constraints_are_the_linearization():
     lay = adhm_super_chart(2, 2)
     V = adhm_constraint_scalars(lay)
-    W = fermionic_constraints(lay.chart, V)
+    W = _odd_shadows(lay, V)
     coords = lay.chart.coords
     fns = [sc.compile_numeric(v, coords) for v in V]
     coeff_fns = [
         {idx: sc.compile_numeric(cf, coords) for idx, cf in w.terms.items()} for w in W
     ]
+    # Q(V) is first order in the odd generators: one theta per term
+    assert all(len(idx) == 1 for table in coeff_fns for idx in table)
     rng = random.Random(6021)
     step = 1e-6
     for _ in range(30):
@@ -559,14 +557,6 @@ def test_fermionic_constraints_are_the_linearization():
             )
             if abs(inc) > 1e-10:
                 assert abs(inc - lin) / abs(inc) < 1e-5
-
-
-def test_fermionic_constraints_need_enough_generators():
-    from superloc.errors import DimensionMismatch
-
-    chart = SuperChart(("x", "y"), 1)
-    with pytest.raises(DimensionMismatch):
-        fermionic_constraints(chart, [sc.sym("x")])
 
 
 # ---------------------------------------------------------------------------

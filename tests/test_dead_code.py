@@ -25,10 +25,8 @@ PACKAGE = ROOT / "src" / "superloc"
 # Functions that the localization theorem's hypotheses and proof step will
 # back as records; until then only tests call them.
 PENDING = {
-    "actions.closure_check": "brst-check lie_closure on the geometry kinds",
     "actions.metric_invariance_report": "brst-check metric_invariance on the geometry kinds",
     "actions.positive_definite_report": "brst-check positive_definite on the geometry kinds",
-    "adhm.fermionic_constraints": "adhm brst-check fermionic_constraints",
     "localize.build_lambda_beta": "localize q_exact_deformation on sphere and plane",
     "localize.exactness_witness": "localize q_exact_deformation on sphere and plane",
 }

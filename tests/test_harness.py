@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,13 @@ def test_schema_rejections(tmp_path):
          "values": ["1"], "stokes": [{"domain": "flat_box", "form": "th1*th2"}]},
         {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
          "values": ["1"], "stokes": [{"domain": "annulus", "form": "r*th1 + 1"}]},
+        # a repeated domain would give two records of the same name
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": [{"domain": "flat_box", "form": "x*th2"},
+                                     {"domain": "flat_box", "form": "y*th1"}]},
+        # past the kernel's budget of term products, parsing stops at once
+        {"name": "x", "kind": "plane_rotation", "form": {"type": "gaussian_rotation"},
+         "values": ["1"], "stokes": [{"domain": "flat_box", "form": "(x+y+1)^100*th2"}]},
     ]
     # a tolerance must be finite and > 0; json loads NaN and Infinity
     sphere = {"name": "x", "kind": "sphere", "form": {"type": "height_exponential"}, "values": ["1"]}
@@ -184,6 +192,15 @@ def test_schema_rejections(tmp_path):
         load_scenario(_write(tmp_path, dict(sphere, values=["1", "0/3"])))
     with pytest.raises(SchemaError, match="not of degree 1 in the odd generators"):
         load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": "th1*th2"}])))
+    with pytest.raises(SchemaError, match="stokes domain 'annulus' is repeated"):
+        load_scenario(_write(tmp_path, dict(plane, stokes=[
+            {"domain": "annulus", "form": "r*th2"}, {"domain": "flat_box", "form": "x*th2"},
+            {"domain": "annulus", "form": "r*th1"}])))
+    t0 = time.perf_counter()
+    with pytest.raises(SchemaError, match="exceeds 100000 term products"):
+        load_scenario(_write(tmp_path, dict(plane, stokes=[
+            {"domain": "flat_box", "form": "(x+y+1)^200*th2"}])))
+    assert time.perf_counter() - t0 < 1.0
     with pytest.raises(SchemaError, match="unsupported plane_rotation form 'closed_polynomial'"):
         load_scenario(_write(tmp_path, dict(plane, form={"type": "closed_polynomial"})))
     # a zeroth power divides by zero when its base does
@@ -548,6 +565,27 @@ def test_cli_schema_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, {"name": "x", "kind": "nope"})
     assert main(["localize", "--scenario", str(path)]) == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_scenario_exit_code(tmp_path, capsys):
+    path = _write(tmp_path, "[" * 100000)
+    assert main(["localize", "--scenario", str(path)]) == 2
+    assert "scenario is not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_integrand_too_deep_to_compile_exit_code(tmp_path, capsys):
+    # (x+y+1)^80 has 3,321 terms: as one sum it nests too deeply for the
+    # compiler. As 80 factors it stays inside the budget of term products.
+    form = "*".join(["(x+y+1)"] * 80) + "*th2"
+    path = _write(tmp_path, {
+        "name": "wide",
+        "kind": "plane_rotation",
+        "form": {"type": "gaussian_rotation"},
+        "values": ["1"],
+        "stokes": [{"domain": "flat_box", "form": form}],
+    })
+    assert main(["oracle", "--scenario", str(path), "--quiet"]) == 3
+    assert "nested too deeply to compile" in capsys.readouterr().err
 
 
 def test_cli_reports_check_failures(tmp_path, capsys):
