@@ -250,33 +250,33 @@ def random_datum(lay: ADHMSuperChart, rng: random.Random) -> dict:
     return {name: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for name in lay.chart.coords}
 
 
-def _traceless_diagonal(N: int) -> list:
-    """The Cartan symbols a1 .. a(N-1) followed by minus their sum."""
-    a_top = [sc.sym("a%d" % (r + 1,)) for r in range(N - 1)]
-    a_last = sc.ZERO
-    for e in a_top:
-        a_last = a_last - e
-    return a_top + [a_last]
+def _weight(lay: ADHMSuperChart, sector: str, i: int, j: int) -> tuple:
+    """The weight L_i - R_j + n1 e1 + n2 e2 of the entry (i, j) of `sector`,
+    read off `_CHARGES` as integer coefficients of `lay.params`, also for a
+    sector that the chart does not carry.  L and R are phi_1 .. phi_k on the
+    gauge side and a_1 .. a_N on the frame side, where a_N = -(a_1 + ..)."""
+    left, right, torus = _CHARGES[sector]
+    k, N = lay.k, lay.N
+
+    def diagonal(side: str, p: int) -> list:
+        if side == "gauge":
+            return [int(q == p) for q in range(k)] + [0] * (N - 1)
+        return [0] * k + [int(q == p) - int(p == N - 1) for q in range(N - 1)]
+
+    return tuple(x - y for x, y in zip(diagonal(left, i), diagonal(right, j))) + torus
+
+
+def _linear(lay: ADHMSuperChart, weight: tuple) -> sc.ScalarExpr:
+    """The normal form of the linear form with coefficients `weight` on `lay.params`."""
+    return sc.normalize(sum((c * sc.sym(p) for c, p in zip(weight, lay.params) if c), sc.ZERO))
 
 
 def entry_weight(lay: ADHMSuperChart, sector: str, i: int, j: int) -> sc.ScalarExpr:
     """The torus weight w = L_i - R_j + n1 e1 + n2 e2 of the entry (i, j)
-    of `sector`, read off `_CHARGES` in the chart's symbols: L and R are
-    phi_1 .. phi_k on the gauge side and the traceless a on the frame
-    side.  The infinitesimal action turns that entry z into i w z."""
+    of `sector` in the chart's symbols (`_weight`).  The infinitesimal
+    action turns that entry z into i w z."""
     lay.coord_index(sector, i, j)  # ShapeMismatch off the block
-    return _charge_weight(lay, sector, i, j)
-
-
-def _charge_weight(lay: ADHMSuperChart, sector: str, i: int, j: int) -> sc.ScalarExpr:
-    """entry_weight's w, also for a sector that the chart does not carry."""
-    left, right, (n1, n2) = _CHARGES[sector]
-    diagonal = {
-        "gauge": [sc.sym("phi%d" % (p + 1,)) for p in range(lay.k)],
-        "frame": _traceless_diagonal(lay.N),
-    }
-    torus = sc.rational(n1) * sc.sym("e1") + sc.rational(n2) * sc.sym("e2")
-    return sc.normalize(diagonal[left][i] - diagonal[right][j] + torus)
+    return _linear(lay, _weight(lay, sector, i, j))
 
 
 # Multiplier sectors whose fermion leads: Q chi = H and Q H = d chi.
@@ -471,16 +471,16 @@ def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
 
     At instanton number one the fixed classes are labelled by the frame
     index carrying the single unit of charge, at real constraint level 1.
-    The tangent weights are those of the matter entries at the compensating
-    phi, less one gauge weight (HR's charges) and one weight of the complex
-    moment map (HC's); a removal that finds no copy raises ComputationError.
+    The tangent weights are the character of the matter entries at the
+    compensating phi = a_r, a map from weight to multiplicity, less one
+    gauge weight (HR's charges) and one weight of the complex moment map
+    (HC's); a multiplicity below zero raises ComputationError.
     """
     N = lay.N
     if lay.k != 1:
         raise ShapeMismatch("fixed-point enumeration only covers k = 1")
     if N < 2:
         raise ShapeMismatch("need N >= 2 for isolated fixed data")
-    a_diag = _traceless_diagonal(N)
     zero = [[(0, 0)]]
     out = []
     for r in range(N):
@@ -490,23 +490,19 @@ def adhm_fixed_points(lay: ADHMSuperChart, V: Sequence) -> list:
         # the real constraint is 1 + 0i and the complex one 0
         if [sc.evaluate(v, binding) for v in V] != [1, 0, 0, 0]:
             raise ComputationError("fixed datum r=%d misses the constraint level" % (r,))
-        phi = sc.normalize(a_diag[r])
-
-        def at_phi(sector, i, j):
-            return sc.substitute(_charge_weight(lay, sector, i, j), {"phi1": phi})
-
-        weights = [
-            at_phi(name, i, j)
-            for name in MATTER_SECTORS
-            for i in range(lay.shape(name)[0])
-            for j in range(lay.shape(name)[1])
-        ]
-        for name in ("HR", "HC"):
-            w = at_phi(name, 0, 0)
-            if w not in weights:
-                raise ComputationError(
-                    "fixed datum r=%d has no tangent weight %s to remove" % (r, sc.to_text(w))
-                )
-            weights.remove(w)
+        # the entry I_r is fixed, so its weight phi1 - a_r is zero at phi = a_r
+        shift = _weight(lay, "I", 0, r)
+        signed = [(name, i, j, 1) for name in MATTER_SECTORS
+                  for i in range(lay.shape(name)[0]) for j in range(lay.shape(name)[1])]
+        character = {}
+        for name, i, j, count in signed + [("HR", 0, 0, -1), ("HC", 0, 0, -1)]:
+            w = _weight(lay, name, i, j)
+            w = tuple(x - w[0] * s for x, s in zip(w, shift))
+            character[w] = character.get(w, 0) + count
+            if character[w] < 0:
+                raise ComputationError("fixed datum r=%d has no tangent weight %s to remove"
+                                       % (r, sc.to_text(_linear(lay, w))))
+        phi = sc.normalize(sc.sym("phi1") - _linear(lay, shift))
+        weights = [_linear(lay, w) for w, n in character.items() for _ in range(n)]
         out.append(ADHMFixedPoint(r, binding, phi, tuple(weights)))
     return out

@@ -360,8 +360,15 @@ def parse_super(chart: SuperChart, text: str) -> SuperFunction:
         if isinstance(node, sc.Sym):
             return SuperFunction.generator(chart, gens[node.name]) if node.name in gens else node
         if isinstance(node, (sc.Add, sc.Mul)):
-            op = operator.add if isinstance(node, sc.Add) else operator.mul
-            return functools.reduce(op, map(lift, node.args))
+            # a written-out sum or product nests to the left: walk that chain
+            # in a loop and reduce its operands left to right, as it associates
+            kind, tails = type(node), []
+            while isinstance(node, kind):
+                tails.append(node.args[1:])
+                node = node.args[0]
+            operands = [node] + [arg for tail in reversed(tails) for arg in tail]
+            op = operator.add if kind is sc.Add else operator.mul
+            return functools.reduce(op, map(lift, operands))
         if isinstance(node, sc.Pow):
             base, k = lift(node.base), node.exponent
             if isinstance(base, SuperFunction) and k < 0:

@@ -701,10 +701,12 @@ def test_fixed_points_raise_when_constraint_fails():
         adhm_fixed_points(lay, [sc.ONE, sc.ZERO, sc.ONE, sc.ZERO])
 
 
-def test_fixed_points_raise_when_a_weight_to_remove_is_missing(monkeypatch):
-    # a complex moment map of charge 2 e1 has no tangent direction to cancel
-    monkeypatch.setitem(adhm._CHARGES, "HC", ("gauge", "gauge", (2, 0)))
-    with pytest.raises(ComputationError, match="no tangent weight 2\\*e1 to remove"):
+@pytest.mark.parametrize("charge, weight", [((2, 0), "2\\*e1"), ((0, 0), "0")], ids=["2e1", "0"])
+def test_fixed_points_raise_when_a_weight_to_remove_is_missing(monkeypatch, charge, weight):
+    # a complex moment map of charge 2 e1 has no tangent direction to cancel;
+    # one of charge 0 cancels the gauge weight 0 a second time, after HR
+    monkeypatch.setitem(adhm._CHARGES, "HC", ("gauge", "gauge", charge))
+    with pytest.raises(ComputationError, match="no tangent weight %s to remove" % (weight,)):
         _fixed_points(1, 2)
 
 
@@ -727,11 +729,12 @@ def test_fixed_points_read_the_same_on_the_full_chart(N):
         assert (matter.r, matter.phi, matter.weights) == (full.r, full.phi, full.weights)
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_charge_table_gives_the_fixed_point_weights(N):
     # at phi = a_r the flow's weight of each matter entry, leaving out the
     # I entry (weight 0) and the J entry (weight e1 + e2) of frame r, gives
-    # the tangent weights, in order: e1, e2, a_r - a_s and a_s - a_r + e1 + e2
+    # the tangent weights, in order: e1, e2, a_r - a_s and a_s - a_r + e1 + e2.
+    # The symbolic substitution below is a route independent of the character.
     e1, e2 = sc.sym("e1"), sc.sym("e2")
     a = [sc.sym("a%d" % (s + 1,)) for s in range(N - 1)]
     a.append(sc.ZERO - sum(a, sc.ZERO))
@@ -741,6 +744,9 @@ def test_charge_table_gives_the_fixed_point_weights(N):
         literal = [e1, e2] + [a[fp.r] - a[s] for s in others]
         literal += [a[s] - a[fp.r] + e1 + e2 for s in others]
         assert fp.weights == tuple(sc.normalize(w) for w in literal)
+        # 2kN directions at k = 1, none of them fixed by the torus
+        assert len(fp.weights) == 2 * N
+        assert sc.ZERO not in fp.weights
         dropped = {("I", 0, fp.r): [], ("J", fp.r, 0): []}
         weights = []
         for name in adhm.MATTER_SECTORS:

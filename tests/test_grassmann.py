@@ -18,6 +18,7 @@ from superloc import scalars as sc
 from superloc.actions import ActionSpec, action_lift, fundamental_field, square_residual
 from superloc.adhm import adhm_lifted_field, adhm_super_chart
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
+from superloc.geometry import flat_box_domain
 from superloc.grassmann import (
     SuperChart,
     SuperFunction,
@@ -553,6 +554,18 @@ def test_parse_super_negative_power_of_a_pure_body():
     for text in ("(x/0)^0*th1", "(x*0^-1)^0*th1"):
         with pytest.raises(ZeroDivisionError):
             parse_super(CHART, text)
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_parse_super_reads_a_long_written_out_sum(n):
+    # the scalar parser nests x^0*th2 + x^1*th2 + ... to the left, one level
+    # per term; the lift walks that chain without recursing per term
+    chart = flat_box_domain().spec.chart
+    th2 = SuperFunction.generator(chart, 2)
+    want = SuperFunction.zero(chart)
+    for i in range(n):
+        want = want + sc.sym("x") ** i * th2
+    assert parse_super(chart, " + ".join("x^%d*th2" % i for i in range(n))) == want
 
 
 CHART3 = SuperChart(coords=("x", "y", "z"), n=3)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from superloc import actions, harness
+from superloc import actions, cli, harness
 from superloc import scalars as sc
 from superloc.actions import action_lift, tautological_Q, verify_brst
 from superloc.cli import main
@@ -201,6 +202,10 @@ def test_schema_rejections(tmp_path):
         load_scenario(_write(tmp_path, dict(plane, stokes=[
             {"domain": "flat_box", "form": "(x+y+1)^200*th2"}])))
     assert time.perf_counter() - t0 < 1.0
+    # a long written-out sum parses: the lift does not recurse once per term
+    long_sum = " + ".join("x^%d*th2" % i for i in range(500))
+    loaded = load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": long_sum}])))
+    assert loaded["stokes"][0]["form"] == long_sum
     with pytest.raises(SchemaError, match="unsupported plane_rotation form 'closed_polynomial'"):
         load_scenario(_write(tmp_path, dict(plane, form={"type": "closed_polynomial"})))
     # a zeroth power divides by zero when its base does
@@ -550,6 +555,13 @@ def test_cli_console_output(capsys):
     text = capsys.readouterr().out
     assert "verify_brst" in text
     assert "1 passed, 0 failed, 0 skipped" in text
+
+
+def test_cli_help_names_exactly_the_bundled_scenarios():
+    # the epilog lists the names --scenario accepts, in parentheses
+    listed = re.search(r"\((.*)\)", cli._EPILOG, re.S).group(1)
+    names = sorted(name.strip() for name in listed.split(","))
+    assert names == sorted(path.stem for path in (SRC / "superloc" / "scenarios").glob("*.json"))
 
 
 def test_cli_report_write_error_exit_code(tmp_path, capsys):
