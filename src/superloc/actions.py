@@ -278,7 +278,10 @@ def christoffel(h, coords) -> list:
     """Levi-Civita symbols Gamma[i][k][j] for the metric h in these coordinates."""
     # summed per entry: one combine per entry divides 55 times, not 33, in a sphere_dh brst-check
     m = len(coords)
-    hinv = linalg.inverse([[sc.as_expr(e) for e in row] for row in h])
+    h = [[sc.as_expr(e) for e in row] for row in h]
+    hinv = linalg.inverse(h)
+    # dh[k][l][j] = d_k h_lj, each partial taken once
+    dh = [[[sc.differentiate(e, c) for e in row] for row in h] for c in coords]
     out = []
     for i in range(m):
         plane = []
@@ -287,12 +290,7 @@ def christoffel(h, coords) -> list:
             for j in range(m):
                 acc = sc.ZERO
                 for l in range(m):
-                    term = (
-                        sc.differentiate(sc.as_expr(h[l][j]), coords[k])
-                        + sc.differentiate(sc.as_expr(h[l][k]), coords[j])
-                        - sc.differentiate(sc.as_expr(h[k][j]), coords[l])
-                    )
-                    acc = acc + hinv[i][l] * term
+                    acc = acc + hinv[i][l] * (dh[k][l][j] + dh[j][l][k] - dh[l][k][j])
                 row.append(normalize(Fraction(1, 2) * acc))
             plane.append(row)
         out.append(plane)
@@ -353,15 +351,15 @@ def field_residual_text(X) -> list:
 
 
 def _coordinate_free(expr: ScalarExpr, coords) -> bool:
-    """True when every partial derivative along coords vanishes; an
-    expression that names no coordinate needs no differentiation."""
-    if sc.free_symbols(expr).isdisjoint(coords):
-        return True
-    return all(sc.is_zero(sc.differentiate(expr, c)) for c in coords)
+    """True when every partial derivative along coords vanishes; one along a
+    coordinate that expr does not name is zero and is not taken."""
+    names = sc.free_symbols(expr)
+    return all(sc.differentiate(expr, c) is sc.ZERO for c in coords if c in names)
 
 
 def _is_affine(expr: ScalarExpr, coords) -> bool:
-    return all(_coordinate_free(sc.differentiate(expr, c), coords) for c in coords)
+    names = sc.free_symbols(expr)
+    return all(_coordinate_free(sc.differentiate(expr, c), coords) for c in coords if c in names)
 
 
 def _parameter_partial(X: SuperVectorField, name: str) -> SuperVectorField:

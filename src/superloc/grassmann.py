@@ -13,7 +13,7 @@ import operator
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import scalars as sc
-from .errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
+from .errors import DimensionMismatch, IndexOutOfRange, ShapeMismatch, WrongGrade, ZeroBody
 from .records import FrozenRecord
 from .scalars import Binding, ScalarExpr, normalize
 
@@ -24,13 +24,17 @@ _MERGE_SIGN_CACHE = 1 << 14
 
 
 class SuperChart(FrozenRecord):
-    """Even coordinate names plus the number of odd generators, which are
-    named th1..thn."""
+    """Distinct even coordinate names plus the number of odd generators,
+    which are named th1..thn."""
 
     __slots__ = ("coords", "n")
 
     def __init__(self, coords: Tuple[str, ...], n: int) -> None:
-        object.__setattr__(self, "coords", tuple(coords))
+        coords = tuple(coords)
+        if len(set(coords)) < len(coords):
+            repeated = next(c for i, c in enumerate(coords) if c in coords[:i])
+            raise ShapeMismatch("chart coordinate %r is repeated" % (repeated,))
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "n", n)
 
     @property
@@ -349,10 +353,10 @@ def parse_super(chart: SuperChart, text: str) -> SuperFunction:
     """Parse the superfunction text form on the given chart.
 
     The scalar parser reads the text. A subtree that names no generator
-    th1..thn stays a scalar; every other one is rebuilt as a superfunction
-    with the operator the parser built it with, left to right, so the
-    Grassmann order holds. A quotient is a negative power, which only a
-    pure body takes.
+    th1..thn stays one scalar node of its own class; every other one is
+    rebuilt as a superfunction: a product left to right, so the Grassmann
+    order holds, and a sum in one normal form per odd index. A quotient is
+    a negative power, which only a pure body takes.
     """
     gens = {name: k for k, name in enumerate(chart.odd_names, start=1)}
 
@@ -360,15 +364,18 @@ def parse_super(chart: SuperChart, text: str) -> SuperFunction:
         if isinstance(node, sc.Sym):
             return SuperFunction.generator(chart, gens[node.name]) if node.name in gens else node
         if isinstance(node, (sc.Add, sc.Mul)):
-            # a written-out sum or product nests to the left: walk that chain
-            # in a loop and reduce its operands left to right, as it associates
-            kind, tails = type(node), []
-            while isinstance(node, kind):
-                tails.append(node.args[1:])
-                node = node.args[0]
-            operands = [node] + [arg for tail in reversed(tails) for arg in tail]
-            op = operator.add if kind is sc.Add else operator.mul
-            return functools.reduce(op, map(lift, operands))
+            args = tuple(map(lift, node.args))
+            if not any(isinstance(a, SuperFunction) for a in args):
+                return type(node)(args)
+            if isinstance(node, sc.Mul):
+                return functools.reduce(operator.mul, args)
+            # a sum of normal forms is reduced already, so one normal form
+            # per odd index equals the sum taken term by term
+            sums: dict = {}
+            for a in args:
+                for idx, c in _coerce(chart, a).terms.items():
+                    sums.setdefault(idx, []).append(c)
+            return SuperFunction._result(chart, {idx: sc.Add(tuple(cs)) for idx, cs in sums.items()})
         if isinstance(node, sc.Pow):
             base, k = lift(node.base), node.exponent
             if isinstance(base, SuperFunction) and k < 0:

@@ -279,7 +279,6 @@ _MUL_TERMS = 100000
 # Kernel cache bounds, in entries. Evicting an entry only costs its
 # recomputation.
 _NORMALIZE_CACHE = 1 << 16
-_DIFFERENTIATE_CACHE = 1 << 16
 _ATOM_KEY_CACHE = 1 << 12
 _POLY_CACHE = 1 << 16
 _RAT_CACHE = 1 << 12
@@ -630,14 +629,7 @@ def is_zero(e: ScalarExpr) -> bool:
 
 def differentiate(e: ScalarExpr, name: str) -> ScalarExpr:
     """Exact partial derivative with respect to the named symbol."""
-    return _differentiate(normalize(e), name)
-
-
-@functools.lru_cache(maxsize=_DIFFERENTIATE_CACHE)
-def _differentiate(n: ScalarExpr, name: str) -> ScalarExpr:
-    p = _poly_derive(_expr_to_poly(n), {name: {(): 1}})
-    # most misses are by a symbol that does not occur: no normal form to build
-    return _normal_form(p) if p else ZERO
+    return combine([(1, normalize(e), {name: ONE})])
 
 
 def derive(e: ScalarExpr, field: Mapping[str, ScalarExpr]) -> ScalarExpr:
@@ -1025,20 +1017,22 @@ class _Parser:
         return e
 
     def expr(self) -> ScalarExpr:
-        e = self.term()
+        """A written-out sum as one Add; a '-' term is -t."""
+        terms = [self.term()]
         while self.peek() in "+-":
             op = self.take()[0]
             rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+            terms.append(rhs if op == "+" else -rhs)
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> ScalarExpr:
-        e = self.unary()
+        """A written-out product as one Mul; a '/' factor is t^-1."""
+        factors = [self.unary()]
         while self.peek() in "*/":
             op = self.take()[0]
             rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
-        return e
+            factors.append(rhs if op == "*" else Pow(rhs, -1))
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def unary(self) -> ScalarExpr:
         if self.peek() == "-":

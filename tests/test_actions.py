@@ -488,6 +488,23 @@ def test_christoffel_against_finite_differences():
                 assert abs(sym - fd) < 1e-6
 
 
+def test_christoffel_takes_each_metric_partial_once(monkeypatch):
+    # m^3 = 8 partials d_k h_lj on a 2-dimensional chart; three per term of
+    # every symbol would be 3 m^4 = 48
+    calls = []
+    real = sc.differentiate
+
+    def counted(e, name):
+        calls.append(name)
+        return real(e, name)
+
+    north = sphere_chart("north")
+    want = christoffel(north.h, ("x", "y"))
+    monkeypatch.setattr(sc, "differentiate", counted)
+    assert christoffel(north.h, ("x", "y")) == want
+    assert len(calls) <= 8
+
+
 def test_sigma_parallel_tautological():
     h = ((sc.ONE + X * X, sc.ZERO), (sc.ZERO, sc.ONE))
     sigma = ((sc.ONE, sc.ZERO), (sc.ZERO, sc.ONE))

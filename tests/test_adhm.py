@@ -98,6 +98,16 @@ def test_chart_indexing(boson_matrix):
         lay.coord_index("I", 2, 0)
 
 
+def test_chart_names_are_distinct_up_to_k_11():
+    # entry (i, j) is named by its digits, so from k = 12 on B1's entries
+    # (1, 10) and (11, 0) share a name, and the chart refuses it
+    with pytest.raises(ShapeMismatch, match="chart coordinate 'B1_110_re' is repeated"):
+        adhm_super_chart(12, 2)
+    lay = adhm_super_chart(11, 11, full=True)
+    coords = lay.chart.coords
+    assert len(set(coords)) == len(coords) == sum(2 * r * c for _, r, c in lay.sectors)
+
+
 # ---------------------------------------------------------------------------
 # data as bindings: constraints and group actions
 

@@ -248,3 +248,28 @@ def test_every_benchmark_span_target_resolves():
         if not callable(owner):
             missing.append(name)
     assert targets and missing == []
+
+
+def _cache_decorated():
+    """(module, function) for each function of the package decorated with
+    functools' lru_cache or cache, found in the source."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        yield path.stem, node.name
+
+
+def test_every_cache_is_bounded():
+    """Every functools cache in the package has a finite maxsize."""
+    found = list(_cache_decorated())
+    assert ("scalars", "normalize") in found and ("oracle", "_tensor_weights") in found
+    unbounded = [
+        "%s.%s" % (module, name)
+        for module, name in found
+        if getattr(importlib.import_module("superloc." + module), name).cache_info().maxsize is None
+    ]
+    assert unbounded == []

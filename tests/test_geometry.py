@@ -141,7 +141,6 @@ def test_closed_polynomial_builds_three_normal_forms_per_chart(monkeypatch):
         builds = [lambda patch=patch: closed_polynomial(patch, coeffs) for patch in sphere_atlas()]
         for build in builds + [lambda: sphere_polynomial_patch(coeffs)]:
             sc.normalize.cache_clear()
-            sc._differentiate.cache_clear()
             sc._POLY.clear()
             built.clear()
             build()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -558,14 +559,24 @@ def test_parse_super_negative_power_of_a_pure_body():
 
 @pytest.mark.parametrize("n", [500, 1000])
 def test_parse_super_reads_a_long_written_out_sum(n):
-    # the scalar parser nests x^0*th2 + x^1*th2 + ... to the left, one level
-    # per term; the lift walks that chain without recursing per term
+    # the scalar parser reads x^0*th2 + x^1*th2 + ... as one Add, whose
+    # terms the lift sums in one normal form; the reference adds term by term
     chart = flat_box_domain().spec.chart
     th2 = SuperFunction.generator(chart, 2)
     want = SuperFunction.zero(chart)
     for i in range(n):
         want = want + sc.sym("x") ** i * th2
     assert parse_super(chart, " + ".join("x^%d*th2" % i for i in range(n))) == want
+
+
+def test_parse_super_sums_2000_terms_in_under_a_second():
+    # one normal form per odd index; one per term added is quadratic
+    chart = flat_box_domain().spec.chart
+    text = " + ".join("x^%d*th2" % i for i in range(2000))
+    t0 = time.perf_counter()
+    f = parse_super(chart, text)
+    assert time.perf_counter() - t0 < 1.0
+    assert list(f.terms) == [(2,)] and len(f.terms[(2,)].args) == 2000
 
 
 CHART3 = SuperChart(coords=("x", "y", "z"), n=3)

@@ -206,12 +206,23 @@ def test_schema_rejections(tmp_path):
     long_sum = " + ".join("x^%d*th2" % i for i in range(500))
     loaded = load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": long_sum}])))
     assert loaded["stokes"][0]["form"] == long_sum
+    # nor does normalize once per term of a written-out scalar sum
+    long_factor = "(%s)*th2" % "+".join("x^%d" % i for i in range(1000))
+    loaded = load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": long_factor}])))
+    assert loaded["stokes"][0]["form"] == long_factor
     with pytest.raises(SchemaError, match="unsupported plane_rotation form 'closed_polynomial'"):
         load_scenario(_write(tmp_path, dict(plane, form={"type": "closed_polynomial"})))
     # a zeroth power divides by zero when its base does
     for text in ("x/0*th2", "(x/0)^0*th2"):
         with pytest.raises(SchemaError, match="stokes form does not parse: inverse of zero expression"):
             load_scenario(_write(tmp_path, dict(plane, stokes=[{"domain": "flat_box", "form": text}])))
+
+
+def test_adhm_chart_with_a_repeated_coordinate_is_a_computation_error(tmp_path, capsys):
+    # at k = 12, B1's entries (1, 10) and (11, 0) are both named B1_110_re
+    path = _write(tmp_path, {"name": "big", "kind": "adhm", "k": 12, "N": 2})
+    assert main(["brst-check", "--scenario", str(path), "--quiet"]) == 3
+    assert capsys.readouterr().err == "computation error: chart coordinate 'B1_110_re' is repeated\n"
 
 
 def test_sphere_compare_matches_reference():
@@ -693,7 +704,7 @@ def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
     # From cold kernel caches. Each pairing residual of the multiplier
     # completion is one combine of its derivation pass and its products,
     # and a derivative that is zero builds no normal form; this run builds
-    # 1,023, and 2,464 with a normal form per derivative and per sum.
+    # 1,022, and 2,464 with a normal form per derivative and per sum.
     built = []
     normal_form = sc._normal_form
 
@@ -702,12 +713,28 @@ def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
         return normal_form(p)
 
     sc.normalize.cache_clear()
-    sc._differentiate.cache_clear()
     sc._POLY.clear()
     monkeypatch.setattr(sc, "_normal_form", counted)
     report = run_brst_check(load_scenario(BUNDLED % "adhm_k2_n2_brst"))
     assert report["checks"] and all(rec["status"] != "fail" for rec in report["checks"])
     assert len(built) <= 1200
+
+
+def test_adhm_brst_check_takes_at_most_480_derivatives(monkeypatch):
+    # _is_affine and _coordinate_free differentiate only along the
+    # coordinates an expression names; along every coordinate of the
+    # chart, this run takes 1,472 derivatives
+    calls = []
+    differentiate = sc.differentiate
+
+    def counted(e, name):
+        calls.append(name)
+        return differentiate(e, name)
+
+    monkeypatch.setattr(sc, "differentiate", counted)
+    report = run_brst_check(load_scenario(BUNDLED % "adhm_k2_n2_brst"))
+    assert report["checks"] and all(rec["status"] != "fail" for rec in report["checks"])
+    assert len(calls) <= 480
 
 
 def test_sphere_poly_localize_divides_at_most_120_times(monkeypatch):
@@ -722,7 +749,6 @@ def test_sphere_poly_localize_divides_at_most_120_times(monkeypatch):
         return divmod_(c, g)
 
     sc.normalize.cache_clear()
-    sc._differentiate.cache_clear()
     sc._POLY.clear()
     monkeypatch.setattr(sc, "_poly_divmod", counted)
     report = run_localize(load_scenario(BUNDLED % "sphere_poly"))
