@@ -30,6 +30,7 @@ from .grassmann import (
     SuperVectorField,
     field_is_zero,
     graded_commutator,
+    square_residual,
     to_super_text,
 )
 from .records import Record
@@ -324,18 +325,6 @@ def check_sigma_parallel(sigma, h, chart: SuperChart, samples=None, tol=1e-8):
 # ---------------------------------------------------------------------------
 # BRST verification.
 # ---------------------------------------------------------------------------
-
-
-def square_residual(Q: SuperVectorField, lift: SuperVectorField) -> SuperVectorField:
-    """(1/2)[Q, Q] - lift, zero exactly when Q squares to the lifted flow.
-
-    For odd Q, (1/2)[Q, Q] = Q∘Q, the field with components Q(Q^i) and
-    Q(Q^A), so Q is applied once per component; for even Q it is 0.
-    """
-    if lift.parity != 0:
-        raise DimensionMismatch("cannot add fields of different parity")
-    res = (lambda q, flow: Q.apply(q) - flow) if Q.parity % 2 else (lambda q, flow: -flow)
-    return SuperVectorField(Q.chart, 0, tuple(map(res, Q.a, lift.a)), tuple(map(res, Q.b, lift.b)))
 
 
 def field_residual_text(X) -> list:

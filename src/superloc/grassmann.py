@@ -80,14 +80,12 @@ class SuperFunction:
         self.terms = {k: v for k, v in clean.items() if v is not sc.ZERO}
 
     @classmethod
-    def _result(cls, chart: SuperChart, terms: dict, form=None) -> "SuperFunction":
-        """An arithmetic result, whose keys are valid by construction: only
-        the coefficients are brought to normal form, by form or else by
-        normalize as bound when called, and the zero ones dropped."""
-        form = form or normalize
+    def _result(cls, chart: SuperChart, parts: dict) -> "SuperFunction":
+        """An arithmetic result, whose keys are valid by construction: the terms
+        of each odd index are one combine, and the zero ones dropped."""
         self = object.__new__(cls)
         self.chart = chart
-        self.terms = {k: c for k, v in terms.items() if (c := form(v)) is not sc.ZERO}
+        self.terms = {k: c for k, ts in parts.items() if (c := sc.combine(ts)) is not sc.ZERO}
         return self
 
     # -- constructors ------------------------------------------------------
@@ -116,32 +114,27 @@ class SuperFunction:
         if self.chart is not other.chart and self.chart != other.chart:
             raise DimensionMismatch("superfunctions live on different charts")
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int, own: int = 1):
+        """own * self + sign * other, one combine per odd index."""
         other = _coerce(self.chart, other)
         if other is NotImplemented:
             return NotImplemented
         self._check_chart(other)
-        merged = dict(self.terms)
-        for idx, c in other.terms.items():
-            merged[idx] = merged[idx] + c if idx in merged else c
-        return SuperFunction._result(self.chart, merged)
+        return SuperFunction._result(self.chart, _add_terms(_add_terms({}, own, self), sign, other))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(self.chart, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        other = _coerce(self.chart, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return self._sum(other, 1, -1)
 
     def __neg__(self):
-        return SuperFunction._result(self.chart, {k: -v for k, v in self.terms.items()})
+        return SuperFunction._result(self.chart, _add_terms({}, -1, self))
 
     def __mul__(self, other):
         other = _coerce(self.chart, other)
@@ -154,8 +147,7 @@ class SuperFunction:
                 merged, sign = _merge_sign(il, ir)
                 if merged is None:
                     continue
-                term = cl * cr if sign > 0 else -(cl * cr)
-                out[merged] = out[merged] + term if merged in out else term
+                out.setdefault(merged, []).append((sign, cl, cr))
         return SuperFunction._result(self.chart, out)
 
     def __rmul__(self, other):
@@ -202,6 +194,13 @@ class SuperFunction:
         return frozenset().union(*map(sc.free_symbols, self.terms.values()))
 
 
+def _add_terms(parts: dict, sign: int, f: SuperFunction) -> dict:
+    """Add sign * f to parts, one combine term per coefficient; return parts."""
+    for idx, c in f.terms.items():
+        parts.setdefault(idx, []).append((sign, c, sc.ONE))
+    return parts
+
+
 def _coerce(chart: SuperChart, value):
     if isinstance(value, SuperFunction):
         return value
@@ -231,7 +230,12 @@ class SuperVectorField(FrozenRecord):
         object.__setattr__(self, "b", tuple(b))
 
     def apply(self, f: SuperFunction) -> SuperFunction:
-        """Sum of a^i d_i f + b^A d_A f, each coefficient one normal form.
+        """Sum of a^i d_i f + b^A d_A f, each coefficient one normal form."""
+        return SuperFunction._result(self.chart, self._apply_terms({}, 1, f))
+
+    def _apply_terms(self, parts: dict, sign: int, f: SuperFunction) -> dict:
+        """Add the combine terms of sign * X(f) to parts by odd index, and
+        return parts.
 
         For each odd index il, the a^i[il] of the coordinates that occur in
         f form one field, along which each coefficient of f is derived in
@@ -244,38 +248,51 @@ class SuperVectorField(FrozenRecord):
             if name in names:
                 for il, c in comp.terms.items():
                     fields.setdefault(il, {})[name] = c
-        parts: dict = {}
         for il, field in fields.items():
             for ir, c in f.terms.items():
-                merged, sign = _merge_sign(il, ir)
+                merged, s = _merge_sign(il, ir)
                 if merged is not None:
-                    parts.setdefault(merged, []).append((sign, c, field))
+                    parts.setdefault(merged, []).append((sign * s, c, field))
         for ir, c in f.terms.items():
             for pos, A in enumerate(ir):
                 rest = ir[:pos] + ir[pos + 1:]
                 for il, cl in self.b[A - 1].terms.items():
-                    merged, sign = _merge_sign(il, rest)
+                    merged, s = _merge_sign(il, rest)
                     if merged is not None:
-                        parts.setdefault(merged, []).append((-sign if pos % 2 else sign, cl, c))
-        return SuperFunction._result(self.chart, parts, sc.combine)
+                        parts.setdefault(merged, []).append((sign * s * (-1) ** pos, cl, c))
+        return parts
 
 
 def graded_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
-    """[X, Y] = X Y - (-1)^{|X||Y|} Y X, itself a derivation."""
+    """[X, Y] = X Y - (-1)^{|X||Y|} Y X, itself a derivation: each
+    coefficient of X(Y^i) - (-1)^{|X||Y|} Y(X^i) is one combine."""
     if X.chart != Y.chart:
         raise DimensionMismatch("fields live on different charts")
-    sign = (-1) ** (X.parity * Y.parity)
-    a = []
-    for i in range(X.chart.m):
-        left = X.apply(Y.a[i])
-        right = Y.apply(X.a[i])
-        a.append(left - right if sign > 0 else left + right)
-    b = []
-    for A in range(X.chart.n):
-        left = X.apply(Y.b[A])
-        right = Y.apply(X.b[A])
-        b.append(left - right if sign > 0 else left + right)
-    return SuperVectorField(X.chart, (X.parity + Y.parity) % 2, tuple(a), tuple(b))
+    sign = -(-1) ** (X.parity * Y.parity)
+
+    def comp(y, x):
+        return SuperFunction._result(X.chart, Y._apply_terms(X._apply_terms({}, 1, y), sign, x))
+
+    return SuperVectorField(
+        X.chart, (X.parity + Y.parity) % 2, tuple(map(comp, Y.a, X.a)), tuple(map(comp, Y.b, X.b))
+    )
+
+
+def square_residual(Q: SuperVectorField, lift: SuperVectorField) -> SuperVectorField:
+    """(1/2)[Q, Q] - lift, zero exactly when Q squares to the lifted flow.
+
+    For odd Q, (1/2)[Q, Q] = Q∘Q, the field with components Q(Q^i) and
+    Q(Q^A), so Q is applied once per component and each coefficient of
+    Q(Q^i) - lift^i is one combine; for even Q it is 0.
+    """
+    if Q.chart != lift.chart or lift.parity != 0:
+        raise DimensionMismatch("cannot add fields of different charts or parity")
+
+    def res(q, flow):
+        parts = Q._apply_terms({}, 1, q) if Q.parity % 2 else {}
+        return SuperFunction._result(Q.chart, _add_terms(parts, -1, flow))
+
+    return SuperVectorField(Q.chart, 0, tuple(map(res, Q.a, lift.a)), tuple(map(res, Q.b, lift.b)))
 
 
 def field_is_zero(X: SuperVectorField) -> bool:
@@ -369,13 +386,11 @@ def parse_super(chart: SuperChart, text: str) -> SuperFunction:
                 return type(node)(args)
             if isinstance(node, sc.Mul):
                 return functools.reduce(operator.mul, args)
-            # a sum of normal forms is reduced already, so one normal form
-            # per odd index equals the sum taken term by term
-            sums: dict = {}
+            # one combine per odd index over the normal forms of the args
+            parts: dict = {}
             for a in args:
-                for idx, c in _coerce(chart, a).terms.items():
-                    sums.setdefault(idx, []).append(c)
-            return SuperFunction._result(chart, {idx: sc.Add(tuple(cs)) for idx, cs in sums.items()})
+                _add_terms(parts, 1, _coerce(chart, a))
+            return SuperFunction._result(chart, parts)
         if isinstance(node, sc.Pow):
             base, k = lift(node.base), node.exponent
             if isinstance(base, SuperFunction) and k < 0:

@@ -8,15 +8,30 @@ import pytest
 from superloc import oracle
 from superloc import scalars as sc
 from superloc.adhm import adhm_constraint_scalars
-from superloc.grassmann import SuperFunction, SuperVectorField, graded_commutator
+from superloc.grassmann import SuperFunction, SuperVectorField
 from superloc.linalg import mat_add, mat_commutator, mat_mul, mat_scale, mat_sub
+
+
+def reference_graded_commutator(X: SuperVectorField, Y: SuperVectorField) -> SuperVectorField:
+    """[X, Y] = X Y - (-1)^{|X||Y|} Y X from two applications and one
+    subtraction per component: the definition that
+    grassmann.graded_commutator sums in one combine per coefficient."""
+    sign = (-1) ** (X.parity * Y.parity)
+
+    def comp(y, x):
+        left, right = X.apply(y), Y.apply(x)
+        return left - right if sign > 0 else left + right
+
+    return SuperVectorField(
+        X.chart, (X.parity + Y.parity) % 2, tuple(map(comp, Y.a, X.a)), tuple(map(comp, Y.b, X.b))
+    )
 
 
 def reference_square_residual(Q: SuperVectorField, lift: SuperVectorField) -> SuperVectorField:
     """(1/2)[Q, Q] - lift from the two-sided graded commutator
-    Q∘Q - (-1)^{|Q||Q|} Q∘Q, the definition that actions.square_residual
+    Q∘Q - (-1)^{|Q||Q|} Q∘Q, the definition that square_residual
     shortcuts by applying Q once."""
-    square = graded_commutator(Q, Q)
+    square = reference_graded_commutator(Q, Q)
 
     def comp(s, flow):
         return Fraction(1, 2) * s - flow
@@ -29,6 +44,11 @@ def reference_square_residual(Q: SuperVectorField, lift: SuperVectorField) -> Su
 @pytest.fixture
 def square_reference():
     return reference_square_residual
+
+
+@pytest.fixture
+def commutator_reference():
+    return reference_graded_commutator
 
 
 def reference_point_rule(f):

@@ -255,6 +255,32 @@ def test_verify_brst_flags_broken_symbol():
     assert not report["passed"]
 
 
+def _finite_status(Q, lift, params):
+    report = verify_brst(Q, lift, params)
+    return {c["name"]: c["status"] for c in report["conditions"]}["equivariance_finite"]
+
+
+def test_verify_brst_skips_finite_equivariance_of_a_nonlinear_base_action():
+    spec = ActionSpec(("t",), CHART, ((X * X, Y),))
+    status = _finite_status(tautological_Q(spec), action_lift(spec), spec.params)
+    assert status == "skipped(nonlinear base action)"
+
+
+def test_verify_brst_skips_finite_equivariance_of_a_coordinate_dependent_fiber():
+    lift = action_lift(ROTATION)
+    fiber = (lift.b[0] + parse_super(CHART, "x*th2"), *lift.b[1:])
+    bent = SuperVectorField(CHART, 0, lift.a, fiber)
+    status = _finite_status(tautological_Q(ROTATION), bent, ROTATION.params)
+    assert status == "skipped(coordinate-dependent fiber action)"
+
+
+def test_verify_brst_skips_finite_equivariance_of_odd_components_with_theta():
+    Q = tautological_Q(ROTATION)
+    shifted = SuperVectorField(CHART, 1, Q.a, (Q.b[0] + parse_super(CHART, "th1*th2"), *Q.b[1:]))
+    status = _finite_status(shifted, action_lift(ROTATION), ROTATION.params)
+    assert status == "skipped(odd components not of grade zero)"
+
+
 def test_sigma_from_Q_tautological():
     sigma = sigma_from_Q(tautological_Q(ROTATION))
     assert all(

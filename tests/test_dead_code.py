@@ -273,3 +273,19 @@ def test_every_cache_is_bounded():
         if getattr(importlib.import_module("superloc." + module), name).cache_info().maxsize is None
     ]
     assert unbounded == []
+
+
+def test_grassmann_brings_only_given_coefficients_to_normal_form():
+    """Each coefficient that grassmann's arithmetic, derivations and parser
+    build is one ``scalars.combine`` of signed terms. The name normalize
+    occurs only in its import, in ``SuperFunction.__init__``, which takes
+    arbitrary coefficients, and in ``invert_even``."""
+    tree = ast.parse((PACKAGE / "grassmann.py").read_text())
+    where = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            parts = [("%s.%s" % (node.name, getattr(item, "name", "")), item) for item in node.body]
+        else:
+            parts = [(getattr(node, "name", type(node).__name__), node)]
+        where |= {owner for owner, part in parts if _names(part)["normalize"]}
+    assert where == {"ImportFrom", "SuperFunction.__init__", "invert_even"}

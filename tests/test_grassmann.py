@@ -16,8 +16,14 @@ import pytest
 
 from superloc import grassmann
 from superloc import scalars as sc
-from superloc.actions import ActionSpec, action_lift, fundamental_field, square_residual
-from superloc.adhm import adhm_lifted_field, adhm_super_chart
+from superloc.actions import (
+    ActionSpec,
+    _parameter_partial,
+    action_lift,
+    fundamental_field,
+    square_residual,
+)
+from superloc.adhm import adhm_Q_full, adhm_Q_unconstrained, adhm_lifted_field, adhm_super_chart
 from superloc.errors import DimensionMismatch, IndexOutOfRange, WrongGrade, ZeroBody
 from superloc.geometry import flat_box_domain
 from superloc.grassmann import (
@@ -169,6 +175,14 @@ def test_scalar_coercion():
     f = 1 + x * th1 * SuperFunction.generator(CHART, 2)
     assert f.body() == sc.ONE
     assert f.top_component() == sc.normalize(x)
+
+
+def test_scalar_minus_superfunction():
+    f = parse_super(CHART, "x + 1 + y*th1 - th1*th2")
+    minus_y = sc.normalize(-sc.sym("y"))
+    assert (1 - f).terms == {(): sc.normalize(-sc.sym("x")), (1,): minus_y, (1, 2): sc.ONE}
+    assert (sc.sym("x") - f).terms == {(): sc.MINUS_ONE, (1,): minus_y, (1, 2): sc.ONE}
+    assert (2 - SuperFunction.from_scalar(CHART, 2)).is_zero()
 
 
 def test_chart_mismatch_rejected():
@@ -413,6 +427,63 @@ def test_square_residual_matches_the_commutator_reference(square_reference):
         Q = _random_field(rng, CHART4, 1)
         lift = _random_field(rng, CHART4, 0)
         _assert_same_field(square_residual(Q, lift), square_reference(Q, lift))
+
+
+def _adhm_pairs(k):
+    """(Q, lift, params) of the ADHM operator on the matter and on the full
+    chart at rank k, N = 2."""
+    for full in (False, True):
+        lay = adhm_super_chart(k, 2, full=full)
+        Q = (adhm_Q_full if full else adhm_Q_unconstrained)(lay)
+        yield Q, adhm_lifted_field(lay), lay.params
+
+
+def test_graded_commutator_equals_the_two_application_reference(commutator_reference):
+    rng = random.Random(47)
+    pairs = [
+        (_random_field(rng, CHART4, rng.randint(0, 1)), _random_field(rng, CHART4, rng.randint(0, 1)))
+        for _ in range(12)
+    ]
+    for k in (1, 2):
+        for Q, lift, params in _adhm_pairs(k):
+            pairs += [(Q, Q), (lift, Q), (Q, lift)]
+            pairs += [(_parameter_partial(lift, name), Q) for name in params]
+    for X, Y in pairs:
+        got, want = graded_commutator(X, Y), commutator_reference(X, Y)
+        assert (got.chart, got.parity) == (want.chart, want.parity)
+        assert [c.terms for c in got.a + got.b] == [c.terms for c in want.a + want.b]
+
+
+def test_commutator_and_square_build_one_normal_form_per_coefficient(monkeypatch):
+    # each (component, odd index) that X(Y^i) and Y(X^i), or Q(Q^i) and
+    # lift^i, contribute to is one combine: at most one normal form each,
+    # from cold kernel caches
+    built = []
+    normal_form = sc._normal_form
+
+    def counted(p):
+        built.append(p)
+        return normal_form(p)
+
+    def indices(X, f):
+        return set(X._apply_terms({}, 1, f))
+
+    monkeypatch.setattr(sc, "_normal_form", counted)
+    for Q, lift, params in _adhm_pairs(1):
+        X = _parameter_partial(lift, params[0])
+        cases = [
+            (lambda: graded_commutator(X, Q), [indices(X, q) | indices(Q, x)
+                                               for q, x in zip(Q.a + Q.b, X.a + X.b)]),
+            (lambda: graded_commutator(Q, Q), [indices(Q, q) for q in Q.a + Q.b]),
+            (lambda: square_residual(Q, lift), [indices(Q, q) | set(flow.terms)
+                                                for q, flow in zip(Q.a + Q.b, lift.a + lift.b)]),
+        ]
+        for build, assembled in cases:
+            sc.normalize.cache_clear()
+            sc._POLY.clear()
+            built.clear()
+            build()
+            assert len(built) <= sum(map(len, assembled))
 
 
 def test_square_residual_of_an_even_field_is_minus_the_lift():

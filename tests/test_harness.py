@@ -499,13 +499,13 @@ def test_adhm_brst_check_applies_Q_once_per_square_component(monkeypatch, square
     # (1/2)[Q, Q] = Q∘Q for odd Q; the two-sided commutator applies Q twice
     # per component, 312 applications in all on this scenario
     calls = []
-    original = SuperVectorField.apply
+    original = SuperVectorField._apply_terms
 
-    def counted(self, f):
+    def counted(self, parts, sign, f):
         calls.append(self.chart)
-        return original(self, f)
+        return original(self, parts, sign, f)
 
-    monkeypatch.setattr(SuperVectorField, "apply", counted)
+    monkeypatch.setattr(SuperVectorField, "_apply_terms", counted)
     scenario = load_scenario(BUNDLED % "adhm_k1_n2")
     report = run_brst_check(scenario)
     one_sided = len(calls)
@@ -566,6 +566,18 @@ def test_cli_console_output(capsys):
     text = capsys.readouterr().out
     assert "verify_brst" in text
     assert "1 passed, 0 failed, 0 skipped" in text
+
+
+def test_cli_console_output_prints_record_values(capsys):
+    def lines(argv):
+        assert main(argv) == 0
+        text = re.sub(r"\(\d+\.\d\ds\)", "(T)", capsys.readouterr().out)
+        return {line.split()[1]: line for line in text.splitlines()[1:-1]}
+
+    compare = lines(["compare", "--scenario", "flat_rotation"])["compare[t=1]"]
+    assert re.fullmatch(r"  pass +compare\[t=1\]  lhs=\S+  rhs=\S+  rel=\S+  \(T\)", compare)
+    sigma = lines(["brst-check", "--scenario", "sphere_dh"])["sigma_parallel[north]"]
+    assert sigma == "  pass       sigma_parallel[north]  abs=0  (T)"
 
 
 def test_cli_help_names_exactly_the_bundled_scenarios():
@@ -700,11 +712,9 @@ def test_cli_t_outside_float_range_exit_code(tmp_path, capsys, kind, form, comma
     assert "Traceback" not in err
 
 
-def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
-    # From cold kernel caches. Each pairing residual of the multiplier
-    # completion is one combine of its derivation pass and its products,
-    # and a derivative that is zero builds no normal form; this run builds
-    # 1,022, and 2,464 with a normal form per derivative and per sum.
+def _cold_brst_check_normal_forms(monkeypatch, name: str) -> int:
+    """Normal forms a passing brst-check of a bundled scenario builds from
+    cold kernel caches."""
     built = []
     normal_form = sc._normal_form
 
@@ -715,9 +725,29 @@ def test_adhm_brst_check_builds_at_most_1200_normal_forms(monkeypatch):
     sc.normalize.cache_clear()
     sc._POLY.clear()
     monkeypatch.setattr(sc, "_normal_form", counted)
-    report = run_brst_check(load_scenario(BUNDLED % "adhm_k2_n2_brst"))
+    report = run_brst_check(load_scenario(BUNDLED % name))
     assert report["checks"] and all(rec["status"] != "fail" for rec in report["checks"])
-    assert len(built) <= 1200
+    return len(built)
+
+
+def test_adhm_brst_check_builds_at_most_600_normal_forms(monkeypatch):
+    # Each pairing residual of the multiplier completion is one combine of
+    # its derivation pass and its products, a derivative that is zero
+    # builds no normal form, and each coefficient of a commutator or a
+    # square residual is one combine; this run builds 520, 1,022 with a
+    # normal form per application and per sum of them, and 2,464 with one
+    # per derivative too.
+    assert _cold_brst_check_normal_forms(monkeypatch, "adhm_k2_n2_brst") <= 600
+
+
+def test_sphere_brst_check_builds_at_most_60_normal_forms(monkeypatch):
+    # 50, and 79 with a normal form per application and per sum of them
+    assert _cold_brst_check_normal_forms(monkeypatch, "sphere_dh") <= 60
+
+
+def test_kahler_brst_check_builds_at_most_25_normal_forms(monkeypatch):
+    # 20, and 39 with a normal form per application and per sum of them
+    assert _cold_brst_check_normal_forms(monkeypatch, "kahler_c2") <= 25
 
 
 def test_adhm_brst_check_takes_at_most_480_derivatives(monkeypatch):

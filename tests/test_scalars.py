@@ -542,6 +542,38 @@ def test_node_pickled_under_another_hash_seed_finds_its_equal():
     assert {parse_scalar(text): 1}.get(pickle.loads(blob)) == 1
 
 
+def test_normal_form_pickled_here_equals_its_rebuild_under_another_hash_seed():
+    # the reverse direction: this process pickles, a child with another seed
+    # loads and compares with its own normal form of the same text
+    text = "x*exp(y)^-2 + (x + y)^-1 + 1/3"
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import pickle, sys; from superloc.scalars import normalize, parse_scalar\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "own = normalize(parse_scalar(%r))\n"
+        "assert loaded == own and hash(loaded) == hash(own) and normalize(loaded) == own\n"
+    ) % (text,)
+    blob = pickle.dumps(normalize(parse_scalar(text)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, input=blob,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_division_and_unary_plus_operators():
+    e = normalize(parse_scalar("x^2 + 3*y"))
+    assert to_text(normalize(e / 2)) == "1/2*x^2 + 3/2*y"
+    assert to_text(normalize(e / Y)) == "x^2*y^-1 + 3"
+    assert normalize(1 / e) == normalize(sc.Pow(e, -1))
+    assert to_text(normalize(1 / e)) == "(x^2 + 3*y)^-1"
+    with pytest.raises(ZeroDivisionError):
+        X / 0
+    assert +e is e
+
+
 def test_no_floats_inside_normal_forms():
     e = normalize(parse_scalar("2*x^2*exp(t*x) + 1/3"))
 
