@@ -7,50 +7,35 @@ or a report that cannot be written, 3 when a computation cannot finish.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import SchemaError, SuperlocError
 from .harness import RUNNERS, load_scenario, report_exit_code, serialize_report
 
-_EPILOG = """\
-The --scenario argument accepts either a path or the name of a bundled
-scenario (sphere_dh, sphere_poly, flat_rotation, adhm_k1_n2,
-adhm_k2_n2_brst, kahler_c2).
-"""
+_SCENARIOS = os.path.join(os.path.dirname(__file__), "scenarios")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    bundled = sorted(name[:-5] for name in os.listdir(_SCENARIOS) if name.endswith(".json"))
     parser = argparse.ArgumentParser(
         prog="superloc",
         description="Localization checks for supersymmetric integrals.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="The --scenario argument accepts either a path or the name of a "
+        "bundled scenario (%s)." % ", ".join(bundled),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (
-        ("localize", "evaluate the fixed-point formula"),
-        ("oracle", "run the quadrature oracle and boundary checks"),
-        ("compare", "localized value against the oracle"),
-        ("brst-check", "structural checks on the odd operator"),
-    ):
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("--scenario", required=True, help="scenario file or bundled name")
-        p.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
-        p.add_argument("--json", metavar="OUT", default=None, help="write the JSON report here")
-        p.add_argument("--quiet", action="store_true", help="suppress console output")
+    parser.add_argument("command", choices=RUNNERS)
+    parser.add_argument("--scenario", required=True, help="scenario file or bundled name")
+    parser.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
+    parser.add_argument("--json", metavar="OUT", default=None, help="write the JSON report here")
+    parser.add_argument("--quiet", action="store_true", help="suppress console output")
     return parser
 
 
-def _resolve_scenario(ref: str):
-    bundled = resources.files(__package__) / "scenarios" / (ref + ".json")
-    try:
-        if bundled.is_file():
-            return bundled
-    except OSError:
-        pass
-    return ref
+def _resolve_scenario(ref: str) -> str:
+    bundled = os.path.join(_SCENARIOS, ref + ".json")
+    return bundled if os.path.isfile(bundled) else ref
 
 
 def _print_report(report: dict) -> None:

@@ -112,11 +112,8 @@ def load_scenario(path) -> dict:
     digest of the raw bytes, used to tie reports to their inputs.
     """
     try:
-        if hasattr(path, "read_bytes"):
-            raw = path.read_bytes()
-        else:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise SchemaError("cannot read scenario: %s" % (exc,))
     try:

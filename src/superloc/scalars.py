@@ -644,10 +644,13 @@ def combine(terms: Sequence[tuple]) -> ScalarExpr:
     A term (sign, e, field), field a mapping, stands for sign times the
     derivative of e along field; a term (sign, a, b), b an expression, for
     sign * a * b. Expressions are read as the polynomials they spell, so
-    pass normal forms. A lone product goes through normalize and its memo.
+    pass normal forms. A lone (1, c, ONE) is c itself; any other lone
+    product goes through normalize and its memo.
     """
     if len(terms) == 1 and isinstance(terms[0][2], ScalarExpr):
         sign, a, b = terms[0]
+        if sign > 0 and b is ONE:
+            return a
         return normalize(a * b if sign > 0 else -(a * b))
     p: Poly = {}
     for sign, e, x in terms:

@@ -582,9 +582,57 @@ def test_cli_console_output_prints_record_values(capsys):
 
 def test_cli_help_names_exactly_the_bundled_scenarios():
     # the epilog lists the names --scenario accepts, in parentheses
-    listed = re.search(r"\((.*)\)", cli._EPILOG, re.S).group(1)
+    listed = re.search(r"\((.*)\)", cli._build_parser().epilog, re.S).group(1)
     names = sorted(name.strip() for name in listed.split(","))
     assert names == sorted(path.stem for path in (SRC / "superloc" / "scenarios").glob("*.json"))
+
+
+def _cli_exit(argv, capsys) -> tuple:
+    """The exit code and the captured output of an argparse exit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+def test_cli_unknown_command_exits_2(capsys):
+    code, captured = _cli_exit(["nope", "--scenario", "sphere_dh"], capsys)
+    assert code == 2
+    assert "invalid choice: 'nope'" in captured.err
+
+
+def test_cli_missing_scenario_exits_2(capsys):
+    code, captured = _cli_exit(["localize"], capsys)
+    assert code == 2
+    assert "--scenario" in captured.err
+
+
+def test_cli_tol_that_is_no_number_exits_2(capsys):
+    code, captured = _cli_exit(["compare", "--scenario", "sphere_dh", "--tol", "abc"], capsys)
+    assert code == 2
+    assert "invalid float value" in captured.err
+
+
+def test_cli_help_names_every_command_and_bundled_scenario(capsys):
+    code, captured = _cli_exit(["--help"], capsys)
+    assert code == 0
+    bundled = [path.stem for path in (SRC / "superloc" / "scenarios").glob("*.json")]
+    for name in list(harness.RUNNERS) + bundled:
+        assert name in captured.out
+
+
+def test_cli_bundled_name_and_its_path_give_the_same_report(tmp_path):
+    reports = []
+    for ref in ("sphere_dh", str(SRC / "superloc" / "scenarios" / "sphere_dh.json")):
+        out = tmp_path / "report.json"
+        assert main(["localize", "--scenario", ref, "--json", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        del report["timestamp"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_cli_options_may_come_before_the_command():
+    assert main(["--scenario", "flat_rotation", "localize", "--quiet"]) == 0
 
 
 def test_cli_report_write_error_exit_code(tmp_path, capsys):
@@ -712,9 +760,9 @@ def test_cli_t_outside_float_range_exit_code(tmp_path, capsys, kind, form, comma
     assert "Traceback" not in err
 
 
-def _cold_brst_check_normal_forms(monkeypatch, name: str) -> int:
-    """Normal forms a passing brst-check of a bundled scenario builds from
-    cold kernel caches."""
+def _cold_normal_forms(monkeypatch, name: str, command: str) -> int:
+    """Normal forms a passing run of a command on a bundled scenario builds
+    from cold kernel caches."""
     built = []
     normal_form = sc._normal_form
 
@@ -725,7 +773,7 @@ def _cold_brst_check_normal_forms(monkeypatch, name: str) -> int:
     sc.normalize.cache_clear()
     sc._POLY.clear()
     monkeypatch.setattr(sc, "_normal_form", counted)
-    report = run_brst_check(load_scenario(BUNDLED % name))
+    report = harness.RUNNERS[command](load_scenario(BUNDLED % name))
     assert report["checks"] and all(rec["status"] != "fail" for rec in report["checks"])
     return len(built)
 
@@ -737,17 +785,23 @@ def test_adhm_brst_check_builds_at_most_600_normal_forms(monkeypatch):
     # square residual is one combine; this run builds 520, 1,022 with a
     # normal form per application and per sum of them, and 2,464 with one
     # per derivative too.
-    assert _cold_brst_check_normal_forms(monkeypatch, "adhm_k2_n2_brst") <= 600
+    assert _cold_normal_forms(monkeypatch, "adhm_k2_n2_brst", "brst-check") <= 600
 
 
 def test_sphere_brst_check_builds_at_most_60_normal_forms(monkeypatch):
     # 50, and 79 with a normal form per application and per sum of them
-    assert _cold_brst_check_normal_forms(monkeypatch, "sphere_dh") <= 60
+    assert _cold_normal_forms(monkeypatch, "sphere_dh", "brst-check") <= 60
 
 
 def test_kahler_brst_check_builds_at_most_25_normal_forms(monkeypatch):
     # 20, and 39 with a normal form per application and per sum of them
-    assert _cold_brst_check_normal_forms(monkeypatch, "kahler_c2") <= 25
+    assert _cold_normal_forms(monkeypatch, "kahler_c2", "brst-check") <= 25
+
+
+def test_flat_rotation_compare_builds_at_most_31_normal_forms(monkeypatch):
+    # a coefficient that only one operand of a sum carries is already a
+    # normal form, and combine returns it; 34 when it was normalized again
+    assert _cold_normal_forms(monkeypatch, "flat_rotation", "compare") <= 31
 
 
 def test_adhm_brst_check_takes_at_most_480_derivatives(monkeypatch):

@@ -234,6 +234,15 @@ def test_a_zero_derivative_builds_no_normal_form():
     assert sc._POLY == memo
 
 
+def test_combine_of_a_lone_unit_term_is_that_normal_form():
+    # a coefficient only one operand of a sum carries reaches combine as
+    # (1, c, ONE); c is a normal form already, so no normal form is built
+    c = normalize(parse_scalar("exp(x)*(x^2 + y^2 + 7)^-1 - 3*y"))
+    assert any(sc._is_composite_atom(a) for a in _atoms(c))
+    assert sc.combine([(1, c, sc.ONE)]) is c
+    assert sc.combine([(-1, c, sc.ONE)]) == normalize(-c)
+
+
 def test_mixed_partials_commute_structurally():
     rng = random.Random(61)
     for _ in range(200):
