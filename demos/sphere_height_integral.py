@@ -13,10 +13,12 @@ from fractions import Fraction
 
 from superloc.actions import tautological_Q
 from superloc.geometry import (
+    EXPONENTIAL,
+    SPHERE_REGION,
     atlas_fixed_points,
-    height_exponential,
+    closed_integrand,
+    oracle_patch,
     sphere_atlas,
-    sphere_oracle_patch,
 )
 from superloc.localize import super_localize
 from superloc.oracle import global_berezin
@@ -24,10 +26,10 @@ from superloc.oracle import global_berezin
 
 def main() -> None:
     atlas = sphere_atlas()
-    fields = {p.name: height_exponential(p) for p in atlas}
+    fields = {p.name: closed_integrand(p, EXPONENTIAL) for p in atlas}
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
     fps = atlas_fixed_points(atlas)
-    patch = sphere_oracle_patch()
+    patch = oracle_patch(SPHERE_REGION, EXPONENTIAL[1])
     # closedness is a fact about the integrand, so it is checked once, not per t
     assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
 

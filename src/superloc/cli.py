@@ -17,13 +17,17 @@ from .harness import RUNNERS, load_scenario, report_exit_code, serialize_report
 _SCENARIOS = os.path.join(os.path.dirname(__file__), "scenarios")
 
 
+def _bundled() -> list:
+    """The names of the bundled scenarios: the stems of scenarios/*.json."""
+    return sorted(name[:-5] for name in os.listdir(_SCENARIOS) if name.endswith(".json"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    bundled = sorted(name[:-5] for name in os.listdir(_SCENARIOS) if name.endswith(".json"))
     parser = argparse.ArgumentParser(
         prog="superloc",
         description="Localization checks for supersymmetric integrals.",
         epilog="The --scenario argument accepts either a path or the name of a "
-        "bundled scenario (%s)." % ", ".join(bundled),
+        "bundled scenario (%s)." % ", ".join(_bundled()),
     )
     parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--scenario", required=True, help="scenario file or bundled name")
@@ -34,8 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(ref: str) -> str:
-    bundled = os.path.join(_SCENARIOS, ref + ".json")
-    return bundled if os.path.isfile(bundled) else ref
+    return os.path.join(_SCENARIOS, ref + ".json") if ref in _bundled() else ref
 
 
 def _print_report(report: dict) -> None:

@@ -1,19 +1,19 @@
 """Worked geometries for the scenario suite.
 
-Each geometry is an atlas of charts with one fixed point at each chart's
-origin. The round two-sphere with its rotation action is the central
-example: two stereographic charts related by an orientation-reversing
-inversion, with the height function and the area density written per
-chart. The flat plane with the same rotation is a one-chart atlas. A flat
-box and an annulus in polar coordinates cover the boundary-identity
-scenarios.
+Each geometry is an atlas of charts, each with one fixed point at its
+origin and the closed form omega - t z written in it. The round two-sphere
+with its rotation action is the central example: two stereographic charts
+related by an orientation-reversing inversion. The flat plane with the same
+rotation is a one-chart atlas. `closed_integrand` builds f(omega - t z) and
+`oracle_patch` its top component. A flat box and an annulus in polar
+coordinates cover the boundary-identity scenarios.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import scalars as sc
 from .actions import ActionSpec, action_lift
@@ -49,20 +49,20 @@ C2_TORUS = ActionSpec(
 
 class AtlasChart(Record):
     """One chart of an atlas: its action, metric h and orientation, with the
-    fixed point at its origin.
+    fixed point at its origin, and the closed form omega - t z written in
+    it: z, the height function, and omega_coeff, the theta^1 theta^2
+    coefficient of omega.
 
-    A sphere chart covers the sphere minus the opposite pole and also
-    carries z, the height function, and omega_coeff, the theta^1 theta^2
-    coefficient of the area form, both written in this chart. The southern
+    A sphere chart covers the sphere minus the opposite pole. The southern
     chart is reached by the inversion (x, y) -> (x, y)/r^2, which reverses
     orientation, so its orientation flag, z, and area coefficient all flip
-    sign.
+    sign. The plane chart has z = r^2/2 and omega = -theta^1 theta^2.
     """
 
     __slots__ = ("name", "spec", "h", "orientation", "z", "omega_coeff")
 
-    def __init__(self, name: str, spec: ActionSpec, h: tuple, orientation: int = 1,
-                 z: Optional[ScalarExpr] = None, omega_coeff: Optional[ScalarExpr] = None) -> None:
+    def __init__(self, name: str, spec: ActionSpec, h: tuple, orientation: int,
+                 z: ScalarExpr, omega_coeff: ScalarExpr) -> None:
         self.name = name
         self.spec = spec
         self.h = h
@@ -87,8 +87,12 @@ def sphere_atlas():
     return (sphere_chart("north"), sphere_chart("south"))
 
 
+PLANE_HEIGHT = sc.rational(1, 2) * (X * X + Y * Y)
+
+
 def plane_atlas():
-    return (AtlasChart("plane", PLANE_ROTATION, tuple(map(tuple, identity(2)))),)
+    h = tuple(map(tuple, identity(2)))
+    return (AtlasChart("plane", PLANE_ROTATION, h, 1, PLANE_HEIGHT, sc.MINUS_ONE),)
 
 
 def atlas_fixed_points(atlas):
@@ -105,64 +109,54 @@ def atlas_fixed_points(atlas):
     ]
 
 
-def height_exponential(patch: AtlasChart) -> SuperFunction:
-    """exp(-t z) (1 + omega): the closed integrand whose localized value
-    has the closed form 2 pi (e^t - e^{-t}) / t."""
-    body = sc.exp(sc.ZERO - T * patch.z)
-    return SuperFunction(patch.spec.chart, {(): body, (1, 2): body * patch.omega_coeff})
+# An integrand f(omega - t z) is given by the pair (f, f') of functions
+# from a scalar expression s to f(s) and f'(s).
+EXPONENTIAL = (sc.exp, sc.exp)
 
 
-def _polynomial(base: ScalarExpr, coeffs) -> ScalarExpr:
-    """sum_k coeffs[k] base^k as one sum, left for a single normalize."""
-    return sc.Add(tuple(Fraction(c) * base ** k for k, c in enumerate(coeffs) if c))
+def power_sums(coeffs) -> tuple:
+    """(p, p') for p = sum_k coeffs[k] s^k. Each is one sum of powers of the
+    normal form of s, with no Horner's rule, left for a single normalize."""
+    def power_sum(cs):
+        def value(s: ScalarExpr) -> ScalarExpr:
+            base = sc.normalize(s)
+            return sc.Add(tuple(Fraction(c) * base ** k for k, c in enumerate(cs) if c))
+        return value
+
+    return power_sum(coeffs), power_sum([k * Fraction(c) for k, c in enumerate(coeffs)][1:])
 
 
-def _derivative(coeffs) -> list:
-    """The coefficients of p' for p = sum_k coeffs[k] s^k."""
-    return [k * Fraction(c) for k, c in enumerate(coeffs)][1:]
+def closed_integrand(chart: AtlasChart, f: tuple) -> SuperFunction:
+    """f(omega - t z) = f(-t z) + f'(-t z) omega theta^1 theta^2 on a chart
+    with two odd generators, where omega^2 = 0, for f = (f, f'). The raw
+    -t z goes to f and f', and SuperFunction reduces each component once."""
+    value, slope = f
+    base = sc.ZERO - T * chart.z
+    return SuperFunction(chart.spec.chart, {(): value(base), (1, 2): slope(base) * chart.omega_coeff})
 
 
-def closed_polynomial(patch: AtlasChart, coeffs) -> SuperFunction:
-    """sum_k coeffs[k] (omega - t z)^k: its body is p(-t z) and its
-    theta^1 theta^2 coefficient p'(-t z) omega, p = sum_k coeffs[k] s^k,
-    each reduced once by SuperFunction."""
-    base = sc.normalize(sc.ZERO - T * patch.z)
-    top = _polynomial(base, _derivative(coeffs)) * patch.omega_coeff
-    return SuperFunction(patch.spec.chart, {(): _polynomial(base, coeffs), (1, 2): top})
+class OracleRegion(NamedTuple):
+    """The oracle's coordinates on a geometry and their box, with the
+    height z and the area density written in them."""
+
+    coords: tuple
+    box: tuple
+    height: ScalarExpr
+    density: ScalarExpr
 
 
-def _angle_patch(integrand: ScalarExpr) -> OraclePatch:
-    """Angle coordinates (colatitude u, azimuth v) cover the sphere up to a
-    measure-zero set; an integrand of the height alone is a 1D profile."""
-    return OraclePatch(("u", "v"), ((0.0, math.pi), (0.0, 2 * math.pi)), integrand)
+# Angle coordinates (colatitude u, azimuth v) cover the sphere up to a
+# measure-zero set; the Gaussian's tail beyond half width 14 is far below
+# the tolerances used.
+SPHERE_REGION = OracleRegion(("u", "v"), ((0.0, math.pi), (0.0, 2 * math.pi)), sc.cos(U), sc.sin(U))
+PLANE_REGION = OracleRegion(("x", "y"), ((-14.0, 14.0), (-14.0, 14.0)), PLANE_HEIGHT, sc.MINUS_ONE)
 
 
-def sphere_oracle_patch() -> OraclePatch:
-    return _angle_patch(sc.exp(sc.ZERO - T * sc.cos(U)) * sc.sin(U))
-
-
-def sphere_polynomial_patch(coeffs) -> OraclePatch:
-    """closed_polynomial's top component in angle coordinates, p'(-t cos u) sin u."""
-    height = sc.normalize(sc.ZERO - T * sc.cos(U))
-    return _angle_patch(sc.normalize(_polynomial(height, _derivative(coeffs)) * sc.sin(U)))
-
-
-def gaussian_rotation_form() -> SuperFunction:
-    """(1 - theta^1 theta^2) exp(-(t/2) r^2) on the flat plane, closed for
-    the rotation field and integrable at infinity for t > 0."""
-    body = sc.exp(sc.rational(-1, 2) * T * (X * X + Y * Y))
-    return SuperFunction(PLANE_CHART, {(): body, (1, 2): sc.ZERO - body})
-
-
-GAUSSIAN_HALF_WIDTH = 14.0  # the Gaussian's tail beyond it is far below the tolerances used
-
-
-def gaussian_oracle_patch() -> OraclePatch:
-    """Top component of the flat Gaussian integrand on the box of half width
-    GAUSSIAN_HALF_WIDTH."""
-    body = sc.exp(sc.rational(-1, 2) * T * (X * X + Y * Y))
-    w = GAUSSIAN_HALF_WIDTH
-    return OraclePatch(("x", "y"), ((-w, w), (-w, w)), sc.normalize(sc.ZERO - body))
+def oracle_patch(region: OracleRegion, slope) -> OraclePatch:
+    """The top component f'(-t z) omega of f(omega - t z) on the region,
+    left for the one normalize of the oracle's compiler."""
+    integrand = slope(sc.ZERO - T * region.height) * region.density
+    return OraclePatch(region.coords, region.box, integrand)
 
 
 class DomainData(Record):

@@ -3,9 +3,9 @@
 A scenario is a JSON object with a `kind` selecting one of the built-in
 setups (the sphere and plane-rotation geometries, the complex two-torus
 operator, or the matrix-model suites).  `_GEOMETRIES` gives each geometry
-kind its atlas and, for each form type, the builders of the integrand and
-the oracle patch; every geometry check reads its charts, fixed points,
-fields and patch through that one table.  `_REGISTRY` maps each
+kind its atlas, its oracle region and, per form type, the pair (f, f') of
+its integrand f(omega - t z); every geometry check reads its charts, fixed
+points, fields and patch through that one table.  `_REGISTRY` maps each
 kind and command to ordered stages.  A stage pairs an item source (the
 scenario's `values`, its `stokes` entries, the geometry patches, or one
 single item) with ordered checks; a check gives its base name, the
@@ -57,40 +57,31 @@ from .adhm import (
 from .errors import AssumptionViolated, NotQClosed, SchemaError, float_errors
 from .geometry import (
     C2_TORUS,
+    EXPONENTIAL,
+    PLANE_REGION,
+    SPHERE_REGION,
     annulus_domain,
     atlas_fixed_points,
-    closed_polynomial,
+    closed_integrand,
     flat_box_domain,
-    gaussian_oracle_patch,
-    gaussian_rotation_form,
-    height_exponential,
+    oracle_patch,
     plane_atlas,
+    power_sums,
     sphere_atlas,
-    sphere_oracle_patch,
-    sphere_polynomial_patch,
 )
 from .grassmann import parse_super
 from .localize import classical_localize, super_localize
 from .oracle import global_berezin, super_stokes_check
 
 
-# geometry kind -> (its atlas, with one fixed point at each chart's origin,
-# form type -> (chart, form -> integrand; form -> oracle patch))
+# geometry kind -> (its atlas, its oracle region, form type -> (form ->
+# the pair (f, f') of the integrand f(omega - t z)))
 _GEOMETRIES = {
-    "sphere": (sphere_atlas, {
-        "height_exponential": (
-            lambda chart, form: height_exponential(chart), lambda form: sphere_oracle_patch()
-        ),
-        "closed_polynomial": (
-            lambda chart, form: closed_polynomial(chart, _coeffs(form)),
-            lambda form: sphere_polynomial_patch(_coeffs(form)),
-        ),
+    "sphere": (sphere_atlas, SPHERE_REGION, {
+        "height_exponential": lambda form: EXPONENTIAL,
+        "closed_polynomial": lambda form: power_sums([_as_fraction(c) for c in form["coeffs"]]),
     }),
-    "plane_rotation": (plane_atlas, {
-        "gaussian_rotation": (
-            lambda chart, form: gaussian_rotation_form(), lambda form: gaussian_oracle_patch()
-        ),
-    }),
+    "plane_rotation": (plane_atlas, PLANE_REGION, {"gaussian_rotation": lambda form: EXPONENTIAL}),
 }
 
 _REFERENCES: Mapping[str, Callable[[float], float]] = {
@@ -160,7 +151,7 @@ def _validate(scenario: dict) -> None:
     if kind in _GEOMETRIES:
         form = _require(scenario, "form", dict)
         ftype = form.get("type")
-        if not isinstance(ftype, str) or ftype not in _GEOMETRIES[kind][1]:
+        if not isinstance(ftype, str) or ftype not in _GEOMETRIES[kind][2]:
             raise SchemaError("unsupported %s form %r" % (kind, ftype))
         if ftype == "closed_polynomial":
             coeffs = form.get("coeffs")
@@ -238,10 +229,6 @@ def _as_fraction(text) -> Fraction:
         raise SchemaError("bad exact number %r: %s" % (text, exc))
 
 
-def _coeffs(form: dict) -> list:
-    return [_as_fraction(c) for c in form["coeffs"]]
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -308,14 +295,14 @@ class _Run:
         return _GEOMETRIES[self.scenario["kind"]][0]()
 
     @cached_property
-    def builders(self) -> tuple:
-        """(integrand, oracle patch) builders of the scenario's form."""
-        return _GEOMETRIES[self.scenario["kind"]][1][self.scenario["form"]["type"]]
+    def f(self) -> tuple:
+        """(f, f') of the scenario's form, whose integrand is f(omega - t z)."""
+        form = self.scenario["form"]
+        return _GEOMETRIES[self.scenario["kind"]][2][form["type"]](form)
 
     @cached_property
     def fields(self) -> dict:
-        integrand = self.builders[0]
-        return {chart.name: integrand(chart, self.scenario["form"]) for chart in self.atlas}
+        return {chart.name: closed_integrand(chart, self.f) for chart in self.atlas}
 
     @cached_property
     def fps(self) -> list:
@@ -323,7 +310,7 @@ class _Run:
 
     @cached_property
     def patch(self):
-        return self.builders[1](self.scenario["form"])
+        return oracle_patch(_GEOMETRIES[self.scenario["kind"]][1], self.f[1])
 
     @cached_property
     def unclosed(self) -> Optional[str]:

@@ -34,12 +34,14 @@ from superloc.adhm import (
 )
 from superloc.geometry import (
     annulus_domain,
-    closed_polynomial,
+    EXPONENTIAL,
+    SPHERE_REGION,
+    closed_integrand,
     flat_box_domain,
     atlas_fixed_points,
-    height_exponential,
+    oracle_patch,
+    power_sums,
     sphere_atlas,
-    sphere_oracle_patch,
 )
 from superloc.grassmann import (
     SuperChart,
@@ -65,14 +67,14 @@ SCENARIOS = "src/superloc/scenarios/%s.json"
 
 def _sphere_setup():
     atlas = sphere_atlas()
-    fields = {p.name: height_exponential(p) for p in atlas}
+    fields = {p.name: closed_integrand(p, EXPONENTIAL) for p in atlas}
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
     return fields, atlas_fixed_points(atlas), Q
 
 
 def test_01_sphere_height_integral_three_scales():
     fields, fps, Q = _sphere_setup()
-    patch = sphere_oracle_patch()
+    patch = oracle_patch(SPHERE_REGION, EXPONENTIAL[1])
     assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
     for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
         start = time.perf_counter()
@@ -95,7 +97,7 @@ def test_02_random_closed_forms_match_classical():
         coeffs = [
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree + 1)
         ]
-        fields = {p.name: closed_polynomial(p, coeffs) for p in atlas}
+        fields = {p.name: closed_integrand(p, power_sums(coeffs)) for p in atlas}
         assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
         t = Fraction(rng.randint(1, 7), rng.randint(1, 3))
         sup = super_localize(fields, fps, binding={"t": t})

@@ -1,9 +1,11 @@
 """Every script in demos/ runs to completion against the library and prints
-exactly its recorded output, ``tests/demo_output/<script>.txt``."""
+exactly its recorded output, ``tests/demo_output/<script>.txt``, and the
+library example in README.md prints the value its comment gives."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,11 @@ def test_demo_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (RECORDED / (script.stem + ".txt")).read_text()
+
+
+def test_readme_library_example(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library\n+```python\n(.*?)```", text, re.S).group(1)
+    expected = re.search(r"print\(.*\)\s+# (\S+) =", block).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == expected + "\n"

@@ -8,21 +8,22 @@ from fractions import Fraction
 
 import pytest
 
+from superloc import harness
 from superloc import scalars as sc
 from superloc.actions import tautological_Q
 from superloc.geometry import (
+    EXPONENTIAL,
+    PLANE_REGION,
+    SPHERE_REGION,
     annulus_domain,
     atlas_fixed_points,
-    closed_polynomial,
+    closed_integrand,
     flat_box_domain,
-    gaussian_oracle_patch,
-    gaussian_rotation_form,
-    height_exponential,
+    oracle_patch,
     plane_atlas,
+    power_sums,
     sphere_atlas,
     sphere_chart,
-    sphere_oracle_patch,
-    sphere_polynomial_patch,
 )
 from superloc.localize import (
     classical_localize,
@@ -68,24 +69,39 @@ def test_sphere_transition_consistency():
     ) * jac
 
 
-def test_height_exponential_is_closed():
-    for patch in sphere_atlas():
-        Q = tautological_Q(patch.spec)
-        assert Q.apply(height_exponential(patch)).is_zero()
+TABLE = [(kind, ftype) for kind, (_, _, forms) in harness._GEOMETRIES.items() for ftype in forms]
+
+
+@pytest.mark.parametrize("kind,ftype", TABLE, ids=["%s-%s" % entry for entry in TABLE])
+def test_every_kind_and_form_of_the_table(kind, ftype):
+    # Q annihilates the integrand on every chart, the oracle density names
+    # only its coordinates and t, and on the plane, whose oracle coordinates
+    # are the chart's, the density is the integrand's top component
+    atlas, region, forms = harness._GEOMETRIES[kind]
+    f = forms[ftype]({"type": ftype, "coeffs": ["2", "0", "-3", "1/2"]})
+    charts = atlas()
+    for chart in charts:
+        assert tautological_Q(chart.spec).apply(closed_integrand(chart, f)).is_zero()
+    patch = oracle_patch(region, f[1])
+    assert sc.free_symbols(patch.integrand) <= set(region.coords) | {"t"}
+    if kind == "plane_rotation":
+        (plane,) = charts
+        assert region.coords == plane.spec.chart.coords
+        assert sc.normalize(patch.integrand) == closed_integrand(plane, f).terms[(1, 2)]
 
 
 def test_closed_powers_are_closed():
     north = sphere_chart("north")
     Q = tautological_Q(north.spec)
     for k in range(5):
-        assert Q.apply(closed_polynomial(north, [0] * k + [1])).is_zero()
-    assert Q.apply(closed_polynomial(north, [2, 0, -3, 1])).is_zero()
+        assert Q.apply(closed_integrand(north, power_sums([0] * k + [1]))).is_zero()
+    assert Q.apply(closed_integrand(north, power_sums([2, 0, -3, 1]))).is_zero()
 
 
 def _power_sum(patch, coeffs) -> SuperFunction:
     """sum_k c_k (omega - t z)^k with each power normalized on its own and
     the sum taken through SuperFunction, one reduction per power where
-    closed_polynomial reduces each coefficient once."""
+    closed_integrand reduces each coefficient once."""
     base = sc.ZERO - sc.sym("t") * patch.z
     total = SuperFunction.zero(patch.spec.chart)
     for k, c in enumerate(coeffs):
@@ -120,8 +136,9 @@ def test_horner_matches_the_power_sum():
     assert any(0 in c for c in lists) and any(c < 0 for cs in lists for c in cs)
     for coeffs in lists:
         for patch in sphere_atlas():
-            assert closed_polynomial(patch, coeffs).terms == _power_sum(patch, coeffs).terms
-        assert sphere_polynomial_patch(coeffs).integrand == _power_sum_integrand(coeffs)
+            assert closed_integrand(patch, power_sums(coeffs)).terms == _power_sum(patch, coeffs).terms
+        patch = oracle_patch(SPHERE_REGION, power_sums(coeffs)[1])
+        assert sc.normalize(patch.integrand) == _power_sum_integrand(coeffs)
 
 
 def test_closed_polynomial_builds_three_normal_forms_per_chart(monkeypatch):
@@ -138,8 +155,9 @@ def test_closed_polynomial_builds_three_normal_forms_per_chart(monkeypatch):
     monkeypatch.setattr(sc, "_normal_form", counted)
     lists = ([1, -2, 0, Fraction(3, 2), 5, -1], [2, 0, -1, 1, 3, Fraction(-2, 7), 0, 1, 4])
     for coeffs in lists:
-        builds = [lambda patch=patch: closed_polynomial(patch, coeffs) for patch in sphere_atlas()]
-        for build in builds + [lambda: sphere_polynomial_patch(coeffs)]:
+        f = power_sums(coeffs)
+        builds = [lambda patch=patch: closed_integrand(patch, f) for patch in sphere_atlas()]
+        for build in builds + [lambda: oracle_patch(SPHERE_REGION, f[1])]:
             sc.normalize.cache_clear()
             sc._POLY.clear()
             built.clear()
@@ -168,9 +186,9 @@ def test_atlas_fixed_points_data(atlas, charts, orientations, scale):
 def test_height_localization_all_routes():
     atlas = sphere_atlas()
     fps = atlas_fixed_points(atlas)
-    fields = {p.name: height_exponential(p) for p in atlas}
+    fields = {p.name: closed_integrand(p, EXPONENTIAL) for p in atlas}
     Q = {p.name: tautological_Q(p.spec) for p in atlas}
-    patch = sphere_oracle_patch()
+    patch = oracle_patch(SPHERE_REGION, sc.exp)
     assert all(Q[name].apply(F).is_zero() for name, F in fields.items())
     for tv in (0.5, 1.0, 2.0):
         sup = super_localize(fields, fps, binding={"t": tv})
@@ -191,7 +209,7 @@ def test_random_closed_family_reduction():
     for _ in range(6):
         coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
         tv = Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1))
-        fields = {p.name: closed_polynomial(p, coeffs) for p in atlas}
+        fields = {p.name: closed_integrand(p, power_sums(coeffs)) for p in atlas}
         sup = super_localize(fields, fps, binding={"t": tv})
         cla = classical_localize(fields, fps, binding={"t": tv})
         assert sup["pi_power"] == cla["pi_power"] == 1
@@ -202,12 +220,12 @@ def test_random_closed_family_reduction():
 def test_flat_gaussian_localization():
     (plane,) = plane_atlas()
     Q = tautological_Q(plane.spec)
-    F = gaussian_rotation_form()
+    F = closed_integrand(plane, EXPONENTIAL)
     assert Q.apply(F).is_zero()
     fps = atlas_fixed_points((plane,))
     sup = super_localize({"plane": F}, fps, binding={"t": Fraction(2)})
     assert sup["coefficient"] == Fraction(-1) and sup["pi_power"] == 1
-    oracle = global_berezin((gaussian_oracle_patch(),), binding={"t": 2.0}, tol=1e-8)
+    oracle = global_berezin((oracle_patch(PLANE_REGION, sc.exp),), binding={"t": 2.0}, tol=1e-8)
     assert abs(oracle - sup["value"]) < 1e-6 * abs(sup["value"])
 
 

@@ -388,7 +388,7 @@ def test_closedness_is_checked_once_per_run(monkeypatch):
 def test_unclosed_integrand_fails_every_value(monkeypatch):
     # the body alone, without its area term, is not annihilated by Q
     monkeypatch.setattr(
-        harness, "height_exponential", lambda chart: parse_super(chart.spec.chart, "exp(-t*x)")
+        harness, "closed_integrand", lambda chart, f: parse_super(chart.spec.chart, "exp(-t*x)")
     )
     scenario = load_scenario(BUNDLED % "sphere_dh")
     report = run_localize(scenario)
@@ -585,6 +585,19 @@ def test_cli_help_names_exactly_the_bundled_scenarios():
     listed = re.search(r"\((.*)\)", cli._build_parser().epilog, re.S).group(1)
     names = sorted(name.strip() for name in listed.split(","))
     assert names == sorted(path.stem for path in (SRC / "superloc" / "scenarios").glob("*.json"))
+
+
+def test_cli_scenario_path_reads_that_path(tmp_path):
+    # only a bundled name resolves into scenarios/: a path is read as it is,
+    # even when the same path with .json appended names another scenario
+    scenarios = SRC / "superloc" / "scenarios"
+    (tmp_path / "x").write_bytes((scenarios / "flat_rotation.json").read_bytes())
+    (tmp_path / "x.json").write_bytes((scenarios / "sphere_dh.json").read_bytes())
+    out = tmp_path / "report.json"
+    assert main(["localize", "--scenario", str(tmp_path / "x"), "--json", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["scenario"] == "flat_rotation"
+    assert main(["localize", "--scenario", "sphere_dh", "--json", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["scenario"] == "sphere_dh"
 
 
 def _cli_exit(argv, capsys) -> tuple:

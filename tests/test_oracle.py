@@ -22,11 +22,7 @@ from superloc.errors import (
     UnboundSymbol,
     WrongGrade,
 )
-from superloc.geometry import (
-    gaussian_oracle_patch,
-    sphere_oracle_patch,
-    sphere_polynomial_patch,
-)
+from superloc.geometry import PLANE_REGION, SPHERE_REGION, oracle_patch, power_sums
 from superloc.grassmann import SuperChart, SuperFunction, SuperVectorField, parse_super
 from superloc.oracle import (
     OraclePatch,
@@ -183,13 +179,13 @@ def test_quadrature_matches_reference_bit_for_bit(point_rule, f, box, tol):
 @pytest.mark.parametrize(
     "patch,t",
     [
-        (gaussian_oracle_patch(), Fraction(7, 3)),
-        (sphere_oracle_patch(), Fraction(7, 3)),
-        (gaussian_oracle_patch(), Fraction(1, 2)),
-        (sphere_oracle_patch(), Fraction(1, 2)),
-        (gaussian_oracle_patch(), Fraction(3)),
-        (sphere_oracle_patch(), Fraction(3)),
-        (sphere_polynomial_patch(["1", "2", "-1/3", "5"]), Fraction(7, 3)),
+        (oracle_patch(PLANE_REGION, sc.exp), Fraction(7, 3)),
+        (oracle_patch(SPHERE_REGION, sc.exp), Fraction(7, 3)),
+        (oracle_patch(PLANE_REGION, sc.exp), Fraction(1, 2)),
+        (oracle_patch(SPHERE_REGION, sc.exp), Fraction(1, 2)),
+        (oracle_patch(PLANE_REGION, sc.exp), Fraction(3)),
+        (oracle_patch(SPHERE_REGION, sc.exp), Fraction(3)),
+        (oracle_patch(SPHERE_REGION, power_sums(["1", "2", "-1/3", "5"])[1]), Fraction(7, 3)),
         (
             OraclePatch(
                 ("x", "y", "z"),

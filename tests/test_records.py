@@ -118,5 +118,8 @@ def test_keyword_construction_with_defaults():
     assert FixedPointData(**kwargs, orientation=1).orientation == 1
     assert FixedPointData(**kwargs).orientation == 1
     assert FixedPointData(**kwargs, orientation=-1).orientation == -1
-    chart = AtlasChart(name="plane", spec=spec, h=kwargs["h"])
-    assert (chart.orientation, chart.z, chart.omega_coeff) == (1, None, None)
+    # every chart carries its closed form, so no field of AtlasChart has a default
+    chart = AtlasChart(name="plane", spec=spec, h=kwargs["h"], orientation=1, z=X, omega_coeff=Y)
+    assert (chart.orientation, chart.z, chart.omega_coeff) == (1, X, Y)
+    with pytest.raises(TypeError):
+        AtlasChart("plane", spec, kwargs["h"], 1, X)
